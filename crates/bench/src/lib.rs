@@ -23,9 +23,7 @@
 //!   widths of §3.3 and the nearest-even read-out of Appendix A.1;
 //! * the batch paths that feed million-packet experiments:
 //!   `pipeline/add_batch/*`, `pipeline/read_batch/*` and the raw
-//!   `pisa/run_batch` engine loop with no pipeline wrapping, plus the
-//!   `pisa/run_lanes_simd` / `pisa/run_lanes_scalar` pair that isolates
-//!   the chunked SoA lane kernels from everything else;
+//!   `pisa/run_batch` engine loop with no pipeline wrapping;
 //! * the in-network aggregation protocol ([`run_agg`], written to
 //!   `BENCH_agg.json`): full all-reduce rounds — packetize, slot-pool
 //!   fan-in, compiled switch program, read-out, round reset — on the
@@ -283,40 +281,6 @@ pub fn run_all(scale: f64) -> Vec<BenchResult> {
                 phv.set(fields.value, bits);
             }
             std::hint::black_box(engine.run_batch(&mut phvs).expect("run"));
-        }));
-    }
-
-    // The SoA lane-kernel microbench: the same pre-built ADD PHVs through
-    // `run_batch_soa` with the chunked u64×8 lane kernels on and off. The
-    // two rows isolate the vectorization win from everything else in the
-    // batch path (same program, same transpose, same Phase C).
-    for (name, simd) in [
-        ("pisa/run_lanes_simd", true),
-        ("pisa/run_lanes_scalar", false),
-    ] {
-        let batch = ops(8_192);
-        let spec = PipelineSpec::new(PipelineVariant::TofinoA).slots(64);
-        let (program, fields, _arrays) = spec.build().expect("spec must validate");
-        let mut engine = fpisa_pisa::CompiledSwitch::compile(&program).expect("program validates");
-        assert!(engine.soa_eligible(), "lane microbench needs the SoA path");
-        engine.set_simd_kernels(simd);
-        let inputs: Vec<(u64, u64)> = (0..batch)
-            .map(|i| {
-                (
-                    i % 64,
-                    u64::from(stream[i as usize % stream.len()].to_bits()),
-                )
-            })
-            .collect();
-        let mut phvs: Vec<fpisa_pisa::Phv> = (0..batch).map(|_| engine.phv()).collect();
-        results.push(bench(name, batch, 10, || {
-            for (phv, &(slot, bits)) in phvs.iter_mut().zip(&inputs) {
-                phv.clear();
-                phv.set(fields.op, OP_ADD);
-                phv.set(fields.slot, slot);
-                phv.set(fields.value, bits);
-            }
-            std::hint::black_box(engine.run_batch_soa(&mut phvs).expect("run"));
         }));
     }
 
@@ -692,7 +656,7 @@ mod tests {
     #[test]
     fn run_all_covers_core_and_pipeline() {
         let results = run_all(0.01);
-        assert_eq!(results.len(), 19);
+        assert_eq!(results.len(), 17);
         assert!(results.iter().any(|r| r.name == "analysis/verify_program"));
         assert!(results.iter().any(|r| r.name.contains("core/add_f32")));
         assert!(results.iter().any(|r| r.name == "core/add_f32/traced"));
@@ -711,10 +675,6 @@ mod tests {
             .iter()
             .any(|r| r.name == "pipeline/read_batch/tofino_a"));
         assert!(results.iter().any(|r| r.name == "pisa/run_batch/tofino_a"));
-        // The lane-kernel microbench pair: SIMD vs scalar on the same
-        // SoA batch path.
-        assert!(results.iter().any(|r| r.name == "pisa/run_lanes_simd"));
-        assert!(results.iter().any(|r| r.name == "pisa/run_lanes_scalar"));
         assert!(results.iter().any(|r| r.name.contains("read_packet")));
         assert!(results.iter().any(|r| r.name.contains("fp16")));
         assert!(results.iter().any(|r| r.name.contains("bf16")));

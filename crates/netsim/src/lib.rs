@@ -66,13 +66,22 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 ///
 /// Every value is `±m · 2^e` with `m ∈ {1.0, 1.25, 1.5, 1.75}` and
 /// `e ∈ {0, 1, 2}` — exactly representable in FP16 (and every wider
-/// format), with partial sums that stay inside FP16's exact integer/quarter
-/// grid for any fan-in this workspace allows. Floating-point addition over
-/// such values is associative and commutative *without rounding*, so
-/// reordering or retransmission cannot change the result through float
-/// semantics: if a chaos run's sums differ from the lossless run's, the
-/// protocol double-counted, dropped, or corrupted a contribution. The
-/// workload isolates protocol correctness from float non-commutativity.
+/// format), with partial sums on FP16's exact quarter grid. Floating-point
+/// addition over such values is associative and commutative *without
+/// rounding*, so reordering or retransmission cannot change the result
+/// through float semantics: if a chaos run's sums differ from the lossless
+/// run's, the protocol double-counted, dropped, or corrupted a
+/// contribution. The workload isolates protocol correctness from float
+/// non-commutativity.
+///
+/// **Fan-in bound on `fp16_tofino`.** FPISA-A keeps a slot's 16-bit
+/// register at the exponent of its first arrival, so a slot first written
+/// at exponent 0 saturates once `|Σ| ≥ 32` — after which the sum is
+/// neither exact nor independent of arrival order. Values reach 7, so the
+/// worst slot holds `1.75 + 7·(workers − 1)`: exact up to
+/// [`ChaosWorkload::MAX_EXACT_FP16_FANIN`] workers (29.75), saturating
+/// from 6 (36.75). Wider registers (FP32 presets, SwitchML sized by
+/// `for_workload`) are exact at any fan-in the slot pool allows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosWorkload {
     pub workers: u32,
@@ -83,6 +92,10 @@ pub struct ChaosWorkload {
 }
 
 impl ChaosWorkload {
+    /// Largest `workers` for which every partial sum is exact on the
+    /// `fp16_tofino` backend (see the type-level docs).
+    pub const MAX_EXACT_FP16_FANIN: u32 = 5;
+
     /// The matching job spec.
     pub fn spec(&self, job: u32) -> JobSpec {
         JobSpec {
@@ -160,5 +173,45 @@ mod tests {
         let sums = ChaosWorkload::exact_sums(&a);
         assert_eq!(sums.len(), 3);
         assert_eq!(sums[0].len(), 64);
+    }
+
+    #[test]
+    fn max_exact_fp16_fanin_follows_from_the_value_grid() {
+        use fpisa_agg::{Aggregator, FpisaAggregator};
+        // The grid `gradients` draws from.
+        let grid: Vec<(f64, u32)> = (0..4u32)
+            .flat_map(|m| (0..3u32).map(move |e| (1.0 + 0.25 * f64::from(m), e)))
+            .collect();
+        let max_abs = grid
+            .iter()
+            .map(|&(m, e)| m * f64::from(1u32 << e))
+            .fold(0.0, f64::max);
+        // A 16-bit signed register anchored at exponent 0 holds FP16's 10
+        // fraction bits below the binary point: |Σ| < 2^15 / 2^10.
+        let limit = f64::from(1u32 << 15) / f64::from(1u32 << 10);
+        // Worst slot at fan-in n: the largest exponent-0 value arrives
+        // first, then n − 1 copies of the largest value overall.
+        let first = grid
+            .iter()
+            .filter(|&&(_, e)| e == 0)
+            .map(|&(m, _)| m)
+            .fold(0.0, f64::max);
+        let worst = |n: u32| first + max_abs * f64::from(n - 1);
+        let n = ChaosWorkload::MAX_EXACT_FP16_FANIN;
+        assert!(worst(n) < limit, "fan-in {n} must stay below saturation");
+        assert!(worst(n + 1) >= limit, "fan-in {} must saturate", n + 1);
+
+        // And the backend agrees: that worst slot is exact at the bound
+        // and wrong one worker later.
+        let mut agg = FpisaAggregator::fp16_tofino(1).expect("preset validates");
+        let big = agg.encode(max_abs);
+        let first = agg.encode(first);
+        agg.add_wire(0, &[first]).unwrap();
+        for _ in 1..n {
+            agg.add_wire(0, &[big]).unwrap();
+        }
+        assert_eq!(agg.read_range(0, 1).unwrap(), vec![worst(n)]);
+        agg.add_wire(0, &[big]).unwrap();
+        assert_ne!(agg.read_range(0, 1).unwrap(), vec![worst(n + 1)]);
     }
 }

@@ -76,8 +76,6 @@ pub use program::{build_program, Arrays, Fields, PipelineVariant, OP_ADD, OP_REA
 pub use report::{render_stage_breakdown, render_table3, table3, table3_formats, Table3Row};
 pub use spec::{format_name, ExecEngine, PipelineSpec, SpecError, MAX_SLOTS};
 
-pub use fpisa_pisa::PhaseCOrder;
-
 use fpisa_core::{FpFormat, FpisaConfig};
 use fpisa_pisa::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, BatchLanes, CompiledSwitch,
@@ -123,27 +121,6 @@ fn verify_for_spec(spec: &PipelineSpec, program: &SwitchProgram) -> Result<(), S
         });
     }
     Ok(())
-}
-
-/// Lower one program with the spec's compiled-engine tuning applied:
-/// split-key LUT width at compile time, SIMD kernels and Phase C
-/// ordering as post-compile knobs. Every combination is bit-for-bit
-/// identical; these only move work between execution strategies.
-fn compile_for_spec(
-    spec: &PipelineSpec,
-    program: &SwitchProgram,
-) -> Result<CompiledSwitch, fpisa_pisa::ProgramError> {
-    let mut c = match spec.split_lut_width() {
-        Some(bits) => CompiledSwitch::compile_tuned(program, bits)?,
-        None => CompiledSwitch::compile(program)?,
-    };
-    if let Some(on) = spec.simd_kernels_enabled() {
-        c.set_simd_kernels(on);
-    }
-    if let Some(order) = spec.phase_c_ordering() {
-        c.set_phase_c_order(order);
-    }
-    Ok(c)
 }
 
 /// Which engine holds a pipeline's live register state and runs its
@@ -227,7 +204,7 @@ impl FpisaPipeline {
                         if let Ok(p) = prove_shard_safety(&shard_program, fields.slot) {
                             proofs.push(p);
                         }
-                        compile_for_spec(&spec, &shard_program).map_err(SpecError::Program)
+                        CompiledSwitch::compile(&shard_program).map_err(SpecError::Program)
                     })
                     .collect::<Result<Vec<_>, SpecError>>()?;
                 let mut sharded = ShardedSwitch::new(engines, ranges, fields.slot)
@@ -249,7 +226,7 @@ impl FpisaPipeline {
                 }
                 Engine::Sharded(sharded)
             }
-            ExecEngine::Compiled => Engine::Compiled(compile_for_spec(&spec, &program)?),
+            ExecEngine::Compiled => Engine::Compiled(CompiledSwitch::compile(&program)?),
         };
         let switch = Switch::new(program)?;
         let scratch = switch.phv();

@@ -34,7 +34,7 @@
 
 use crate::program::{build_for_spec, Arrays, Fields, PipelineVariant};
 use fpisa_core::{FpFormat, FpisaConfig, ReadRounding};
-use fpisa_pisa::{AnalysisLevel, PhaseCOrder, ProgramError, SwitchProgram};
+use fpisa_pisa::{AnalysisLevel, ProgramError, SwitchProgram};
 use serde::{Deserialize, Serialize};
 
 /// Largest slot count the 16-bit `slot` PHV field can address.
@@ -194,15 +194,6 @@ pub struct PipelineSpec {
     /// Verify-on-compile level: [`AnalysisLevel::Deny`] by default.
     #[serde(default)]
     analysis: AnalysisLevel,
-    /// `None` keeps the compiled engine's default (SIMD kernels on).
-    #[serde(default)]
-    simd_kernels: Option<bool>,
-    /// `None` keeps [`PhaseCOrder::Auto`].
-    #[serde(default)]
-    phase_c: Option<PhaseCOrder>,
-    /// `None` keeps [`fpisa_pisa::SPLIT_LUT_BITS_DEFAULT`].
-    #[serde(default)]
-    split_lut_bits: Option<u32>,
 }
 
 impl PipelineSpec {
@@ -222,9 +213,6 @@ impl PipelineSpec {
             parallel_min: None,
             parallelism: None,
             analysis: AnalysisLevel::default(),
-            simd_kernels: None,
-            phase_c: None,
-            split_lut_bits: None,
         }
     }
 
@@ -323,32 +311,6 @@ impl PipelineSpec {
         self
     }
 
-    /// Builder: toggle the compiled engine's explicit SIMD lane kernels
-    /// (default on). Results are bit-for-bit identical either way —
-    /// the off position exists for differential testing and for
-    /// microbenching the kernels' contribution.
-    pub fn simd_kernels(mut self, on: bool) -> Self {
-        self.simd_kernels = Some(on);
-        self
-    }
-
-    /// Builder: set the compiled engine's Phase C (stateful update)
-    /// ordering policy (default [`PhaseCOrder::Auto`]). Results are
-    /// bit-for-bit identical under every policy.
-    pub fn phase_c_order(mut self, order: PhaseCOrder) -> Self {
-        self.phase_c = Some(order);
-        self
-    }
-
-    /// Builder: cap the compiled engine's split-key LUT width in bits
-    /// (default [`fpisa_pisa::SPLIT_LUT_BITS_DEFAULT`], clamped to
-    /// [`fpisa_pisa::SPLIT_LUT_MAX_BITS`]; `0` disables split-key
-    /// dispatch). Semantics are identical at every width.
-    pub fn split_lut_bits(mut self, bits: u32) -> Self {
-        self.split_lut_bits = Some(bits);
-        self
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -406,22 +368,6 @@ impl PipelineSpec {
     /// The configured worker-thread budget, if overridden.
     pub fn parallelism_override(&self) -> Option<usize> {
         self.parallelism
-    }
-
-    /// Whether the compiled engine's SIMD lane kernels are enabled
-    /// (`None` = engine default, on).
-    pub fn simd_kernels_enabled(&self) -> Option<bool> {
-        self.simd_kernels
-    }
-
-    /// The configured Phase C ordering policy, if overridden.
-    pub fn phase_c_ordering(&self) -> Option<PhaseCOrder> {
-        self.phase_c
-    }
-
-    /// The configured split-key LUT width cap, if overridden.
-    pub fn split_lut_width(&self) -> Option<u32> {
-        self.split_lut_bits
     }
 
     /// The slot ranges the spec's shards own: a balanced, exact,

@@ -22,7 +22,7 @@
 //! `(variant × format × rounding)` configuration.
 
 use fpisa_core::{FpClass, FpFormat, FpisaAccumulator, ReadRounding, SwitchValue};
-use fpisa_pipeline::{ExecEngine, FpisaPipeline, PhaseCOrder, PipelineSpec, PipelineVariant};
+use fpisa_pipeline::{ExecEngine, FpisaPipeline, PipelineSpec, PipelineVariant};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 const SLOTS: usize = 8;
@@ -168,43 +168,31 @@ fn run_differential(variant: PipelineVariant, seed: u64) {
             assert_eq!(sharded.read_bits(slot).unwrap(), got);
         }
 
-        // Batch path: replay the same stream in SOA-width batches (wide
-        // enough to engage both the SIMD lane kernels and slot-sorted
-        // Phase C) on every knob combination the compiled engine exposes,
-        // and demand the same bit-for-bit agreement with the reference.
-        for (knobs, simd, order) in [
-            ("simd/auto", true, PhaseCOrder::Auto),
-            ("simd/slot-sorted", true, PhaseCOrder::SlotSorted),
-            ("scalar/packet-ordered", false, PhaseCOrder::PacketOrdered),
-            ("scalar/slot-sorted", false, PhaseCOrder::SlotSorted),
-        ] {
-            let mut pipe = FpisaPipeline::from_spec(
-                spec.engine(ExecEngine::Compiled)
-                    .simd_kernels(simd)
-                    .phase_c_order(order),
-            )
+        // Batch path: replay the same stream in 96-packet batches (wide
+        // enough to engage the chunk kernels and their scalar tails) and
+        // demand the same bit-for-bit agreement with the reference.
+        let mut pipe = FpisaPipeline::from_spec(spec.engine(ExecEngine::Compiled))
             .expect("spec must validate");
-            for chunk in stream.chunks(96) {
-                pipe.add_batch(chunk).unwrap();
-            }
-            let batch = pipe.read_batch(&(0..SLOTS).collect::<Vec<_>>()).unwrap();
-            for (slot, reference) in refs.iter().enumerate() {
-                let want_state = if reference.is_initialized() {
-                    (reference.exponent(), reference.mantissa())
-                } else {
-                    (0, 0)
-                };
-                assert_eq!(
-                    pipe.register_state(slot),
-                    want_state,
-                    "{cell} [{knobs}] batch register state diverged in slot {slot}"
-                );
-                assert_eq!(
-                    batch[slot],
-                    reference.read_bits(),
-                    "{cell} [{knobs}] batch read of slot {slot}"
-                );
-            }
+        for chunk in stream.chunks(96) {
+            pipe.add_batch(chunk).unwrap();
+        }
+        let batch = pipe.read_batch(&(0..SLOTS).collect::<Vec<_>>()).unwrap();
+        for (slot, reference) in refs.iter().enumerate() {
+            let want_state = if reference.is_initialized() {
+                (reference.exponent(), reference.mantissa())
+            } else {
+                (0, 0)
+            };
+            assert_eq!(
+                pipe.register_state(slot),
+                want_state,
+                "{cell} batch register state diverged in slot {slot}"
+            );
+            assert_eq!(
+                batch[slot],
+                reference.read_bits(),
+                "{cell} batch read of slot {slot}"
+            );
         }
     }
 }

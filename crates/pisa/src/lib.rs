@@ -47,15 +47,15 @@
 //!   scans for ternary/range entries, contiguous op tapes for actions —
 //!   and processes packets (or whole batches via
 //!   [`compile::CompiledSwitch::run_batch`]) with zero per-packet
-//!   allocation, several times faster. At compile time adjacent tape ops
-//!   are **peephole-fused** into superinstructions
-//!   ([`compile::FusionStats`] reports coverage), and programs meeting a
-//!   static eligibility test additionally get **data-oriented batch
+//!   allocation, several times faster. At compile time stores
+//!   overwritten before anyone reads them are dropped from the tapes
+//!   ([`compile::FusionStats`] reports the counts), and programs meeting
+//!   a static eligibility test additionally get **data-oriented batch
 //!   execution**: the batch is transposed into a structure-of-arrays
 //!   [`phv::BatchLanes`] buffer (one flat column per PHV field) and each
-//!   instruction runs across all packets in a branch-light inner loop,
-//!   falling back per-packet on divergence — bit-for-bit identical either
-//!   way.
+//!   instruction runs across all packets in eight-wide chunk kernels,
+//!   with a gathered sweep for shift-table divergence and a per-packet
+//!   walk otherwise — bit-for-bit identical either way.
 //!
 //! Equivalence is enforced by property tests over random programs (PHV,
 //! register state, pass counts and errors must agree packet by packet) and
@@ -104,10 +104,7 @@ pub use analysis::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, Analyzer, Diagnostic,
     HwProfile, Loc, ProgramIo, Severity, ShardSafetyProof,
 };
-pub use compile::{
-    CompileError, CompiledSwitch, FusionStats, PhaseCOrder, LANE_CHUNK, SLOT_SORT_MIN, SOA_MIN,
-    SPLIT_LUT_BITS_DEFAULT, SPLIT_LUT_MAX_BITS,
-};
+pub use compile::{CompileError, CompiledSwitch, FusionStats, LANE_CHUNK, SOA_MIN};
 pub use phv::{BatchLanes, FieldId, FieldSpec, Phv, PhvLayout};
 pub use register::{
     check_partition, CmpOp, RegArrayId, RegisterArraySpec, RegisterSnapshot, RegisterState,

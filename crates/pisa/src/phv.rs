@@ -200,8 +200,8 @@ impl Phv {
 ///
 /// The backing store is allocated in 64-byte cache-line units and `cap`
 /// is always a multiple of 8 lanes, so **every column starts on a
-/// 64-byte boundary**: the compiled engine's chunked SIMD kernels sweep
-/// whole aligned lines and a vector load never straddles two.
+/// 64-byte boundary**: the compiled engine's eight-wide chunk kernels
+/// sweep whole aligned lines and a vector load never straddles two.
 #[derive(Debug, Clone, Default)]
 pub struct BatchLanes {
     /// The column buffer, in 64-byte-aligned cache-line cells; viewed as

@@ -43,7 +43,7 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 use crate::analysis::ShardSafetyProof;
-use crate::compile::{CompiledSwitch, PhaseCOrder};
+use crate::compile::CompiledSwitch;
 use crate::phv::{FieldId, Phv};
 use crate::register::{check_partition, RegArrayId, RegisterState, SlotRange};
 use crate::switch::RuntimeError;
@@ -409,23 +409,6 @@ impl ShardedSwitch {
     /// `false` until a batch actually wanted threads).
     pub fn worker_pool_active(&self) -> bool {
         self.pool.is_some()
-    }
-
-    /// Toggle the explicit SIMD chunk kernels on every shard engine (see
-    /// [`CompiledSwitch::set_simd_kernels`]). Bit-for-bit identical
-    /// either way.
-    pub fn set_simd_kernels(&mut self, on: bool) {
-        for s in &mut self.shards {
-            s.set_simd_kernels(on);
-        }
-    }
-
-    /// Set the Phase C ordering policy on every shard engine (see
-    /// [`CompiledSwitch::set_phase_c_order`]).
-    pub fn set_phase_c_order(&mut self, order: PhaseCOrder) {
-        for s in &mut self.shards {
-            s.set_phase_c_order(order);
-        }
     }
 
     fn effective_parallelism(&self) -> usize {

@@ -173,7 +173,7 @@ fn defuse_catches_dead_write() {
 
 #[test]
 fn dead_write_findings_match_fusion_dead_stores() {
-    // The same dead stores the compile-time fusion pass silently drops
+    // The same dead stores the compile-time peephole silently drops
     // must be visible as analysis findings — the analyzer is the place
     // the author learns about them. Adjacent overwrites only, so both
     // sides count exactly the same events.
@@ -201,7 +201,7 @@ fn dead_write_findings_match_fusion_dead_stores() {
     assert_eq!(analyzed, 2, "{report}");
     assert_eq!(
         analyzed, dropped,
-        "analysis saw {analyzed} dead writes, fusion dropped {dropped}"
+        "analysis saw {analyzed} dead writes, the compiler dropped {dropped}"
     );
 }
 

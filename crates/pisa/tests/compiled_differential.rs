@@ -6,9 +6,9 @@
 //! faults (RAW violations, out-of-range indices, recirculation limits).
 
 use fpisa_pisa::{
-    Action, AluOp, CmpOp, CompiledSwitch, FieldId, KeyMatch, MatchKind, Operand, PhaseCOrder, Phv,
-    PhvLayout, RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, Stage,
-    StatefulCall, Switch, SwitchCaps, SwitchProgram, Table,
+    Action, AluOp, CmpOp, CompiledSwitch, FieldId, KeyMatch, MatchKind, Operand, Phv, PhvLayout,
+    RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, Stage, StatefulCall, Switch,
+    SwitchCaps, SwitchProgram, Table,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -320,32 +320,77 @@ fn compiled_engine_matches_interpreter_on_random_programs() {
     assert!(recirculated > 0, "no recirculation generated");
 }
 
+/// Run one batch through the interpreter packet by packet and through
+/// `run_batch_soa`, demanding bit-for-bit identical pass counts, PHVs,
+/// registers and fault behaviour: the earliest faulting packet's error
+/// wins and every packet before it is fully applied.
+fn check_soa_batch(label: &str, program: &SwitchProgram, phvs: &[Phv]) {
+    let mut sw = Switch::new(program.clone()).unwrap();
+    let mut cs = CompiledSwitch::compile(program).unwrap();
+    let mut interp_phvs = phvs.to_vec();
+    let mut interp_total = 0u64;
+    let mut interp_err = None;
+    let mut fault_at = interp_phvs.len();
+    for (i, p) in interp_phvs.iter_mut().enumerate() {
+        match sw.run(p) {
+            Ok(n) => interp_total += u64::from(n),
+            Err(e) => {
+                interp_err = Some(e);
+                fault_at = i;
+                break;
+            }
+        }
+    }
+    let mut phvs = phvs.to_vec();
+    match (cs.run_batch_soa(&mut phvs), interp_err) {
+        (Ok(total), None) => {
+            assert_eq!(total, interp_total, "{label}");
+            assert_eq!(phvs, interp_phvs, "{label}: PHVs diverged");
+        }
+        (Err(ce), Some(ie)) => {
+            assert_eq!(ce, ie, "{label}: fault diverged");
+            assert_eq!(
+                phvs[..fault_at],
+                interp_phvs[..fault_at],
+                "{label}: pre-fault PHVs diverged"
+            );
+        }
+        (got, want) => panic!("{label}: SoA batch {got:?} vs interpreter {want:?}"),
+    }
+    for (ai, spec) in program.arrays.iter().enumerate() {
+        let id = RegArrayId(ai as u16);
+        for idx in 0..spec.entries {
+            assert_eq!(
+                sw.register(id, idx),
+                cs.register(id, idx),
+                "{label}: register {}[{idx}] diverged",
+                spec.name
+            );
+        }
+    }
+}
+
 /// The same equivalence through the structure-of-arrays engine: routing a
 /// whole buffer through `run_batch_soa` (transpose → table-major lane
 /// execution → transpose back, with per-packet fallback for ineligible
 /// programs) must leave PHVs and registers exactly as the interpreter's
-/// packet-at-a-time loop does — including the uniform-key, split-key-LUT
-/// and predicated-group fast paths random programs fall into. Runs once
-/// per (SIMD × Phase C order) knob setting so the chunked lane kernels
-/// and the slot-sorted stateful pass face the same random-program gauntlet
-/// as the scalar packet-ordered baseline.
-fn soa_batches_match_interpreter(knobs: &str, simd: bool, order: PhaseCOrder) {
+/// packet-at-a-time loop does — including the uniform-key, split-key-LUT,
+/// selector and per-packet paths random programs fall into.
+#[test]
+fn soa_batches_match_interpreter_streams() {
     let mut soa_runs = 0usize;
     for seed in 0..32u64 {
         let (program, mut rng) = random_program(0x50A0_0000 + seed);
         if program.validate().is_err() {
             continue;
         }
-        let mut sw = Switch::new(program.clone()).unwrap();
-        let mut cs = CompiledSwitch::compile(&program).unwrap();
-        cs.set_simd_kernels(simd);
-        cs.set_phase_c_order(order);
+        let cs = CompiledSwitch::compile(&program).unwrap();
         if cs.soa_eligible() {
             soa_runs += 1;
         }
-        let mut phvs: Vec<Phv> = (0..48)
+        let phvs: Vec<Phv> = (0..48)
             .map(|_| {
-                let mut p = sw.phv();
+                let mut p = cs.phv();
                 for (id, spec) in program.layout.iter() {
                     let max = if spec.bits >= 64 {
                         u64::MAX
@@ -357,80 +402,17 @@ fn soa_batches_match_interpreter(knobs: &str, simd: bool, order: PhaseCOrder) {
                 p
             })
             .collect();
-        let mut interp_phvs = phvs.clone();
-        let batch_result = cs.run_batch_soa(&mut phvs);
-        let mut interp_total = 0u64;
-        let mut interp_err = None;
-        let mut fault_at = interp_phvs.len();
-        for (i, p) in interp_phvs.iter_mut().enumerate() {
-            match sw.run(p) {
-                Ok(n) => interp_total += u64::from(n),
-                Err(e) => {
-                    interp_err = Some(e);
-                    fault_at = i;
-                    break;
-                }
-            }
-        }
-        match (batch_result, interp_err) {
-            (Ok(total), None) => {
-                assert_eq!(total, interp_total, "seed {seed} [{knobs}]");
-                assert_eq!(phvs, interp_phvs, "seed {seed} [{knobs}]: PHVs diverged");
-            }
-            (Err(ce), Some(ie)) => {
-                assert_eq!(ce, ie, "seed {seed} [{knobs}]");
-                // Packets before the fault must be fully applied.
-                assert_eq!(
-                    phvs[..fault_at],
-                    interp_phvs[..fault_at],
-                    "seed {seed} [{knobs}]: pre-fault PHVs diverged"
-                );
-            }
-            (got, want) => {
-                panic!("seed {seed} [{knobs}]: SoA batch {got:?} vs interpreter {want:?}")
-            }
-        }
-        for (ai, spec) in program.arrays.iter().enumerate() {
-            let id = RegArrayId(ai as u16);
-            for idx in 0..spec.entries {
-                assert_eq!(
-                    sw.register(id, idx),
-                    cs.register(id, idx),
-                    "seed {seed} [{knobs}]: register {}[{idx}] diverged",
-                    spec.name
-                );
-            }
-        }
+        check_soa_batch(&format!("seed {seed}"), &program, &phvs);
     }
     assert!(soa_runs > 0, "no SoA-eligible program generated");
-}
-
-#[test]
-fn soa_batches_match_interpreter_streams() {
-    soa_batches_match_interpreter("simd/auto", true, PhaseCOrder::Auto);
-}
-
-#[test]
-fn soa_batches_scalar_path_matches_interpreter_streams() {
-    soa_batches_match_interpreter("scalar/packet-ordered", false, PhaseCOrder::PacketOrdered);
-}
-
-#[test]
-fn soa_batches_slot_sorted_matches_interpreter_streams() {
-    soa_batches_match_interpreter("simd/slot-sorted", true, PhaseCOrder::SlotSorted);
-}
-
-#[test]
-fn soa_batches_scalar_slot_sorted_matches_interpreter_streams() {
-    soa_batches_match_interpreter("scalar/slot-sorted", false, PhaseCOrder::SlotSorted);
 }
 
 /// Order-sensitive accumulator for the adversarial duplicate-slot tests:
 /// `r[idx] < val ? r[idx] := val : r[idx] += 1`, exporting the OLD
 /// register value into `out`. Any reorder of two same-slot packets
 /// changes either the final register or some packet's exported output,
-/// so bit-for-bit agreement here proves the slot-sorted Phase C pass
-/// preserves packet order within each slot group.
+/// so bit-for-bit agreement here proves Phase C applies same-slot updates
+/// in packet order.
 fn order_sensitive_program(entries: usize) -> (SwitchProgram, FieldId, FieldId, FieldId) {
     let mut layout = PhvLayout::new();
     let idx = layout.field("idx", 16);
@@ -463,10 +445,8 @@ fn order_sensitive_program(entries: usize) -> (SwitchProgram, FieldId, FieldId, 
     (program, idx, val, out)
 }
 
-/// Run one adversarial batch through the interpreter and through every
-/// (SIMD × Phase C order) knob setting of the SoA engine, demanding
-/// bit-for-bit identical PHVs, registers, and fault behaviour. Returns
-/// the interpreter's error, if any, so callers can assert fault shape.
+/// Build one adversarial batch over [`order_sensitive_program`] and check
+/// it against the interpreter.
 fn check_adversarial_batch(
     pat: &str,
     program: &SwitchProgram,
@@ -475,73 +455,27 @@ fn check_adversarial_batch(
     idxs: &[u64],
     vals: &[u64],
 ) {
-    let mut sw = Switch::new(program.clone()).unwrap();
-    let build = |sw: &Switch| -> Vec<Phv> {
-        idxs.iter()
-            .zip(vals)
-            .map(|(&i, &v)| {
-                let mut p = sw.phv();
-                p.set(idx, i);
-                p.set(val, v);
-                p
-            })
-            .collect()
-    };
-    let mut interp_phvs = build(&sw);
-    let mut interp_err = None;
-    let mut fault_at = interp_phvs.len();
-    for (i, p) in interp_phvs.iter_mut().enumerate() {
-        if let Err(e) = sw.run(p) {
-            interp_err = Some(e);
-            fault_at = i;
-            break;
-        }
-    }
-    for (knobs, simd, order) in [
-        ("simd/slot-sorted", true, PhaseCOrder::SlotSorted),
-        ("scalar/slot-sorted", false, PhaseCOrder::SlotSorted),
-        ("simd/packet-ordered", true, PhaseCOrder::PacketOrdered),
-        ("simd/auto", true, PhaseCOrder::Auto),
-    ] {
-        let mut cs = CompiledSwitch::compile(program).unwrap();
-        assert!(cs.soa_eligible(), "directed program must take the SoA path");
-        cs.set_simd_kernels(simd);
-        cs.set_phase_c_order(order);
-        let mut phvs = build(&sw);
-        let got = cs.run_batch_soa(&mut phvs);
-        match (&got, &interp_err) {
-            (Ok(_), None) => {
-                assert_eq!(phvs, interp_phvs, "{pat} [{knobs}]: PHVs diverged");
-            }
-            (Err(ce), Some(ie)) => {
-                // The earliest faulting packet must win on every path,
-                // and every packet before it must be fully applied.
-                assert_eq!(ce, ie, "{pat} [{knobs}]: fault diverged");
-                assert_eq!(
-                    phvs[..fault_at],
-                    interp_phvs[..fault_at],
-                    "{pat} [{knobs}]: pre-fault PHVs diverged"
-                );
-            }
-            (got, want) => panic!("{pat} [{knobs}]: batch {got:?} vs interpreter {want:?}"),
-        }
-        for slot in 0..program.arrays[0].entries {
-            assert_eq!(
-                sw.register(RegArrayId(0), slot),
-                cs.register(RegArrayId(0), slot),
-                "{pat} [{knobs}]: register r[{slot}] diverged"
-            );
-        }
-    }
+    let cs = CompiledSwitch::compile(program).unwrap();
+    assert!(cs.soa_eligible(), "directed program must take the SoA path");
+    let phvs: Vec<Phv> = idxs
+        .iter()
+        .zip(vals)
+        .map(|(&i, &v)| {
+            let mut p = cs.phv();
+            p.set(idx, i);
+            p.set(val, v);
+            p
+        })
+        .collect();
+    check_soa_batch(pat, program, &phvs);
 }
 
-/// Adversarial duplicate-slot batches for the slot-sorted Phase C pass:
-/// all packets hitting one slot, two slots alternating, and random
-/// indices with heavy collisions — each wide enough (256 packets) that
-/// the `Auto` heuristic sorts too, and each checked bit-for-bit against
-/// the packet-ordered path and the interpreter.
+/// Adversarial duplicate-slot batches for Phase C: all packets hitting
+/// one slot, two slots alternating, and random indices with heavy
+/// collisions, each 256 packets wide and checked bit-for-bit against the
+/// interpreter.
 #[test]
-fn slot_sorted_phase_c_survives_adversarial_duplicate_slots() {
+fn phase_c_survives_adversarial_duplicate_slots() {
     let entries = 5usize;
     let (program, idx, val, _out) = order_sensitive_program(entries);
     let mut rng = SmallRng::seed_from_u64(0x51D5_0001);
@@ -555,18 +489,18 @@ fn slot_sorted_phase_c_survives_adversarial_duplicate_slots() {
         ),
     ];
     for (pat, idxs) in &patterns {
-        // Duplicate values too: ties are where unstable ordering leaks.
+        // Duplicate values too: ties are where a reordering would leak.
         let vals: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..8u64)).collect();
         check_adversarial_batch(pat, &program, idx, val, idxs, &vals);
     }
 }
 
-/// Fault semantics under slot sorting: an out-of-range index mid-batch
-/// must fault exactly as the packet-ordered path does — the earliest
+/// Fault semantics of the batched Phase C: an out-of-range index
+/// mid-batch must fault exactly as the interpreter does — the earliest
 /// faulting packet's error wins even when a later lane also faults, and
 /// all packets before it land in full.
 #[test]
-fn slot_sorted_phase_c_keeps_earliest_fault_semantics() {
+fn phase_c_keeps_earliest_fault_semantics() {
     let entries = 5usize;
     let (program, idx, val, _out) = order_sensitive_program(entries);
     let mut rng = SmallRng::seed_from_u64(0x51D5_0002);
@@ -599,6 +533,124 @@ fn slot_sorted_phase_c_keeps_earliest_fault_semantics() {
     for (pat, idxs) in &cases {
         let vals: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..8u64)).collect();
         check_adversarial_batch(pat, &program, idx, val, idxs, &vals);
+    }
+}
+
+/// A divergent batch on a table whose actions do *not* share one op
+/// skeleton (different tape lengths and destinations, so no selector):
+/// 2, 3 and 4 distinct actions plus MISS lanes, at 64 and 256 lanes, with
+/// and without out-of-range indices. Every lane walks its own tape, and
+/// PHVs, registers and the earliest fault must equal the interpreter's.
+#[test]
+fn divergent_non_selector_table_matches_interpreter() {
+    let mut layout = PhvLayout::new();
+    let k = layout.field("k", 4);
+    let v = layout.field("v", 16);
+    let w = layout.field("w", 16);
+    let idx = layout.field("idx", 8);
+    let out = layout.field("out", 32);
+    let tail = layout.field("tail", 16);
+    let call = |on_true, output| StatefulCall {
+        array: RegArrayId(0),
+        index: Operand::Field(idx),
+        cond: SaluCond::RegCmp {
+            cmp: CmpOp::Lt,
+            rhs: Operand::Field(v),
+        },
+        on_true,
+        on_false: SaluUpdate::AddWrap(Operand::Const(1)),
+        output: Some((out, output)),
+    };
+    let actions = vec![
+        Action::nop("inc")
+            .prim(v, AluOp::Add, Operand::Field(v), Operand::Const(1))
+            .call(call(SaluUpdate::Write(Operand::Field(v)), SaluOutput::Old)),
+        Action::nop("mix")
+            .prim(w, AluOp::Shl, Operand::Field(v), Operand::Const(2))
+            .prim(v, AluOp::Xor, Operand::Field(w), Operand::Const(0x55))
+            .call(call(SaluUpdate::AddSat(Operand::Field(w)), SaluOutput::New)),
+        Action::nop("diff").prim(v, AluOp::Sub, Operand::Field(v), Operand::Field(w)),
+        Action::nop("flag")
+            .prim(w, AluOp::CmpLt, Operand::Field(v), Operand::Field(w))
+            .prim(v, AluOp::And, Operand::Field(v), Operand::Const(0xFF))
+            .prim(w, AluOp::Or, Operand::Field(w), Operand::Const(2))
+            .call(call(
+                SaluUpdate::MaxSigned(Operand::Field(v)),
+                SaluOutput::Predicate,
+            )),
+    ];
+    // No default action: keys 4..16 miss.
+    let mut mixed = Table::keyed("mixed", vec![(k, MatchKind::Exact)], actions, None);
+    for a in 0..4 {
+        mixed = mixed.entry(vec![KeyMatch::Exact(a as u64)], 0, a);
+    }
+    // A later table, so packets before a fault are seen to keep executing.
+    let fold = Action::nop("fold").prim(tail, AluOp::Xor, Operand::Field(v), Operand::Field(w));
+    let entries = 8usize;
+    let program = SwitchProgram {
+        caps: SwitchCaps::fpisa_extended(),
+        layout,
+        stages: vec![
+            Stage::new().table(mixed),
+            Stage::new().table(Table::always("fold", fold)),
+        ],
+        arrays: vec![RegisterArraySpec {
+            name: "r".into(),
+            width_bits: 32,
+            entries,
+            stage: 0,
+        }],
+        recirc_field: None,
+    };
+    program.validate().expect("directed program must validate");
+    let cs = CompiledSwitch::compile(&program).unwrap();
+    assert!(cs.soa_eligible(), "directed program must take the SoA path");
+    assert_eq!(
+        cs.fusion_stats().selector_tables,
+        0,
+        "the table must not be selector-shaped"
+    );
+
+    let mut rng = SmallRng::seed_from_u64(0xD1FE_0001);
+    for distinct in 2..=4u64 {
+        for n in [64usize, 256] {
+            for faults in [false, true] {
+                let mut phvs: Vec<Phv> = (0..n)
+                    .map(|_| {
+                        let mut p = cs.phv();
+                        // One lane in five misses; the rest spread over
+                        // the first `distinct` actions.
+                        let key = if rng.gen_range(0u32..5) == 0 {
+                            15
+                        } else {
+                            rng.gen_range(0..distinct)
+                        };
+                        p.set(k, key);
+                        p.set(v, rng.gen_range(0..1u64 << 16));
+                        p.set(w, rng.gen_range(0..1u64 << 16));
+                        p.set(idx, rng.gen_range(0..entries as u64));
+                        p
+                    })
+                    .collect();
+                // Every one of the `distinct` actions is present.
+                for (a, p) in phvs.iter_mut().enumerate().take(distinct as usize) {
+                    p.set(k, a as u64);
+                }
+                if faults {
+                    // Two out-of-range lanes, both on stateful actions:
+                    // the earlier one must win.
+                    for (lane, bad) in [(n / 3, entries as u64 + 1), (2 * n / 3, 200)] {
+                        phvs[lane].set(k, 0);
+                        phvs[lane].set(idx, bad);
+                    }
+                }
+                check_soa_batch(
+                    &format!("{distinct} actions / {n} lanes / faults={faults}"),
+                    &program,
+                    &phvs,
+                );
+            }
+        }
     }
 }
 

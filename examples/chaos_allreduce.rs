@@ -30,7 +30,7 @@ fn run(plan: FaultPlan, workload: &ChaosWorkload) -> RunReport {
 
 fn main() {
     let workload = ChaosWorkload {
-        workers: 6,
+        workers: ChaosWorkload::MAX_EXACT_FP16_FANIN,
         elements: 96,
         elements_per_packet: 32,
         rounds: 4,

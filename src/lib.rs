@@ -20,10 +20,6 @@
 //!   cost models (quantization, endianness, memcpy, GPU copies).
 //! * [`agg`] — SwitchML-style and FPISA-style in-network gradient
 //!   aggregation protocols (numeric and performance engines; Fig. 10).
-//! * [`train`] — data-parallel training with pluggable aggregation
-//!   (Figs. 7, 8, 9, 11).
-//! * [`query`] — distributed query processing with in-switch pruning and
-//!   aggregation over floating-point columns (Table 2, Fig. 13).
 //!
 //! See `README.md` for a tour and `examples/` for runnable entry points.
 
@@ -33,5 +29,3 @@ pub use fpisa_hw as hw;
 pub use fpisa_netsim as netsim;
 pub use fpisa_pipeline as pipeline;
 pub use fpisa_pisa as pisa;
-pub use fpisa_query as query;
-pub use fpisa_train as train;
