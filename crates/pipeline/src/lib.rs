@@ -508,7 +508,12 @@ impl FpisaPipeline {
         fill: impl Fn(usize) -> (u64, u64, u64),
         mut collect: Option<&mut Vec<u64>>,
     ) -> Result<(), RuntimeError> {
-        let fields = self.fields.clone();
+        let (f_op, f_slot, f_value, f_result) = (
+            self.fields.op,
+            self.fields.slot,
+            self.fields.value,
+            self.fields.result,
+        );
         if let Engine::Compiled(c) = &mut self.engine {
             let lanes = &mut self.lanes;
             if lanes.capacity() == 0 {
@@ -519,13 +524,13 @@ impl FpisaPipeline {
                 lanes.begin(len);
                 for k in 0..len {
                     let (op, slot, value) = fill(start + k);
-                    lanes.set(fields.op, k, op);
-                    lanes.set(fields.slot, k, slot);
-                    lanes.set(fields.value, k, value);
+                    lanes.set(f_op, k, op);
+                    lanes.set(f_slot, k, slot);
+                    lanes.set(f_value, k, value);
                 }
                 c.run_lanes(lanes)?;
                 if let Some(out) = collect.as_deref_mut() {
-                    out.extend((0..len).map(|k| lanes.get(fields.result, k)));
+                    out.extend((0..len).map(|k| lanes.get(f_result, k)));
                 }
             }
             return Ok(());
@@ -537,9 +542,9 @@ impl FpisaPipeline {
             for (k, phv) in self.batch_buf[..len].iter_mut().enumerate() {
                 phv.clear();
                 let (op, slot, value) = fill(start + k);
-                phv.set(fields.op, op);
-                phv.set(fields.slot, slot);
-                phv.set(fields.value, value);
+                phv.set(f_op, op);
+                phv.set(f_slot, slot);
+                phv.set(f_value, value);
             }
             match &mut self.engine {
                 Engine::Interpreted => self.switch.run_batch(&mut self.batch_buf[..len])?,
@@ -547,7 +552,7 @@ impl FpisaPipeline {
                 Engine::Sharded(s) => s.run_batch(&mut self.batch_buf[..len])?,
             };
             if let Some(out) = collect.as_deref_mut() {
-                out.extend(self.batch_buf[..len].iter().map(|p| p.get(fields.result)));
+                out.extend(self.batch_buf[..len].iter().map(|p| p.get(f_result)));
             }
         }
         Ok(())

@@ -1,0 +1,130 @@
+//! Which way the compiled batch engine dispatches the FPISA program, pinned
+//! by [`CompiledSwitch::dispatch_counts`] — a count per table and batch,
+//! not a timer. Every `add_batch` / `read_range` chunk is single-op, so a
+//! batch should pay per lane only in the tables whose keys really differ
+//! between lanes; if a change makes the READ-only tables look at the lanes
+//! of an ADD batch again, this fails where a benchmark would merely drift.
+
+use fpisa_core::FpFormat;
+use fpisa_pipeline::{FpisaPipeline, PipelineSpec, PipelineVariant, OP_ADD, OP_READ};
+use fpisa_pisa::{BatchLanes, CompiledSwitch, DispatchCounts};
+
+const LANES: usize = 64;
+
+/// One batch's dispatch counts, by table name.
+struct Counts {
+    names: Vec<String>,
+    counts: Vec<DispatchCounts>,
+}
+
+impl Counts {
+    fn of(&self, table: &str) -> DispatchCounts {
+        let t = self.names.iter().position(|n| n == table);
+        self.counts[t.unwrap_or_else(|| panic!("no table `{table}`"))]
+    }
+}
+
+#[test]
+fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
+    let pipe = FpisaPipeline::from_spec(
+        PipelineSpec::new(PipelineVariant::TofinoA)
+            .format(FpFormat::FP16)
+            .slots(LANES),
+    )
+    .unwrap();
+    let program = pipe.switch_program();
+    let fields = pipe.fields();
+    let names: Vec<String> = program
+        .stages
+        .iter()
+        .flat_map(|s| &s.tables)
+        .map(|t| t.name.clone())
+        .collect();
+    let mut state = CompiledSwitch::compile(program)
+        .unwrap()
+        .register_state()
+        .clone();
+    // Each batch runs on a freshly compiled engine (zero counts) carrying
+    // the registers the batches before it left.
+    let mut run = |op: u64, value: &dyn Fn(usize) -> f64| {
+        let mut cs = CompiledSwitch::compile(program).unwrap();
+        cs.set_register_state(state.clone()).unwrap();
+        let mut lanes = BatchLanes::new(cs.layout(), LANES);
+        lanes.begin(LANES);
+        for k in 0..LANES {
+            lanes.set(fields.op, k, op);
+            lanes.set(fields.slot, k, k as u64);
+            lanes.set(fields.value, k, FpFormat::FP16.encode(value(k)));
+        }
+        cs.run_lanes(&mut lanes).unwrap();
+        state = cs.register_state().clone();
+        Counts {
+            names: names.clone(),
+            counts: cs.dispatch_counts().to_vec(),
+        }
+    };
+    // Mixed sign, magnitudes over eight binades, no zeros. The first batch
+    // installs every slot; the second aligns against what is stored.
+    let gradient = |round: usize| {
+        move |k: usize| {
+            let sign = if (k + round) % 3 == 1 { -1.0 } else { 1.0 };
+            sign * (1.0 + (k % 7) as f64 / 8.0) / f64::from(1u32 << ((k * 5 + round * 3) % 8))
+        }
+    };
+    run(OP_ADD, &gradient(0));
+    let add = run(OP_ADD, &gradient(1));
+
+    let phase_a = |c: DispatchCounts| (c.gate_decided, c.uniform_lookup, c.lut, c.per_lane);
+    let phase_b = |c: DispatchCounts| (c.uniform, c.selector, c.masked, c.walk);
+    for c in &add.counts {
+        assert_eq!(c.lanes, LANES as u64);
+        assert_eq!(c.gate_decided + c.uniform_lookup + c.lut + c.per_lane, 1);
+    }
+    // The eight READ-only tables leave an ADD batch after one compare on
+    // the uniform `op` column.
+    for table in [
+        "read_flags",
+        "absval",
+        "find_top",
+        "normalize",
+        "subnormal_select",
+        "frac_shift_table",
+        "mask_frac",
+        "pack",
+    ] {
+        assert_eq!(phase_a(add.of(table)), (1, 0, 0, 0), "ADD / {table}");
+    }
+    // `op` and `skip` are both uniform: one scalar lookup each.
+    for table in ["exponent", "delta", "mantissa"] {
+        assert_eq!(phase_a(add.of(table)), (0, 1, 0, 0), "ADD / {table}");
+        assert_eq!(phase_b(add.of(table)), (1, 0, 0, 0), "ADD / {table}");
+    }
+    // The sign bit: a one-bit LUT, then one masked sweep per action.
+    assert_eq!(phase_a(add.of("apply_sign")), (0, 0, 1, 0));
+    assert_eq!(phase_b(add.of("apply_sign")), (0, 0, 1, 0));
+    // The alignment distance really is per-lane; its shift actions share
+    // one skeleton.
+    assert_eq!(phase_a(add.of("align_shift_table")), (0, 0, 0, 1));
+    assert_eq!(phase_b(add.of("align_shift_table")), (0, 1, 0, 0));
+
+    let read = run(OP_READ, &|_| 0.0);
+    // Every READ lane carries the value 0: `classify` sees uniform keys.
+    assert_eq!(phase_a(read.of("classify")), (0, 1, 0, 0));
+    // Only these look at lanes: the leading-one scan and the shift
+    // distance per lane, the one-bit flags through LUTs.
+    for (table, c) in read.names.iter().zip(&read.counts) {
+        let touches_lanes = c.lut + c.per_lane == 1;
+        let expected = match table.as_str() {
+            "find_top" | "frac_shift_table" => (0, 0, 0, 1),
+            "absval" | "subnormal_select" | "pack" if touches_lanes => (0, 0, 1, 0),
+            _ => {
+                assert!(!touches_lanes, "READ / {table} touched lanes: {c:?}");
+                continue;
+            }
+        };
+        assert_eq!(phase_a(*c), expected, "READ / {table}");
+    }
+    assert_eq!(phase_a(read.of("absval")), (0, 0, 1, 0), "signs are mixed");
+    assert_eq!(phase_a(read.of("find_top")), (0, 0, 0, 1));
+    assert_eq!(phase_b(read.of("find_top")), (0, 1, 0, 0));
+}

@@ -40,10 +40,21 @@
 //! structure-of-arrays batch mode ([`CompiledSwitch::run_lanes`] /
 //! [`CompiledSwitch::run_batch_soa`]): packets live in [`BatchLanes`]
 //! columns (one flat lane per PHV field) and execution is *table-major* —
-//! for each table, resolve the action of every packet (Phase A: gates
-//! evaluated batch-wide first, so a table no packet can match is skipped
-//! without touching its matcher), run the primitives (Phase B), then the
-//! stateful calls (Phase C). Phase B has exactly three arms:
+//! for each table, resolve the action of every packet (Phase A), run the
+//! primitives (Phase B), then the stateful calls (Phase C). The rule
+//! throughout: what is true of the whole batch is established once per
+//! batch, and lanes are touched only where they differ.
+//!
+//! **Phase A** reads *column facts*. The first table to ask about a PHV
+//! field sweeps its column once — one value in every live lane, or not —
+//! and the batch remembers the answer until a table that can write the
+//! field has executed. A gate check on a uniform column decides the whole
+//! batch with one compare (an ADD batch leaves every READ-only table this
+//! way); uniform key columns cost one scalar lookup; a few varying key
+//! bits go through an action LUT enumerated per batch; otherwise each lane
+//! packs just its varying columns onto a constant and probes the matcher.
+//!
+//! **Phase B** has three arms, tried in this order:
 //!
 //! 1. **uniform** — the whole batch resolved to one action: the tape runs
 //!    *instruction-major*, each op streaming across all lanes through the
@@ -51,12 +62,18 @@
 //! 2. **selector** — a divergent batch on a table whose actions all share
 //!    one op skeleton (the FPISA shift tables): one gathered sweep per
 //!    template position, each lane fetching its own op and constants;
-//! 3. **per-packet** — any other divergent batch walks each packet's tape
-//!    over strided lane views — same code as the scalar engine.
+//! 3. **masked** — any other divergent batch: each distinct action's tape
+//!    runs instruction-major through the same chunk kernels, storing only
+//!    into the lanes that resolved to it.
 //!
-//! Phase C always applies in packet order, after a bounds pre-scan, so
-//! per-slot update order (and thus every register value, SALU output and
-//! fault) is bit-for-bit the per-packet engine's.
+//! Only a batch that hit more distinct actions than masked sweeps pay for
+//! falls back to walking each packet's tape — same code as the scalar
+//! engine.
+//!
+//! **Phase C** applies in packet order, stopping at the first out-of-range
+//! lane, so per-slot update order (and thus every register value, SALU
+//! output and fault) is bit-for-bit the per-packet engine's.
+//! [`CompiledSwitch::dispatch_counts`] reports which way each table went.
 //!
 //! The SoA mode is only entered for programs where table-major order is
 //! observably identical to packet-major order (see
@@ -170,12 +187,87 @@ impl Cand {
     }
 }
 
-/// One pre-sorted non-exact entry: patterns aligned with the table's key
-/// fields.
-#[derive(Debug, Clone)]
-struct ScanEntry {
-    cand: Cand,
-    pats: Box<[KeyMatch]>,
+/// The winning action between a table's exact-half and scan-half hits.
+#[inline]
+fn best(exact: Option<&Cand>, scan: Option<&Cand>) -> Option<u32> {
+    match (exact, scan) {
+        (None, None) => None,
+        (Some(c), None) | (None, Some(c)) => Some(c.action),
+        (Some(e), Some(s)) => Some(if s.beats(e) { s.action } else { e.action }),
+    }
+}
+
+/// One lowered key pattern: `x` matches iff `x & mask == value` and
+/// `x - lo <= span` (wrapping). Every [`KeyMatch`] kind lowers to this one
+/// branchless test — exact and ternary patterns leave the range half
+/// vacuous (`lo = 0, span = MAX`), range patterns the mask half.
+#[derive(Debug, Clone, Copy)]
+struct Pat {
+    mask: u64,
+    value: u64,
+    lo: u64,
+    span: u64,
+}
+
+impl Pat {
+    /// Lower one pattern of a key column whose values fit `fmask`. A
+    /// ternary pattern pinning a bit outside the field can never match
+    /// (and `compile_table` drops entries with such an exact value), so
+    /// `value` always fits `fmask` too.
+    fn lower(pat: &KeyMatch, fmask: u64) -> Pat {
+        let masked = |mask, value| Pat {
+            mask,
+            value,
+            lo: 0,
+            span: u64::MAX,
+        };
+        // `x & 0 == 1` never holds.
+        let never = masked(0, 1);
+        match *pat {
+            KeyMatch::Exact(v) => masked(fmask, v),
+            KeyMatch::Ternary { value, mask } if value & mask & !fmask == 0 => {
+                masked(mask & fmask, value & mask)
+            }
+            KeyMatch::Ternary { .. } => never,
+            KeyMatch::Any => masked(0, 0),
+            KeyMatch::Range { lo, hi } if lo <= hi => Pat {
+                mask: 0,
+                value: 0,
+                lo,
+                span: hi - lo,
+            },
+            KeyMatch::Range { .. } => never,
+        }
+    }
+
+    #[inline(always)]
+    fn matches(&self, x: u64) -> bool {
+        (x & self.mask == self.value) & (x.wrapping_sub(self.lo) <= self.span)
+    }
+
+    /// Whether the range half is vacuous, so `x & mask == value` alone
+    /// decides.
+    #[inline]
+    fn mask_only(&self) -> bool {
+        self.lo == 0 && self.span == u64::MAX
+    }
+}
+
+/// The pre-sorted non-exact entries of one table, flat: `cands[e]` wins
+/// when every pattern of row `e` of `pats` (one per key column, row-major)
+/// matches, and the first matching row is the interpreter's winner.
+#[derive(Debug, Clone, Default)]
+struct ScanList {
+    cands: Box<[Cand]>,
+    pats: Box<[Pat]>,
+}
+
+impl ScanList {
+    /// The patterns of entry `e` of a table with `nk` key columns.
+    #[inline]
+    fn row(&self, e: usize, nk: usize) -> &[Pat] {
+        &self.pats[e * nk..(e + 1) * nk]
+    }
 }
 
 /// One match-gate check: `vals[field] & mask == val` must hold for any
@@ -206,28 +298,35 @@ enum Matcher {
     },
     /// Exact entries whose packed key fits one `u64`, plus (optionally)
     /// non-exact entries to scan.
-    PackedHash {
-        map: KeyMap<u64>,
-        scan: Box<[ScanEntry]>,
-    },
+    PackedHash { map: KeyMap<u64>, scan: ScanList },
     /// Exact entries over a key tuple wider than 64 bits.
     WideHash {
         map: KeyMap<Box<[u64]>>,
-        scan: Box<[ScanEntry]>,
+        scan: ScanList,
     },
     /// No exact entries at all: just the pre-sorted scan.
-    Scan(Box<[ScanEntry]>),
+    Scan(ScanList),
 }
 
-/// One lowered table: key fields (with pre-computed packing shifts), the
-/// match gate, the matcher, and the default action.
+/// One key column of a lowered table.
+#[derive(Debug, Clone, Copy)]
+struct KeyCol {
+    /// PHV index of the field.
+    field: u16,
+    /// Field width in bits.
+    bits: u32,
+    /// Left-shift of the field inside the packed `u64` key (meaningful
+    /// when the table's total key width is ≤ 64).
+    shift: u32,
+}
+
+/// One lowered table: key columns, the match gate, the matcher, and the
+/// default action.
 #[derive(Debug, Clone)]
 struct CompiledTable {
-    /// PHV indices of the key fields.
-    key_fields: Box<[u16]>,
-    /// Left-shift of each key field inside the packed `u64` key (valid
-    /// when the total key width ≤ 64).
-    key_shifts: Box<[u32]>,
+    keys: Box<[KeyCol]>,
+    /// Total key width in bits; keys pack into one `u64` when ≤ 64.
+    key_bits: u32,
     /// The match gate: per key field, the bits **every** installed entry
     /// requires exactly (computed at compile time by intersecting the
     /// entries' exact/ternary constraints; fields nothing is pinned on are
@@ -239,17 +338,15 @@ struct CompiledTable {
     matcher: Matcher,
     /// Index into the global action table run on a miss.
     default_action: Option<u32>,
-    /// Whether batch execution should test the key columns for
-    /// uniformity before per-packet matching. Set (after the whole
-    /// program is lowered) only when no action anywhere writes any of
-    /// this table's key fields: such keys arrive uniform whenever the
-    /// caller's batch is single-op (the common agg workload), while a
-    /// key touched by any action diverges by construction and the scan
-    /// would be pure overhead.
-    scan_uniform: bool,
-    /// Split-key LUT dispatch (see [`SplitKey`]): set when some key
-    /// fields are action-written but their total width is tiny.
-    split: Option<SplitKey>,
+    /// The table's slice of the global action table.
+    actions: (u32, u32),
+    /// The table's slice of [`CompiledSwitch::writes`]: every PHV field
+    /// one of its actions can write (primitive destinations and SALU
+    /// outputs) — the column facts a batch must forget once the table has
+    /// executed.
+    writes: (u32, u32),
+    /// Whether any action of the table makes a stateful call.
+    has_stateful: bool,
     /// Selected-constant dispatch (see [`SelectorTape`]): set when every
     /// action of this table runs the same op skeleton, with per-action
     /// ops/constants gathered at dispatch — the divergent-batch fast
@@ -257,32 +354,109 @@ struct CompiledTable {
     selector: Option<SelectorTape>,
 }
 
-/// Widest combined varying-key width (bits) for which
+/// Widest combined *varying* key width (bits) for which
 /// `CompiledTable::lookup_lanes` dispatches through a per-batch action
 /// LUT instead of per-packet matching: 2^6 × u32 = 256 bytes on the
 /// stack, rebuilt per batch whenever the batch has at least as many
 /// lanes as the LUT has entries.
 const SPLIT_LUT_BITS: u32 = 6;
 
-/// Split-key dispatch plan for a table whose key tuple mixes *stable*
-/// fields (never written by any action — an opcode) with a few bits of
-/// *varying* fields (computed per packet — a compare outcome, a sign).
-/// When the stable columns are batch-uniform, the matcher outcome is a
-/// function of just the varying bits: enumerate all `2^width` combos once
-/// through the scalar lookup into a tiny action LUT, then resolve every
-/// lane with one shift/or + indexed load — no gate evaluation, key
-/// packing, or matcher probe in the packet loop.
-#[derive(Debug, Clone)]
-struct SplitKey {
-    /// Key fields no action writes; checked for batch uniformity at
-    /// runtime (vacuously uniform when empty).
-    stable: Box<[u16]>,
-    /// `(field, shift, field mask)` of each action-written key field
-    /// inside the compact LUT index.
-    varying: Box<[(u16, u32, u64)]>,
-    /// Total varying width; LUT has `1 << width` entries
-    /// (≤ [`SPLIT_LUT_BITS`]).
-    width: u32,
+/// Most varying key columns the per-lane path packs with the uniform
+/// columns folded into a constant; a table with more falls back to the
+/// scalar [`CompiledTable::lookup`] per lane.
+const MAX_VARYING_KEYS: usize = 8;
+
+/// Most distinct actions a divergent batch runs as masked per-action
+/// sweeps; past it (or on a table with more than 64 actions, which the
+/// distinct-action bitmap cannot hold) each packet walks its own tape.
+const MASKED_MAX_ACTIONS: u32 = 8;
+
+/// What a batch knows about one PHV column over its live lanes. Filled on
+/// first use by [`Cols::fact`] and forgotten for exactly the fields an
+/// executed table can write. Lanes only ever leave a batch (limit
+/// narrowing), so `Uniform` stays true and `Varying` stays safe — at worst
+/// a column that became uniform keeps paying the per-lane path.
+#[derive(Debug, Clone, Copy)]
+enum Fact {
+    Unknown,
+    Uniform(u64),
+    Varying,
+}
+
+/// The live lanes of a batch's column buffer together with its facts.
+struct Cols<'a> {
+    buf: &'a [u64],
+    cap: usize,
+    n: usize,
+    facts: &'a mut [Fact],
+}
+
+impl Cols<'_> {
+    /// The fact for field `f`, established by one column sweep the first
+    /// time a batch asks. The sweep tests a cache line of lanes at a time
+    /// and stops at the first line holding a second value, so a
+    /// data-dependent column costs a handful of compares.
+    #[inline]
+    fn fact(&mut self, f: usize) -> Fact {
+        if let Fact::Unknown = self.facts[f] {
+            let col = &self.buf[f * self.cap..f * self.cap + self.n];
+            let v = col[0];
+            let uniform = col
+                .chunks(LANE_CHUNK)
+                .all(|c| c.iter().fold(0, |d, &x| d | (x ^ v)) == 0);
+            self.facts[f] = if uniform {
+                Fact::Uniform(v)
+            } else {
+                Fact::Varying
+            };
+        }
+        self.facts[f]
+    }
+}
+
+/// One varying key column of the batch at hand, as `lookup_lanes` packs
+/// it: where its lanes start, where it sits in the table's key tuple and
+/// packed key, and where in the split-LUT index.
+#[derive(Debug, Clone, Copy, Default)]
+struct VaryCol {
+    base: usize,
+    key: usize,
+    field: usize,
+    bits: u32,
+    key_shift: u32,
+    lut_shift: u32,
+}
+
+/// Per-table, per-*batch* dispatch counts of the SoA engine (see
+/// [`CompiledSwitch::dispatch_counts`]): which way Phase A resolved the
+/// batch and which Phase B arm ran it. Each batch bumps at most one
+/// Phase A and one Phase B counter per table, so the counts are
+/// deterministic functions of the traffic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchCounts {
+    /// Live lanes summed over every batch that reached the table.
+    pub lanes: u64,
+    /// Phase A: a gate check on a uniform column sent the whole batch to
+    /// the default action.
+    pub gate_decided: u64,
+    /// Phase A: every key column was uniform (or the table is keyless) —
+    /// one scalar lookup resolved the batch.
+    pub uniform_lookup: u64,
+    /// Phase A: the varying key bits were enumerated into an action LUT
+    /// and each lane resolved by one indexed load.
+    pub lut: u64,
+    /// Phase A: each lane was matched on its own key.
+    pub per_lane: u64,
+    /// Phase B: one action for the whole batch, run instruction-major.
+    pub uniform: u64,
+    /// Phase B: a divergent batch on a selector-shaped table, one
+    /// gathered sweep per template op.
+    pub selector: u64,
+    /// Phase B: a divergent batch run as masked per-action sweeps.
+    pub masked: u64,
+    /// Phase B: a divergent batch past the masked cut-over, each packet
+    /// walking its own tape.
+    pub walk: u64,
 }
 
 impl CompiledTable {
@@ -294,8 +468,8 @@ impl CompiledTable {
     #[inline]
     fn packed_key(&self, vals: &[u64], stride: usize, lane: usize) -> u64 {
         let mut key = 0u64;
-        for (&f, &s) in self.key_fields.iter().zip(self.key_shifts.iter()) {
-            key |= vals[f as usize * stride + lane] << s;
+        for k in self.keys.iter() {
+            key |= vals[k.field as usize * stride + lane] << k.shift;
         }
         key
     }
@@ -304,19 +478,19 @@ impl CompiledTable {
     #[inline]
     fn scan_hit<'a>(
         &self,
-        scan: &'a [ScanEntry],
+        scan: &'a ScanList,
         vals: &[u64],
         stride: usize,
         lane: usize,
     ) -> Option<&'a Cand> {
-        scan.iter()
-            .find(|e| {
-                e.pats
-                    .iter()
-                    .zip(self.key_fields.iter())
-                    .all(|(pat, &f)| pat.matches(vals[f as usize * stride + lane]))
-            })
-            .map(|e| &e.cand)
+        let nk = self.keys.len();
+        scan.cands.iter().enumerate().find_map(|(e, cand)| {
+            scan.row(e, nk)
+                .iter()
+                .zip(self.keys.iter())
+                .all(|(pat, k)| pat.matches(vals[k.field as usize * stride + lane]))
+                .then_some(cand)
+        })
     }
 
     /// The interpreter's `Table::lookup`, against the lowered form.
@@ -347,219 +521,288 @@ impl CompiledTable {
                 let (k, a) = slots[(key & mask) as usize];
                 (a != MISS && k == key).then_some(a)
             }
-            Matcher::PackedHash { map, scan } => {
-                let exact = map.get(&self.packed_key(vals, stride, lane));
-                match (exact, self.scan_hit(scan, vals, stride, lane)) {
-                    (None, None) => None,
-                    (Some(c), None) | (None, Some(c)) => Some(c.action),
-                    (Some(e), Some(s)) => Some(if s.beats(e) { s.action } else { e.action }),
-                }
-            }
+            Matcher::PackedHash { map, scan } => best(
+                map.get(&self.packed_key(vals, stride, lane)),
+                self.scan_hit(scan, vals, stride, lane),
+            ),
             Matcher::WideHash { map, scan } => {
                 keybuf.clear();
                 keybuf.extend(
-                    self.key_fields
+                    self.keys
                         .iter()
-                        .map(|&f| vals[f as usize * stride + lane]),
+                        .map(|k| vals[k.field as usize * stride + lane]),
                 );
-                let exact = map.get(keybuf.as_slice());
-                match (exact, self.scan_hit(scan, vals, stride, lane)) {
-                    (None, None) => None,
-                    (Some(c), None) | (None, Some(c)) => Some(c.action),
-                    (Some(e), Some(s)) => Some(if s.beats(e) { s.action } else { e.action }),
-                }
+                best(
+                    map.get(keybuf.as_slice()),
+                    self.scan_hit(scan, vals, stride, lane),
+                )
             }
             Matcher::Scan(scan) => self.scan_hit(scan, vals, stride, lane).map(|c| c.action),
         };
         hit.or(self.default_action)
     }
 
-    /// Whether every key field holds the same value in all `n` live
-    /// lanes. Both the gate and the matcher read *only* key fields, so a
-    /// uniform key tuple means every lane resolves identically and one
-    /// scalar [`Self::lookup`] answers for the whole batch.
-    #[inline]
-    fn keys_uniform(&self, buf: &[u64], cap: usize, n: usize) -> bool {
-        cols_uniform(buf, cap, n, &self.key_fields)
-    }
-
-    /// Batch lookup: resolve `act_of[i]` for every live lane, with the
-    /// per-table work hoisted out of the packet loop — when the key
-    /// columns are batch-uniform a single scalar lookup resolves every
-    /// lane, otherwise gates are evaluated batch-wide first (a table no
-    /// live packet can match short-circuits to the default without
-    /// touching the matcher at all, which is what makes op-dispatched
-    /// programs cheap in batch mode: an ADD batch skips every READ-only
-    /// table in one pass over the op lane), and the matcher dispatch
-    /// happens once per table instead of once per packet.
+    /// Batch lookup (Phase A): resolve the action of every live lane,
+    /// paying per lane only for what differs between lanes. The batch's
+    /// column [`Fact`]s say which gate and key columns hold one value:
     ///
-    /// `act_of[i]` is the resolved action index, or [`MISS`] when neither
-    /// an entry nor a default applies. Returns `Some(a)` when the whole
-    /// batch is known to have resolved to the single action `a` (`act_of`
-    /// is still filled), letting the caller skip its own uniformity scan.
-    #[allow(clippy::too_many_arguments)] // one call site; all are reused scratch
+    /// * a gate check on a uniform column either fails — the whole batch
+    ///   takes the default, which is what makes op-dispatched programs
+    ///   cheap (an ADD batch leaves every READ-only table after one
+    ///   compare) — or is settled for every lane;
+    /// * all key columns uniform: one scalar [`Self::lookup`];
+    /// * a few varying key bits: the combos are enumerated once through
+    ///   the scalar lookup into a stack LUT and each lane resolves with
+    ///   one indexed load;
+    /// * otherwise each lane packs its varying columns onto the constant
+    ///   the uniform ones fold into and probes the matcher; a scan table
+    ///   first drops every entry the uniform columns already rule out.
+    ///
+    /// Returns `Ok(a)` when the whole batch resolved to the one action
+    /// `a` ([`MISS`] when neither an entry nor a default applies) —
+    /// `act_of` may then be left untouched — and otherwise, with
+    /// `act_of[..n]` filled lane by lane, `Err` of the batch's
+    /// [distinct actions](Self::distinct_actions).
     fn lookup_lanes(
         &self,
         buf: &[u64],
         cap: usize,
         n: usize,
-        act_of: &mut [u32],
-        pass: &mut [bool],
-        keybuf: &mut Vec<u64>,
-        row: &mut [u64],
-    ) -> Option<u32> {
+        s: &mut LaneScratch,
+        counts: &mut DispatchCounts,
+    ) -> Result<u32, Option<u64>> {
         let dflt = self.default_action.unwrap_or(MISS);
         if let Matcher::Const(a) = &self.matcher {
-            let a = a.unwrap_or(dflt);
-            act_of[..n].fill(a);
-            return Some(a);
+            counts.uniform_lookup += 1;
+            return Ok(a.unwrap_or(dflt));
         }
-        if self.scan_uniform && self.keys_uniform(buf, cap, n) {
-            let a = self.lookup(buf, cap, 0, keybuf).unwrap_or(MISS);
-            act_of[..n].fill(a);
-            return Some(a);
+        let LaneScratch {
+            facts,
+            act_of,
+            keybuf,
+            rowbuf,
+            scanbuf,
+            claims,
+        } = s;
+        let act_of = &mut act_of[..n];
+        let mut cols = Cols { buf, cap, n, facts };
+        for g in self.gate.iter() {
+            if let Fact::Uniform(v) = cols.fact(g.field as usize) {
+                if v & g.mask != g.val {
+                    counts.gate_decided += 1;
+                    return Ok(dflt);
+                }
+            }
         }
-        if let Some(s) = &self.split {
-            let m = 1usize << s.width;
-            if n >= m && cols_uniform(buf, cap, n, &s.stable) {
-                // Enumerate the varying-bit combos through the scalar
-                // lookup (stable fields seeded from lane 0), then resolve
-                // each lane with one indexed load.
-                for &f in s.stable.iter() {
-                    row[f as usize] = buf[f as usize * cap];
-                }
-                let mut stack_lut = [MISS; 1 << SPLIT_LUT_BITS];
-                let lut = &mut stack_lut[..m];
-                let mut first_a = MISS;
-                let mut all_same = true;
-                for (combo, slot) in lut.iter_mut().enumerate() {
-                    for &(f, sh, fmask) in s.varying.iter() {
-                        row[f as usize] = (combo as u64 >> sh) & fmask;
-                    }
-                    let a = self.lookup(row, 1, 0, keybuf).unwrap_or(MISS);
-                    *slot = a;
-                    if combo == 0 {
-                        first_a = a;
-                    } else {
-                        all_same &= a == first_a;
+        // Split the key tuple: uniform columns fold into one constant key
+        // part (and seed the LUT's scratch row), varying ones are packed
+        // per lane.
+        let packs = self.key_bits <= 64;
+        let mut kconst = 0u64;
+        let mut vary = [VaryCol::default(); MAX_VARYING_KEYS];
+        let (mut n_vary, mut vary_bits) = (0usize, 0u32);
+        for (j, k) in self.keys.iter().enumerate() {
+            let f = k.field as usize;
+            match cols.fact(f) {
+                Fact::Uniform(v) => {
+                    rowbuf[f] = v;
+                    if packs {
+                        kconst |= v << k.shift;
                     }
                 }
-                if all_same {
-                    act_of[..n].fill(first_a);
-                    return Some(first_a);
+                _ => {
+                    if n_vary < MAX_VARYING_KEYS {
+                        vary[n_vary] = VaryCol {
+                            base: f * cap,
+                            key: j,
+                            field: f,
+                            bits: k.bits,
+                            key_shift: k.shift,
+                            lut_shift: vary_bits,
+                        };
+                    }
+                    n_vary += 1;
+                    vary_bits = vary_bits.saturating_add(k.bits);
                 }
-                let idx_mask = m - 1;
-                for (i, a) in act_of.iter_mut().enumerate().take(n) {
+            }
+        }
+        if n_vary == 0 {
+            counts.uniform_lookup += 1;
+            return Ok(self.lookup(buf, cap, 0, keybuf).unwrap_or(MISS));
+        }
+        if vary_bits <= SPLIT_LUT_BITS && n >= 1 << vary_bits {
+            // Every varying column is at least one bit wide, so all of
+            // them fit `vary`.
+            let vary = &vary[..n_vary];
+            counts.lut += 1;
+            let mut lut = [MISS; 1 << SPLIT_LUT_BITS];
+            let lut = &mut lut[..1 << vary_bits];
+            for (combo, slot) in lut.iter_mut().enumerate() {
+                for v in vary {
+                    rowbuf[v.field] = (combo as u64 >> v.lut_shift) & PhvLayout::mask(v.bits);
+                }
+                *slot = self.lookup(rowbuf, 1, 0, keybuf).unwrap_or(MISS);
+            }
+            // The LUT's distinct actions bound the batch's: when it holds
+            // one, no lane needs looking at.
+            let distinct = self.distinct_actions(lut);
+            if distinct.is_err() {
+                for (i, a) in act_of.iter_mut().enumerate() {
                     let mut combo = 0usize;
-                    for &(f, sh, _) in s.varying.iter() {
-                        combo |= (buf[f as usize * cap + i] as usize) << sh;
+                    for v in vary {
+                        combo |= (buf[v.base + i] as usize) << v.lut_shift;
                     }
-                    *a = lut[combo & idx_mask];
+                    *a = lut[combo & (lut.len() - 1)];
                 }
-                return None;
             }
+            return distinct;
         }
-        let gated = !self.gate.is_empty();
-        if gated {
-            let mut any = false;
-            for (i, p) in pass.iter_mut().enumerate().take(n) {
-                let mut ok = true;
-                for g in self.gate.iter() {
-                    ok &= buf[g.field as usize * cap + i] & g.mask == g.val;
-                }
-                *p = ok;
-                any |= ok;
+        counts.per_lane += 1;
+        if !packs || n_vary > MAX_VARYING_KEYS {
+            for (i, a) in act_of.iter_mut().enumerate() {
+                *a = self.lookup(buf, cap, i, keybuf).unwrap_or(MISS);
             }
-            if !any {
-                act_of[..n].fill(dflt);
-                return Some(dflt);
-            }
+            return self.distinct_actions(act_of);
         }
+        let vary = &vary[..n_vary];
+        let key_at = |i: usize| {
+            vary.iter()
+                .fold(kconst, |key, v| key | (buf[v.base + i] << v.key_shift))
+        };
+        // Only a gate check on a varying column can still fail here.
+        let gate_ok = |i: usize| {
+            let mut gate = self.gate.iter();
+            gate.all(|g| buf[g.field as usize * cap + i] & g.mask == g.val)
+        };
         match &self.matcher {
-            // Unreachable (handled above), kept for match completeness.
-            Matcher::Const(a) => act_of[..n].fill(a.unwrap_or(dflt)),
+            Matcher::Const(_) | Matcher::WideHash { .. } => {
+                unreachable!("keyless and wide-key tables resolved above")
+            }
+            // A lane failing a gate check matches no entry, so the two
+            // direct-index forms miss on it without being told.
             Matcher::Dense(slots) => {
-                for (i, a) in act_of.iter_mut().enumerate().take(n) {
-                    let hit = slots[self.packed_key(buf, cap, i) as usize];
+                for (i, a) in act_of.iter_mut().enumerate() {
+                    let hit = slots[key_at(i) as usize];
                     *a = if hit == MISS { dflt } else { hit };
                 }
             }
             Matcher::DenseKeyed { mask, slots } => {
-                for (i, a) in act_of.iter_mut().enumerate().take(n) {
-                    if gated && !pass[i] {
-                        *a = dflt;
-                        continue;
-                    }
-                    let key = self.packed_key(buf, cap, i);
+                for (i, a) in act_of.iter_mut().enumerate() {
+                    let key = key_at(i);
                     let (k, hit) = slots[(key & mask) as usize];
                     *a = if hit != MISS && k == key { hit } else { dflt };
                 }
             }
             Matcher::PackedHash { map, scan } => {
-                for (i, a) in act_of.iter_mut().enumerate().take(n) {
-                    if gated && !pass[i] {
-                        *a = dflt;
-                        continue;
-                    }
-                    let exact = map.get(&self.packed_key(buf, cap, i));
-                    let hit = match (exact, self.scan_hit(scan, buf, cap, i)) {
-                        (None, None) => None,
-                        (Some(c), None) | (None, Some(c)) => Some(c.action),
-                        (Some(e), Some(s)) => Some(if s.beats(e) { s.action } else { e.action }),
+                for (i, a) in act_of.iter_mut().enumerate() {
+                    *a = if gate_ok(i) {
+                        best(map.get(&key_at(i)), self.scan_hit(scan, buf, cap, i)).unwrap_or(dflt)
+                    } else {
+                        dflt
                     };
-                    *a = hit.unwrap_or(dflt);
-                }
-            }
-            Matcher::WideHash { map, scan } => {
-                for (i, a) in act_of.iter_mut().enumerate().take(n) {
-                    if gated && !pass[i] {
-                        *a = dflt;
-                        continue;
-                    }
-                    keybuf.clear();
-                    keybuf.extend(self.key_fields.iter().map(|&f| buf[f as usize * cap + i]));
-                    let exact = map.get(keybuf.as_slice());
-                    let hit = match (exact, self.scan_hit(scan, buf, cap, i)) {
-                        (None, None) => None,
-                        (Some(c), None) | (None, Some(c)) => Some(c.action),
-                        (Some(e), Some(s)) => Some(if s.beats(e) { s.action } else { e.action }),
-                    };
-                    *a = hit.unwrap_or(dflt);
                 }
             }
             Matcher::Scan(scan) => {
-                for (i, a) in act_of.iter_mut().enumerate().take(n) {
-                    if gated && !pass[i] {
-                        *a = dflt;
-                        continue;
+                // Fold the uniform key columns into the entry list once:
+                // only rows they satisfy can win on any lane.
+                let nk = self.keys.len();
+                scanbuf.clear();
+                scanbuf.extend((0..scan.cands.len() as u32).filter(|&e| {
+                    let row = scan.row(e as usize, nk).iter().zip(self.keys.iter());
+                    row.into_iter()
+                        .all(|(pat, k)| match cols.facts[k.field as usize] {
+                            Fact::Uniform(v) => pat.matches(v),
+                            _ => true,
+                        })
+                }));
+                let pat = |e: u32, v: &VaryCol| &scan.row(e as usize, nk)[v.key];
+                if let [v] = vary {
+                    if scanbuf.iter().all(|&e| pat(e, v).mask_only()) {
+                        // One varying column of mask/value rows, lowest
+                        // precedence first so the last row to claim a lane
+                        // is its winner.
+                        claims.clear();
+                        claims.extend(scanbuf.iter().rev().map(|&e| {
+                            let p = pat(e, v);
+                            (p.mask, p.value, scan.cands[e as usize].action)
+                        }));
+                        let col = &buf[v.base..v.base + n];
+                        if v.bits <= 32 {
+                            claim_lanes(col, act_of, dflt, claims, |x| x as u32);
+                        } else {
+                            claim_lanes(col, act_of, dflt, claims, |x| x);
+                        }
+                        return self.distinct_actions(act_of);
                     }
-                    *a = self
-                        .scan_hit(scan, buf, cap, i)
-                        .map(|c| c.action)
-                        .unwrap_or(dflt);
+                }
+                for (i, a) in act_of.iter_mut().enumerate() {
+                    *a = scanbuf
+                        .iter()
+                        .find(|&&e| vary.iter().all(|v| pat(e, v).matches(buf[v.base + i])))
+                        .map_or(dflt, |&e| scan.cands[e as usize].action);
                 }
             }
         }
-        None
+        self.distinct_actions(act_of)
+    }
+
+    /// The distinct actions among `acts` (a lane-by-lane resolution, or
+    /// the split-LUT that bounds one): `Ok(a)` when all are the one action
+    /// `a` ([`MISS`] included), otherwise `Err` of the bitmap over
+    /// table-relative action ids. Branchless per element — the bitmap is
+    /// the uniformity test too. A table that never runs masked sweeps
+    /// (selector-shaped, or more than 64 actions) has no use for the
+    /// bitmap and stops at the first difference instead: `Err(None)`.
+    fn distinct_actions(&self, acts: &[u32]) -> Result<u32, Option<u64>> {
+        let (base, end) = self.actions;
+        if self.selector.is_some() || end - base > 64 {
+            let first = acts[0];
+            return if acts.iter().all(|&a| a == first) {
+                Ok(first)
+            } else {
+                Err(None)
+            };
+        }
+        let (mut seen, mut missed) = (0u64, false);
+        for &a in acts {
+            let rel = a.wrapping_sub(base);
+            seen |= u64::from(rel < 64) << (rel & 63);
+            missed |= a == MISS;
+        }
+        match (seen.count_ones(), missed) {
+            (0, _) => Ok(MISS),
+            (1, false) => Ok(base + seen.trailing_zeros()),
+            _ => Err(Some(seen)),
+        }
     }
 }
 
-/// Whether every listed field's column holds one value across all `n`
-/// live lanes. Lane-major with an early exit: data-dependent columns
-/// diverge within the first lane or two, so a miss costs a handful of
-/// compares, while a hit costs `fields × n` compares — far cheaper than
-/// `n` matcher probes.
-#[inline]
-fn cols_uniform(buf: &[u64], cap: usize, n: usize, fields: &[u16]) -> bool {
-    for i in 1..n {
-        for &f in fields {
-            let base = f as usize * cap;
-            if buf[base + i] != buf[base] {
-                return false;
+/// Resolve one key column against mask/value `rows` (lowest precedence
+/// first): lane `i` gets the action of the last row its value satisfies,
+/// else `dflt`. Chunk-major, so a chunk's values and winners stay in
+/// registers across the rows; `narrow` lets a column of at most 32 bits
+/// run on half-width lanes.
+fn claim_lanes<T: Copy + PartialEq + std::ops::BitAnd<Output = T>>(
+    col: &[u64],
+    act_of: &mut [u32],
+    dflt: u32,
+    rows: &[(u64, u64, u32)],
+    narrow: impl Fn(u64) -> T,
+) {
+    for (xs, acts) in col.chunks(LANE_CHUNK).zip(act_of.chunks_mut(LANE_CHUNK)) {
+        let mut x = [narrow(0); LANE_CHUNK];
+        for (x, &wide) in x.iter_mut().zip(xs) {
+            *x = narrow(wide);
+        }
+        let mut won = [dflt; LANE_CHUNK];
+        for &(mask, value, action) in rows {
+            let (mask, value) = (narrow(mask), narrow(value));
+            for (w, &x) in won.iter_mut().zip(&x) {
+                *w = if x & mask == value { action } else { *w };
             }
         }
+        acts.copy_from_slice(&won[..acts.len()]);
     }
-    true
 }
 
 /// One lowered action: ranges into the shared primitive and stateful op
@@ -784,6 +1027,27 @@ impl CompiledPrim {
     /// is within a lane, and the load always precedes the store for every
     /// lane of the chunk.
     fn execute_lanes(&self, buf: &mut [u64], cap: usize, n: usize) {
+        self.sweep::<false>(buf, cap, n, &[], MISS);
+    }
+
+    /// [`Self::execute_lanes`] for one action of a divergent batch: the
+    /// same chunk sweep over every lane, but the store is a blend that
+    /// keeps the destination wherever `act[i] != action`. Lanes of other
+    /// actions compute a discarded value — cheaper than a branch per lane
+    /// that follows the data.
+    fn execute_masked(&self, buf: &mut [u64], cap: usize, n: usize, act: &[u32], action: u32) {
+        self.sweep::<true>(buf, cap, n, &act[..n], action);
+    }
+
+    #[inline(always)]
+    fn sweep<const MASKED: bool>(
+        &self,
+        buf: &mut [u64],
+        cap: usize,
+        n: usize,
+        act: &[u32],
+        action: u32,
+    ) {
         let d0 = self.dst as usize * cap;
         debug_assert!(d0 + n <= buf.len());
         debug_assert!(n <= cap, "lane count {n} exceeds column capacity {cap}");
@@ -797,6 +1061,14 @@ impl CompiledPrim {
         let mut ov: Chunk = [0; LANE_CHUNK];
         let mut i0 = 0;
         while i0 + LANE_CHUNK <= n {
+            // All-ones where the lane stores, as a mask so the blend is
+            // arithmetic the compiler can vectorize, not a branch per lane.
+            let mut keep: Chunk = [u64::MAX; LANE_CHUNK];
+            if MASKED {
+                for (m, &a) in keep.iter_mut().zip(&act[i0..i0 + LANE_CHUNK]) {
+                    *m = 0u64.wrapping_sub(u64::from(a == action));
+                }
+            }
             // SAFETY: the debug-asserted column invariant above — every
             // access lands inside `buf`'s `cap`-sized columns for lanes
             // `i0..i0 + LANE_CHUNK ≤ n`.
@@ -805,14 +1077,21 @@ impl CompiledPrim {
                 self.b.load_chunk(base, cap, i0, &mut br);
                 alu_chunk(self.op, &ar, asx, &br, bsx, &mut ov);
                 let d = base.add(d0 + i0);
-                for (k, &o) in ov.iter().enumerate() {
-                    *d.add(k) = o & mask;
+                for (k, (&o, &m)) in ov.iter().zip(keep.iter()).enumerate() {
+                    *d.add(k) = if MASKED {
+                        (o & mask & m) | (*d.add(k) & !m)
+                    } else {
+                        o & mask
+                    };
                 }
             }
             i0 += LANE_CHUNK;
         }
         for i in i0..n {
-            self.execute(buf, cap, i);
+            // The unmasked sweep passes no `act` at all.
+            if act.get(i).is_none_or(|&a| a == action) {
+                self.execute(buf, cap, i);
+            }
         }
     }
 }
@@ -821,7 +1100,7 @@ impl CompiledPrim {
 /// the *same* op skeleton. The canonical case is a shift table — dozens
 /// of actions `dst = src << k` / `dst = src >> k`, one per alignment
 /// delta — where a mixed-magnitude batch resolves to many distinct
-/// actions and would otherwise collapse to per-packet tape walks. When
+/// actions: more than masked per-action sweeps pay for. When
 /// every non-empty action tape in a table is the same-length sequence of
 /// primitives with matching destination and mask at each position, and
 /// each operand position is either one shared operand or a
@@ -1246,8 +1525,8 @@ pub struct FusionStats {
     pub dead_stores: usize,
     /// Tables compiled to selected-constant dispatch (same op shape
     /// across all actions, per-action right-hand constant): divergent
-    /// batches run one gathered sweep per template op instead of
-    /// per-packet tape walks.
+    /// batches run one gathered sweep per template op instead of one
+    /// masked sweep per distinct action.
     pub selector_tables: usize,
 }
 
@@ -1286,40 +1565,21 @@ fn drop_dead_stores(prims: &[CompiledPrim], tape: &mut Vec<CompiledPrim>, stats:
     }
 }
 
-/// A lowered SALU condition: [`SaluCond`] with every operand pre-resolved.
-#[derive(Debug, Clone)]
-enum CompiledCond {
+/// One leaf of a lowered SALU condition, operands pre-resolved.
+#[derive(Debug, Clone, Copy)]
+enum CondLeaf {
     Always,
     MetaNonZero(u32),
     RegCmp { cmp: CmpOp, rhs: CompiledOperand },
-    Or(Box<(CompiledCond, CompiledCond)>),
-    And(Box<(CompiledCond, CompiledCond)>),
 }
 
-impl CompiledCond {
-    fn lower(cond: &SaluCond, layout: &PhvLayout) -> Self {
-        match cond {
-            SaluCond::Always => CompiledCond::Always,
-            SaluCond::MetaNonZero(f) => CompiledCond::MetaNonZero(u32::from(f.0)),
-            SaluCond::RegCmp { cmp, rhs } => CompiledCond::RegCmp {
-                cmp: *cmp,
-                rhs: lower_operand(*rhs, layout),
-            },
-            SaluCond::Or(a, b) => {
-                CompiledCond::Or(Box::new((Self::lower(a, layout), Self::lower(b, layout))))
-            }
-            SaluCond::And(a, b) => {
-                CompiledCond::And(Box::new((Self::lower(a, layout), Self::lower(b, layout))))
-            }
-        }
-    }
-
-    #[inline]
+impl CondLeaf {
+    #[inline(always)]
     fn eval(&self, stored: i64, vals: &[u64], stride: usize, lane: usize) -> bool {
-        match self {
-            CompiledCond::Always => true,
-            CompiledCond::MetaNonZero(f) => vals[*f as usize * stride + lane] != 0,
-            CompiledCond::RegCmp { cmp, rhs } => {
+        match *self {
+            CondLeaf::Always => true,
+            CondLeaf::MetaNonZero(f) => vals[f as usize * stride + lane] != 0,
+            CondLeaf::RegCmp { cmp, rhs } => {
                 let rhs = rhs.signed(vals, stride, lane);
                 match cmp {
                     CmpOp::Eq => stored == rhs,
@@ -1330,12 +1590,91 @@ impl CompiledCond {
                     CmpOp::Ge => stored >= rhs,
                 }
             }
-            CompiledCond::Or(p) => {
+        }
+    }
+}
+
+/// A lowered [`SaluCond`] of any depth, evaluated recursively.
+#[derive(Debug, Clone)]
+enum CondTree {
+    Leaf(CondLeaf),
+    Or(Box<(CondTree, CondTree)>),
+    And(Box<(CondTree, CondTree)>),
+}
+
+impl CondTree {
+    fn lower(cond: &SaluCond, layout: &PhvLayout) -> Self {
+        match cond {
+            SaluCond::Always => CondTree::Leaf(CondLeaf::Always),
+            SaluCond::MetaNonZero(f) => CondTree::Leaf(CondLeaf::MetaNonZero(u32::from(f.0))),
+            SaluCond::RegCmp { cmp, rhs } => CondTree::Leaf(CondLeaf::RegCmp {
+                cmp: *cmp,
+                rhs: lower_operand(*rhs, layout),
+            }),
+            SaluCond::Or(a, b) => {
+                CondTree::Or(Box::new((Self::lower(a, layout), Self::lower(b, layout))))
+            }
+            SaluCond::And(a, b) => {
+                CondTree::And(Box::new((Self::lower(a, layout), Self::lower(b, layout))))
+            }
+        }
+    }
+
+    fn eval(&self, stored: i64, vals: &[u64], stride: usize, lane: usize) -> bool {
+        match self {
+            CondTree::Leaf(l) => l.eval(stored, vals, stride, lane),
+            CondTree::Or(p) => {
                 p.0.eval(stored, vals, stride, lane) || p.1.eval(stored, vals, stride, lane)
             }
-            CompiledCond::And(p) => {
+            CondTree::And(p) => {
                 p.0.eval(stored, vals, stride, lane) && p.1.eval(stored, vals, stride, lane)
             }
+        }
+    }
+}
+
+/// A lowered SALU condition, flattened by shape: the conditions real
+/// programs write are one leaf or two leaves joined by `||` / `&&`, which
+/// evaluate inline with no recursion — and the uniform Phase C loop
+/// dispatches on the shape once per batch, not per lane
+/// ([`salu_lanes`]). Deeper trees keep the recursive form.
+#[derive(Debug, Clone)]
+enum CompiledCond {
+    Always,
+    One(CondLeaf),
+    Or(CondLeaf, CondLeaf),
+    And(CondLeaf, CondLeaf),
+    Tree(CondTree),
+}
+
+impl CompiledCond {
+    fn lower(cond: &SaluCond, layout: &PhvLayout) -> Self {
+        match CondTree::lower(cond, layout) {
+            CondTree::Leaf(CondLeaf::Always) => CompiledCond::Always,
+            CondTree::Leaf(l) => CompiledCond::One(l),
+            CondTree::Or(p) => match *p {
+                (CondTree::Leaf(a), CondTree::Leaf(b)) => CompiledCond::Or(a, b),
+                p => CompiledCond::Tree(CondTree::Or(Box::new(p))),
+            },
+            CondTree::And(p) => match *p {
+                (CondTree::Leaf(a), CondTree::Leaf(b)) => CompiledCond::And(a, b),
+                p => CompiledCond::Tree(CondTree::And(Box::new(p))),
+            },
+        }
+    }
+
+    #[inline]
+    fn eval(&self, stored: i64, vals: &[u64], stride: usize, lane: usize) -> bool {
+        match self {
+            CompiledCond::Always => true,
+            CompiledCond::One(a) => a.eval(stored, vals, stride, lane),
+            CompiledCond::Or(a, b) => {
+                a.eval(stored, vals, stride, lane) || b.eval(stored, vals, stride, lane)
+            }
+            CompiledCond::And(a, b) => {
+                a.eval(stored, vals, stride, lane) && b.eval(stored, vals, stride, lane)
+            }
+            CompiledCond::Tree(t) => t.eval(stored, vals, stride, lane),
         }
     }
 }
@@ -1387,23 +1726,20 @@ impl CompiledUpdate {
             CompiledUpdate::Write(op) => {
                 crate::register::truncate(op.signed(vals, stride, lane), meta.width)
             }
-            CompiledUpdate::AddSat(op) => crate::register::saturating(
-                stored as i128 + op.signed(vals, stride, lane) as i128,
-                meta.min,
-                meta.max,
-            ),
+            // `saturating_add` then `clamp` equals saturating the exact
+            // sum: a sum past `i64` is past `max`/`min` too.
+            CompiledUpdate::AddSat(op) => stored
+                .saturating_add(op.signed(vals, stride, lane))
+                .clamp(meta.min, meta.max),
             CompiledUpdate::AddWrap(op) => crate::register::truncate(
                 stored.wrapping_add(op.signed(vals, stride, lane)),
                 meta.width,
             ),
             CompiledUpdate::ShiftRightAddSat { shift, addend } => {
                 let d = shift.raw(vals, stride, lane).min(63) as u32;
-                let shifted = stored >> d;
-                crate::register::saturating(
-                    shifted as i128 + addend.signed(vals, stride, lane) as i128,
-                    meta.min,
-                    meta.max,
-                )
+                (stored >> d)
+                    .saturating_add(addend.signed(vals, stride, lane))
+                    .clamp(meta.min, meta.max)
             }
             CompiledUpdate::MaxSigned(op) => stored.max(crate::register::truncate(
                 op.signed(vals, stride, lane),
@@ -1456,24 +1792,40 @@ pub struct CompiledSwitch {
     state: RegisterState,
     /// Per-pass RAW bookkeeping, reused across packets.
     touched: Vec<bool>,
-    /// Wide hash key scratch, reused across lookups.
-    keybuf: Vec<u64>,
     /// Whether table-major SoA execution is observably identical to
     /// packet-major execution for this program (see
     /// [`CompiledSwitch::soa_eligible`]).
     soa_simple: bool,
     /// Op-tape statistics of the lowered program.
     fusion: FusionStats,
-    /// SoA scratch, reused across batches: the lane buffer, the per-packet
-    /// resolved action, the batch gate flags, and the per-packet fallback
-    /// value row.
+    /// The PHV fields each table can write, flat like the op tapes
+    /// ([`CompiledTable::writes`] ranges into it).
+    writes: Box<[u16]>,
+    /// Per-table SoA dispatch counts, in table order.
+    counts: Box<[DispatchCounts]>,
+    /// The PHV-transpose buffer of [`CompiledSwitch::run_batch_soa`].
     lanes: BatchLanes,
+    scratch: LaneScratch,
+}
+
+/// Lookup and SoA scratch, reused across packets and batches.
+#[derive(Debug, Clone, Default)]
+struct LaneScratch {
+    /// Per PHV field: what the batch at hand knows about its column.
+    facts: Vec<Fact>,
+    /// Per lane: the action Phase A resolved (valid after a lane-by-lane
+    /// resolution only).
     act_of: Vec<u32>,
-    gate_pass: Vec<bool>,
+    /// Wide hash key scratch.
+    keybuf: Vec<u64>,
+    /// One PHV value row: the split-LUT's enumeration row, and the
+    /// gathered packet of the per-packet fallback.
     rowbuf: Vec<u64>,
-    /// Phase C scratch: per-lane register indices, computed once by the
-    /// bounds pre-scan.
-    idxbuf: Vec<u64>,
+    /// Scan entries surviving the batch's uniform key columns.
+    scanbuf: Vec<u32>,
+    /// Those entries as `(mask, value, action)` rows on the one varying
+    /// column, lowest precedence first (see [`claim_lanes`]).
+    claims: Vec<(u64, u64, u32)>,
 }
 
 impl CompiledSwitch {
@@ -1494,11 +1846,19 @@ impl CompiledSwitch {
         // once per pass).
         let mut soa_simple = program.recirc_field.is_none();
         let mut array_table: Vec<Option<usize>> = vec![None; program.arrays.len()];
+        let mut writes: Vec<u16> = Vec::new();
         for stage in &program.stages {
             for table in &stage.tables {
                 let t_idx = tables.len();
                 let base = actions.len() as u32;
+                let w0 = writes.len();
                 for action in &table.actions {
+                    let outputs = action.stateful.iter().filter_map(|c| c.output);
+                    for f in (action.primitives.iter().map(|p| p.dst)).chain(outputs.map(|o| o.0)) {
+                        if !writes[w0..].contains(&f.0) {
+                            writes.push(f.0);
+                        }
+                    }
                     let p0 = prims.len() as u32;
                     action_prims.clear();
                     action_prims.extend(
@@ -1540,6 +1900,9 @@ impl CompiledSwitch {
                     });
                 }
                 let mut ct = compile_table(table, base, &program.layout);
+                ct.actions = (base, actions.len() as u32);
+                ct.writes = (w0 as u32, writes.len() as u32);
+                ct.has_stateful = table.actions.iter().any(|a| !a.stateful.is_empty());
                 ct.selector = build_selector(base, &actions[base as usize..], &prims);
                 if ct.selector.is_some() {
                     fusion.selector_tables += 1;
@@ -1548,68 +1911,24 @@ impl CompiledSwitch {
             }
         }
         fusion.tape_ops = prims.len();
-        // Uniform-key scanning pays off only for tables keyed entirely on
-        // fields no action ever writes (header inputs like an opcode):
-        // those columns arrive batch-uniform for single-op batches, while
-        // a key any action computes diverges lane by lane. Tables mixing
-        // stable fields with a few bits of computed key get the split-key
-        // LUT plan instead.
-        let mut written: std::collections::HashSet<u16> = std::collections::HashSet::new();
-        for stage in &program.stages {
-            for table in &stage.tables {
-                for action in &table.actions {
-                    written.extend(action.primitives.iter().map(|p| p.dst.0));
-                    written.extend(
-                        action
-                            .stateful
-                            .iter()
-                            .filter_map(|c| c.output.map(|(f, _)| f.0)),
-                    );
-                }
-            }
-        }
-        for t in &mut tables {
-            let (varying, stable): (Vec<u16>, Vec<u16>) =
-                t.key_fields.iter().partition(|f| written.contains(f));
-            t.scan_uniform = varying.is_empty();
-            if t.scan_uniform {
-                continue;
-            }
-            let mut packed = Vec::with_capacity(varying.len());
-            let mut width = 0u32;
-            for f in varying {
-                let bits = program.layout.spec(FieldId(f)).bits;
-                packed.push((f, width, PhvLayout::mask(bits)));
-                width += bits;
-            }
-            if width <= SPLIT_LUT_BITS {
-                t.split = Some(SplitKey {
-                    stable: stable.into_boxed_slice(),
-                    varying: packed.into_boxed_slice(),
-                    width,
-                });
-            }
-        }
         let state = RegisterState::new(&program.arrays);
         let touched = vec![false; program.arrays.len()];
         Ok(CompiledSwitch {
             layout: program.layout.clone(),
             recirc_field: program.recirc_field,
             recirc_limit: program.caps.recirc_limit,
+            counts: vec![DispatchCounts::default(); tables.len()].into_boxed_slice(),
             tables: tables.into_boxed_slice(),
             actions: actions.into_boxed_slice(),
             prims: prims.into_boxed_slice(),
             stateful: stateful.into_boxed_slice(),
             state,
             touched,
-            keybuf: Vec::new(),
             soa_simple,
             fusion,
+            writes: writes.into_boxed_slice(),
             lanes: BatchLanes::new(&program.layout, 1),
-            act_of: Vec::new(),
-            gate_pass: Vec::new(),
-            rowbuf: Vec::new(),
-            idxbuf: Vec::new(),
+            scratch: LaneScratch::default(),
         })
     }
 
@@ -1638,6 +1957,15 @@ impl CompiledSwitch {
     /// Compile-time statistics for the lowered op tape.
     pub fn fusion_stats(&self) -> FusionStats {
         self.fusion
+    }
+
+    /// What the SoA engine did with the batches it has run so far: one
+    /// [`DispatchCounts`] per table, in execution order (the order of the
+    /// program's stages and their tables). Counts are bumped once per
+    /// batch, never per lane, and only by the table-major engine — scalar
+    /// runs and ineligible programs leave them at zero.
+    pub fn dispatch_counts(&self) -> &[DispatchCounts] {
+        &self.counts
     }
 
     /// Whether this program qualifies for table-major SoA batch execution:
@@ -1707,11 +2035,12 @@ impl CompiledSwitch {
             stateful,
             state,
             touched,
-            keybuf,
+            scratch,
             recirc_field,
             recirc_limit,
             ..
         } = self;
+        let keybuf = &mut scratch.keybuf;
         let (array_meta, regs) = state.parts_mut();
         let limit = (*recirc_limit).max(1);
         let recirc_idx = recirc_field.map(|rf| rf.0 as usize);
@@ -1743,24 +2072,10 @@ impl CompiledSwitch {
                     }
                     touched[a] = true;
                     let meta = &array_meta[a];
-                    let idx = cs.index.raw(vals, 1, 0) as usize;
-                    if idx >= meta.entries {
-                        return Err(oor_error(idx, meta));
-                    }
-                    let slot = meta.offset + idx;
-                    let old = regs[slot];
-                    let taken = cs.cond.eval(old, vals, 1, 0);
-                    let update = if taken { &cs.on_true } else { &cs.on_false };
-                    let new = update.apply(old, meta, vals, 1, 0);
-                    regs[slot] = new;
-                    if let Some((dst, mask, out)) = cs.output {
-                        let v = match out {
-                            SaluOutput::Old => old as u64,
-                            SaluOutput::New => new as u64,
-                            SaluOutput::Predicate => u64::from(taken),
-                        };
-                        vals[dst as usize] = v & mask;
-                    }
+                    salu_access(cs, meta, window(regs, meta), vals, 1, 0, |old, vals| {
+                        cs.cond.eval(old, vals, 1, 0)
+                    })
+                    .map_err(|idx| oor_error(idx, meta))?;
                 }
             }
             passes += 1;
@@ -1854,7 +2169,9 @@ impl CompiledSwitch {
     /// run per-packet, and scattered back. On a fault, packets before the
     /// faulting one are fully applied, the faulting packet's lanes are
     /// left as the fault found them, and later packets' lanes are
-    /// unspecified (their register state is untouched).
+    /// unspecified — as is whatever they wrote to registers in the tables
+    /// *before* the faulting one, which table-major order had already run
+    /// for them.
     pub fn run_lanes(&mut self, lanes: &mut BatchLanes) -> Result<u64, RuntimeError> {
         if lanes.is_empty() {
             return Ok(0);
@@ -1862,7 +2179,7 @@ impl CompiledSwitch {
         if self.soa_simple {
             return self.run_lanes_simple(lanes).map_err(|(_, e)| e);
         }
-        let mut row = std::mem::take(&mut self.rowbuf);
+        let mut row = std::mem::take(&mut self.scratch.rowbuf);
         row.resize(self.layout.len(), 0);
         let mut result = Ok(0u64);
         let mut total = 0u64;
@@ -1880,7 +2197,7 @@ impl CompiledSwitch {
                 }
             }
         }
-        self.rowbuf = row;
+        self.scratch.rowbuf = row;
         result.map(|_| total)
     }
 
@@ -1890,10 +2207,10 @@ impl CompiledSwitch {
     /// indexes out of range stops being live (`limit` shrinks to exclude
     /// it) while earlier packets keep executing the remaining tables, so
     /// when the loop ends every packet before the earliest fault has been
-    /// fully applied — exactly the per-packet contract. Bounds are
-    /// pre-scanned per table before any register write (an index operand
-    /// only reads its own packet's lanes, which phase C never changes for
-    /// other packets), so no write ever needs rolling back.
+    /// fully applied — exactly the per-packet contract. Phase C applies in
+    /// packet order and stops at the first out-of-range lane, which leaves
+    /// exactly the lanes before it applied, so no write ever needs rolling
+    /// back.
     fn run_lanes_simple(&mut self, lanes: &mut BatchLanes) -> Result<u64, (usize, RuntimeError)> {
         debug_assert!(self.soa_simple);
         let CompiledSwitch {
@@ -1903,129 +2220,116 @@ impl CompiledSwitch {
             prims,
             stateful,
             state,
-            keybuf,
-            act_of,
-            gate_pass,
-            rowbuf,
-            idxbuf,
+            writes,
+            counts,
+            scratch,
             ..
         } = self;
         let (array_meta, regs) = state.parts_mut();
         let (buf, cap, n) = lanes.raw_parts_mut();
-        act_of.clear();
-        act_of.resize(n, MISS);
-        gate_pass.clear();
-        gate_pass.resize(n, false);
-        rowbuf.resize(layout.len(), 0);
+        scratch.act_of.resize(n, MISS);
+        scratch.rowbuf.resize(layout.len(), 0);
+        scratch.facts.clear();
+        scratch.facts.resize(layout.len(), Fact::Unknown);
+        let tape = |a: &CompiledAction| &prims[a.prims.0 as usize..a.prims.1 as usize];
+        // soa_simple guarantees at most one stateful call per action.
+        let call = |a: &CompiledAction| {
+            let cs = stateful
+                .get(a.stateful.0 as usize..a.stateful.1 as usize)?
+                .first()?;
+            Some((cs, &array_meta[cs.array as usize]))
+        };
         let mut limit = n;
         let mut fault: Option<(usize, RuntimeError)> = None;
-        for t in tables.iter() {
+        for (t, count) in tables.iter().zip(counts.iter_mut()) {
             if limit == 0 {
                 break;
             }
-            // Phase A: resolve every live packet's action, batch-wide.
-            // `Some(a)` means the table already proved the whole batch
-            // resolved to action `a` (uniform keys / constant / gated
-            // out) and the act_of scan can be skipped.
-            let hint = t.lookup_lanes(buf, cap, limit, act_of, gate_pass, keybuf, rowbuf);
-            let first = hint.unwrap_or(act_of[0]);
-            let uniform = hint.is_some() || act_of[..limit].iter().all(|&a| a == first);
-            if uniform && first == MISS {
+            count.lanes += limit as u64;
+            // Phase A: resolve every live packet's action.
+            let resolved = t.lookup_lanes(buf, cap, limit, scratch, count);
+            if resolved == Ok(MISS) {
                 continue; // no live packet runs anything in this table
             }
-            if uniform {
-                // Phase B: instruction-major — each op sweeps the batch.
-                let action = actions[first as usize];
-                for op in &prims[action.prims.0 as usize..action.prims.1 as usize] {
-                    op.execute_lanes(buf, cap, limit);
-                }
-                // Phase C: stateful updates, in packet order. One action
-                // for the whole batch lets the call/array resolution be
-                // hoisted out of both packet loops. The bounds pre-scan
-                // runs first, so the first out-of-range packet faults and
-                // narrows `limit` before anything is applied for it.
-                if action.stateful.0 == action.stateful.1 {
-                    continue;
-                }
-                let cs = &stateful[action.stateful.0 as usize];
-                let meta = &array_meta[cs.array as usize];
-                // The pre-scan also caches every live lane's register
-                // index so the apply loop does not re-evaluate the operand.
-                idxbuf.clear();
-                for i in 0..limit {
-                    let idx = cs.index.raw(buf, cap, i) as usize;
-                    if idx >= meta.entries {
-                        fault = Some((i, oor_error(idx, meta)));
-                        limit = i;
-                        break;
+            let act_of = &scratch.act_of[..limit];
+            // Phase C stops at the first out-of-range lane: `(lane, index)`.
+            let mut stopped = None;
+            match resolved {
+                Ok(a) => {
+                    // Phase B, uniform: instruction-major — each op sweeps
+                    // the batch. One action for the whole batch also lets
+                    // Phase C resolve its call once.
+                    count.uniform += 1;
+                    let action = &actions[a as usize];
+                    for op in tape(action) {
+                        op.execute_lanes(buf, cap, limit);
                     }
-                    idxbuf.push(idx as u64);
-                }
-                for (i, &idx) in idxbuf[..limit].iter().enumerate() {
-                    apply_stateful_lane(cs, meta, regs, buf, cap, i, idx as usize);
-                }
-                continue;
-            }
-            // Phase B, divergent. A selector-shaped table (same op
-            // skeleton across all actions — the FPISA shift tables, where
-            // a mixed-magnitude batch hits dozens of alignment actions)
-            // collapses to one gathered sweep per template op; any other
-            // table walks each packet's tape.
-            if let Some(sel) = &t.selector {
-                sel.execute_lanes(buf, cap, limit, act_of);
-            } else {
-                for (i, &a) in act_of.iter().enumerate().take(limit) {
-                    if a == MISS {
-                        continue;
-                    }
-                    let action = actions[a as usize];
-                    for op in &prims[action.prims.0 as usize..action.prims.1 as usize] {
-                        op.execute(buf, cap, i);
+                    if let Some((cs, meta)) = call(action) {
+                        stopped = salu_lanes(cs, meta, regs, buf, cap, limit).map(|at| (at, meta));
                     }
                 }
+                Err(seen) => {
+                    // Phase B, divergent. A selector-shaped table (same op
+                    // skeleton across all actions — the FPISA shift tables,
+                    // where a mixed-magnitude batch hits dozens of alignment
+                    // actions) collapses to one gathered sweep per template
+                    // op. Otherwise each distinct action's tape sweeps the
+                    // batch under a blend-store — primitives are lane-local,
+                    // so the order of the actions is immaterial — unless the
+                    // batch hit so many that per-packet walks are cheaper.
+                    if let Some(sel) = &t.selector {
+                        count.selector += 1;
+                        sel.execute_lanes(buf, cap, limit, act_of);
+                    } else if let Some(mut seen) =
+                        seen.filter(|s| s.count_ones() <= MASKED_MAX_ACTIONS)
+                    {
+                        count.masked += 1;
+                        while seen != 0 {
+                            let a = t.actions.0 + seen.trailing_zeros();
+                            seen &= seen - 1;
+                            for op in tape(&actions[a as usize]) {
+                                op.execute_masked(buf, cap, limit, act_of, a);
+                            }
+                        }
+                    } else {
+                        count.walk += 1;
+                        for (i, &a) in act_of.iter().enumerate() {
+                            if a != MISS {
+                                for op in tape(&actions[a as usize]) {
+                                    op.execute(buf, cap, i);
+                                }
+                            }
+                        }
+                    }
+                    // Phase C, each lane under its own action's call.
+                    if t.has_stateful {
+                        for (i, &a) in act_of.iter().enumerate() {
+                            if a == MISS {
+                                continue;
+                            }
+                            let Some((cs, meta)) = call(&actions[a as usize]) else {
+                                continue;
+                            };
+                            let regs = window(regs, meta);
+                            let access = salu_access(cs, meta, regs, buf, cap, i, |old, buf| {
+                                cs.cond.eval(old, buf, cap, i)
+                            });
+                            if let Err(idx) = access {
+                                stopped = Some(((i, idx), meta));
+                                break;
+                            }
+                        }
+                    }
+                }
             }
-            // Phase C: stateful, always in packet order (soa_simple
-            // guarantees at most one call per action). Pre-scan bounds
-            // first: the first packet with an out-of-range index faults
-            // and narrows `limit` before anything is applied for it.
-            let table_has_stateful = act_of[..limit].iter().any(|&a| {
-                a != MISS && {
-                    let action = actions[a as usize];
-                    action.stateful.0 != action.stateful.1
-                }
-            });
-            if !table_has_stateful {
-                continue;
+            if let Some(((lane, idx), meta)) = stopped {
+                // Lanes before `lane` are applied, `lane` itself is not:
+                // it faults, and stops being live for the tables after.
+                fault = Some((lane, oor_error(idx, meta)));
+                limit = lane;
             }
-            for (i, &a) in act_of.iter().enumerate().take(limit) {
-                if a == MISS {
-                    continue;
-                }
-                let action = actions[a as usize];
-                if action.stateful.0 == action.stateful.1 {
-                    continue;
-                }
-                let cs = &stateful[action.stateful.0 as usize];
-                let meta = &array_meta[cs.array as usize];
-                let idx = cs.index.raw(buf, cap, i) as usize;
-                if idx >= meta.entries {
-                    fault = Some((i, oor_error(idx, meta)));
-                    limit = i;
-                    break;
-                }
-            }
-            for (i, &a) in act_of.iter().enumerate().take(limit) {
-                if a == MISS {
-                    continue;
-                }
-                let action = actions[a as usize];
-                if action.stateful.0 == action.stateful.1 {
-                    continue;
-                }
-                let cs = &stateful[action.stateful.0 as usize];
-                let meta = &array_meta[cs.array as usize];
-                let idx = cs.index.raw(buf, cap, i) as usize;
-                apply_stateful_lane(cs, meta, regs, buf, cap, i, idx);
+            for &f in &writes[t.writes.0 as usize..t.writes.1 as usize] {
+                scratch.facts[f as usize] = Fact::Unknown;
             }
         }
         match fault {
@@ -2041,32 +2345,92 @@ impl CompiledSwitch {
 /// dispatch savings.
 pub const SOA_MIN: usize = 16;
 
-/// The Phase C body for one lane: evaluate the condition against the
-/// stored value, apply the taken update, and write the optional SALU
-/// output into the lane's own column.
+/// The register window of one array: an access is one checked index, and
+/// that check *is* the out-of-range fault test.
 #[inline(always)]
-fn apply_stateful_lane(
+fn window<'a>(regs: &'a mut [i64], meta: &ArrayMeta) -> &'a mut [i64] {
+    &mut regs[meta.offset..meta.offset + meta.entries]
+}
+
+/// One SALU access by the packet at `lane` of `vals`, against its array's
+/// [`window`]: index, decide the condition (`taken`, given the stored value
+/// and the packet), apply the taken update, and write the optional output
+/// into the packet's own field. `Err(index)` when the index is out of
+/// range, with nothing touched.
+#[inline(always)]
+fn salu_access(
     cs: &CompiledStateful,
     meta: &ArrayMeta,
     regs: &mut [i64],
-    buf: &mut [u64],
-    cap: usize,
-    i: usize,
-    idx: usize,
-) {
-    let slot = meta.offset + idx;
-    let old = regs[slot];
-    let taken = cs.cond.eval(old, buf, cap, i);
+    vals: &mut [u64],
+    stride: usize,
+    lane: usize,
+    taken: impl FnOnce(i64, &[u64]) -> bool,
+) -> Result<(), usize> {
+    let idx = cs.index.raw(vals, stride, lane) as usize;
+    let reg = regs.get_mut(idx).ok_or(idx)?;
+    let old = *reg;
+    let taken = taken(old, vals);
     let update = if taken { &cs.on_true } else { &cs.on_false };
-    let new = update.apply(old, meta, buf, cap, i);
-    regs[slot] = new;
+    let new = update.apply(old, meta, vals, stride, lane);
+    *reg = new;
     if let Some((dst, mask, out)) = cs.output {
         let v = match out {
             SaluOutput::Old => old as u64,
             SaluOutput::New => new as u64,
             SaluOutput::Predicate => u64::from(taken),
         };
-        buf[dst as usize * cap + i] = v & mask;
+        vals[dst as usize * stride + lane] = v & mask;
+    }
+    Ok(())
+}
+
+/// Phase C for a batch whose lanes all make the call `cs`: lanes
+/// `0..limit` in packet order, so per-slot update order (and thus every
+/// register value and SALU output) is the per-packet engine's. Returns
+/// `(lane, index)` of the first lane indexing out of range; the lanes
+/// before it are applied, it and the lanes after it are not.
+///
+/// The condition's shape is dispatched here, once, so each lane loop
+/// evaluates its leaves inline.
+fn salu_lanes(
+    cs: &CompiledStateful,
+    meta: &ArrayMeta,
+    regs: &mut [i64],
+    buf: &mut [u64],
+    cap: usize,
+    limit: usize,
+) -> Option<(usize, usize)> {
+    // Generic, not `dyn`: one lane loop per shape, its condition inlined.
+    #[inline(always)]
+    fn lanes(
+        cs: &CompiledStateful,
+        meta: &ArrayMeta,
+        regs: &mut [i64],
+        (buf, cap, limit): (&mut [u64], usize, usize),
+        taken: impl Fn(i64, &[u64], usize) -> bool,
+    ) -> Option<(usize, usize)> {
+        let regs = window(regs, meta);
+        (0..limit).find_map(|i| {
+            let access = salu_access(cs, meta, regs, buf, cap, i, |old, buf| taken(old, buf, i));
+            access.err().map(|idx| (i, idx))
+        })
+    }
+    let batch = (buf, cap, limit);
+    match &cs.cond {
+        CompiledCond::Always => lanes(cs, meta, regs, batch, |_, _, _| true),
+        CompiledCond::One(a) => lanes(cs, meta, regs, batch, |old, buf, i| {
+            a.eval(old, buf, cap, i)
+        }),
+        CompiledCond::Or(a, b) => lanes(cs, meta, regs, batch, |old, buf, i| {
+            a.eval(old, buf, cap, i) || b.eval(old, buf, cap, i)
+        }),
+        CompiledCond::And(a, b) => lanes(cs, meta, regs, batch, |old, buf, i| {
+            a.eval(old, buf, cap, i) && b.eval(old, buf, cap, i)
+        }),
+        CompiledCond::Tree(t) => lanes(cs, meta, regs, batch, |old, buf, i| {
+            t.eval(old, buf, cap, i)
+        }),
     }
 }
 
@@ -2117,20 +2481,22 @@ fn lower_prim(p: &Primitive, layout: &PhvLayout) -> CompiledPrim {
 /// Lower one table. `action_base` is the global index of the table's first
 /// action.
 fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> CompiledTable {
-    let key_fields: Box<[u16]> = table.keys.iter().map(|(f, _)| f.0).collect();
-    let widths: Vec<u32> = table
+    // Packing shifts for a single-u64 key, lowest field first.
+    let mut key_bits = 0u32;
+    let keys: Box<[KeyCol]> = table
         .keys
         .iter()
-        .map(|(f, _)| layout.spec(*f).bits)
+        .map(|(f, _)| {
+            let bits = layout.spec(*f).bits;
+            let shift = key_bits;
+            key_bits += bits;
+            KeyCol {
+                field: f.0,
+                bits,
+                shift,
+            }
+        })
         .collect();
-    // Packing shifts for a single-u64 key, lowest field first.
-    let total_bits: u32 = widths.iter().sum();
-    let mut key_shifts = Vec::with_capacity(widths.len());
-    let mut acc = 0u32;
-    for w in &widths {
-        key_shifts.push(acc);
-        acc += w;
-    }
     let default_action = table.default_action.map(|d| action_base + d as u32);
 
     // Split entries: all-exact tuples vs. everything else (any pattern
@@ -2138,7 +2504,7 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
     // fit its field width can never match a (masked) PHV value — drop
     // them, exactly as the interpreter's scan never selects them.
     let mut exact: Vec<(Vec<u64>, Cand)> = Vec::new();
-    let mut scan: Vec<ScanEntry> = Vec::new();
+    let mut scan: Vec<(Cand, &[KeyMatch])> = Vec::new();
     // The match gate: per key field, intersect across all live entries the
     // bits each entry constrains to an exact value (exact patterns pin
     // their whole field, ternary patterns their mask). `None` until the
@@ -2153,8 +2519,8 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         let mut all_exact = true;
         // This entry's per-field pinned bits.
         let mut pins: Vec<(u64, u64)> = Vec::with_capacity(e.key.len());
-        for (pat, w) in e.key.iter().zip(widths.iter()) {
-            let fmask = PhvLayout::mask(*w);
+        for (pat, k) in e.key.iter().zip(keys.iter()) {
+            let fmask = PhvLayout::mask(k.bits);
             match pat {
                 KeyMatch::Exact(v) => {
                     if *v & !fmask != 0 {
@@ -2196,33 +2562,41 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
                 cand,
             ));
         } else {
-            scan.push(ScanEntry {
-                cand,
-                pats: e.key.clone().into_boxed_slice(),
-            });
+            scan.push((cand, &e.key));
         }
     }
     let gate: Box<[GateCheck]> = gate
         .unwrap_or_default()
         .into_iter()
-        .zip(key_fields.iter())
+        .zip(keys.iter())
         .filter(|((m, _), _)| *m != 0)
-        .map(|((mask, val), &field)| GateCheck {
-            field: u32::from(field),
+        .map(|((mask, val), k)| GateCheck {
+            field: u32::from(k.field),
             mask,
             val,
         })
         .collect();
     // Pre-sort the scan so the first match is the interpreter's winner.
-    scan.sort_by(|a, b| {
-        b.cand
-            .priority
-            .cmp(&a.cand.priority)
-            .then(a.cand.install.cmp(&b.cand.install))
-    });
-    let scan = scan.into_boxed_slice();
+    scan.sort_by(|(a, _), (b, _)| b.priority.cmp(&a.priority).then(a.install.cmp(&b.install)));
+    let scan = ScanList {
+        cands: scan.iter().map(|(cand, _)| *cand).collect(),
+        pats: scan
+            .iter()
+            .flat_map(|(_, key)| {
+                key.iter()
+                    .zip(keys.iter())
+                    .map(|(pat, k)| Pat::lower(pat, PhvLayout::mask(k.bits)))
+            })
+            .collect(),
+    };
+    let key_of = |tuple: &[u64]| {
+        tuple
+            .iter()
+            .zip(keys.iter())
+            .fold(0u64, |key, (v, k)| key | (v << k.shift))
+    };
 
-    let matcher = if key_fields.is_empty() {
+    let matcher = if keys.is_empty() {
         // Keyless: every entry matches every packet; resolve now.
         let mut best: Option<Cand> = None;
         for (_, cand) in exact {
@@ -2235,27 +2609,21 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         Matcher::Const(best.map(|c| c.action))
     } else if exact.is_empty() {
         Matcher::Scan(scan)
-    } else if total_bits <= DENSE_MAX_BITS && scan.is_empty() {
-        let mut slots: Vec<u32> = vec![MISS; 1usize << total_bits];
+    } else if key_bits <= DENSE_MAX_BITS && scan.cands.is_empty() {
+        let mut slots: Vec<u32> = vec![MISS; 1usize << key_bits];
         let mut winners: Vec<Option<Cand>> = vec![None; slots.len()];
         for (tuple, cand) in exact {
-            let key = tuple
-                .iter()
-                .zip(key_shifts.iter())
-                .fold(0u64, |k, (v, s)| k | (v << s)) as usize;
+            let key = key_of(&tuple) as usize;
             if winners[key].is_none_or(|w| cand.beats(&w)) {
                 winners[key] = Some(cand);
                 slots[key] = cand.action;
             }
         }
         Matcher::Dense(slots.into_boxed_slice())
-    } else if total_bits <= 64 {
+    } else if key_bits <= 64 {
         let mut packed: Vec<(u64, Cand)> = Vec::with_capacity(exact.len());
         for (tuple, cand) in exact {
-            let key = tuple
-                .iter()
-                .zip(key_shifts.iter())
-                .fold(0u64, |k, (v, s)| k | (v << s));
+            let key = key_of(&tuple);
             // Resolve duplicate keys to their winner at compile time.
             match packed.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, cur)) => {
@@ -2267,7 +2635,7 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
             }
         }
         match injective_prefix_bits(&packed, DENSE_MAX_BITS) {
-            Some(w) if scan.is_empty() => {
+            Some(w) if scan.cands.is_empty() => {
                 let mask = (1u64 << w) - 1;
                 let mut slots: Vec<(u64, u32)> = vec![(0, MISS); 1usize << w];
                 for (key, cand) in packed {
@@ -2294,23 +2662,16 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         Matcher::WideHash { map, scan }
     };
 
-    // Const resolution and dense loads are already as cheap as the gate;
-    // keep gates only where they skip real matching work.
-    let gate = match &matcher {
-        Matcher::Const(_) | Matcher::Dense(_) => Box::default(),
-        _ => gate,
-    };
-
     CompiledTable {
-        key_fields,
-        key_shifts: key_shifts.into_boxed_slice(),
+        keys,
+        key_bits,
         gate,
         matcher,
         default_action,
-        // All patched by `CompiledSwitch::compile` once every action in
-        // the program has been seen.
-        scan_uniform: false,
-        split: None,
+        // Patched by `CompiledSwitch::compile`, which lowers the actions.
+        actions: (action_base, action_base),
+        writes: (0, 0),
+        has_stateful: false,
         selector: None,
     }
 }

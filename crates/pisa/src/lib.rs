@@ -104,7 +104,7 @@ pub use analysis::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, Analyzer, Diagnostic,
     HwProfile, Loc, ProgramIo, Severity, ShardSafetyProof,
 };
-pub use compile::{CompileError, CompiledSwitch, FusionStats, LANE_CHUNK, SOA_MIN};
+pub use compile::{CompileError, CompiledSwitch, DispatchCounts, FusionStats, LANE_CHUNK, SOA_MIN};
 pub use phv::{BatchLanes, FieldId, FieldSpec, Phv, PhvLayout};
 pub use register::{
     check_partition, CmpOp, RegArrayId, RegisterArraySpec, RegisterSnapshot, RegisterState,

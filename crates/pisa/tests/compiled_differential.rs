@@ -6,9 +6,9 @@
 //! faults (RAW violations, out-of-range indices, recirculation limits).
 
 use fpisa_pisa::{
-    Action, AluOp, CmpOp, CompiledSwitch, FieldId, KeyMatch, MatchKind, Operand, Phv, PhvLayout,
-    RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, Stage, StatefulCall, Switch,
-    SwitchCaps, SwitchProgram, Table,
+    Action, AluOp, CmpOp, CompiledSwitch, DispatchCounts, FieldId, KeyMatch, MatchKind, Operand,
+    Phv, PhvLayout, RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, Stage,
+    StatefulCall, Switch, SwitchCaps, SwitchProgram, Table,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -281,15 +281,7 @@ fn compiled_engine_matches_interpreter_on_random_programs() {
         let mut sw = Switch::new(program.clone()).unwrap();
         let mut cs = CompiledSwitch::compile(&program).unwrap();
         for pkt in 0..PACKETS_PER_PROGRAM {
-            let mut pi = sw.phv();
-            for (id, spec) in program.layout.iter() {
-                let max = if spec.bits >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << spec.bits) - 1
-                };
-                pi.set(id, rng.gen_range(0..=max));
-            }
+            let mut pi = random_phv(&program, &mut rng);
             let mut pc = pi.clone();
             let ri = sw.run(&mut pi);
             let rc = cs.run(&mut pc);
@@ -323,8 +315,10 @@ fn compiled_engine_matches_interpreter_on_random_programs() {
 /// Run one batch through the interpreter packet by packet and through
 /// `run_batch_soa`, demanding bit-for-bit identical pass counts, PHVs,
 /// registers and fault behaviour: the earliest faulting packet's error
-/// wins and every packet before it is fully applied.
-fn check_soa_batch(label: &str, program: &SwitchProgram, phvs: &[Phv]) {
+/// wins and every packet before it is fully applied. Returns the SoA
+/// engine's per-table dispatch counts for the batch, so a directed test
+/// can also pin the path it meant to exercise.
+fn check_soa_batch(label: &str, program: &SwitchProgram, phvs: &[Phv]) -> Vec<DispatchCounts> {
     let mut sw = Switch::new(program.clone()).unwrap();
     let mut cs = CompiledSwitch::compile(program).unwrap();
     let mut interp_phvs = phvs.to_vec();
@@ -368,6 +362,21 @@ fn check_soa_batch(label: &str, program: &SwitchProgram, phvs: &[Phv]) {
             );
         }
     }
+    cs.dispatch_counts().to_vec()
+}
+
+/// One PHV with every field drawn uniformly from its width.
+fn random_phv(program: &SwitchProgram, rng: &mut SmallRng) -> Phv {
+    let mut p = Phv::new(&program.layout);
+    for (id, spec) in program.layout.iter() {
+        let max = if spec.bits >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << spec.bits) - 1
+        };
+        p.set(id, rng.gen_range(0..=max));
+    }
+    p
 }
 
 /// The same equivalence through the structure-of-arrays engine: routing a
@@ -388,23 +397,73 @@ fn soa_batches_match_interpreter_streams() {
         if cs.soa_eligible() {
             soa_runs += 1;
         }
-        let phvs: Vec<Phv> = (0..48)
-            .map(|_| {
-                let mut p = cs.phv();
-                for (id, spec) in program.layout.iter() {
-                    let max = if spec.bits >= 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << spec.bits) - 1
-                    };
-                    p.set(id, rng.gen_range(0..=max));
-                }
-                p
-            })
-            .collect();
+        let phvs: Vec<Phv> = (0..48).map(|_| random_phv(&program, &mut rng)).collect();
         check_soa_batch(&format!("seed {seed}"), &program, &phvs);
     }
     assert!(soa_runs > 0, "no SoA-eligible program generated");
+}
+
+/// The batch shape real callers produce: some input columns hold one value
+/// in every lane (an opcode), the rest vary. A random subset of the fields
+/// is shared by all lanes — so the engine's column facts come out
+/// `Uniform` for them, tables resolve through the uniform and split-LUT
+/// paths, and every action that writes such a column must make the batch
+/// forget what it knew. In the second shape only the *last* lane breaks
+/// the pattern, which a fact sweep that stopped early would miss.
+#[test]
+fn soa_uniform_column_batches_match_interpreter() {
+    let mut soa_runs = 0usize;
+    let mut uniform_lookups = 0u64;
+    for seed in 0..400u64 {
+        let (program, mut rng) = random_program(0xFAC7_0000 + seed);
+        if program.validate().is_err() {
+            continue;
+        }
+        let cs = CompiledSwitch::compile(&program).unwrap();
+        if cs.soa_eligible() {
+            soa_runs += 1;
+        }
+        for last_lane_differs in [false, true] {
+            let n = [17usize, 48, 64, 100][rng.gen_range(0..4)];
+            let shared = random_phv(&program, &mut rng);
+            // Each field is shared with probability 2/3.
+            let is_shared: Vec<bool> = program
+                .layout
+                .iter()
+                .map(|_| rng.gen_range(0u32..3) != 0)
+                .collect();
+            let mut phvs: Vec<Phv> = (0..n)
+                .map(|_| {
+                    let mut p = random_phv(&program, &mut rng);
+                    for ((id, _), &on) in program.layout.iter().zip(&is_shared) {
+                        if on {
+                            p.set(id, shared.get(id));
+                        }
+                    }
+                    p
+                })
+                .collect();
+            if last_lane_differs {
+                phvs[n - 1] = random_phv(&program, &mut rng);
+            }
+            // The table-major engine lets the lanes after a faulting one
+            // run the tables before the fault, register updates included;
+            // the interpreter never starts them. End the batch at the
+            // first fault, where both agree: every lane before it in full.
+            let mut sw = Switch::new(program.clone()).unwrap();
+            if let Some(fault_at) = phvs.iter().position(|p| sw.run(&mut p.clone()).is_err()) {
+                phvs.truncate(fault_at + 1);
+            }
+            let counts = check_soa_batch(
+                &format!("seed {seed} / last lane differs: {last_lane_differs}"),
+                &program,
+                &phvs,
+            );
+            uniform_lookups += counts.iter().map(|c| c.uniform_lookup).sum::<u64>();
+        }
+    }
+    assert!(soa_runs > 0, "no SoA-eligible program generated");
+    assert!(uniform_lookups > 0, "no batch resolved a table uniformly");
 }
 
 /// Order-sensitive accumulator for the adversarial duplicate-slot tests:
@@ -666,20 +725,7 @@ fn compiled_batches_match_interpreter_streams() {
         }
         let mut sw = Switch::new(program.clone()).unwrap();
         let mut cs = CompiledSwitch::compile(&program).unwrap();
-        let mut phvs: Vec<Phv> = (0..32)
-            .map(|_| {
-                let mut p = sw.phv();
-                for (id, spec) in program.layout.iter() {
-                    let max = if spec.bits >= 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << spec.bits) - 1
-                    };
-                    p.set(id, rng.gen_range(0..=max));
-                }
-                p
-            })
-            .collect();
+        let mut phvs: Vec<Phv> = (0..32).map(|_| random_phv(&program, &mut rng)).collect();
         let mut interp_phvs = phvs.clone();
         let batch_result = cs.run_batch(&mut phvs);
         let mut interp_total = 0u64;
@@ -703,6 +749,778 @@ fn compiled_batches_match_interpreter_streams() {
             for idx in 0..spec.entries {
                 assert_eq!(sw.register(id, idx), cs.register(id, idx), "seed {seed}");
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Directed tests for the batch engine's column facts (Phase A), masked
+// per-action sweeps (Phase B) and fused in-order stateful loop (Phase C).
+// Every one compares against the interpreter through `check_soa_batch`;
+// the dispatch counts it returns pin the path the test means to take.
+// ---------------------------------------------------------------------
+
+/// A program over `layout` with one table per stage.
+fn staged(layout: PhvLayout, tables: Vec<Table>, arrays: Vec<RegisterArraySpec>) -> SwitchProgram {
+    let program = SwitchProgram {
+        caps: SwitchCaps::fpisa_extended(),
+        layout,
+        stages: tables.into_iter().map(|t| Stage::new().table(t)).collect(),
+        arrays,
+        recirc_field: None,
+    };
+    program.validate().expect("directed program must validate");
+    assert!(
+        CompiledSwitch::compile(&program).unwrap().soa_eligible(),
+        "directed program must take the SoA path"
+    );
+    program
+}
+
+fn array(name: &str, width_bits: u32, entries: usize, stage: usize) -> RegisterArraySpec {
+    RegisterArraySpec {
+        name: name.into(),
+        width_bits,
+        entries,
+        stage,
+    }
+}
+
+/// `n` PHVs of `program`, field `f` of lane `i` set to `fill(f, i)` for
+/// every `(f, fill)` given.
+fn batch(program: &SwitchProgram, n: usize, cols: &[(FieldId, &dyn Fn(usize) -> u64)]) -> Vec<Phv> {
+    (0..n)
+        .map(|i| {
+            let mut p = Phv::new(&program.layout);
+            for (f, fill) in cols {
+                p.set(*f, fill(i));
+            }
+            p
+        })
+        .collect()
+}
+
+/// An exact-match table on `key` with one `out = value` action per listed
+/// key value, and `out = 99` as the default.
+fn reader(name: &str, key: FieldId, out: FieldId, values: &[u64]) -> Table {
+    let set = |v: i64| Action::nop(format!("{name}{v}")).set(out, Operand::Const(v));
+    let mut actions: Vec<Action> = values.iter().map(|&v| set(v as i64 + 20)).collect();
+    actions.push(set(99));
+    let mut t = Table::keyed(
+        name,
+        vec![(key, MatchKind::Exact)],
+        actions,
+        Some(values.len()),
+    );
+    for (a, &v) in values.iter().enumerate() {
+        t = t.entry(vec![KeyMatch::Exact(v)], 0, a);
+    }
+    t
+}
+
+/// T0 matches on `k` (so the batch takes `k`'s fact), T1 writes `k`, T2
+/// matches on `k` again: whatever T0 learned must be forgotten, whether
+/// T1 runs one action with constant operands (a varying column becomes
+/// uniform), one action with field operands (a uniform column starts to
+/// vary), or different actions on different lanes.
+#[test]
+fn a_table_writing_a_key_column_invalidates_its_fact() {
+    let mut l = PhvLayout::new();
+    let k = l.field("k", 4);
+    let j = l.field("j", 4);
+    let x = l.field("x", 16);
+    let seen = l.field("seen", 8);
+    let out = l.field("out", 8);
+    let const_write = Action::nop("const").set(k, Operand::Const(5));
+    let field_write =
+        Action::nop("field").prim(k, AluOp::And, Operand::Field(x), Operand::Const(0xF));
+    let writers = [
+        ("uniform/const", Table::always("w", const_write.clone())),
+        ("uniform/field", Table::always("w", field_write.clone())),
+        (
+            "divergent",
+            // j = 0 → const, j = 1 → field, anything else leaves k alone.
+            Table::keyed(
+                "w",
+                vec![(j, MatchKind::Exact)],
+                vec![const_write, field_write],
+                None,
+            )
+            .entry(vec![KeyMatch::Exact(0)], 0, 0)
+            .entry(vec![KeyMatch::Exact(1)], 0, 1),
+        ),
+    ];
+    for (name, writer) in writers {
+        let program = staged(
+            l.clone(),
+            vec![
+                reader("probe", k, seen, &[3, 4]),
+                writer,
+                reader("read", k, out, &[3, 5, 7, 9]),
+            ],
+            vec![],
+        );
+        for k_uniform in [false, true] {
+            for x_uniform in [false, true] {
+                let phvs = batch(
+                    &program,
+                    70,
+                    &[
+                        (k, &|i| if k_uniform { 3 } else { 3 + (i as u64 % 3) }),
+                        (x, &|i| if x_uniform { 7 } else { i as u64 * 5 }),
+                        (j, &|i| i as u64 % 3),
+                    ],
+                );
+                let label = format!("{name} / k uniform {k_uniform} / x uniform {x_uniform}");
+                let counts = check_soa_batch(&label, &program, &phvs);
+                // The probe did resolve off the fact under test …
+                assert_eq!(counts[0].uniform_lookup, u64::from(k_uniform), "{label}");
+                // … and the reader off the column as the writer left it.
+                let now_uniform = match name {
+                    "uniform/const" => true,
+                    "uniform/field" => x_uniform,
+                    _ => false,
+                };
+                assert_eq!(counts[2].uniform_lookup, u64::from(now_uniform), "{label}");
+            }
+        }
+    }
+}
+
+/// A fact is taken over the lanes live at the time. When a fault narrows
+/// the batch afterwards, `Uniform` is still true of the lanes that are
+/// left and `Varying` merely pessimistic — here the key column is uniform
+/// exactly over the prefix before the faulting lane.
+#[test]
+fn facts_taken_before_a_fault_stay_correct_after_it() {
+    let mut l = PhvLayout::new();
+    let k = l.field("k", 4);
+    let idx = l.field("idx", 8);
+    let seen = l.field("seen", 8);
+    let out = l.field("out", 8);
+    let bump = Action::nop("bump").call(StatefulCall {
+        array: RegArrayId(0),
+        index: Operand::Field(idx),
+        cond: SaluCond::Always,
+        on_true: SaluUpdate::AddSat(Operand::Const(1)),
+        on_false: SaluUpdate::Keep,
+        output: None,
+    });
+    let program = staged(
+        l,
+        vec![
+            reader("probe", k, seen, &[3, 4]),
+            Table::always("bump", bump),
+            reader("read", k, out, &[3, 4, 5]),
+        ],
+        vec![array("r", 32, 4, 1)],
+    );
+    let n = 64;
+    for fault_at in [1usize, 20, 63] {
+        for uniform_after in [false, true] {
+            let phvs = batch(
+                &program,
+                n,
+                &[
+                    (k, &|i| {
+                        if i < fault_at || uniform_after {
+                            3
+                        } else {
+                            4 + (i as u64 % 2)
+                        }
+                    }),
+                    (idx, &|i| if i == fault_at { 9 } else { i as u64 % 4 }),
+                ],
+            );
+            let label = format!("fault at {fault_at} / uniform after it: {uniform_after}");
+            let counts = check_soa_batch(&label, &program, &phvs);
+            assert_eq!(counts[0].lanes, n as u64, "{label}");
+            assert_eq!(counts[2].lanes, fault_at as u64, "{label}: narrowed");
+            // The stale `Varying` costs the per-lane path, nothing else.
+            assert_eq!(
+                counts[2].uniform_lookup,
+                u64::from(uniform_after),
+                "{label}"
+            );
+        }
+    }
+}
+
+/// Every entry of the table pins `op = 1`, so the table is gated on `op`:
+/// a batch whose `op` column is uniformly something else is decided by one
+/// compare, one whose `op` is uniformly 1 passes the gate for every lane,
+/// and a mixed batch is gated lane by lane.
+#[test]
+fn a_gate_on_a_uniform_column_decides_the_whole_batch() {
+    let mut l = PhvLayout::new();
+    let op = l.field("op", 2);
+    let mag = l.field("mag", 40);
+    let out = l.field("out", 8);
+    for default in [None, Some(2)] {
+        let set = |v: i64| Action::nop(format!("set{v}")).set(out, Operand::Const(v));
+        let mut t = Table::keyed(
+            "gated",
+            vec![(op, MatchKind::Exact), (mag, MatchKind::Ternary)],
+            vec![set(1), set(2), set(9)],
+            default,
+        );
+        for (bit, action) in [(35u32, 0usize), (7, 1)] {
+            let pat = KeyMatch::Ternary {
+                value: 1 << bit,
+                mask: 1 << bit,
+            };
+            t = t.entry(vec![KeyMatch::Exact(1), pat], bit, action);
+        }
+        let program = staged(l.clone(), vec![t], vec![]);
+        for (shape, gate_decided) in [("fails", 1), ("passes", 0), ("mixed", 0)] {
+            let phvs = batch(
+                &program,
+                77,
+                &[
+                    (op, &|i| match shape {
+                        "fails" => 2,
+                        "passes" => 1,
+                        _ => i as u64 % 3,
+                    }),
+                    (mag, &|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A) >> 8),
+                ],
+            );
+            let label = format!("gate {shape} / default {default:?}");
+            let counts = check_soa_batch(&label, &program, &phvs);
+            assert_eq!(counts[0].gate_decided, gate_decided, "{label}");
+            assert_eq!(counts[0].per_lane, 1 - gate_decided, "{label}");
+        }
+    }
+}
+
+/// Keys the folded per-lane path does not take: more varying columns than
+/// it packs, a tuple wider than 64 bits, and a varying width one bit past
+/// the split-LUT's — next to the widest one the LUT does take.
+#[test]
+fn wide_keys_and_many_varying_columns_fall_back_to_per_lane_lookup() {
+    let mut l = PhvLayout::new();
+    let nibbles: Vec<FieldId> = (0..9).map(|i| l.field(format!("n{i}"), 4)).collect();
+    let wide = l.field("wide", 64);
+    let b6 = l.field("b6", 6);
+    let b7 = l.field("b7", 7);
+    // One output per table, so no table hides another's result.
+    let outs: Vec<FieldId> = (0..4).map(|t| l.field(format!("out{t}"), 8)).collect();
+    let set = |t: usize, v: i64| Action::nop(format!("set{v}")).set(outs[t], Operand::Const(v));
+    let nine_keys: Vec<(FieldId, MatchKind)> =
+        nibbles.iter().map(|&f| (f, MatchKind::Exact)).collect();
+    let mut nine = Table::keyed(
+        "nine",
+        nine_keys,
+        vec![set(0, 1), set(0, 2), set(0, 3)],
+        Some(2),
+    );
+    // Lane `i` carries nibble `(i + c) % 16` in column `c`.
+    let tuple =
+        |i: u64| -> Vec<KeyMatch> { (0..9).map(|c| KeyMatch::Exact((i + c) % 16)).collect() };
+    nine = nine.entry(tuple(3), 1, 0).entry(tuple(8), 1, 1);
+    let mut any_but_first = tuple(5);
+    any_but_first[1..].fill(KeyMatch::Any);
+    nine = nine.entry(any_but_first, 0, 1);
+    let over_64 = Table::keyed(
+        "over64",
+        vec![(wide, MatchKind::Exact), (nibbles[0], MatchKind::Exact)],
+        vec![set(1, 4), set(1, 5)],
+        None,
+    )
+    .entry(
+        vec![KeyMatch::Exact(u64::MAX - 2), KeyMatch::Exact(2)],
+        0,
+        0,
+    )
+    .entry(vec![KeyMatch::Any, KeyMatch::Exact(7)], 0, 1);
+    let lut_sized = |t: usize, name: &str, key: FieldId| {
+        let actions = vec![set(t, 6), set(t, 7)];
+        Table::keyed(name, vec![(key, MatchKind::Exact)], actions, None)
+            .entry(vec![KeyMatch::Exact(1)], 0, 0)
+            .entry(vec![KeyMatch::Exact(33)], 0, 1)
+    };
+    let program = staged(
+        l,
+        vec![
+            nine,
+            over_64,
+            lut_sized(2, "six", b6),
+            lut_sized(3, "seven", b7),
+        ],
+        vec![],
+    );
+    let nibble_cols: Vec<Box<dyn Fn(usize) -> u64>> = (0..9u64)
+        .map(|c| Box::new(move |i: usize| (i as u64 + c) % 16) as Box<dyn Fn(usize) -> u64>)
+        .collect();
+    let mut cols: Vec<(FieldId, &dyn Fn(usize) -> u64)> = nibbles
+        .iter()
+        .zip(&nibble_cols)
+        .map(|(&f, fill)| (f, fill.as_ref()))
+        .collect();
+    cols.push((wide, &|i| u64::MAX - i as u64 % 5));
+    cols.push((b6, &|i| i as u64 % 64));
+    cols.push((b7, &|i| i as u64 % 128));
+    let counts = check_soa_batch("fallbacks", &program, &batch(&program, 200, &cols));
+    for (t, name) in ["nine", "over64"].iter().enumerate() {
+        assert_eq!((counts[t].per_lane, counts[t].lut), (1, 0), "{name}");
+    }
+    assert_eq!((counts[2].per_lane, counts[2].lut), (0, 1), "six bits: LUT");
+    assert_eq!((counts[3].per_lane, counts[3].lut), (1, 0), "seven bits");
+}
+
+/// Scan-only tables (no all-exact entry) under a uniform `op` column: the
+/// entries `op` rules out are dropped once per batch, and what is left is
+/// swept on the varying column(s) — mask/value rows on half-width or full
+/// lanes, a range pattern, and two varying columns.
+#[test]
+fn scan_tables_fold_their_uniform_columns() {
+    let mut l = PhvLayout::new();
+    let op = l.field("op", 2);
+    let narrow = l.field("narrow", 16);
+    let wide = l.field("wide", 48);
+    let r = l.field("r", 12);
+    // One output per table, so no table hides another's result.
+    let outs: Vec<FieldId> = (0..4).map(|t| l.field(format!("out{t}"), 8)).collect();
+    let set = |t: usize, v: i64| Action::nop(format!("set{v}")).set(outs[t], Operand::Const(v));
+    let top_bit = |t: usize, name: &str, key: FieldId, bits: u32, default| {
+        // One entry per leading-one position, as the FPISA `find_top`.
+        let actions = (0..bits as i64).chain([77]).map(|v| set(t, v)).collect();
+        let keys = vec![(op, MatchKind::Exact), (key, MatchKind::Ternary)];
+        let mut t = Table::keyed(name, keys, actions, default);
+        for b in 0..bits {
+            let pat = KeyMatch::Ternary {
+                value: 1 << b,
+                mask: !0 << b,
+            };
+            // `op = 2` entries outrank the `op = 1` ones but must never
+            // win on an `op = 1` batch.
+            t = t.entry(vec![KeyMatch::Exact(1), pat], b + 1, b as usize);
+            t = t.entry(vec![KeyMatch::Exact(2), pat], b + 100, bits as usize);
+        }
+        t
+    };
+    let ranged = Table::keyed(
+        "ranged",
+        vec![(op, MatchKind::Exact), (r, MatchKind::Range)],
+        vec![set(2, 1), set(2, 2), set(2, 3)],
+        Some(2),
+    )
+    .entry(
+        vec![KeyMatch::Exact(1), KeyMatch::Range { lo: 10, hi: 200 }],
+        1,
+        0,
+    )
+    .entry(
+        vec![KeyMatch::Exact(1), KeyMatch::Range { lo: 150, hi: 900 }],
+        2,
+        1,
+    )
+    .entry(
+        vec![KeyMatch::Any, KeyMatch::Range { lo: 4000, hi: 4095 }],
+        0,
+        0,
+    );
+    let two_cols = Table::keyed(
+        "two",
+        vec![
+            (op, MatchKind::Exact),
+            (narrow, MatchKind::Ternary),
+            (r, MatchKind::Ternary),
+        ],
+        vec![set(3, 4), set(3, 5)],
+        None,
+    )
+    .entry(
+        vec![
+            KeyMatch::Exact(1),
+            KeyMatch::Ternary { value: 1, mask: 1 },
+            KeyMatch::Ternary { value: 0, mask: 2 },
+        ],
+        0,
+        0,
+    )
+    .entry(
+        vec![
+            KeyMatch::Any,
+            KeyMatch::Any,
+            KeyMatch::Ternary { value: 4, mask: 4 },
+        ],
+        0,
+        1,
+    );
+    let program = staged(
+        l,
+        vec![
+            top_bit(0, "narrow", narrow, 16, None),
+            top_bit(1, "wide", wide, 48, Some(48)),
+            ranged,
+            two_cols,
+        ],
+        vec![],
+    );
+    for n in [5usize, 64, 131] {
+        for op_uniform in [true, false] {
+            let phvs = batch(
+                &program,
+                n,
+                &[
+                    (op, &|i| if op_uniform { 1 } else { i as u64 % 3 }),
+                    (narrow, &|i| (i as u64).wrapping_mul(0x9E37) >> (i % 13)),
+                    (wide, &|i| {
+                        (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (16 + i % 40)
+                    }),
+                    (r, &|i| (i as u64 * 37) % 4096),
+                ],
+            );
+            let label = format!("{n} lanes / op uniform {op_uniform}");
+            let counts = check_soa_batch(&label, &program, &phvs);
+            for c in &counts {
+                assert_eq!(c.per_lane, 1, "{label}: {c:?}");
+            }
+        }
+    }
+}
+
+/// A table of `n_actions` actions that share no op skeleton (tape lengths,
+/// destinations and operand kinds differ, so no selector), most of them
+/// stateful, keyed exactly on `k` with no default: key `a` runs action `a`,
+/// keys past the last action miss.
+fn divergent_program(n_actions: usize, entries: usize) -> (SwitchProgram, [FieldId; 4]) {
+    let mut l = PhvLayout::new();
+    let k = l.field("k", 8);
+    let v = l.field("v", 16);
+    let w = l.field("w", 16);
+    let idx = l.field("idx", 8);
+    let out = l.field("out", 32);
+    let tail = l.field("tail", 16);
+    let call = |on_true, output| StatefulCall {
+        array: RegArrayId(0),
+        index: Operand::Field(idx),
+        cond: SaluCond::RegCmp {
+            cmp: CmpOp::Lt,
+            rhs: Operand::Field(v),
+        },
+        on_true,
+        on_false: SaluUpdate::AddWrap(Operand::Const(1)),
+        output: Some((out, output)),
+    };
+    let (fv, fw) = (Operand::Field(v), Operand::Field(w));
+    let actions: Vec<Action> = (0..n_actions)
+        .map(|a| {
+            let c = Operand::Const(a as i64 + 1);
+            let action = Action::nop(format!("a{a}"));
+            match a % 4 {
+                // Every op reads its own destination.
+                0 => action
+                    .prim(v, AluOp::Add, fv, c)
+                    .prim(v, AluOp::Xor, fv, fw)
+                    .prim(v, AluOp::Shl, fv, Operand::Const(1))
+                    .call(call(SaluUpdate::Write(fv), SaluOutput::Old)),
+                1 => action
+                    .prim(w, AluOp::Shl, fv, Operand::Const(2))
+                    .prim(v, AluOp::Xor, fw, c)
+                    .call(call(SaluUpdate::AddSat(fw), SaluOutput::New)),
+                2 => action.prim(v, AluOp::Sub, fv, fw),
+                _ => action
+                    .prim(w, AluOp::CmpLt, fv, fw)
+                    .prim(v, AluOp::And, fv, Operand::Const(0xFF))
+                    .prim(w, AluOp::Or, fw, c)
+                    .call(call(SaluUpdate::MaxSigned(fv), SaluOutput::Predicate)),
+            }
+        })
+        .collect();
+    let mut mixed = Table::keyed("mixed", vec![(k, MatchKind::Exact)], actions, None);
+    for a in 0..n_actions {
+        mixed = mixed.entry(vec![KeyMatch::Exact(a as u64)], 0, a);
+    }
+    // A later table, so packets before a fault are seen to keep executing.
+    let fold = Action::nop("fold").prim(tail, AluOp::Xor, fv, fw);
+    let program = staged(
+        l,
+        vec![mixed, Table::always("fold", fold)],
+        vec![array("r", 32, entries, 0)],
+    );
+    let cs = CompiledSwitch::compile(&program).unwrap();
+    assert_eq!(
+        cs.fusion_stats().selector_tables,
+        0,
+        "must not be a selector"
+    );
+    (program, [k, v, w, idx])
+}
+
+/// A random batch over [`divergent_program`]: one lane in five misses, the
+/// rest spread over the first `distinct` actions, each of which occurs
+/// when there are lanes enough.
+fn divergent_batch(
+    program: &SwitchProgram,
+    [k, v, w, idx]: [FieldId; 4],
+    rng: &mut SmallRng,
+    n: usize,
+    distinct: u64,
+    entries: u64,
+) -> Vec<Phv> {
+    let mut phvs: Vec<Phv> = (0..n)
+        .map(|_| {
+            let mut p = Phv::new(&program.layout);
+            let miss = rng.gen_range(0u32..5) == 0;
+            p.set(
+                k,
+                if miss {
+                    200
+                } else {
+                    rng.gen_range(0..distinct)
+                },
+            );
+            p.set(v, rng.gen_range(0..1u64 << 16));
+            p.set(w, rng.gen_range(0..1u64 << 16));
+            p.set(idx, rng.gen_range(0..entries));
+            p
+        })
+        .collect();
+    // Spread the guaranteed occurrences out, leaving misses in between.
+    for a in 0..(distinct as usize).min(n / 2) {
+        phvs[2 * a + 1].set(k, a as u64);
+    }
+    phvs
+}
+
+/// Divergent batches on a non-selector table run one masked sweep per
+/// distinct action, up to eight of them; past that, and on a table with
+/// more actions than the distinct-action bitmap holds, each packet walks
+/// its own tape. Lane counts straddle the eight-lane chunk; actions read
+/// their own destinations; MISS lanes sit between the live ones.
+#[test]
+fn masked_sweeps_and_the_walk_past_their_cut_over_match_interpreter() {
+    let entries = 8u64;
+    let mut rng = SmallRng::seed_from_u64(0xD1FE_0002);
+    for (n_actions, distincts) in [(12usize, vec![2u64, 5, 8, 9, 12]), (65, vec![2, 9, 65])] {
+        let (program, fields) = divergent_program(n_actions, entries as usize);
+        for &distinct in &distincts {
+            for n in [1usize, 7, 8, 9, 64, 255] {
+                for faults in [false, true] {
+                    let mut phvs =
+                        divergent_batch(&program, fields, &mut rng, n, distinct, entries);
+                    if faults && n >= 9 {
+                        // Two out-of-range lanes, both on stateful actions:
+                        // the earlier one must win.
+                        for (lane, bad) in [(n / 3, entries + 1), (2 * n / 3, 200)] {
+                            phvs[lane].set(fields[0], 0);
+                            phvs[lane].set(fields[3], bad);
+                        }
+                    }
+                    let label = format!(
+                        "{n_actions} actions / {distinct} hit / {n} lanes / faults={faults}"
+                    );
+                    let counts = check_soa_batch(&label, &program, &phvs);
+                    if n >= 64 {
+                        let masked = n_actions <= 64 && distinct <= 8;
+                        assert_eq!(counts[0].masked, u64::from(masked), "{label}");
+                        assert_eq!(counts[0].walk, u64::from(!masked), "{label}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Phase C applies in packet order and stops at the first out-of-range
+/// lane: with every lane on one slot (and with two slots alternating), the
+/// register must show exactly the updates of the lanes before the fault —
+/// none from the same-slot lanes after it.
+#[test]
+fn phase_c_stops_at_the_fault_inside_a_duplicate_slot_chain() {
+    let entries = 5usize;
+    let (program, idx, val, _out) = order_sensitive_program(entries);
+    let mut rng = SmallRng::seed_from_u64(0x51D5_0003);
+    for n in [9usize, 64, 255] {
+        for fault_at in [0, 1, n / 2, n - 1] {
+            for slots in [1u64, 2] {
+                let idxs: Vec<u64> = (0..n)
+                    .map(|i| {
+                        if i == fault_at {
+                            77
+                        } else {
+                            3 - i as u64 % slots
+                        }
+                    })
+                    .collect();
+                let vals: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..8u64)).collect();
+                let label = format!("{n} lanes / fault at {fault_at} / {slots} slot(s)");
+                check_adversarial_batch(&label, &program, idx, val, &idxs, &vals);
+            }
+        }
+    }
+}
+
+/// On a divergent stateful table a lane that missed makes no call, so its
+/// out-of-range index is not a fault — not where it is the only bad lane,
+/// and not where a later lane's real fault must be the one reported.
+#[test]
+fn a_miss_lane_at_the_fault_position_does_not_fault() {
+    let entries = 8u64;
+    let (program, fields) = divergent_program(4, entries as usize);
+    let [k, _, _, idx] = fields;
+    let mut rng = SmallRng::seed_from_u64(0xD1FE_0003);
+    for n in [9usize, 64, 255] {
+        for later_fault in [false, true] {
+            let mut phvs = divergent_batch(&program, fields, &mut rng, n, 4, entries);
+            phvs[n / 2].set(k, 200); // misses …
+            phvs[n / 2].set(idx, 250); // … so this index is never used
+            if later_fault {
+                phvs[n - 2].set(k, 1);
+                phvs[n - 2].set(idx, 100);
+            }
+            let label = format!("{n} lanes / later fault: {later_fault}");
+            let counts = check_soa_batch(&label, &program, &phvs);
+            let reached = if later_fault { n - 2 } else { n };
+            assert_eq!(counts[1].lanes, reached as u64, "{label}");
+        }
+    }
+}
+
+/// Every shape the compiler flattens a SALU condition to — constant, one
+/// leaf, two leaves under `||` / `&&` — and two three-leaf trees that keep
+/// the recursive form, each with every SALU output, under one action for
+/// the whole batch (the hoisted loop) and under a divergent table.
+#[test]
+fn salu_condition_shapes_and_outputs_match_interpreter() {
+    let mut l = PhvLayout::new();
+    let k = l.field("k", 2);
+    let idx = l.field("idx", 4);
+    let flag = l.field("flag", 1);
+    let val = l.field("val", 12);
+    let out = l.field("out", 32);
+    let leaf = |cmp, rhs| SaluCond::RegCmp { cmp, rhs };
+    let (a, b, c) = (
+        leaf(CmpOp::Lt, Operand::Field(val)),
+        SaluCond::MetaNonZero(flag),
+        leaf(CmpOp::Ge, Operand::Const(40)),
+    );
+    let or = |x: &SaluCond, y: &SaluCond| SaluCond::Or(Box::new(x.clone()), Box::new(y.clone()));
+    let and = |x: &SaluCond, y: &SaluCond| SaluCond::And(Box::new(x.clone()), Box::new(y.clone()));
+    let conds = [
+        SaluCond::Always,
+        a.clone(),
+        b.clone(),
+        leaf(CmpOp::Ne, Operand::Const(0)),
+        or(&a, &b),
+        and(&a, &b),
+        or(&SaluCond::Always, &c),
+        or(&and(&a, &b), &c),
+        and(&a, &or(&b, &c)),
+    ];
+    let outputs = [
+        None,
+        Some(SaluOutput::Old),
+        Some(SaluOutput::New),
+        Some(SaluOutput::Predicate),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x5A1_0001);
+    for cond in &conds {
+        for output in outputs {
+            let call = |on_true| StatefulCall {
+                array: RegArrayId(0),
+                index: Operand::Field(idx),
+                cond: cond.clone(),
+                on_true,
+                on_false: SaluUpdate::AddWrap(Operand::Const(3)),
+                output: output.map(|o| (out, o)),
+            };
+            let write = Action::nop("write").call(call(SaluUpdate::Write(Operand::Field(val))));
+            let add = Action::nop("add").call(call(SaluUpdate::AddSat(Operand::Field(val))));
+            let divergent = Table::keyed(
+                "t",
+                vec![(k, MatchKind::Exact)],
+                vec![write.clone(), add],
+                None,
+            )
+            .entry(vec![KeyMatch::Exact(0)], 0, 0)
+            .entry(vec![KeyMatch::Exact(1)], 0, 1);
+            for table in [Table::always("t", write), divergent] {
+                let program = staged(l.clone(), vec![table], vec![array("r", 16, 6, 0)]);
+                for faults in [false, true] {
+                    let mut phvs: Vec<Phv> =
+                        (0..100).map(|_| random_phv(&program, &mut rng)).collect();
+                    for (i, p) in phvs.iter_mut().enumerate() {
+                        // In range unless this batch is meant to fault.
+                        if !(faults && i == 71) {
+                            p.set(idx, p.get(idx) % 6);
+                        } else {
+                            p.set(idx, 6);
+                            p.set(k, 1);
+                        }
+                    }
+                    let label = format!("{cond:?} / {output:?} / faults={faults}");
+                    check_soa_batch(&label, &program, &phvs);
+                }
+            }
+        }
+    }
+}
+
+/// The saturating updates at the edges of `i64`: the interpreter sums in
+/// 128 bits and clamps, the compiled engine saturates in 64 and clamps.
+/// Operands at `i64::MAX` / `i64::MIN`, through a 64-bit register (the
+/// clamp is the `i64` range itself) and a 32-bit one (a sum that leaves
+/// `i64` must still land on the 32-bit bound), for `AddSat` and
+/// `ShiftRightAddSat`, all on one slot so each lane builds on the last.
+#[test]
+fn saturating_updates_at_the_i64_edges_match_interpreter() {
+    let mut l = PhvLayout::new();
+    let x = l.field("x", 64);
+    let s = l.field("s", 8);
+    let out = l.field("out", 64);
+    let edges = [
+        i64::MAX,
+        i64::MAX,
+        -1,
+        i64::MIN,
+        i64::MIN,
+        i64::MIN,
+        1,
+        i64::MAX,
+        i64::MIN + 1,
+        0,
+        i64::MAX - 1,
+        2,
+    ];
+    for width in [64u32, 32] {
+        let updates = [
+            SaluUpdate::AddSat(Operand::Field(x)),
+            SaluUpdate::ShiftRightAddSat {
+                shift: Operand::Field(s),
+                addend: Operand::Field(x),
+            },
+            // A constant operand far outside a narrow register's range.
+            SaluUpdate::AddSat(Operand::Const(i64::MAX)),
+            SaluUpdate::AddSat(Operand::Const(i64::MIN)),
+        ];
+        for update in updates {
+            let act = Action::nop("sat").call(StatefulCall {
+                array: RegArrayId(0),
+                index: Operand::Const(1),
+                cond: SaluCond::MetaNonZero(s),
+                on_true: update,
+                on_false: SaluUpdate::AddSat(Operand::Field(x)),
+                output: Some((out, SaluOutput::New)),
+            });
+            let program = staged(
+                l.clone(),
+                vec![Table::always("t", act)],
+                vec![array("r", width, 2, 0)],
+            );
+            let phvs = batch(
+                &program,
+                edges.len() * 4,
+                &[
+                    (x, &|i| edges[i % edges.len()] as u64),
+                    // Shift distances 0, 1, 63 and past the width; 0 also
+                    // selects the plain add through the condition.
+                    (s, &|i| [0u64, 1, 63, 200][i / edges.len()]),
+                ],
+            );
+            check_soa_batch(&format!("{width}-bit / {update:?}"), &program, &phvs);
         }
     }
 }
