@@ -51,6 +51,11 @@
 //! assert_eq!(sw.read_all().unwrap(), vec![2.0, 4.0, 6.0, 8.0]);
 //! ```
 
+// The frame codecs are fast because of table lookups and fixed-width
+// copies, not unchecked access; no safe-code rule may be traded for speed
+// here.
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod experiment;
 pub mod fpisa;

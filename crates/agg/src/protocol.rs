@@ -33,6 +33,28 @@
 //! the chunk's **current round** — enough for a worker to distinguish
 //! "my duplicate was dropped idempotently" from "my packet was lost",
 //! and for a restarted or stale worker to resync onto the live round.
+//!
+//! ## Cost of a frame
+//!
+//! Framing is end-host work, the thing §5.3 says in-network aggregation is
+//! limited by, so the codecs are built to cost a small multiple of a
+//! `memcpy`:
+//!
+//! * [`crc32`] is **slice-by-8**: eight 256-entry tables (8 KiB, built by
+//!   a `const fn` into a `static`, so there is no lazy initialisation to
+//!   pay or race on) consume eight input bytes per step with eight
+//!   independent lookups, and a byte-at-a-time tail finishes the last
+//!   0–7 bytes. It is the same IEEE reflected polynomial `0xEDB88320` and
+//!   the same value for every input as the bit-at-a-time definition,
+//!   which survives as the test oracle. A hardware CRC instruction is
+//!   deliberately not used: SSE4.2 `crc32` computes CRC-32C (Castagnoli,
+//!   `0x82F63B78`), a different polynomial — that would be a wire-format
+//!   change, not an optimisation.
+//! * [`encode_packet`] / [`decode_packet`] move the payload in **one
+//!   fixed-width pass** chosen once per frame from `word_bytes`
+//!   (2, 4 or 8), into one exactly-sized allocation; the too-wide-word
+//!   check is a single OR-reduction over the payload, and the offending
+//!   index is only looked up on the error path.
 
 use fpisa_core::BlockFp;
 use serde::{Deserialize, Serialize};
@@ -50,6 +72,8 @@ pub const WIRE_VERSION: u8 = 2;
 pub const PACKET_HEADER_BYTES: usize = 22;
 /// Bytes of an [`AckPacket`] frame before the trailer.
 pub const ACK_HEADER_BYTES: usize = 26;
+/// Header bytes preceding the mantissas of a block-floating-point frame.
+pub const BLOCK_HEADER_BYTES: usize = 12;
 /// CRC-32 trailer bytes terminating every frame.
 pub const FRAME_TRAILER_BYTES: usize = 4;
 /// Most workers a job can fan in — the per-chunk contribution bitmap is one
@@ -165,17 +189,23 @@ pub enum FrameError {
         /// Elements the bytes actually hold.
         actual: usize,
     },
-    /// A word does not fit the declared width (encode-side error).
+    /// A word does not fit the declared width: a packet payload word
+    /// wider than `word_bytes` (encode-side error), or a block mantissa
+    /// beyond the `man_bits` magnitude bits the header declares (refused
+    /// by the block encoder and decoder alike).
     WordTooWide {
         /// Offending payload index.
         index: usize,
     },
     /// A header field does not fit its wire width (encode-side error):
-    /// worker ids and payload counts are 16-bit on the wire.
+    /// worker ids, payload counts, block biases and exponents are 16-bit
+    /// on the wire.
     HeaderFieldTooWide {
         /// Name of the offending field.
         field: String,
     },
+    /// An acknowledgement sets flag bits this wire version reserves.
+    BadFlags(u8),
     /// The CRC-32 trailer does not match the frame contents — the frame
     /// was corrupted in flight.
     BadChecksum {
@@ -210,6 +240,9 @@ impl std::fmt::Display for FrameError {
                     "header field `{field}` does not fit its 16-bit wire width"
                 )
             }
+            FrameError::BadFlags(flags) => {
+                write!(f, "acknowledgement sets reserved flag bits ({flags:#04x})")
+            }
             FrameError::BadChecksum { declared, actual } => {
                 write!(
                     f,
@@ -224,21 +257,66 @@ impl std::error::Error for FrameError {}
 
 use crate::backend::AggError;
 
-/// The CRC-32 (IEEE reflected, as in Ethernet) every frame's trailer
-/// carries over all preceding bytes.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 generator polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b` through
+/// it; `CRC_TABLES[k][b]` is the same followed by `k` zero bytes, which is
+/// what lets eight bytes be folded in with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// The CRC-32 (IEEE reflected, as in Ethernet) every frame's trailer
+/// carries over all preceding bytes. Slice-by-8: see the module docs.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut steps = bytes.chunks_exact(8);
+    for c in &mut steps {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in steps.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Append the CRC-32 trailer to a frame under construction.
+/// Append the CRC-32 trailer to a frame under construction. Every encoder
+/// reserves [`FRAME_TRAILER_BYTES`] for it up front, so this never
+/// reallocates.
 fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&frame);
     frame.extend_from_slice(&crc.to_le_bytes());
@@ -263,6 +341,26 @@ fn open_frame(bytes: &[u8], min_len: usize) -> Result<&[u8], FrameError> {
     Ok(contents)
 }
 
+/// Pack `words` little-endian at `N` bytes each into `body`, which holds
+/// exactly `N` bytes per word. `N` is a constant so every store is
+/// fixed-width.
+fn pack_words<const N: usize>(body: &mut [u8], words: &[u64]) {
+    for (dst, w) in body.chunks_exact_mut(N).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes()[..N]);
+    }
+}
+
+/// The inverse of [`pack_words`], into one exactly-sized allocation.
+fn unpack_words<const N: usize>(body: &[u8]) -> Vec<u64> {
+    body.chunks_exact(N)
+        .map(|src| {
+            let mut word = [0u8; 8];
+            word[..N].copy_from_slice(src);
+            u64::from_le_bytes(word)
+        })
+        .collect()
+}
+
 /// Serialize a packet, packing each payload word at `word_bytes` bytes
 /// (2, 4 or 8 — FP16/BF16, FP32/fixed-point, f64 reference).
 pub fn encode_packet(pkt: &AggPacket, word_bytes: u8) -> Result<Vec<u8>, FrameError> {
@@ -279,12 +377,18 @@ pub fn encode_packet(pkt: &AggPacket, word_bytes: u8) -> Result<Vec<u8>, FrameEr
             field: "count".into(),
         });
     }
-    let limit = if word_bytes == 8 {
-        u64::MAX
-    } else {
-        (1u64 << (8 * word_bytes as u32)) - 1
-    };
-    let mut out = Vec::with_capacity(PACKET_HEADER_BYTES + pkt.payload.len() * word_bytes as usize);
+    // A word is too wide exactly when it has a bit above the packed
+    // width, so OR-ing the payload together answers "any?" in one
+    // branch-free pass; which word it was matters only on the error path.
+    let fits = u64::MAX >> (64 - 8 * word_bytes as u32);
+    if pkt.payload.iter().fold(0, |acc, w| acc | w) & !fits != 0 {
+        let index = pkt.payload.iter().position(|&w| w > fits);
+        return Err(FrameError::WordTooWide {
+            index: index.expect("a wide bit in the OR comes from some word"),
+        });
+    }
+    let body_end = PACKET_HEADER_BYTES + pkt.payload.len() * word_bytes as usize;
+    let mut out = Vec::with_capacity(body_end + FRAME_TRAILER_BYTES);
     out.extend_from_slice(&PACKET_MAGIC);
     out.push(WIRE_VERSION);
     out.push(word_bytes);
@@ -294,11 +398,12 @@ pub fn encode_packet(pkt: &AggPacket, word_bytes: u8) -> Result<Vec<u8>, FrameEr
     out.extend_from_slice(&pkt.chunk.to_le_bytes());
     out.extend_from_slice(&(pkt.payload.len() as u16).to_le_bytes());
     debug_assert_eq!(out.len(), PACKET_HEADER_BYTES);
-    for (i, &w) in pkt.payload.iter().enumerate() {
-        if w > limit {
-            return Err(FrameError::WordTooWide { index: i });
-        }
-        out.extend_from_slice(&w.to_le_bytes()[..word_bytes as usize]);
+    out.resize(body_end, 0);
+    let body = &mut out[PACKET_HEADER_BYTES..];
+    match word_bytes {
+        2 => pack_words::<2>(body, &pkt.payload),
+        4 => pack_words::<4>(body, &pkt.payload),
+        _ => pack_words::<8>(body, &pkt.payload),
     }
     Ok(seal_frame(out))
 }
@@ -329,14 +434,11 @@ pub fn decode_packet(frame: &[u8]) -> Result<AggPacket, FrameError> {
             actual: body.len() / word_bytes as usize,
         });
     }
-    let payload = body
-        .chunks_exact(word_bytes as usize)
-        .map(|c| {
-            let mut buf = [0u8; 8];
-            buf[..c.len()].copy_from_slice(c);
-            u64::from_le_bytes(buf)
-        })
-        .collect();
+    let payload = match word_bytes {
+        2 => unpack_words::<2>(body),
+        4 => unpack_words::<4>(body),
+        _ => unpack_words::<8>(body),
+    };
     Ok(AggPacket {
         job,
         worker,
@@ -352,29 +454,58 @@ pub fn block_mantissa_bytes(man_bits: u32) -> usize {
     ((man_bits as usize + 1).div_ceil(8)).max(1)
 }
 
+/// Largest mantissa magnitude a block of `man_bits` carries:
+/// [`BlockFp::from_f32`] clamps every element to `±(2^man_bits − 1)`, so
+/// anything beyond is not a block this protocol produced — even where the
+/// whole bytes of [`block_mantissa_bytes`] could hold it.
+fn block_mantissa_limit(man_bits: u32) -> u32 {
+    (1u32 << man_bits) - 1
+}
+
 /// Serialize a [`BlockFp`] in the §3.3 wire layout: magic, version, the
 /// block geometry, the shared exponent once, then every signed mantissa
 /// packed at [`block_mantissa_bytes`] — the amortization that makes block
-/// floating point cheaper than scalar formats on the wire.
-pub fn encode_block_fp(block: &BlockFp) -> Vec<u8> {
+/// floating point cheaper than scalar formats on the wire. A block the
+/// header cannot describe (geometry, bias or exponent beyond their wire
+/// fields, a mantissa beyond `man_bits`) is refused, never truncated.
+pub fn encode_block_fp(block: &BlockFp) -> Result<Vec<u8>, FrameError> {
+    if !(2..=30).contains(&block.man_bits) {
+        return Err(FrameError::BadWordWidth(
+            u8::try_from(block.man_bits).unwrap_or(u8::MAX),
+        ));
+    }
+    let too_wide = |field: &str| FrameError::HeaderFieldTooWide {
+        field: field.into(),
+    };
+    let bias = i16::try_from(block.bias).map_err(|_| too_wide("bias"))?;
+    let shared_exp = i16::try_from(block.shared_exp).map_err(|_| too_wide("shared_exp"))?;
+    let count = u16::try_from(block.len()).map_err(|_| too_wide("count"))?;
+    let limit = block_mantissa_limit(block.man_bits);
+    if let Some(index) = block
+        .mantissas
+        .iter()
+        .position(|m| m.unsigned_abs() > limit)
+    {
+        return Err(FrameError::WordTooWide { index });
+    }
     let mb = block_mantissa_bytes(block.man_bits);
-    let mut out = Vec::with_capacity(16 + block.len() * mb);
+    let mut out = Vec::with_capacity(BLOCK_HEADER_BYTES + block.len() * mb + FRAME_TRAILER_BYTES);
     out.extend_from_slice(&BLOCK_MAGIC);
     out.push(WIRE_VERSION);
     out.push(block.man_bits as u8);
-    out.extend_from_slice(&(block.bias as i16).to_le_bytes());
-    out.extend_from_slice(&(block.shared_exp as i16).to_le_bytes());
-    out.extend_from_slice(&(block.len() as u16).to_le_bytes());
+    out.extend_from_slice(&bias.to_le_bytes());
+    out.extend_from_slice(&shared_exp.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    debug_assert_eq!(out.len(), BLOCK_HEADER_BYTES);
     for &m in &block.mantissas {
         out.extend_from_slice(&m.to_le_bytes()[..mb]);
     }
-    seal_frame(out)
+    Ok(seal_frame(out))
 }
 
 /// Parse a block-floating-point frame produced by [`encode_block_fp`].
 pub fn decode_block_fp(frame: &[u8]) -> Result<BlockFp, FrameError> {
-    const HEADER: usize = 12;
-    let bytes = open_frame(frame, HEADER + FRAME_TRAILER_BYTES)?;
+    let bytes = open_frame(frame, BLOCK_HEADER_BYTES + FRAME_TRAILER_BYTES)?;
     if bytes[0..4] != BLOCK_MAGIC {
         return Err(FrameError::BadMagic);
     }
@@ -389,7 +520,7 @@ pub fn decode_block_fp(frame: &[u8]) -> Result<BlockFp, FrameError> {
     let shared_exp = i16::from_le_bytes(bytes[8..10].try_into().unwrap()) as i32;
     let count = u16::from_le_bytes(bytes[10..12].try_into().unwrap()) as usize;
     let mb = block_mantissa_bytes(man_bits);
-    let body = &bytes[HEADER..];
+    let body = &bytes[BLOCK_HEADER_BYTES..];
     if body.len() != count * mb {
         return Err(FrameError::LengthMismatch {
             declared: count,
@@ -397,7 +528,7 @@ pub fn decode_block_fp(frame: &[u8]) -> Result<BlockFp, FrameError> {
         });
     }
     let shift = 32 - 8 * mb as u32;
-    let mantissas = body
+    let mantissas: Vec<i32> = body
         .chunks_exact(mb)
         .map(|c| {
             let mut buf = [0u8; 4];
@@ -406,6 +537,10 @@ pub fn decode_block_fp(frame: &[u8]) -> Result<BlockFp, FrameError> {
             (i32::from_le_bytes(buf) << shift) >> shift
         })
         .collect();
+    let limit = block_mantissa_limit(man_bits);
+    if let Some(index) = mantissas.iter().position(|m| m.unsigned_abs() > limit) {
+        return Err(FrameError::WordTooWide { index });
+    }
     Ok(BlockFp {
         man_bits,
         bias,
@@ -452,6 +587,11 @@ pub struct AckPacket {
     pub complete: bool,
 }
 
+/// The flag bits wire v2 defines for an acknowledgement (`recorded`,
+/// `complete`); the other six are reserved and must be zero, so that a
+/// decoded ack re-encodes to the bytes it came from.
+const ACK_FLAG_BITS: u8 = 0b11;
+
 /// Serialize an acknowledgement frame.
 pub fn encode_ack(ack: &AckPacket) -> Result<Vec<u8>, FrameError> {
     if ack.worker > u16::MAX as u32 {
@@ -494,6 +634,9 @@ pub fn decode_ack(frame: &[u8]) -> Result<AckPacket, FrameError> {
         return Err(FrameError::BadVersion(bytes[4]));
     }
     let flags = bytes[5];
+    if flags & !ACK_FLAG_BITS != 0 {
+        return Err(FrameError::BadFlags(flags));
+    }
     let le32 = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
     Ok(AckPacket {
         job: le32(6),
@@ -519,6 +662,19 @@ mod tests {
             chunk: 5,
             payload,
         }
+    }
+
+    /// The definition [`crc32`] must agree with: one bit at a time, no
+    /// tables. This is the codec the wire format was specified under.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
     }
 
     /// Recompute the trailer after deliberately mutating frame contents,
@@ -688,10 +844,10 @@ mod tests {
                 .map(|i| (i as f32 - 4.0) * 0.37 * 2f32.powi(i - 3))
                 .collect();
             let b = BlockFp::from_f32(&vals, man_bits);
-            let bytes = encode_block_fp(&b);
+            let bytes = encode_block_fp(&b).unwrap();
             assert_eq!(
                 bytes.len(),
-                12 + b.len() * block_mantissa_bytes(man_bits) + FRAME_TRAILER_BYTES,
+                BLOCK_HEADER_BYTES + b.len() * block_mantissa_bytes(man_bits) + FRAME_TRAILER_BYTES,
                 "man_bits {man_bits}"
             );
             assert_eq!(decode_block_fp(&bytes).unwrap(), b, "man_bits {man_bits}");
@@ -704,13 +860,13 @@ mod tests {
         // mantissas vs 256 bytes of FP32 — the §3.3 amortization.
         let vals = vec![0.5f32; 64];
         let b = BlockFp::from_f32(&vals, 8);
-        assert!(encode_block_fp(&b).len() < 64 * 4 / 2 + 32);
+        assert!(encode_block_fp(&b).unwrap().len() < 64 * 4 / 2 + 32);
     }
 
     #[test]
     fn block_fp_decode_rejects_malformed_frames() {
         let b = BlockFp::from_f32(&[1.0, -2.0], 8);
-        let good = encode_block_fp(&b);
+        let good = encode_block_fp(&b).unwrap();
         let mut bad = good.clone();
         bad[1] = b'Q';
         assert_eq!(decode_block_fp(&reseal(bad)), Err(FrameError::BadMagic));
@@ -783,5 +939,255 @@ mod tests {
         // The IEEE CRC-32 check value ("123456789" → 0xCBF43926).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(&[0x00; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFF; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn crc32_agrees_with_the_bitwise_definition_at_every_length() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // 0..=600 covers every tail length 0..=7 after every step count up
+        // to 75, and runs well past one data frame (154 bytes for FP16).
+        let mut rng = SmallRng::seed_from_u64(0xC3C32);
+        let bytes: Vec<u8> = (0..600).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "length {len}"
+            );
+        }
+        // The eight-byte steps are cut from the slice's own start, wherever
+        // that sits in memory.
+        for start in 1..8 {
+            assert_eq!(
+                crc32(&bytes[start..]),
+                crc32_bitwise(&bytes[start..]),
+                "from offset {start}"
+            );
+        }
+    }
+
+    /// Frames emitted by the commit *before* the table-driven CRC and the
+    /// width-specialised codecs, byte for byte: the wire did not move.
+    #[test]
+    fn wire_bytes_match_the_frames_recorded_before_the_fast_codecs() {
+        assert_eq!(WIRE_VERSION, 2);
+        let pkt = |payload: Vec<u64>| AggPacket {
+            job: 0x0A0B_0C0D,
+            worker: 0x1234,
+            round: 0x5566_7788,
+            chunk: 0x99AA_BBCC,
+            payload,
+        };
+        #[rustfmt::skip]
+        let header = |word_bytes: u8, count: u8| vec![
+            b'F', b'P', b'A', b'G', 2, word_bytes,
+            0x0D, 0x0C, 0x0B, 0x0A, 0x34, 0x12,
+            0x88, 0x77, 0x66, 0x55, 0xCC, 0xBB, 0xAA, 0x99, count, 0x00,
+        ];
+        #[rustfmt::skip]
+        let golden: [(u8, Vec<u64>, Vec<u8>); 3] = [
+            (2, vec![0, 1, 0x3C00, 0xFFFF, 0x8001], [header(2, 5), vec![
+                0x00, 0x00, 0x01, 0x00, 0x00, 0x3C, 0xFF, 0xFF, 0x01, 0x80,
+                0x15, 0xBA, 0x1F, 0xF1,
+            ]].concat()),
+            (4, vec![0, 0x3F80_0000, 0xFFFF_FFFF, 0x8000_0001], [header(4, 4), vec![
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3F,
+                0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x00, 0x00, 0x80,
+                0x94, 0x63, 0x30, 0xD6,
+            ]].concat()),
+            (8, vec![0, 1.0f64.to_bits(), u64::MAX, 0x0102_0304_0506_0708], [header(8, 4), vec![
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+                0x8A, 0xF7, 0x55, 0x96,
+            ]].concat()),
+        ];
+        for (wb, payload, bytes) in golden {
+            let p = pkt(payload);
+            assert_eq!(encode_packet(&p, wb).unwrap(), bytes, "word_bytes {wb}");
+            assert_eq!(decode_packet(&bytes).unwrap(), p, "word_bytes {wb}");
+        }
+
+        let ack = AckPacket {
+            job: 0x0A0B_0C0D,
+            worker: 0x1234,
+            round: 0x5566_7788,
+            chunk: 0x99AA_BBCC,
+            contributors: 0x0708,
+            current_round: 0x5566_7789,
+            recorded: true,
+            complete: true,
+        };
+        #[rustfmt::skip]
+        let ack_bytes = [
+            b'F', b'P', b'A', b'K', 2, 0x03,
+            0x0D, 0x0C, 0x0B, 0x0A, 0x34, 0x12,
+            0x88, 0x77, 0x66, 0x55, 0xCC, 0xBB, 0xAA, 0x99, 0x08, 0x07,
+            0x89, 0x77, 0x66, 0x55,
+            0xAB, 0x69, 0x23, 0x81,
+        ];
+        assert_eq!(encode_ack(&ack).unwrap(), ack_bytes);
+        assert_eq!(decode_ack(&ack_bytes).unwrap(), ack);
+
+        let block = BlockFp::from_f32(&[1.0, -2.0, 0.375, -0.0625], 10);
+        #[rustfmt::skip]
+        let block_bytes = [
+            b'F', b'P', b'B', b'K', 2, 10, 0x7F, 0x00, 0x81, 0x00, 0x04, 0x00,
+            0x00, 0x01, 0x00, 0xFE, 0x60, 0x00, 0xF0, 0xFF,
+            0xE9, 0xDB, 0xE7, 0x4A,
+        ];
+        assert_eq!(encode_block_fp(&block).unwrap(), block_bytes);
+        assert_eq!(decode_block_fp(&block_bytes).unwrap(), block);
+    }
+
+    #[test]
+    fn word_too_wide_names_the_first_offender() {
+        // Two offenders: the OR-reduction only says "some word"; the error
+        // path must still find the earlier one.
+        let mut words = vec![0x7FFFu64; 40];
+        words[9] = 0x1_0000;
+        words[31] = u64::MAX;
+        assert_eq!(
+            encode_packet(&pkt(words.clone()), 2),
+            Err(FrameError::WordTooWide { index: 9 })
+        );
+        words[9] = 0xFFFF_FFFF;
+        words[3] = 0x1_0000_0000;
+        assert_eq!(
+            encode_packet(&pkt(words.clone()), 4),
+            Err(FrameError::WordTooWide { index: 3 })
+        );
+        // Nothing is too wide for 8 bytes.
+        assert!(encode_packet(&pkt(words), 8).is_ok());
+    }
+
+    #[test]
+    fn packets_roundtrip_at_the_edge_payload_lengths() {
+        for wb in [2u8, 4, 8] {
+            let top = u64::MAX >> (64 - 8 * wb as u32);
+            for len in [0usize, 1, 7, 8, 9, 64, u16::MAX as usize] {
+                // Every byte of every word carries its own pattern, and
+                // the last word is the widest the width allows.
+                let mut payload: Vec<u64> = (1..=len as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & top)
+                    .collect();
+                if let Some(last) = payload.last_mut() {
+                    *last = top;
+                }
+                let p = pkt(payload);
+                let bytes = encode_packet(&p, wb).unwrap();
+                assert_eq!(
+                    bytes.len(),
+                    PACKET_HEADER_BYTES + len * wb as usize + FRAME_TRAILER_BYTES
+                );
+                assert_eq!(decode_packet(&bytes).unwrap(), p, "{len} words of {wb}");
+            }
+        }
+    }
+
+    #[test]
+    fn ack_with_reserved_flag_bits_is_rejected() {
+        let ack = AckPacket {
+            job: 1,
+            worker: 2,
+            round: 3,
+            chunk: 4,
+            contributors: 5,
+            current_round: 3,
+            recorded: true,
+            complete: true,
+        };
+        let good = encode_ack(&ack).unwrap();
+        for flags in [0xFFu8, 0x04, 0x80, 0x13] {
+            let mut bad = good.clone();
+            bad[5] = flags;
+            assert_eq!(
+                decode_ack(&reseal(bad)),
+                Err(FrameError::BadFlags(flags)),
+                "flags {flags:#04x}"
+            );
+        }
+    }
+
+    #[test]
+    fn block_fp_encode_refuses_what_the_header_cannot_carry() {
+        let good = BlockFp::from_f32(&[1.0, -2.0], 8);
+        let too_wide = |field: &str| {
+            Err(FrameError::HeaderFieldTooWide {
+                field: field.into(),
+            })
+        };
+        for (bias, shared_exp, field) in [
+            (i16::MAX as i32 + 1, 0, "bias"),
+            (i16::MIN as i32 - 1, 0, "bias"),
+            (127, i16::MAX as i32 + 1, "shared_exp"),
+        ] {
+            let b = BlockFp {
+                bias,
+                shared_exp,
+                ..good.clone()
+            };
+            assert_eq!(encode_block_fp(&b), too_wide(field));
+        }
+        let long = BlockFp {
+            mantissas: vec![0; u16::MAX as usize + 1],
+            ..good.clone()
+        };
+        assert_eq!(encode_block_fp(&long), too_wide("count"));
+        for man_bits in [0u32, 1, 31, 300] {
+            let b = BlockFp {
+                man_bits,
+                ..good.clone()
+            };
+            assert!(matches!(
+                encode_block_fp(&b),
+                Err(FrameError::BadWordWidth(_))
+            ));
+        }
+        // 256 needs a ninth magnitude bit; i32::MIN has no magnitude at all.
+        for m in [256, -256, i32::MAX, i32::MIN] {
+            let b = BlockFp {
+                mantissas: vec![255, m, i32::MIN],
+                ..good.clone()
+            };
+            assert_eq!(
+                encode_block_fp(&b),
+                Err(FrameError::WordTooWide { index: 1 })
+            );
+        }
+    }
+
+    #[test]
+    fn block_mantissa_bound_is_what_from_f32_produces() {
+        for man_bits in 2..=30u32 {
+            let limit = block_mantissa_limit(man_bits) as i32;
+            // `from_f32` clamps to exactly ±limit (the infinities get
+            // there; the shared exponent sits one above the largest finite
+            // element's, so nothing finite can pass it)…
+            let edge = BlockFp::from_f32(
+                &[f32::INFINITY, f32::NEG_INFINITY, f32::MAX, -f32::MAX, 1.0],
+                man_bits,
+            );
+            assert_eq!(edge.mantissas[..2], [limit, -limit], "man_bits {man_bits}");
+            assert!(edge.mantissas.iter().all(|m| m.abs() <= limit));
+            // …which the wire carries both ways…
+            let bytes = encode_block_fp(&edge).unwrap();
+            assert_eq!(decode_block_fp(&bytes).unwrap(), edge);
+            // …and one past it is refused by the decoder even where the
+            // packed bytes could hold it: flipping every bit of `limit`
+            // gives -(limit + 1) at any packed width.
+            let mut beyond = bytes;
+            for b in &mut beyond[BLOCK_HEADER_BYTES..][..block_mantissa_bytes(man_bits)] {
+                *b = !*b;
+            }
+            assert_eq!(
+                decode_block_fp(&reseal(beyond)),
+                Err(FrameError::WordTooWide { index: 0 }),
+                "man_bits {man_bits}"
+            );
+        }
     }
 }

@@ -6,8 +6,10 @@
 //! so a payload flip cannot masquerade as a different valid contribution
 //! and corrupt the aggregation invariants downstream.
 
-use fpisa_agg::protocol::{encode_ack, encode_block_fp, AckPacket};
-use fpisa_agg::{decode_block_fp, decode_packet, encode_packet, AggPacket};
+use fpisa_agg::protocol::{
+    decode_ack, encode_ack, encode_block_fp, AckPacket, FRAME_TRAILER_BYTES,
+};
+use fpisa_agg::{crc32, decode_block_fp, decode_packet, encode_packet, AggPacket};
 use fpisa_core::BlockFp;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -45,7 +47,7 @@ fn corpus() -> Vec<Vec<u8>> {
     }
     for man_bits in [2u32, 8, 10, 23, 30] {
         let vals: Vec<f32> = (0..7).map(|i| (i as f32 - 3.0) * 0.625).collect();
-        frames.push(encode_block_fp(&BlockFp::from_f32(&vals, man_bits)));
+        frames.push(encode_block_fp(&BlockFp::from_f32(&vals, man_bits)).unwrap());
     }
     for (recorded, complete) in [(true, false), (true, true), (false, true)] {
         frames.push(
@@ -136,6 +138,61 @@ fn random_byte_soup_never_panics_or_parses() {
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
         for (name, accepts) in decoders() {
             assert!(!accepts(&bytes), "{name}: random bytes parsed as a frame");
+        }
+    }
+}
+
+/// A decoder followed by its encoder: `None` when the bytes are rejected,
+/// otherwise the frame the decoded value encodes to.
+type Recoder = (&'static str, fn(&[u8]) -> Option<Vec<u8>>);
+
+fn recoders() -> Vec<Recoder> {
+    const WHY: &str = "a decoded value must be encodable";
+    vec![
+        ("packet", |b| {
+            // The word width is the frame's, not the packet's: byte 5.
+            let pkt = decode_packet(b).ok()?;
+            Some(encode_packet(&pkt, b[5]).expect(WHY))
+        }),
+        ("block_fp", |b| {
+            Some(encode_block_fp(&decode_block_fp(b).ok()?).expect(WHY))
+        }),
+        ("ack", |b| {
+            Some(encode_ack(&decode_ack(b).ok()?).expect(WHY))
+        }),
+    ]
+}
+
+#[test]
+fn resealed_mutations_are_rejected_or_decode_faithfully() {
+    // The CRC normally hides the decoders' semantic checks: a mutated
+    // frame dies at the trailer. Recompute the trailer after each mutation
+    // and the checks behind it are on their own — whatever they then let
+    // through must be a value that encodes back to exactly those bytes,
+    // or the decoder has silently dropped or reinterpreted something
+    // (reserved flag bits, a mantissa wider than its declared width, ...).
+    // Every byte before the trailer is mutated, headers and payload alike.
+    for frame in corpus() {
+        let contents = frame.len() - FRAME_TRAILER_BYTES;
+        for at in 0..contents {
+            let b = frame[at];
+            for byte in [0x00, 0xFF, b ^ 0x01, b ^ 0x80] {
+                let mut bad = frame[..contents].to_vec();
+                bad[at] = byte;
+                let crc = crc32(&bad);
+                bad.extend_from_slice(&crc.to_le_bytes());
+                for (name, recode) in recoders() {
+                    if let Some(again) = recode(&bad) {
+                        assert_eq!(
+                            again,
+                            bad,
+                            "{name}: byte {at} = {byte:#04x} of a {}-byte frame decoded \
+                             to a value that encodes differently",
+                            frame.len()
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -45,6 +45,10 @@
 //! assert_eq!(acc.read_f32(), 4.0);
 //! ```
 
+// The arithmetic oracle is plain integer code; keeping it so by
+// construction keeps the ASan job scoped to the crates that need it.
+#![forbid(unsafe_code)]
+
 pub mod accumulator;
 pub mod block;
 pub mod compare;

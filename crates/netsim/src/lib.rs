@@ -45,6 +45,8 @@
 //! assert!(lossy.retransmits > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod faults;
 pub mod report;

@@ -245,3 +245,62 @@ fn corruption_is_always_caught_never_aggregated() {
     assert!(chaos.corrupt_rejected <= chaos.corrupted);
     assert_eq!(chaos.results, clean.results);
 }
+
+#[test]
+fn pinned_chaos_run_takes_the_recorded_trajectory() {
+    // A perf change to the codecs, the queue or the engine may not move a
+    // single event. Every literal below was recorded on this exact
+    // (workload, plan) with the bit-at-a-time CRC and per-word
+    // variable-width codecs the wire format was first shipped with (the
+    // PR 19 commit); `trace_hash` folds every processed (time, event,
+    // frame bytes) triple, so equal hashes mean the same frames arrived in
+    // the same order at the same times. Corruption is 2% because at 1%
+    // seed 7 never draws a flip, and the CRC reject path must be part of
+    // the pinned trajectory.
+    let wl = ChaosWorkload {
+        workers: 4,
+        elements: 256,
+        elements_per_packet: 64,
+        rounds: 4,
+        seed: 7,
+    };
+    let plan = FaultPlan::new(7)
+        .drop(0.10)
+        .duplicate(0.05)
+        .reorder(0.05, 40_000)
+        .corrupt(0.02);
+    let report = run_allreduce(
+        wl.spec(1),
+        FpisaAggregator::fp16_tofino(wl.elements).unwrap(),
+        &wl.gradients(),
+        plan,
+        SimConfig::default(),
+    )
+    .expect("simulation must complete");
+
+    assert_eq!(report.trace_hash, 0xd289_31d1_205b_e4a2);
+    assert_eq!(report.events, 366);
+    assert_eq!(report.sim_ns, 197_624);
+    assert_eq!(report.sent, 100);
+    assert_eq!(report.delivered, 95);
+    assert_eq!(report.dropped, 24);
+    assert_eq!(report.duplicated, 15);
+    assert_eq!(report.corrupted, 3);
+    assert_eq!(report.corrupt_rejected, 3);
+    assert_eq!(report.retransmits, 36);
+    assert_eq!(report.timeouts, 36);
+    assert_eq!(report.acks_sent, 143);
+    assert_eq!(report.acks_delivered, 130);
+    // FNV-1a over the little-endian bits of every result, round-major.
+    let results_fnv = report
+        .results
+        .iter()
+        .flatten()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(results_fnv, 0x971e_51b3_fb9a_2d94);
+    assert!(report.clean());
+    assert_eq!(report.results, ChaosWorkload::exact_sums(&wl.gradients()));
+}
