@@ -295,6 +295,27 @@ mod tests {
         assert_eq!(stats.clipped, 0);
     }
 
+    /// The backends the benchmark runs must stay whole on the 32-bit lane
+    /// word: a field wider than 32 bits, or a constant that breaks a
+    /// narrow-kernel rule, would drop them to 64-bit columns or to
+    /// lane-by-lane widening — here that fails a test, not a benchmark.
+    #[test]
+    fn tofino_backends_run_whole_on_32_bit_lanes() {
+        for (name, agg) in [
+            ("fp16_tofino", FpisaAggregator::fp16_tofino(8)),
+            ("bf16_tofino", FpisaAggregator::bf16_tofino(8)),
+            ("fp32_tofino", FpisaAggregator::fp32_tofino(8)),
+        ] {
+            let program = agg.unwrap().pipeline().switch_program().clone();
+            let stats = fpisa_pisa::CompiledSwitch::compile(&program)
+                .unwrap()
+                .fusion_stats();
+            assert_eq!(stats.lane_bits, 32, "{name}");
+            assert_eq!(stats.widened_ops, 0, "{name}");
+            assert_eq!(stats.narrow_ops, stats.tape_ops, "{name}");
+        }
+    }
+
     #[test]
     fn fp16_encode_clips_to_the_finite_range() {
         let mut agg = FpisaAggregator::fp16_tofino(2).unwrap();

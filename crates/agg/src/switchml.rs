@@ -460,6 +460,16 @@ mod tests {
         assert_eq!(agg.read_range(0, 4).unwrap(), vec![0.0; 4]);
     }
 
+    /// SwitchML is int32 end to end: its program must run on the 32-bit
+    /// lane word, with nothing widened (see the FPISA backends' twin).
+    #[test]
+    fn program_runs_whole_on_32_bit_lanes() {
+        let stats = CompiledSwitch::compile(&build_program(8).0)
+            .unwrap()
+            .fusion_stats();
+        assert_eq!((stats.lane_bits, stats.widened_ops), (32, 0));
+    }
+
     #[test]
     fn quantization_clips_at_qmax_and_is_accounted() {
         let mut agg = SwitchMlFixedPoint::new(1, 1.0, 4).unwrap();

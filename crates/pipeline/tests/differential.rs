@@ -19,10 +19,15 @@
 //!
 //! This is the compiled engine's 18-cell bit-for-bit guarantee: register
 //! state after every ADD, every READ result, on every
-//! `(variant × format × rounding)` configuration.
+//! `(variant × format × rounding)` configuration — and on **both lane
+//! words** of the batch engine: every generated program declares only
+//! fields of 32 bits or less, so `add_batch` / `read_batch` run on `u32`
+//! columns, and each cell's stream is replayed once more through a copy of
+//! its program that one unused 33-bit field puts on `u64` columns.
 
 use fpisa_core::{FpClass, FpFormat, FpisaAccumulator, ReadRounding, SwitchValue};
-use fpisa_pipeline::{ExecEngine, FpisaPipeline, PipelineSpec, PipelineVariant};
+use fpisa_pipeline::{ExecEngine, FpisaPipeline, PipelineSpec, PipelineVariant, OP_ADD, OP_READ};
+use fpisa_pisa::{BatchLanes, CompiledSwitch, RegArrayId};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 const SLOTS: usize = 8;
@@ -177,6 +182,7 @@ fn run_differential(variant: PipelineVariant, seed: u64) {
             pipe.add_batch(chunk).unwrap();
         }
         let batch = pipe.read_batch(&(0..SLOTS).collect::<Vec<_>>()).unwrap();
+        let wide = replay_on_wide_lanes(&pipe, &stream);
         for (slot, reference) in refs.iter().enumerate() {
             let want_state = if reference.is_initialized() {
                 (reference.exponent(), reference.mantissa())
@@ -193,8 +199,64 @@ fn run_differential(variant: PipelineVariant, seed: u64) {
                 reference.read_bits(),
                 "{cell} batch read of slot {slot}"
             );
+            assert_eq!(
+                wide[slot],
+                (want_state, reference.read_bits()),
+                "{cell} 64-bit lane word diverged in slot {slot}"
+            );
         }
     }
+}
+
+/// The batch replay once more, through `pipe`'s program on the batch
+/// engine's *other* lane word: the program is cloned, one unused 33-bit
+/// field makes its layout wide, and the stream runs in the same 96-packet
+/// batches straight through `run_lanes`. Returns every slot's
+/// `((exponent, mantissa) registers, READ result)`.
+fn replay_on_wide_lanes(pipe: &FpisaPipeline, stream: &[(usize, u64)]) -> Vec<((u32, i64), u64)> {
+    let stats = CompiledSwitch::compile(pipe.switch_program())
+        .unwrap()
+        .fusion_stats();
+    assert_eq!(
+        (stats.lane_bits, stats.widened_ops),
+        (32, 0),
+        "every generated program runs whole on the 32-bit lane word"
+    );
+    let mut program = pipe.switch_program().clone();
+    program.layout.field("lane_word_pad", 33);
+    let mut cs = CompiledSwitch::compile(&program).unwrap();
+    assert_eq!(cs.fusion_stats().lane_bits, 64);
+    let fields = pipe.fields();
+    let mut lanes = BatchLanes::new(cs.layout(), 96);
+    for chunk in stream.chunks(96) {
+        lanes.begin(chunk.len());
+        for (k, &(slot, bits)) in chunk.iter().enumerate() {
+            lanes.set(fields.op, k, OP_ADD);
+            lanes.set(fields.slot, k, slot as u64);
+            lanes.set(fields.value, k, bits);
+        }
+        cs.run_lanes(&mut lanes).unwrap();
+    }
+    lanes.begin(SLOTS);
+    for slot in 0..SLOTS {
+        lanes.set(fields.op, slot, OP_READ);
+        lanes.set(fields.slot, slot, slot as u64);
+    }
+    cs.run_lanes(&mut lanes).unwrap();
+    let array = |name: &str| {
+        let at = program.arrays.iter().position(|a| a.name == name);
+        RegArrayId(at.unwrap_or_else(|| panic!("no register array `{name}`")) as u16)
+    };
+    let (exponent, mantissa) = (array("exp_reg"), array("man_reg"));
+    (0..SLOTS)
+        .map(|slot| {
+            let state = (
+                cs.register(exponent, slot) as u32,
+                cs.register(mantissa, slot),
+            );
+            (state, lanes.get(fields.result, slot))
+        })
+        .collect()
 }
 
 #[test]

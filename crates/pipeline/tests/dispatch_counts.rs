@@ -99,6 +99,14 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
         assert_eq!(phase_a(add.of(table)), (0, 1, 0, 0), "ADD / {table}");
         assert_eq!(phase_b(add.of(table)), (1, 0, 0, 0), "ADD / {table}");
     }
+    // `classify` keys on two 32-bit columns that both vary, and has two
+    // entries (zero, subnormal) over a default: a handful of mask/value
+    // rows swept chunk-major over both columns, not a hash probe and a
+    // scan per lane. No other table of an ADD batch resolves that way.
+    assert_eq!(phase_a(add.of("classify")), (0, 0, 0, 1));
+    for (table, c) in add.names.iter().zip(&add.counts) {
+        assert_eq!(c.claimed, u64::from(table == "classify"), "ADD / {table}");
+    }
     // The sign bit: a one-bit LUT, then one masked sweep per action.
     assert_eq!(phase_a(add.of("apply_sign")), (0, 0, 1, 0));
     assert_eq!(phase_b(add.of("apply_sign")), (0, 0, 1, 0));
@@ -126,5 +134,10 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
     }
     assert_eq!(phase_a(read.of("absval")), (0, 0, 1, 0), "signs are mixed");
     assert_eq!(phase_a(read.of("find_top")), (0, 0, 0, 1));
+    assert_eq!(
+        read.of("find_top").claimed,
+        1,
+        "the LPM rows sweep the lanes"
+    );
     assert_eq!(phase_b(read.of("find_top")), (0, 1, 0, 0));
 }

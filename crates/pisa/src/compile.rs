@@ -57,8 +57,8 @@
 //! **Phase B** has three arms, tried in this order:
 //!
 //! 1. **uniform** — the whole batch resolved to one action: the tape runs
-//!    *instruction-major*, each op streaming across all lanes through the
-//!    eight-wide chunk kernels ([`LANE_CHUNK`]);
+//!    *instruction-major*, each op streaming across all lanes through its
+//!    chunk kernel, a cache line of lanes at a time;
 //! 2. **selector** — a divergent batch on a table whose actions all share
 //!    one op skeleton (the FPISA shift tables): one gathered sweep per
 //!    template position, each lane fetching its own op and constants;
@@ -82,6 +82,44 @@
 //! action. Everything else — and every scalar entry point — takes the
 //! per-packet path unchanged.
 //!
+//! ## The lane word
+//!
+//! A batch's columns are stored, and its sweeps computed, in the layout's
+//! *lane word*: `u32` when every PHV field is at most 32 bits wide, `u64`
+//! otherwise (`PhvLayout::lane_bits`; no option selects it). Everything
+//! that touches a column — facts, key packs, row claims, the three Phase B
+//! sweeps, Phase C's loads and output stores — is one generic source over
+//! `LaneWord`, instantiated twice. An action is a fixed op template plus
+//! constants (Packet Transactions), so the template is resolved when a
+//! sweep starts, not per chunk: the ALU `match` and the operand shape
+//! (`field∘field`, `field∘const`, `const∘field`) are decided outside the
+//! lane loop, each arm a loop around one branchless op in which a constant
+//! stays a scalar.
+//!
+//! The narrow word is what lets the portable x86-64 build vectorize at
+//! all: SSE2 has no 64-bit signed compare, no 64-bit arithmetic shift and
+//! no per-lane variable shift, so `u64` "vector" kernels for `CmpLt` or
+//! `ShrArith` run lane by lane; it has all three for 32-bit lanes under a
+//! uniform count (`pcmpgtd`, `psrad`, `pslld`), and moves half the bytes.
+//!
+//! Narrow arithmetic is used **per op, only where it is provably the
+//! 64-bit result truncated** — field values fit their 32-bit lane by
+//! construction, so the rules (`narrow_exact`) are all about constants:
+//!
+//! | op | exact in `u32` lanes when |
+//! |---|---|
+//! | `Set` `Add` `Sub` `And` `Or` `Xor` `Shl` | always: the low half of the result depends on the low halves alone |
+//! | `ShrLogic` `ShrArith` | a constant *left* operand lies in `0..=i32::MAX` (right shifts pull high bits down) |
+//! | `CmpEq` `CmpNe` | constants lie in `0..=u32::MAX` (raw compare; no field equals anything else) |
+//! | `CmpLt` `CmpLe` `CmpGt` `CmpGe` | constants lie in `i32::MIN..=i32::MAX` (a field's signed view always does) |
+//!
+//! Shift *counts* need no rule: a constant count is clamped to 64 when
+//! lowered, and each width zeroes (or sign-fills) once the count reaches
+//! its own 32 or 64. An op that breaks its rule is *widened*: on a `u32`
+//! batch that one op runs the 64-bit scalar ALU lane by lane, bit-exact
+//! and slow — [`FusionStats`] counts such ops, and every generated FPISA
+//! program is held to zero of them by a test.
+//!
 //! ## Dead-store elimination
 //!
 //! Lowering runs one peephole pass over each action's primitive tape: a
@@ -92,7 +130,7 @@
 
 use crate::action::{AluOp, Operand, Primitive};
 use crate::analysis::{AnalysisLevel, AnalysisReport};
-use crate::phv::{BatchLanes, FieldId, Phv, PhvLayout};
+use crate::phv::{BatchLanes, ColumnsMut, FieldId, LaneWord, Phv, PhvLayout};
 use crate::register::{
     ArrayMeta, CmpOp, RegArrayId, RegisterState, SaluCond, SaluOutput, SaluUpdate,
 };
@@ -361,6 +399,11 @@ struct CompiledTable {
 /// lanes as the LUT has entries.
 const SPLIT_LUT_BITS: u32 = 6;
 
+/// Most entries a table keyed wider than [`DENSE_MAX_BITS`] is lowered to a
+/// plain pre-sorted scan at, all-exact entries included, instead of a hash
+/// of its exact half next to a scan of the rest.
+const SCAN_MAX_ENTRIES: usize = 8;
+
 /// Most varying key columns the per-lane path packs with the uniform
 /// columns folded into a constant; a table with more falls back to the
 /// scalar [`CompiledTable::lookup`] per lane.
@@ -384,14 +427,14 @@ enum Fact {
 }
 
 /// The live lanes of a batch's column buffer together with its facts.
-struct Cols<'a> {
-    buf: &'a [u64],
+struct Cols<'a, W> {
+    buf: &'a [W],
     cap: usize,
     n: usize,
     facts: &'a mut [Fact],
 }
 
-impl Cols<'_> {
+impl<W: LaneWord> Cols<'_, W> {
     /// The fact for field `f`, established by one column sweep the first
     /// time a batch asks. The sweep tests a cache line of lanes at a time
     /// and stops at the first line holding a second value, so a
@@ -402,10 +445,10 @@ impl Cols<'_> {
             let col = &self.buf[f * self.cap..f * self.cap + self.n];
             let v = col[0];
             let uniform = col
-                .chunks(LANE_CHUNK)
-                .all(|c| c.iter().fold(0, |d, &x| d | (x ^ v)) == 0);
+                .chunks(W::LANES)
+                .all(|c| c.iter().fold(W::ZERO, |d, &x| d | (x ^ v)) == W::ZERO);
             self.facts[f] = if uniform {
-                Fact::Uniform(v)
+                Fact::Uniform(v.wide())
             } else {
                 Fact::Varying
             };
@@ -447,6 +490,10 @@ pub struct DispatchCounts {
     pub lut: u64,
     /// Phase A: each lane was matched on its own key.
     pub per_lane: u64,
+    /// Phase A, among the `per_lane` batches: the table's mask/value rows
+    /// were swept chunk-major over the varying key columns, instead of one
+    /// probe per lane.
+    pub claimed: u64,
     /// Phase B: one action for the whole batch, run instruction-major.
     pub uniform: u64,
     /// Phase B: a divergent batch on a selector-shaped table, one
@@ -463,23 +510,23 @@ impl CompiledTable {
     /// The key tuple packed into one `u64` (total key width ≤ 64 bits).
     /// `vals` is a strided value store: field `f` of the packet at hand
     /// lives at `f * stride + lane` (a scalar PHV slice is `stride == 1`,
-    /// `lane == 0`; a [`BatchLanes`] column buffer is `stride == cap`,
-    /// `lane == i`).
+    /// `lane == 0`, always of `u64`; a [`BatchLanes`] column buffer is
+    /// `stride == cap`, `lane == i`, of the batch's lane word).
     #[inline]
-    fn packed_key(&self, vals: &[u64], stride: usize, lane: usize) -> u64 {
+    fn packed_key<V: LaneWord>(&self, vals: &[V], stride: usize, lane: usize) -> u64 {
         let mut key = 0u64;
         for k in self.keys.iter() {
-            key |= vals[k.field as usize * stride + lane] << k.shift;
+            key |= vals[k.field as usize * stride + lane].wide() << k.shift;
         }
         key
     }
 
     /// First (= best, thanks to the pre-sort) matching scan entry.
     #[inline]
-    fn scan_hit<'a>(
+    fn scan_hit<'a, V: LaneWord>(
         &self,
         scan: &'a ScanList,
-        vals: &[u64],
+        vals: &[V],
         stride: usize,
         lane: usize,
     ) -> Option<&'a Cand> {
@@ -488,22 +535,22 @@ impl CompiledTable {
             scan.row(e, nk)
                 .iter()
                 .zip(self.keys.iter())
-                .all(|(pat, k)| pat.matches(vals[k.field as usize * stride + lane]))
+                .all(|(pat, k)| pat.matches(vals[k.field as usize * stride + lane].wide()))
                 .then_some(cand)
         })
     }
 
     /// The interpreter's `Table::lookup`, against the lowered form.
     #[inline]
-    fn lookup(
+    fn lookup<V: LaneWord>(
         &self,
-        vals: &[u64],
+        vals: &[V],
         stride: usize,
         lane: usize,
         keybuf: &mut Vec<u64>,
     ) -> Option<u32> {
         for g in self.gate.iter() {
-            if vals[g.field as usize * stride + lane] & g.mask != g.val {
+            if vals[g.field as usize * stride + lane].wide() & g.mask != g.val {
                 return self.default_action;
             }
         }
@@ -530,7 +577,7 @@ impl CompiledTable {
                 keybuf.extend(
                     self.keys
                         .iter()
-                        .map(|k| vals[k.field as usize * stride + lane]),
+                        .map(|k| vals[k.field as usize * stride + lane].wide()),
                 );
                 best(
                     map.get(keybuf.as_slice()),
@@ -556,16 +603,18 @@ impl CompiledTable {
     ///   one indexed load;
     /// * otherwise each lane packs its varying columns onto the constant
     ///   the uniform ones fold into and probes the matcher; a scan table
-    ///   first drops every entry the uniform columns already rule out.
+    ///   first drops every entry the uniform columns already rule out, and
+    ///   when what is left are mask/value rows it sweeps them chunk-major
+    ///   over the varying columns instead ([`claim_lanes`]).
     ///
     /// Returns `Ok(a)` when the whole batch resolved to the one action
     /// `a` ([`MISS`] when neither an entry nor a default applies) —
     /// `act_of` may then be left untouched — and otherwise, with
     /// `act_of[..n]` filled lane by lane, `Err` of the batch's
     /// [distinct actions](Self::distinct_actions).
-    fn lookup_lanes(
+    fn lookup_lanes<W: LaneWord>(
         &self,
-        buf: &[u64],
+        buf: &[W],
         cap: usize,
         n: usize,
         s: &mut LaneScratch,
@@ -583,6 +632,7 @@ impl CompiledTable {
             rowbuf,
             scanbuf,
             claims,
+            claim_pats,
         } = s;
         let act_of = &mut act_of[..n];
         let mut cols = Cols { buf, cap, n, facts };
@@ -650,7 +700,7 @@ impl CompiledTable {
                 for (i, a) in act_of.iter_mut().enumerate() {
                     let mut combo = 0usize;
                     for v in vary {
-                        combo |= (buf[v.base + i] as usize) << v.lut_shift;
+                        combo |= (buf[v.base + i].wide() as usize) << v.lut_shift;
                     }
                     *a = lut[combo & (lut.len() - 1)];
                 }
@@ -666,13 +716,14 @@ impl CompiledTable {
         }
         let vary = &vary[..n_vary];
         let key_at = |i: usize| {
-            vary.iter()
-                .fold(kconst, |key, v| key | (buf[v.base + i] << v.key_shift))
+            vary.iter().fold(kconst, |key, v| {
+                key | (buf[v.base + i].wide() << v.key_shift)
+            })
         };
         // Only a gate check on a varying column can still fail here.
         let gate_ok = |i: usize| {
             let mut gate = self.gate.iter();
-            gate.all(|g| buf[g.field as usize * cap + i] & g.mask == g.val)
+            gate.all(|g| buf[g.field as usize * cap + i].wide() & g.mask == g.val)
         };
         match &self.matcher {
             Matcher::Const(_) | Matcher::WideHash { .. } => {
@@ -716,30 +767,35 @@ impl CompiledTable {
                         })
                 }));
                 let pat = |e: u32, v: &VaryCol| &scan.row(e as usize, nk)[v.key];
-                if let [v] = vary {
-                    if scanbuf.iter().all(|&e| pat(e, v).mask_only()) {
-                        // One varying column of mask/value rows, lowest
-                        // precedence first so the last row to claim a lane
-                        // is its winner.
-                        claims.clear();
-                        claims.extend(scanbuf.iter().rev().map(|&e| {
-                            let p = pat(e, v);
-                            (p.mask, p.value, scan.cands[e as usize].action)
-                        }));
-                        let col = &buf[v.base..v.base + n];
-                        if v.bits <= 32 {
-                            claim_lanes(col, act_of, dflt, claims, |x| x as u32);
-                        } else {
-                            claim_lanes(col, act_of, dflt, claims, |x| x);
-                        }
-                        return self.distinct_actions(act_of);
+                let mut rows = scanbuf
+                    .iter()
+                    .flat_map(|&e| vary.iter().map(move |v| pat(e, v)));
+                if rows.all(Pat::mask_only) {
+                    // Mask/value rows on every varying column, lowest
+                    // precedence first so the last row to claim a lane is
+                    // its winner. Columns are whole cache lines of lanes.
+                    counts.claimed += 1;
+                    claims.clear();
+                    claim_pats.clear();
+                    for &e in scanbuf.iter().rev() {
+                        claims.push(scan.cands[e as usize].action);
+                        claim_pats.extend(vary.iter().map(|v| (pat(e, v).mask, pat(e, v).value)));
                     }
+                    let lines = n.next_multiple_of(W::LANES);
+                    let mut cols = [&buf[..0]; MAX_VARYING_KEYS];
+                    for (col, v) in cols.iter_mut().zip(vary) {
+                        *col = &buf[v.base..v.base + lines];
+                    }
+                    claim_lanes(&cols[..vary.len()], act_of, dflt, claims, claim_pats);
+                    return self.distinct_actions(act_of);
                 }
                 for (i, a) in act_of.iter_mut().enumerate() {
-                    *a = scanbuf
-                        .iter()
-                        .find(|&&e| vary.iter().all(|v| pat(e, v).matches(buf[v.base + i])))
-                        .map_or(dflt, |&e| scan.cands[e as usize].action);
+                    let hit = |&&e: &&u32| {
+                        vary.iter()
+                            .all(|v| pat(e, v).matches(buf[v.base + i].wide()))
+                    };
+                    *a =
+                        (scanbuf.iter().find(hit)).map_or(dflt, |&e| scan.cands[e as usize].action);
                 }
             }
         }
@@ -763,6 +819,10 @@ impl CompiledTable {
                 Err(None)
             };
         }
+        // One vectorizable sweep settles the common case of no difference.
+        if acts.iter().fold(0, |d, &a| d | (a ^ acts[0])) == 0 {
+            return Ok(acts[0]);
+        }
         let (mut seen, mut missed) = (0u64, false);
         for &a in acts {
             let rel = a.wrapping_sub(base);
@@ -777,28 +837,36 @@ impl CompiledTable {
     }
 }
 
-/// Resolve one key column against mask/value `rows` (lowest precedence
-/// first): lane `i` gets the action of the last row its value satisfies,
-/// else `dflt`. Chunk-major, so a chunk's values and winners stay in
-/// registers across the rows; `narrow` lets a column of at most 32 bits
-/// run on half-width lanes.
-fn claim_lanes<T: Copy + PartialEq + std::ops::BitAnd<Output = T>>(
-    col: &[u64],
+/// Most lanes in one chunk of any lane word ([`LaneWord::LANES`] of `u32`):
+/// sizes the per-chunk side arrays that are not of the lane word itself.
+const MAX_LANES: usize = 16;
+
+/// Resolve the lanes of a batch against mask/value `rows` (one action
+/// each, lowest precedence first) over the key columns `cols`, `pats`
+/// holding one `(mask, value)` per row and column: lane `i` gets the action
+/// of the last row whose every pattern its values satisfy, else `dflt`.
+/// Chunk-major, so a chunk's winners stay in registers across the rows and
+/// every compare runs a cache line of lanes wide.
+fn claim_lanes<W: LaneWord>(
+    cols: &[&[W]],
     act_of: &mut [u32],
     dflt: u32,
-    rows: &[(u64, u64, u32)],
-    narrow: impl Fn(u64) -> T,
+    rows: &[u32],
+    pats: &[(u64, u64)],
 ) {
-    for (xs, acts) in col.chunks(LANE_CHUNK).zip(act_of.chunks_mut(LANE_CHUNK)) {
-        let mut x = [narrow(0); LANE_CHUNK];
-        for (x, &wide) in x.iter_mut().zip(xs) {
-            *x = narrow(wide);
-        }
-        let mut won = [dflt; LANE_CHUNK];
-        for &(mask, value, action) in rows {
-            let (mask, value) = (narrow(mask), narrow(value));
-            for (w, &x) in won.iter_mut().zip(&x) {
-                *w = if x & mask == value { action } else { *w };
+    for (chunk, acts) in act_of.chunks_mut(W::LANES).enumerate() {
+        let i0 = chunk * W::LANES;
+        let mut won = [dflt; MAX_LANES];
+        for (&action, pats) in rows.iter().zip(pats.chunks(cols.len())) {
+            let mut hit = W::ONES.splat();
+            for (col, &(mask, value)) in cols.iter().zip(pats) {
+                let (mask, value) = (W::narrow(mask), W::narrow(value));
+                for (h, &x) in hit.as_mut().iter_mut().zip(&col[i0..i0 + W::LANES]) {
+                    *h = *h & W::select(x & mask == value);
+                }
+            }
+            for (w, &h) in won.iter_mut().zip(hit.as_ref()) {
+                *w = if h == W::ZERO { *w } else { action };
             }
         }
         acts.copy_from_slice(&won[..acts.len()]);
@@ -828,63 +896,31 @@ enum CompiledOperand {
 
 impl CompiledOperand {
     #[inline]
-    fn raw(&self, vals: &[u64], stride: usize, lane: usize) -> u64 {
+    fn raw<V: LaneWord>(&self, vals: &[V], stride: usize, lane: usize) -> u64 {
         match *self {
-            CompiledOperand::Field { idx, .. } => vals[idx as usize * stride + lane],
+            CompiledOperand::Field { idx, .. } => vals[idx as usize * stride + lane].wide(),
             CompiledOperand::Const(c) => c as u64,
         }
     }
 
     #[inline]
-    fn signed(&self, vals: &[u64], stride: usize, lane: usize) -> i64 {
+    fn signed<V: LaneWord>(&self, vals: &[V], stride: usize, lane: usize) -> i64 {
         match *self {
             CompiledOperand::Field { idx, sx } => {
-                ((vals[idx as usize * stride + lane] << sx) as i64) >> sx
+                vals[idx as usize * stride + lane].wide().sext(sx)
             }
             CompiledOperand::Const(c) => c,
         }
     }
 
-    /// Fill one [`LANE_CHUNK`]-wide chunk of raw operand values starting
-    /// at lane `i0` — the load half of the chunk kernels, through a raw
-    /// column-buffer pointer because a per-lane bounds check would defeat
-    /// vectorization. A field operand copies a contiguous run of its
-    /// column; a constant splats.
-    ///
-    /// # Safety
-    /// `base` must point to a live column buffer of at least
-    /// `layout_fields × cap` values for the layout this operand was
-    /// lowered against, and `i0 + LANE_CHUNK <= cap`.
-    #[inline(always)]
-    unsafe fn load_chunk(&self, base: *const u64, cap: usize, i0: usize, out: &mut Chunk) {
-        match *self {
-            CompiledOperand::Field { idx, .. } => {
-                let p = unsafe { base.add(idx as usize * cap + i0) };
-                for (k, o) in out.iter_mut().enumerate() {
-                    *o = unsafe { *p.add(k) };
-                }
-            }
-            CompiledOperand::Const(c) => out.fill(c as u64),
-        }
-    }
-
-    /// The sign-extension shift the chunk kernels apply to this operand's
-    /// *raw* values to recover the signed view. A constant already is its
-    /// signed value bit-for-bit in 64 bits, so its shift is zero.
+    /// The sign-extension shift that recovers this operand's signed view
+    /// from its raw value in lane word `W`. A constant already is its
+    /// signed value bit-for-bit, so its shift is zero.
     #[inline]
-    fn sx_shift(&self) -> u32 {
+    fn sx_shift<W: LaneWord>(&self) -> u32 {
         match *self {
-            CompiledOperand::Field { sx, .. } => sx,
+            CompiledOperand::Field { sx, .. } => sx.saturating_sub(64 - W::BITS),
             CompiledOperand::Const(_) => 0,
-        }
-    }
-
-    /// Debug-build check that this operand's column fits a buffer of
-    /// `len` values laid out as `cap`-sized columns with lanes `0..n`.
-    fn column_in_bounds(&self, cap: usize, n: usize, len: usize) -> bool {
-        match *self {
-            CompiledOperand::Field { idx, .. } => idx as usize * cap + n <= len,
-            CompiledOperand::Const(_) => true,
         }
     }
 
@@ -894,102 +930,134 @@ impl CompiledOperand {
     fn reads(&self, dst: u32) -> bool {
         matches!(*self, CompiledOperand::Field { idx, .. } if idx == dst)
     }
-}
 
-/// Mirror of [`Primitive::execute`]'s ALU over already-fetched operand
-/// values, raw and sign-extended views both supplied (unmasked result;
-/// callers apply the destination mask).
-#[inline(always)]
-fn apply_alu(op: AluOp, araw: u64, asig: i64, braw: u64, bsig: i64) -> u64 {
-    match op {
-        AluOp::Set => araw,
-        AluOp::Add => araw.wrapping_add(braw),
-        AluOp::Sub => araw.wrapping_sub(braw),
-        AluOp::And => araw & braw,
-        AluOp::Or => araw | braw,
-        AluOp::Xor => araw ^ braw,
-        AluOp::Shl => {
-            if braw >= 64 {
-                0
-            } else {
-                araw << braw
-            }
+    /// Whether this operand is a field, or a constant within `lo..=hi`.
+    fn field_or_within(&self, lo: i64, hi: i64) -> bool {
+        match *self {
+            CompiledOperand::Field { .. } => true,
+            CompiledOperand::Const(c) => (lo..=hi).contains(&c),
         }
-        AluOp::ShrLogic => {
-            if braw >= 64 {
-                0
-            } else {
-                araw >> braw
-            }
-        }
-        AluOp::ShrArith => (asig >> braw.min(63)) as u64,
-        AluOp::CmpEq => (araw == braw) as u64,
-        AluOp::CmpNe => (araw != braw) as u64,
-        AluOp::CmpLt => (asig < bsig) as u64,
-        AluOp::CmpLe => (asig <= bsig) as u64,
-        AluOp::CmpGt => (asig > bsig) as u64,
-        AluOp::CmpGe => (asig >= bsig) as u64,
     }
 }
 
-/// Vector width of the chunk lane kernels, in lanes. Eight u64
-/// lanes are one cache line — a full AVX-512 register, two AVX2
-/// registers, four SSE2 registers — so every fixed-size loop below
-/// lowers to whole vector ops at any x86-64 feature level.
-pub const LANE_CHUNK: usize = 8;
+/// Bind `$f` to the ALU op `$op` as a per-lane closure over the lane word
+/// `W` in scope, and evaluate `$body` — **the** definition of the ALU,
+/// mirroring [`Primitive::execute`]: operands arrive raw, `$asx` / `$bsx`
+/// are their sign-extension shifts in `W`, the result is unmasked. The
+/// `match` sits here, outside whatever loop `$body` runs, so each arm
+/// compiles its own loop around one branchless op: shift guards are masks,
+/// compares are `W::select`, and an operand that is one scalar for the
+/// whole sweep stays one (a uniform shift count or compare immediate is a
+/// single `pslld` / `psrad` / `pcmpgtd`, not a lane-by-lane emulation).
+macro_rules! with_alu {
+    (@arm $f:ident, $body:expr, |$a:ident, $b:ident| $e:expr) => {{
+        let $f = |$a: W, $b: W| -> W { $e };
+        $body
+    }};
+    ($op:expr, $asx:expr, $bsx:expr, |$f:ident| $body:expr) => {{
+        let (asx, bsx): (u32, u32) = ($asx, $bsx);
+        let bit = |on: bool| W::select(on) & W::narrow(1);
+        match $op {
+            AluOp::Set => with_alu!(@arm $f, $body, |a, _b| a),
+            AluOp::Add => with_alu!(@arm $f, $body, |a, b| a.add(b)),
+            AluOp::Sub => with_alu!(@arm $f, $body, |a, b| a.sub(b)),
+            AluOp::And => with_alu!(@arm $f, $body, |a, b| a & b),
+            AluOp::Or => with_alu!(@arm $f, $body, |a, b| a | b),
+            AluOp::Xor => with_alu!(@arm $f, $body, |a, b| a ^ b),
+            AluOp::Shl => with_alu!(@arm $f, $body, |a, b| a.shl(b)),
+            AluOp::ShrLogic => with_alu!(@arm $f, $body, |a, b| a.shr(b)),
+            AluOp::ShrArith => with_alu!(@arm $f, $body, |a, b| a.sar(asx, b)),
+            AluOp::CmpEq => with_alu!(@arm $f, $body, |a, b| bit(a == b)),
+            AluOp::CmpNe => with_alu!(@arm $f, $body, |a, b| bit(a != b)),
+            AluOp::CmpLt => with_alu!(@arm $f, $body, |a, b| bit(a.sext(asx) < b.sext(bsx))),
+            AluOp::CmpLe => with_alu!(@arm $f, $body, |a, b| bit(a.sext(asx) <= b.sext(bsx))),
+            AluOp::CmpGt => with_alu!(@arm $f, $body, |a, b| bit(a.sext(asx) > b.sext(bsx))),
+            AluOp::CmpGe => with_alu!(@arm $f, $body, |a, b| bit(a.sext(asx) >= b.sext(bsx))),
+        }
+    }};
+}
 
-/// One fixed-width vector of lanes. Kept as a plain array: the kernels
-/// load operands into `Chunk` locals *before* storing to the destination
-/// column, which both removes the aliasing hazard (all columns share one
-/// buffer, so the compiler cannot prove a plain lane loop's loads and
-/// stores disjoint) and hands LLVM loops of a known constant trip count
-/// it will happily unroll into vector instructions.
-type Chunk = [u64; LANE_CHUNK];
-
-/// The ALU over one chunk of already-loaded *raw* operand values — the
-/// compute half of the chunk kernels. `asx`/`bsx` are the operands'
-/// sign-extension shifts ([`CompiledOperand::sx_shift`]); arms that only
-/// need the raw view ignore them. Every arm is branchless per lane
-/// (shift guards become masks, compares become `as u64`), bit-for-bit
-/// matching [`apply_alu`].
+/// One lane through the ALU in lane word `W`. At `u64` this is the scalar
+/// engine's ALU and the reference the narrow kernels are held to.
 #[inline(always)]
-fn alu_chunk(op: AluOp, ar: &Chunk, asx: u32, br: &Chunk, bsx: u32, out: &mut Chunk) {
-    #[inline(always)]
-    fn sext(raw: u64, sx: u32) -> i64 {
-        ((raw << sx) as i64) >> sx
+fn alu<W: LaneWord>(op: AluOp, a: W, asx: u32, b: W, bsx: u32) -> W {
+    with_alu!(op, asx, bsx, |f| f(a, b))
+}
+
+/// Whether running `p` in 32-bit lanes gives the 64-bit result truncated,
+/// given that every field of the layout fits 32 bits (so a raw field value
+/// is its own low half, and its signed view fits `i32`). The per-op rules
+/// are the table in the module docs; shift *counts* need none, because
+/// [`lower_prim`] clamps a constant count to 64 and both widths zero (or
+/// sign-fill) once the count reaches their own width.
+fn narrow_exact(p: &CompiledPrim) -> bool {
+    const I32: (i64, i64) = (i32::MIN as i64, i32::MAX as i64);
+    let both = |(lo, hi): (i64, i64)| p.a.field_or_within(lo, hi) && p.b.field_or_within(lo, hi);
+    match p.op {
+        // The low half of the result depends on the low halves alone.
+        AluOp::Set | AluOp::Add | AluOp::Sub | AluOp::And | AluOp::Or | AluOp::Xor | AluOp::Shl => {
+            true
+        }
+        // A right shift pulls high bits down: the left operand's must be
+        // zero (logical) and copies of bit 31 (arithmetic) at once.
+        AluOp::ShrLogic | AluOp::ShrArith => p.a.field_or_within(0, I32.1),
+        // Raw equality: a constant no `u32` can hold never equals a field.
+        AluOp::CmpEq | AluOp::CmpNe => both((0, u32::MAX as i64)),
+        AluOp::CmpLt | AluOp::CmpLe | AluOp::CmpGt | AluOp::CmpGe => both(I32),
     }
-    macro_rules! k {
-        (|$i:ident| $e:expr) => {
-            for $i in 0..LANE_CHUNK {
-                out[$i] = $e;
-            }
-        };
+}
+
+/// One chunk of column `base` starting at lane `i0`.
+#[inline(always)]
+fn load<W: LaneWord>(buf: &[W], base: usize, i0: usize) -> W::Chunk {
+    let mut chunk = W::ZERO.splat();
+    chunk
+        .as_mut()
+        .copy_from_slice(&buf[base + i0..base + i0 + W::LANES]);
+    chunk
+}
+
+/// `f` lane by lane over two chunks.
+#[inline(always)]
+fn map2<W: LaneWord>(a: &W::Chunk, b: &W::Chunk, f: impl Fn(W, W) -> W) -> W::Chunk {
+    let mut out = *a;
+    for ((o, &x), &y) in out.as_mut().iter_mut().zip(a.as_ref()).zip(b.as_ref()) {
+        *o = f(x, y);
     }
-    match op {
-        AluOp::Set => k!(|i| ar[i]),
-        AluOp::Add => k!(|i| ar[i].wrapping_add(br[i])),
-        AluOp::Sub => k!(|i| ar[i].wrapping_sub(br[i])),
-        AluOp::And => k!(|i| ar[i] & br[i]),
-        AluOp::Or => k!(|i| ar[i] | br[i]),
-        AluOp::Xor => k!(|i| ar[i] ^ br[i]),
-        // `d >= 64 → 0` without a branch: shift by `d & 63` (total on
-        // u64), then mask the lane to zero when `d` was out of range.
-        AluOp::Shl => k!(|i| {
-            let d = br[i];
-            (ar[i] << (d & 63)) & 0u64.wrapping_sub(u64::from(d < 64))
-        }),
-        AluOp::ShrLogic => k!(|i| {
-            let d = br[i];
-            (ar[i] >> (d & 63)) & 0u64.wrapping_sub(u64::from(d < 64))
-        }),
-        AluOp::ShrArith => k!(|i| (sext(ar[i], asx) >> br[i].min(63)) as u64),
-        AluOp::CmpEq => k!(|i| (ar[i] == br[i]) as u64),
-        AluOp::CmpNe => k!(|i| (ar[i] != br[i]) as u64),
-        AluOp::CmpLt => k!(|i| (sext(ar[i], asx) < sext(br[i], bsx)) as u64),
-        AluOp::CmpLe => k!(|i| (sext(ar[i], asx) <= sext(br[i], bsx)) as u64),
-        AluOp::CmpGt => k!(|i| (sext(ar[i], asx) > sext(br[i], bsx)) as u64),
-        AluOp::CmpGe => k!(|i| (sext(ar[i], asx) >= sext(br[i], bsx)) as u64),
+    out
+}
+
+/// The loop of every chunk sweep: destination column at `d0`, lanes
+/// `0..n`, one cache line of lanes ([`LaneWord::LANES`]) at a time.
+/// `chunk(buf, i0, keep)` computes the lanes from `i0` and may clear
+/// `keep` lanes (all-ones on entry) it must not store. Every operand is
+/// read into the returned array *before* the store, so a destination that
+/// aliases an operand column is correct — primitives touch only their own
+/// lane — and the fixed-size loops vectorize whole. Returns the first lane
+/// it did not cover: the caller's scalar tail.
+#[inline(always)]
+fn sweep_chunks<W: LaneWord, const BLEND: bool>(
+    buf: &mut [W],
+    (d0, n, mask): (usize, usize, W),
+    mut chunk: impl FnMut(&[W], usize, &mut W::Chunk) -> W::Chunk,
+) -> usize {
+    let mut i0 = 0;
+    while i0 + W::LANES <= n {
+        let mut keep = W::ONES.splat();
+        let out = chunk(buf, i0, &mut keep);
+        let dst = &mut buf[d0 + i0..d0 + i0 + W::LANES];
+        for ((d, &o), &k) in dst.iter_mut().zip(out.as_ref()).zip(keep.as_ref()) {
+            // A blend, so a skipped lane is arithmetic the compiler can
+            // vectorize, not a branch per lane.
+            *d = if BLEND {
+                (o & mask & k) | (*d & !k)
+            } else {
+                o & mask
+            };
+        }
+        i0 += W::LANES;
     }
+    i0
 }
 
 /// One op-tape entry: [`Primitive`] with the destination offset/mask and
@@ -1001,99 +1069,103 @@ struct CompiledPrim {
     op: AluOp,
     a: CompiledOperand,
     b: CompiledOperand,
+    /// [`narrow_exact`] on a 32-bit layout: the chunk kernels may run this
+    /// op in `u32` lanes. Otherwise a `u32` batch widens it lane by lane.
+    narrow: bool,
 }
 
 impl CompiledPrim {
-    /// Mirror of [`Primitive::execute`] over pre-resolved offsets.
+    /// Mirror of [`Primitive::execute`] over pre-resolved offsets, in 64
+    /// bits whatever the store's word.
     #[inline]
-    fn execute(&self, vals: &mut [u64], stride: usize, lane: usize) {
-        let out = apply_alu(
+    fn execute<V: LaneWord>(&self, vals: &mut [V], stride: usize, lane: usize) {
+        let a = self.a.raw(vals, stride, lane);
+        let b = self.b.raw(vals, stride, lane);
+        let out = alu(
             self.op,
-            self.a.raw(vals, stride, lane),
-            self.a.signed(vals, stride, lane),
-            self.b.raw(vals, stride, lane),
-            self.b.signed(vals, stride, lane),
+            a,
+            self.a.sx_shift::<u64>(),
+            b,
+            self.b.sx_shift::<u64>(),
         );
-        vals[self.dst as usize * stride + lane] = out & self.dst_mask;
+        vals[self.dst as usize * stride + lane] = V::narrow(out & self.dst_mask);
     }
 
-    /// Instruction-major batch execution: this one op across `n` lanes.
-    /// Both operands are loaded into [`LANE_CHUNK`]-wide locals, the ALU
-    /// runs branchless over the chunk ([`alu_chunk`]), and the masked
-    /// result is stored contiguously — with a scalar tail for the last
-    /// `n % LANE_CHUNK` lanes. Loading a whole chunk *before* the store
-    /// keeps a destination column that aliases an operand column correct:
-    /// primitives read and write only their own lane, so the only hazard
-    /// is within a lane, and the load always precedes the store for every
-    /// lane of the chunk.
-    fn execute_lanes(&self, buf: &mut [u64], cap: usize, n: usize) {
-        self.sweep::<false>(buf, cap, n, &[], MISS);
-    }
-
-    /// [`Self::execute_lanes`] for one action of a divergent batch: the
-    /// same chunk sweep over every lane, but the store is a blend that
-    /// keeps the destination wherever `act[i] != action`. Lanes of other
-    /// actions compute a discarded value — cheaper than a branch per lane
-    /// that follows the data.
-    fn execute_masked(&self, buf: &mut [u64], cap: usize, n: usize, act: &[u32], action: u32) {
-        self.sweep::<true>(buf, cap, n, &act[..n], action);
-    }
-
-    #[inline(always)]
-    fn sweep<const MASKED: bool>(
+    /// Instruction-major batch execution: this one op across lanes `0..n`
+    /// of a column buffer, through the chunk kernel picked — once, here —
+    /// by op and operand shape (`field∘field`, `field∘const`,
+    /// `const∘field`, constants alone), with a scalar tail for the last
+    /// `n % LANES` lanes. `MASKED` is the sweep for one action of a
+    /// divergent batch: same kernel, but the store keeps the destination
+    /// wherever `act[i] != action` — lanes of other actions compute a
+    /// discarded value, cheaper than a branch per lane that follows the
+    /// data. An op that is not [`narrow_exact`] takes the 64-bit scalar
+    /// for every lane of a `u32` batch.
+    fn sweep<W: LaneWord, const MASKED: bool>(
         &self,
-        buf: &mut [u64],
+        buf: &mut [W],
         cap: usize,
         n: usize,
         act: &[u32],
         action: u32,
     ) {
-        let d0 = self.dst as usize * cap;
-        debug_assert!(d0 + n <= buf.len());
-        debug_assert!(n <= cap, "lane count {n} exceeds column capacity {cap}");
-        debug_assert!(self.a.column_in_bounds(cap, n, buf.len()));
-        debug_assert!(self.b.column_in_bounds(cap, n, buf.len()));
-        let mask = self.dst_mask;
-        let (asx, bsx) = (self.a.sx_shift(), self.b.sx_shift());
-        let base = buf.as_mut_ptr();
-        let mut ar: Chunk = [0; LANE_CHUNK];
-        let mut br: Chunk = [0; LANE_CHUNK];
-        let mut ov: Chunk = [0; LANE_CHUNK];
-        let mut i0 = 0;
-        while i0 + LANE_CHUNK <= n {
-            // All-ones where the lane stores, as a mask so the blend is
-            // arithmetic the compiler can vectorize, not a branch per lane.
-            let mut keep: Chunk = [u64::MAX; LANE_CHUNK];
-            if MASKED {
-                for (m, &a) in keep.iter_mut().zip(&act[i0..i0 + LANE_CHUNK]) {
-                    *m = 0u64.wrapping_sub(u64::from(a == action));
+        use CompiledOperand::{Const, Field};
+        let mut tail = 0;
+        if W::BITS == 64 || self.narrow {
+            let dst = (self.dst as usize * cap, n, W::narrow(self.dst_mask));
+            let col = |idx: u32| move |buf: &[W], i0: usize| load(buf, idx as usize * cap, i0);
+            let splat = |c: i64| move |_: &[W], _: usize| W::narrow(c as u64).splat();
+            tail = with_alu!(
+                self.op,
+                self.a.sx_shift::<W>(),
+                self.b.sx_shift::<W>(),
+                |f| {
+                    match (self.a, self.b) {
+                        (Field { idx: a, .. }, Field { idx: b, .. }) => {
+                            sweep_op::<W, MASKED>(buf, dst, (act, action), col(a), col(b), f)
+                        }
+                        (Field { idx: a, .. }, Const(b)) => {
+                            sweep_op::<W, MASKED>(buf, dst, (act, action), col(a), splat(b), f)
+                        }
+                        (Const(a), Field { idx: b, .. }) => {
+                            sweep_op::<W, MASKED>(buf, dst, (act, action), splat(a), col(b), f)
+                        }
+                        (Const(a), Const(b)) => {
+                            sweep_op::<W, MASKED>(buf, dst, (act, action), splat(a), splat(b), f)
+                        }
+                    }
                 }
-            }
-            // SAFETY: the debug-asserted column invariant above — every
-            // access lands inside `buf`'s `cap`-sized columns for lanes
-            // `i0..i0 + LANE_CHUNK ≤ n`.
-            unsafe {
-                self.a.load_chunk(base, cap, i0, &mut ar);
-                self.b.load_chunk(base, cap, i0, &mut br);
-                alu_chunk(self.op, &ar, asx, &br, bsx, &mut ov);
-                let d = base.add(d0 + i0);
-                for (k, (&o, &m)) in ov.iter().zip(keep.iter()).enumerate() {
-                    *d.add(k) = if MASKED {
-                        (o & mask & m) | (*d.add(k) & !m)
-                    } else {
-                        o & mask
-                    };
-                }
-            }
-            i0 += LANE_CHUNK;
+            );
         }
-        for i in i0..n {
+        for i in tail..n {
             // The unmasked sweep passes no `act` at all.
             if act.get(i).is_none_or(|&a| a == action) {
                 self.execute(buf, cap, i);
             }
         }
     }
+}
+
+/// The chunk sweep of one [`CompiledPrim`] kernel: operands through the
+/// loaders `la` / `lb`, lanes through `f`, the store blended by
+/// `act[i] == action` when `MASKED`.
+#[inline(always)]
+fn sweep_op<W: LaneWord, const MASKED: bool>(
+    buf: &mut [W],
+    dst: (usize, usize, W),
+    (act, action): (&[u32], u32),
+    la: impl Fn(&[W], usize) -> W::Chunk,
+    lb: impl Fn(&[W], usize) -> W::Chunk,
+    f: impl Fn(W, W) -> W,
+) -> usize {
+    sweep_chunks::<W, MASKED>(buf, dst, |buf, i0, keep| {
+        if MASKED {
+            for (k, &a) in keep.as_mut().iter_mut().zip(&act[i0..i0 + W::LANES]) {
+                *k = W::select(a == action);
+            }
+        }
+        map2::<W>(&la(buf, i0), &lb(buf, i0), &f)
+    })
 }
 
 /// Selected-constant dispatch for a divergent table whose actions all run
@@ -1137,64 +1209,44 @@ enum SelOperand {
 }
 
 impl SelOperand {
-    /// The sign-extension shift the kernels apply to this operand's raw
-    /// values (mirrors [`CompiledOperand::sx_shift`]; gathered constants
-    /// need none).
+    /// The sign-extension shift in lane word `W` (mirrors
+    /// [`CompiledOperand::sx_shift`]; gathered constants need none).
     #[inline]
-    fn sx_shift(&self) -> u32 {
+    fn sx_shift<W: LaneWord>(&self) -> u32 {
         match self {
-            SelOperand::Uniform(o) => o.sx_shift(),
+            SelOperand::Uniform(o) => o.sx_shift::<W>(),
             SelOperand::PerAction(_) => 0,
         }
     }
 
-    /// Raw and signed views for one lane (`rel` is the lane's
+    /// The raw 64-bit value for one lane (`rel` is the lane's
     /// table-relative action; callers only use the result for live lanes,
     /// but any in-range `rel` is safe to read).
     #[inline(always)]
-    fn raw_sig(&self, buf: &[u64], cap: usize, lane: usize, rel: usize) -> (u64, i64) {
+    fn raw<W: LaneWord>(&self, buf: &[W], cap: usize, lane: usize, rel: usize) -> u64 {
         match self {
-            SelOperand::Uniform(o) => (o.raw(buf, cap, lane), o.signed(buf, cap, lane)),
-            SelOperand::PerAction(v) => {
-                let x = v[rel];
-                (x, x as i64)
-            }
+            SelOperand::Uniform(o) => o.raw(buf, cap, lane),
+            SelOperand::PerAction(v) => v[rel],
         }
     }
 
-    /// Fill one chunk of raw operand values starting at lane `i0`: a
-    /// uniform operand loads/splats as in [`CompiledOperand::load_chunk`];
-    /// a per-action table gathers each lane's constant via `rel` (dead
-    /// lanes carry row 0 — total, and masked out at the store).
-    ///
-    /// # Safety
-    /// As [`CompiledOperand::load_chunk`]; `rel` entries must be in range
-    /// for the per-action table.
+    /// One chunk of raw operand values from lane `i0`: a shared operand
+    /// loads or splats, a per-action table gathers each lane's constant
+    /// through `rel` (dead lanes carry row 0 — total, and never stored).
     #[inline(always)]
-    unsafe fn load_chunk(
-        &self,
-        base: *const u64,
-        cap: usize,
-        i0: usize,
-        rel: &[usize; LANE_CHUNK],
-        out: &mut Chunk,
-    ) {
+    fn load<W: LaneWord>(&self, buf: &[W], cap: usize, i0: usize, rel: &[usize]) -> W::Chunk {
         match self {
-            SelOperand::Uniform(o) => unsafe { o.load_chunk(base, cap, i0, out) },
-            SelOperand::PerAction(v) => {
-                for (o, &r) in out.iter_mut().zip(rel.iter()) {
-                    *o = v[r];
-                }
+            SelOperand::Uniform(CompiledOperand::Field { idx, .. }) => {
+                load(buf, *idx as usize * cap, i0)
             }
-        }
-    }
-
-    /// Debug-build bounds check (mirrors
-    /// [`CompiledOperand::column_in_bounds`]).
-    fn column_in_bounds(&self, cap: usize, n: usize, len: usize) -> bool {
-        match self {
-            SelOperand::Uniform(o) => o.column_in_bounds(cap, n, len),
-            SelOperand::PerAction(_) => true,
+            SelOperand::Uniform(CompiledOperand::Const(c)) => W::narrow(*c as u64).splat(),
+            SelOperand::PerAction(v) => {
+                let mut chunk = W::ZERO.splat();
+                for (o, &r) in chunk.as_mut().iter_mut().zip(rel) {
+                    *o = W::narrow(v[r]);
+                }
+                chunk
+            }
         }
     }
 }
@@ -1202,15 +1254,15 @@ impl SelOperand {
 /// How one [`SelectorOp`] position resolves its ALU op across actions.
 #[derive(Debug, Clone)]
 enum SelDispatch {
-    /// Every active action runs the same op: one gathered
-    /// [`alu_chunk`] sweep.
+    /// Every active action runs the same op: one gathered sweep through
+    /// that op's kernel.
     Uniform(AluOp),
     /// Per-action ops drawn only from `{Shl, ShrLogic, ShrArith}` — the
     /// alignment-table case. Codes per table-relative action
     /// (0 = `Shl`, 1 = `ShrLogic`, 2 = `ShrArith`): the chunk kernel
     /// computes all three shifts branchlessly and selects by code.
     ShiftMix(Box<[u8]>),
-    /// Arbitrary per-action ops: per-lane scalar ALU with gathered
+    /// Arbitrary per-action ops: the ALU `match` per lane, with gathered
     /// operands — still one sweep per position, no tape walks.
     Mixed(Box<[AluOp]>),
 }
@@ -1240,11 +1292,14 @@ struct SelectorOp {
     dispatch: SelDispatch,
     a: SelOperand,
     b: SelOperand,
+    /// Every action's primitive at this position is [`narrow_exact`] (see
+    /// [`CompiledPrim::narrow`]).
+    narrow: bool,
 }
 
 impl SelectorTape {
     /// Phase B for a divergent batch: one gathered sweep per template op.
-    fn execute_lanes(&self, buf: &mut [u64], cap: usize, n: usize, act: &[u32]) {
+    fn execute_lanes<W: LaneWord>(&self, buf: &mut [W], cap: usize, n: usize, act: &[u32]) {
         for op in self.ops.iter() {
             op.execute_lanes(buf, cap, n, act, self.base, &self.active);
         }
@@ -1254,105 +1309,80 @@ impl SelectorTape {
 impl SelectorOp {
     /// Sweep all lanes: each live lane computes its action's op with its
     /// action's operands; missed/inactive lanes keep their destination.
-    fn execute_lanes(
+    fn execute_lanes<W: LaneWord>(
         &self,
-        buf: &mut [u64],
+        buf: &mut [W],
         cap: usize,
         n: usize,
         act: &[u32],
         base: u32,
         active: &[bool],
     ) {
-        #[inline(always)]
-        fn sext(raw: u64, sx: u32) -> i64 {
-            ((raw << sx) as i64) >> sx
-        }
         let d0 = self.dst as usize * cap;
-        debug_assert!(d0 + n <= buf.len());
-        debug_assert!(n <= cap, "lane count {n} exceeds column capacity {cap}");
-        debug_assert!(act.len() >= n);
-        debug_assert!(self.a.column_in_bounds(cap, n, buf.len()));
-        debug_assert!(self.b.column_in_bounds(cap, n, buf.len()));
-        let mask = self.dst_mask;
-        let asx = self.a.sx_shift();
-        let bsx = self.b.sx_shift();
-        let base_ptr = buf.as_mut_ptr();
-        let mut i0 = 0;
-        let mut ar: Chunk = [0; LANE_CHUNK];
-        let mut br: Chunk = [0; LANE_CHUNK];
-        let mut ov: Chunk = [0; LANE_CHUNK];
-        let mut keep = [false; LANE_CHUNK];
-        let mut rel = [0usize; LANE_CHUNK];
-        while i0 + LANE_CHUNK <= n {
-            for (k, (r, on)) in rel.iter_mut().zip(keep.iter_mut()).enumerate() {
-                let aid = act[i0 + k];
-                let ri = aid.wrapping_sub(base) as usize;
-                *on = aid != MISS && active[ri];
-                // Dead lanes carry action row 0 (always in range, the
-                // table has ≥ 2 actions) so every gather is total; the
-                // computed garbage is masked out at the store.
-                *r = if *on { ri } else { 0 };
-            }
-            // SAFETY: the function-level bounds preconditions above;
-            // the chunk [i0, i0 + LANE_CHUNK) is within `n` lanes and
-            // every `rel` row is in range.
-            unsafe {
-                self.a.load_chunk(base_ptr, cap, i0, &rel, &mut ar);
-                self.b.load_chunk(base_ptr, cap, i0, &rel, &mut br);
-            }
-            match &self.dispatch {
-                SelDispatch::Uniform(op) => alu_chunk(*op, &ar, asx, &br, bsx, &mut ov),
-                SelDispatch::ShiftMix(codes) => {
-                    for k in 0..LANE_CHUNK {
-                        let a = ar[k];
-                        let d = br[k];
-                        let live = 0u64.wrapping_sub(u64::from(d < 64));
-                        let shl = (a << (d & 63)) & live;
-                        let shr = (a >> (d & 63)) & live;
-                        let sar = (sext(a, asx) >> d.min(63)) as u64;
-                        // Mask-merge the three shifts by code — no
-                        // data-dependent branch and no stack-array
-                        // round-trip per lane.
-                        let c = codes[rel[k]];
-                        let m0 = 0u64.wrapping_sub(u64::from(c == 0));
-                        let m1 = 0u64.wrapping_sub(u64::from(c == 1));
-                        ov[k] = (shl & m0) | (shr & m1) | (sar & !(m0 | m1));
-                    }
-                }
-                SelDispatch::Mixed(ops) => {
-                    for k in 0..LANE_CHUNK {
-                        ov[k] = apply_alu(
-                            ops[rel[k]],
-                            ar[k],
-                            sext(ar[k], asx),
-                            br[k],
-                            sext(br[k], bsx),
-                        );
-                    }
-                }
-            }
-            for (k, (&o, &on)) in ov.iter().zip(keep.iter()).enumerate() {
-                // SAFETY: dst column bounds checked above.
-                unsafe {
-                    let d = base_ptr.add(d0 + i0 + k);
-                    *d = if on { o & mask } else { *d };
-                }
-            }
-            i0 += LANE_CHUNK;
-        }
-        for i in i0..n {
-            let aid = act[i];
-            if aid == MISS {
-                continue;
-            }
+        // A lane's table-relative action, when it runs the template.
+        let live = |aid: u32| {
             let rel = aid.wrapping_sub(base) as usize;
-            if !active[rel] {
-                continue;
-            }
-            let (araw, asig) = self.a.raw_sig(buf, cap, i, rel);
-            let (braw, bsig) = self.b.raw_sig(buf, cap, i, rel);
-            let out = apply_alu(self.dispatch.op_for(rel), araw, asig, braw, bsig);
-            buf[d0 + i] = out & mask;
+            (aid != MISS && active[rel]).then_some(rel)
+        };
+        let mut tail = 0;
+        if W::BITS == 64 || self.narrow {
+            let (asx, bsx) = (self.a.sx_shift::<W>(), self.b.sx_shift::<W>());
+            let dst = (d0, n, W::narrow(self.dst_mask));
+            // The chunk's operands, each lane's gathered through its own
+            // action. Dead lanes carry action row 0 (always in range, the
+            // table has ≥ 2 actions) so every gather is total; what they
+            // compute is never stored.
+            let gather = |buf: &[W], i0: usize, keep: &mut W::Chunk| {
+                let mut rel = [0usize; MAX_LANES];
+                let lanes = rel.iter_mut().zip(keep.as_mut());
+                for ((r, k), &aid) in lanes.zip(&act[i0..i0 + W::LANES]) {
+                    let rel = live(aid);
+                    *k = W::select(rel.is_some());
+                    *r = rel.unwrap_or(0);
+                }
+                let a = self.a.load(buf, cap, i0, &rel);
+                (a, self.b.load(buf, cap, i0, &rel), rel)
+            };
+            tail = match &self.dispatch {
+                SelDispatch::Uniform(op) => with_alu!(*op, asx, bsx, |f| {
+                    sweep_chunks::<W, true>(buf, dst, |buf, i0, keep| {
+                        let (a, b, _) = gather(buf, i0, keep);
+                        map2::<W>(&a, &b, f)
+                    })
+                }),
+                SelDispatch::ShiftMix(codes) => {
+                    sweep_chunks::<W, true>(buf, dst, |buf, i0, keep| {
+                        let (a, b, rel) = gather(buf, i0, keep);
+                        let mut out = a;
+                        let lanes = out.as_mut().iter_mut().zip(b.as_ref()).zip(&rel);
+                        for ((o, &d), &r) in lanes {
+                            // Mask-merge the three shifts by code — no
+                            // data-dependent branch per lane.
+                            let (shl, shr) = (W::select(codes[r] == 0), W::select(codes[r] == 1));
+                            let sar = o.sar(asx, d) & !(shl | shr);
+                            *o = (o.shl(d) & shl) | (o.shr(d) & shr) | sar;
+                        }
+                        out
+                    })
+                }
+                SelDispatch::Mixed(ops) => sweep_chunks::<W, true>(buf, dst, |buf, i0, keep| {
+                    let (a, b, rel) = gather(buf, i0, keep);
+                    let mut out = a;
+                    let lanes = out.as_mut().iter_mut().zip(b.as_ref()).zip(&rel);
+                    for ((o, &y), &r) in lanes {
+                        *o = alu(ops[r], *o, asx, y, bsx);
+                    }
+                    out
+                }),
+            };
+        }
+        for i in tail..n {
+            let Some(rel) = live(act[i]) else { continue };
+            let a = self.a.raw(buf, cap, i, rel);
+            let b = self.b.raw(buf, cap, i, rel);
+            let (asx, bsx) = (self.a.sx_shift::<u64>(), self.b.sx_shift::<u64>());
+            let out = alu(self.dispatch.op_for(rel), a, asx, b, bsx);
+            buf[d0 + i] = W::narrow(out & self.dst_mask);
         }
     }
 }
@@ -1425,6 +1455,7 @@ fn build_selector(
     let mut active = vec![false; n];
     // Per template position, accumulated across actions.
     let mut dsts: Vec<(u32, u64)> = Vec::new();
+    let mut narrow: Vec<bool> = Vec::new();
     let mut ops: Vec<Vec<AluOp>> = Vec::new(); // [position][action]
     let mut accs_a: Vec<SelOperandAcc> = Vec::new();
     let mut accs_b: Vec<SelOperandAcc> = Vec::new();
@@ -1438,6 +1469,7 @@ fn build_selector(
             first = false;
             for p in aps {
                 dsts.push((p.dst, p.dst_mask));
+                narrow.push(p.narrow);
                 let mut v = vec![AluOp::Set; n];
                 v[ai] = p.op;
                 ops.push(v);
@@ -1453,6 +1485,7 @@ fn build_selector(
                     return None;
                 }
                 ops[j][ai] = p.op;
+                narrow[j] &= p.narrow;
                 accs_a[j].note(ai, p.a);
                 accs_b[j].note(ai, p.b);
             }
@@ -1463,8 +1496,9 @@ fn build_selector(
         return None;
     }
     let mut out: Vec<SelectorOp> = Vec::with_capacity(dsts.len());
-    for (((dst, dst_mask), op_by_action), (acc_a, acc_b)) in dsts
+    for ((((dst, dst_mask), narrow), op_by_action), (acc_a, acc_b)) in dsts
         .into_iter()
+        .zip(narrow)
         .zip(ops)
         .zip(accs_a.into_iter().zip(accs_b))
     {
@@ -1501,6 +1535,7 @@ fn build_selector(
             dispatch,
             a: acc_a.finish()?,
             b: acc_b.finish()?,
+            narrow,
         });
     }
     Some(SelectorTape {
@@ -1528,6 +1563,16 @@ pub struct FusionStats {
     /// batches run one gathered sweep per template op instead of one
     /// masked sweep per distinct action.
     pub selector_tables: usize,
+    /// Width of the lane word batches of this program run at: 32 when
+    /// every PHV field fits 32 bits, else 64.
+    pub lane_bits: u32,
+    /// Tape ops a 32-bit batch runs in `u32` lanes (zero at 64 bits).
+    pub narrow_ops: usize,
+    /// Tape ops a 32-bit batch has to widen to 64-bit arithmetic lane by
+    /// lane, because a constant of theirs breaks the per-op rule that
+    /// makes 32-bit arithmetic exact (zero at 64 bits, and zero for every
+    /// generated FPISA program — a test holds them to it).
+    pub widened_ops: usize,
 }
 
 impl FusionStats {
@@ -1575,10 +1620,10 @@ enum CondLeaf {
 
 impl CondLeaf {
     #[inline(always)]
-    fn eval(&self, stored: i64, vals: &[u64], stride: usize, lane: usize) -> bool {
+    fn eval<V: LaneWord>(&self, stored: i64, vals: &[V], stride: usize, lane: usize) -> bool {
         match *self {
             CondLeaf::Always => true,
-            CondLeaf::MetaNonZero(f) => vals[f as usize * stride + lane] != 0,
+            CondLeaf::MetaNonZero(f) => vals[f as usize * stride + lane] != V::ZERO,
             CondLeaf::RegCmp { cmp, rhs } => {
                 let rhs = rhs.signed(vals, stride, lane);
                 match cmp {
@@ -1620,7 +1665,7 @@ impl CondTree {
         }
     }
 
-    fn eval(&self, stored: i64, vals: &[u64], stride: usize, lane: usize) -> bool {
+    fn eval<V: LaneWord>(&self, stored: i64, vals: &[V], stride: usize, lane: usize) -> bool {
         match self {
             CondTree::Leaf(l) => l.eval(stored, vals, stride, lane),
             CondTree::Or(p) => {
@@ -1664,7 +1709,7 @@ impl CompiledCond {
     }
 
     #[inline]
-    fn eval(&self, stored: i64, vals: &[u64], stride: usize, lane: usize) -> bool {
+    fn eval<V: LaneWord>(&self, stored: i64, vals: &[V], stride: usize, lane: usize) -> bool {
         match self {
             CompiledCond::Always => true,
             CompiledCond::One(a) => a.eval(stored, vals, stride, lane),
@@ -1713,11 +1758,11 @@ impl CompiledUpdate {
 
     /// Mirror of [`SaluUpdate::apply`] over the lowered form.
     #[inline]
-    fn apply(
+    fn apply<V: LaneWord>(
         &self,
         stored: i64,
         meta: &ArrayMeta,
-        vals: &[u64],
+        vals: &[V],
         stride: usize,
         lane: usize,
     ) -> i64 {
@@ -1801,6 +1846,9 @@ pub struct CompiledSwitch {
     /// The PHV fields each table can write, flat like the op tapes
     /// ([`CompiledTable::writes`] ranges into it).
     writes: Box<[u16]>,
+    /// Every PHV field any table can write: the columns a batch transposed
+    /// in from PHVs has to transpose back out.
+    written: Box<[usize]>,
     /// Per-table SoA dispatch counts, in table order.
     counts: Box<[DispatchCounts]>,
     /// The PHV-transpose buffer of [`CompiledSwitch::run_batch_soa`].
@@ -1823,9 +1871,10 @@ struct LaneScratch {
     rowbuf: Vec<u64>,
     /// Scan entries surviving the batch's uniform key columns.
     scanbuf: Vec<u32>,
-    /// Those entries as `(mask, value, action)` rows on the one varying
-    /// column, lowest precedence first (see [`claim_lanes`]).
-    claims: Vec<(u64, u64, u32)>,
+    /// Those entries' actions, lowest precedence first, and their
+    /// `(mask, value)` on each varying column (see [`claim_lanes`]).
+    claims: Vec<u32>,
+    claim_pats: Vec<(u64, u64)>,
 }
 
 impl CompiledSwitch {
@@ -1836,7 +1885,10 @@ impl CompiledSwitch {
         let mut actions = Vec::new();
         let mut prims: Vec<CompiledPrim> = Vec::new();
         let mut stateful = Vec::new();
-        let mut fusion = FusionStats::default();
+        let mut fusion = FusionStats {
+            lane_bits: program.layout.lane_bits(),
+            ..FusionStats::default()
+        };
         let mut action_prims: Vec<CompiledPrim> = Vec::new();
         // SoA eligibility: no recirculation, each register array touched
         // from at most one table, at most one stateful call per action.
@@ -1911,6 +1963,13 @@ impl CompiledSwitch {
             }
         }
         fusion.tape_ops = prims.len();
+        if fusion.lane_bits == 32 {
+            fusion.narrow_ops = prims.iter().filter(|p| p.narrow).count();
+            fusion.widened_ops = fusion.tape_ops - fusion.narrow_ops;
+        }
+        let mut written: Vec<usize> = writes.iter().map(|&f| usize::from(f)).collect();
+        written.sort_unstable();
+        written.dedup();
         let state = RegisterState::new(&program.arrays);
         let touched = vec![false; program.arrays.len()];
         Ok(CompiledSwitch {
@@ -1927,6 +1986,7 @@ impl CompiledSwitch {
             soa_simple,
             fusion,
             writes: writes.into_boxed_slice(),
+            written: written.into_boxed_slice(),
             lanes: BatchLanes::new(&program.layout, 1),
             scratch: LaneScratch::default(),
         })
@@ -2144,7 +2204,7 @@ impl CompiledSwitch {
         let res = self.run_lanes_simple(&mut lanes);
         match res {
             Ok(total) => {
-                lanes.store(phvs, phvs.len());
+                lanes.store_fields(phvs, phvs.len(), self.written.iter().copied());
                 self.lanes = lanes;
                 Ok(total)
             }
@@ -2152,7 +2212,7 @@ impl CompiledSwitch {
                 // Packets before the fault are fully applied, the faulting
                 // packet is left as the fault found it, later packets'
                 // PHVs keep their input values (never touched).
-                lanes.store(phvs, i + 1);
+                lanes.store_fields(phvs, i + 1, self.written.iter().copied());
                 self.lanes = lanes;
                 Err((i, e))
             }
@@ -2212,6 +2272,20 @@ impl CompiledSwitch {
     /// exactly the lanes before it applied, so no write ever needs rolling
     /// back.
     fn run_lanes_simple(&mut self, lanes: &mut BatchLanes) -> Result<u64, (usize, RuntimeError)> {
+        // The batch's lane word picks the instantiation: one source, run
+        // at `u32` for a 32-bit layout and at `u64` otherwise.
+        match lanes.parts_mut() {
+            (ColumnsMut::Narrow(buf), cap, n) => self.run_columns(buf, cap, n),
+            (ColumnsMut::Wide(buf), cap, n) => self.run_columns(buf, cap, n),
+        }
+    }
+
+    fn run_columns<W: LaneWord>(
+        &mut self,
+        buf: &mut [W],
+        cap: usize,
+        n: usize,
+    ) -> Result<u64, (usize, RuntimeError)> {
         debug_assert!(self.soa_simple);
         let CompiledSwitch {
             layout,
@@ -2226,7 +2300,6 @@ impl CompiledSwitch {
             ..
         } = self;
         let (array_meta, regs) = state.parts_mut();
-        let (buf, cap, n) = lanes.raw_parts_mut();
         scratch.act_of.resize(n, MISS);
         scratch.rowbuf.resize(layout.len(), 0);
         scratch.facts.clear();
@@ -2262,7 +2335,7 @@ impl CompiledSwitch {
                     count.uniform += 1;
                     let action = &actions[a as usize];
                     for op in tape(action) {
-                        op.execute_lanes(buf, cap, limit);
+                        op.sweep::<W, false>(buf, cap, limit, &[], MISS);
                     }
                     if let Some((cs, meta)) = call(action) {
                         stopped = salu_lanes(cs, meta, regs, buf, cap, limit).map(|at| (at, meta));
@@ -2288,7 +2361,7 @@ impl CompiledSwitch {
                             let a = t.actions.0 + seen.trailing_zeros();
                             seen &= seen - 1;
                             for op in tape(&actions[a as usize]) {
-                                op.execute_masked(buf, cap, limit, act_of, a);
+                                op.sweep::<W, true>(buf, cap, limit, act_of, a);
                             }
                         }
                     } else {
@@ -2358,14 +2431,14 @@ fn window<'a>(regs: &'a mut [i64], meta: &ArrayMeta) -> &'a mut [i64] {
 /// into the packet's own field. `Err(index)` when the index is out of
 /// range, with nothing touched.
 #[inline(always)]
-fn salu_access(
+fn salu_access<V: LaneWord>(
     cs: &CompiledStateful,
     meta: &ArrayMeta,
     regs: &mut [i64],
-    vals: &mut [u64],
+    vals: &mut [V],
     stride: usize,
     lane: usize,
-    taken: impl FnOnce(i64, &[u64]) -> bool,
+    taken: impl FnOnce(i64, &[V]) -> bool,
 ) -> Result<(), usize> {
     let idx = cs.index.raw(vals, stride, lane) as usize;
     let reg = regs.get_mut(idx).ok_or(idx)?;
@@ -2380,7 +2453,7 @@ fn salu_access(
             SaluOutput::New => new as u64,
             SaluOutput::Predicate => u64::from(taken),
         };
-        vals[dst as usize * stride + lane] = v & mask;
+        vals[dst as usize * stride + lane] = V::narrow(v & mask);
     }
     Ok(())
 }
@@ -2393,22 +2466,22 @@ fn salu_access(
 ///
 /// The condition's shape is dispatched here, once, so each lane loop
 /// evaluates its leaves inline.
-fn salu_lanes(
+fn salu_lanes<W: LaneWord>(
     cs: &CompiledStateful,
     meta: &ArrayMeta,
     regs: &mut [i64],
-    buf: &mut [u64],
+    buf: &mut [W],
     cap: usize,
     limit: usize,
 ) -> Option<(usize, usize)> {
     // Generic, not `dyn`: one lane loop per shape, its condition inlined.
     #[inline(always)]
-    fn lanes(
+    fn lanes<W: LaneWord>(
         cs: &CompiledStateful,
         meta: &ArrayMeta,
         regs: &mut [i64],
-        (buf, cap, limit): (&mut [u64], usize, usize),
-        taken: impl Fn(i64, &[u64], usize) -> bool,
+        (buf, cap, limit): (&mut [W], usize, usize),
+        taken: impl Fn(i64, &[W], usize) -> bool,
     ) -> Option<(usize, usize)> {
         let regs = window(regs, meta);
         (0..limit).find_map(|i| {
@@ -2468,14 +2541,27 @@ fn lower_operand(op: Operand, layout: &PhvLayout) -> CompiledOperand {
 
 /// Pre-resolve one primitive: destination offset + mask, operand offsets +
 /// sign-extension shifts.
+///
+/// A constant shift count is clamped to 64: every count from 64 up shifts
+/// everything out, and a count that fits any lane word keeps "the count
+/// reached the word's width" decidable in the word itself.
 fn lower_prim(p: &Primitive, layout: &PhvLayout) -> CompiledPrim {
-    CompiledPrim {
+    let shift = matches!(p.op, AluOp::Shl | AluOp::ShrLogic | AluOp::ShrArith);
+    let mut prim = CompiledPrim {
         dst: u32::from(p.dst.0),
         dst_mask: PhvLayout::mask(layout.spec(p.dst).bits),
         op: p.op,
         a: lower_operand(p.a, layout),
-        b: lower_operand(p.b, layout),
-    }
+        b: match lower_operand(p.b, layout) {
+            CompiledOperand::Const(count) if shift => {
+                CompiledOperand::Const((count as u64).min(64) as i64)
+            }
+            b => b,
+        },
+        narrow: false,
+    };
+    prim.narrow = layout.lane_bits() == 32 && narrow_exact(&prim);
+    prim
 }
 
 /// Lower one table. `action_base` is the global index of the table's first
@@ -2503,7 +2589,7 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
     // that is Ternary/Range/Any). Entries with an exact value that cannot
     // fit its field width can never match a (masked) PHV value — drop
     // them, exactly as the interpreter's scan never selects them.
-    let mut exact: Vec<(Vec<u64>, Cand)> = Vec::new();
+    let mut exact: Vec<(Cand, &[KeyMatch])> = Vec::new();
     let mut scan: Vec<(Cand, &[KeyMatch])> = Vec::new();
     // The match gate: per key field, intersect across all live entries the
     // bits each entry constrains to an exact value (exact patterns pin
@@ -2551,19 +2637,16 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
                 .collect(),
         });
         if all_exact {
-            exact.push((
-                e.key
-                    .iter()
-                    .map(|pat| match pat {
-                        KeyMatch::Exact(v) => *v,
-                        _ => unreachable!("all_exact checked"),
-                    })
-                    .collect(),
-                cand,
-            ));
+            exact.push((cand, &e.key));
         } else {
             scan.push((cand, &e.key));
         }
+    }
+    // A handful of entries on a key too wide to index directly: one
+    // pre-sorted scan of all of them beats a hash probe plus a scan per
+    // lookup, and its rows sweep a batch chunk-major (`claim_lanes`).
+    if key_bits > DENSE_MAX_BITS && exact.len() + scan.len() <= SCAN_MAX_ENTRIES {
+        scan.append(&mut exact);
     }
     let gate: Box<[GateCheck]> = gate
         .unwrap_or_default()
@@ -2589,17 +2672,21 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
             })
             .collect(),
     };
-    let key_of = |tuple: &[u64]| {
+    let value = |pat: &KeyMatch| match pat {
+        KeyMatch::Exact(v) => *v,
+        _ => unreachable!("only all-exact entries are keyed"),
+    };
+    let key_of = |tuple: &[KeyMatch]| {
         tuple
             .iter()
             .zip(keys.iter())
-            .fold(0u64, |key, (v, k)| key | (v << k.shift))
+            .fold(0u64, |key, (pat, k)| key | (value(pat) << k.shift))
     };
 
     let matcher = if keys.is_empty() {
         // Keyless: every entry matches every packet; resolve now.
         let mut best: Option<Cand> = None;
-        for (_, cand) in exact {
+        for (cand, _) in exact {
             // (scan is empty: zero-arity keys have all-exact — vacuous —
             // tuples.)
             if best.is_none_or(|b| cand.beats(&b)) {
@@ -2612,8 +2699,8 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
     } else if key_bits <= DENSE_MAX_BITS && scan.cands.is_empty() {
         let mut slots: Vec<u32> = vec![MISS; 1usize << key_bits];
         let mut winners: Vec<Option<Cand>> = vec![None; slots.len()];
-        for (tuple, cand) in exact {
-            let key = key_of(&tuple) as usize;
+        for (cand, tuple) in exact {
+            let key = key_of(tuple) as usize;
             if winners[key].is_none_or(|w| cand.beats(&w)) {
                 winners[key] = Some(cand);
                 slots[key] = cand.action;
@@ -2622,8 +2709,8 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         Matcher::Dense(slots.into_boxed_slice())
     } else if key_bits <= 64 {
         let mut packed: Vec<(u64, Cand)> = Vec::with_capacity(exact.len());
-        for (tuple, cand) in exact {
-            let key = key_of(&tuple);
+        for (cand, tuple) in exact {
+            let key = key_of(tuple);
             // Resolve duplicate keys to their winner at compile time.
             match packed.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, cur)) => {
@@ -2656,8 +2743,8 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         }
     } else {
         let mut map: KeyMap<Box<[u64]>> = KeyMap::default();
-        for (tuple, cand) in exact {
-            insert_best(&mut map, tuple.into_boxed_slice(), cand);
+        for (cand, tuple) in exact {
+            insert_best(&mut map, tuple.iter().map(value).collect(), cand);
         }
         Matcher::WideHash { map, scan }
     };
@@ -2796,7 +2883,7 @@ mod tests {
         let out = l.field("out", 8);
         // 34-bit key: too wide for dense, fits a packed u64. The Any
         // entry forces a scan half next to the hash half.
-        let t = Table::keyed(
+        let small = Table::keyed(
             "t",
             vec![(a, MatchKind::Exact), (b, MatchKind::Exact)],
             vec![set_const(out, 1), set_const(out, 2), set_const(out, 3)],
@@ -2805,13 +2892,21 @@ mod tests {
         .entry(vec![KeyMatch::Exact(0xDEAD_BEEF), KeyMatch::Exact(3)], 1, 0)
         .entry(vec![KeyMatch::Exact(0xDEAD_BEEF), KeyMatch::Any], 2, 1)
         .entry(vec![KeyMatch::Any, KeyMatch::Exact(1)], 0, 2);
-        let program = SwitchProgram {
+        // Exact entries nothing below looks up, to outgrow the plain scan
+        // a handful of entries lowers to.
+        let t = (0..SCAN_MAX_ENTRIES as u64).fold(small.clone(), |t, i| {
+            t.entry(vec![KeyMatch::Exact(0x1000 + i), KeyMatch::Exact(2)], 0, 0)
+        });
+        let program = |t| SwitchProgram {
             caps: SwitchCaps::tofino(),
-            layout: l,
+            layout: l.clone(),
             stages: vec![Stage::new().table(t)],
             arrays: vec![],
             recirc_field: None,
         };
+        let cs = CompiledSwitch::compile(&program(small)).unwrap();
+        assert!(matches!(cs.tables[0].matcher, Matcher::Scan(_)));
+        let program = program(t);
         let cs = CompiledSwitch::compile(&program).unwrap();
         assert!(matches!(cs.tables[0].matcher, Matcher::PackedHash { .. }));
         for (av, bv, expect) in [
@@ -3276,6 +3371,250 @@ mod tests {
             let p = run_both(&program, |p| p.set(v, vv));
             assert_eq!(p.get(e), (vv >> 10) & 0x1F);
             assert_eq!(p.get(x), 5);
+        }
+    }
+
+    const ALU_OPS: [AluOp; 15] = [
+        AluOp::Set,
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::ShrLogic,
+        AluOp::ShrArith,
+        AluOp::CmpEq,
+        AluOp::CmpNe,
+        AluOp::CmpLt,
+        AluOp::CmpLe,
+        AluOp::CmpGt,
+        AluOp::CmpGe,
+    ];
+
+    /// Both sides of every edge a narrow-eligibility rule has — the `i32`
+    /// and `u32` ranges, zero — and shift counts around both lane widths.
+    const EDGE_CONSTS: [i64; 14] = [
+        i32::MIN as i64 - 1,
+        i32::MIN as i64,
+        -8,
+        -1,
+        0,
+        5,
+        31,
+        32,
+        63,
+        64,
+        i32::MAX as i64,
+        i32::MAX as i64 + 1,
+        u32::MAX as i64,
+        u32::MAX as i64 + 1,
+    ];
+
+    /// The test's own statement of the per-op rule: whether `op` with the
+    /// constant `c` as its left (or else right) operand against a field is
+    /// exact in 32-bit lanes.
+    fn expect_narrow(op: AluOp, c: i64, left: bool) -> bool {
+        let (i32s, u32s) = (i32::MIN as i64..=i32::MAX as i64, 0..=u32::MAX as i64);
+        match op {
+            AluOp::ShrLogic | AluOp::ShrArith => !left || (0..=i32::MAX as i64).contains(&c),
+            AluOp::CmpEq | AluOp::CmpNe => u32s.contains(&c),
+            AluOp::CmpLt | AluOp::CmpLe | AluOp::CmpGt | AluOp::CmpGe => i32s.contains(&c),
+            _ => true,
+        }
+    }
+
+    /// How a directed narrow-rule program runs its primitives.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        /// One action for every lane: the uniform sweeps.
+        Uniform,
+        /// Two actions of one skeleton, differing in their constants: the
+        /// gathered selector sweeps.
+        Selector,
+        /// Two actions of different lengths: masked per-action sweeps.
+        Masked,
+        /// One skeleton again, but the second action runs another op: the
+        /// selector's per-lane shift merge (between shifts) or its
+        /// per-lane ALU `match` (anything else).
+        MixedOps,
+    }
+
+    /// `op` over every field∘constant, constant∘field and field∘field
+    /// pairing of a 32-bit field `x`, a 12-bit field `z` (whose sign bit is
+    /// not the word's), a second 32-bit field and an 8-bit shift count,
+    /// with every [`EDGE_CONSTS`] value, each result in its own field.
+    /// `widest` sizes one unused field: 33 puts the layout on `u64`.
+    /// Returns the program, its input fields `[k, x, y, z, cnt]` and how
+    /// many of its tape ops must take the narrow kernel.
+    fn edge_program(op: AluOp, shape: Shape, widest: u32) -> (SwitchProgram, [FieldId; 5], usize) {
+        let mut l = PhvLayout::new();
+        let k = l.field("k", 1);
+        let x = l.field("x", 32);
+        let y = l.field("y", 32);
+        let z = l.field("z", 12);
+        let cnt = l.field("cnt", 8);
+        l.field("unused", widest);
+        let mut narrow = 0usize;
+        // `shift` moves every constant to its neighbour in the edge list:
+        // the second action of a selector pair.
+        let mut action = |name: &str, op: AluOp, shift: usize, l: &mut PhvLayout| {
+            let mut a = Action::nop(name);
+            let mut n = 0usize;
+            let mut push = |a: Action, l: &mut PhvLayout, lhs: Operand, rhs: Operand| {
+                n += 1;
+                // Destinations of every width class, masks included.
+                let bits = [32, 9, 1][n % 3];
+                let dst = l
+                    .lookup(&format!("d{n}"))
+                    .unwrap_or_else(|| l.field(format!("d{n}"), bits));
+                a.prim(dst, op, lhs, rhs)
+            };
+            for fld in [x, z] {
+                for i in 0..EDGE_CONSTS.len() {
+                    let c = EDGE_CONSTS[(i + shift) % EDGE_CONSTS.len()];
+                    a = push(a, l, Operand::Field(fld), Operand::Const(c));
+                    a = push(a, l, Operand::Const(c), Operand::Field(fld));
+                    narrow += usize::from(expect_narrow(op, c, false));
+                    narrow += usize::from(expect_narrow(op, c, true));
+                }
+                a = push(a, l, Operand::Field(fld), Operand::Field(y));
+                a = push(a, l, Operand::Field(fld), Operand::Field(cnt));
+                a = push(a, l, Operand::Field(y), Operand::Field(fld));
+                narrow += 3;
+            }
+            a
+        };
+        let first = action("first", op, 0, &mut l);
+        let table = match shape {
+            Shape::Uniform => Table::always("edges", first),
+            Shape::Selector | Shape::Masked | Shape::MixedOps => {
+                // The next op, staying among the three shifts from a shift.
+                let at = ALU_OPS.iter().position(|&o| o == op).unwrap();
+                let next = match op {
+                    AluOp::Shl | AluOp::ShrLogic | AluOp::ShrArith => ALU_OPS[6 + (at - 5) % 3],
+                    _ => ALU_OPS[(at + 1) % ALU_OPS.len()],
+                };
+                let op2 = if shape == Shape::MixedOps { next } else { op };
+                let mut second = action("second", op2, 1, &mut l);
+                if shape == Shape::Masked {
+                    second = second.prim(y, AluOp::Xor, Operand::Field(y), Operand::Const(-1));
+                    narrow += 1;
+                }
+                Table::keyed(
+                    "edges",
+                    vec![(k, MatchKind::Exact)],
+                    vec![first, second],
+                    None,
+                )
+                .entry(vec![KeyMatch::Exact(0)], 0, 0)
+                .entry(vec![KeyMatch::Exact(1)], 0, 1)
+            }
+        };
+        let program = SwitchProgram {
+            caps: SwitchCaps {
+                phv_bits: 1 << 16,
+                ..SwitchCaps::fpisa_extended()
+            },
+            layout: l,
+            stages: vec![Stage::new().table(table)],
+            arrays: vec![],
+            recirc_field: None,
+        };
+        (program, [k, x, y, z, cnt], narrow)
+    }
+
+    /// Run a batch through the interpreter packet by packet and through
+    /// `run_lanes` on columns of `lane_bits`: every field of every lane
+    /// must agree.
+    fn check_lanes(label: &str, program: &SwitchProgram, phvs: &[Phv], lane_bits: u32) {
+        let mut sw = Switch::new(program.clone()).unwrap();
+        let mut want = phvs.to_vec();
+        for p in &mut want {
+            sw.run(p).unwrap();
+        }
+        let mut cs = CompiledSwitch::compile(program).unwrap();
+        assert!(cs.soa_eligible());
+        let mut lanes = BatchLanes::with_lane_bits(&program.layout, phvs.len(), lane_bits);
+        lanes.load(phvs);
+        cs.run_lanes(&mut lanes).unwrap();
+        let mut got = phvs.to_vec();
+        lanes.store(&mut got, phvs.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            for (id, spec) in program.layout.iter() {
+                let (g, w) = (g.get(id), w.get(id));
+                assert_eq!(g, w, "{label} / u{lane_bits} / lane {i} / {}", spec.name);
+            }
+        }
+        assert_eq!(cs.register_state(), sw.register_state(), "{label}");
+    }
+
+    /// Every narrow-eligibility rule, at its edges, against the
+    /// interpreter: each op × each edge constant on either side × field
+    /// widths 32 and 12 × the uniform, selector and masked sweeps × lane
+    /// counts around the 16-lane chunk, on the layout's own `u32` columns,
+    /// on `u64` columns forced under the same program, and on a layout a
+    /// 33-bit field makes wide. The narrow/widened split is pinned too, so
+    /// a rule can be neither too bold (a lane disagrees) nor too shy (the
+    /// count drops).
+    #[test]
+    fn narrow_lane_rules_hold_at_their_edges() {
+        const VALUES: [u64; 8] = [
+            0,
+            1,
+            5,
+            0x7FFF_FFFF,
+            0x8000_0000,
+            0x8000_0001,
+            0xFFFF_FFFE,
+            0xFFFF_FFFF,
+        ];
+        const COUNTS: [u64; 8] = [0, 1, 31, 32, 33, 63, 64, 200];
+        for op in ALU_OPS {
+            for shape in [
+                Shape::Uniform,
+                Shape::Selector,
+                Shape::Masked,
+                Shape::MixedOps,
+            ] {
+                for widest in [32u32, 33] {
+                    let (program, [k, x, y, z, cnt], narrow) = edge_program(op, shape, widest);
+                    program.validate().expect("directed program must validate");
+                    let cs = CompiledSwitch::compile(&program).unwrap();
+                    let stats = cs.fusion_stats();
+                    let label = format!("{op:?} / {shape:?} / widest field {widest}");
+                    let selector = matches!(shape, Shape::Selector | Shape::MixedOps);
+                    assert_eq!(stats.selector_tables, usize::from(selector), "{label}");
+                    if widest == 32 {
+                        assert_eq!(stats.lane_bits, 32, "{label}");
+                        assert_eq!(stats.narrow_ops, narrow, "{label}");
+                        assert_eq!(stats.widened_ops, stats.tape_ops - narrow, "{label}");
+                    } else {
+                        // Nothing to narrow, nothing to widen.
+                        assert_eq!(
+                            (stats.lane_bits, stats.narrow_ops, stats.widened_ops),
+                            (64, 0, 0),
+                            "{label}"
+                        );
+                    }
+                    for n in [1usize, 15, 16, 17, 255] {
+                        let phvs: Vec<Phv> = (0..n)
+                            .map(|i| {
+                                let mut p = Phv::new(&program.layout);
+                                p.set(k, i as u64 % 2);
+                                p.set(x, VALUES[i % 8]);
+                                p.set(y, VALUES[(i / 8) % 8]);
+                                p.set(z, VALUES[(i + i / 8) % 8]);
+                                p.set(cnt, COUNTS[(i / 3) % 8]);
+                                p
+                            })
+                            .collect();
+                        let label = format!("{label} / {n} lanes");
+                        check_lanes(&label, &program, &phvs, stats.lane_bits);
+                        check_lanes(&label, &program, &phvs, 64);
+                    }
+                }
+            }
         }
     }
 

@@ -52,10 +52,11 @@
 //!   ([`compile::FusionStats`] reports the counts), and programs meeting
 //!   a static eligibility test additionally get **data-oriented batch
 //!   execution**: the batch is transposed into a structure-of-arrays
-//!   [`phv::BatchLanes`] buffer (one flat column per PHV field) and each
-//!   instruction runs across all packets in eight-wide chunk kernels,
-//!   with a gathered sweep for shift-table divergence and a per-packet
-//!   walk otherwise — bit-for-bit identical either way.
+//!   [`phv::BatchLanes`] buffer (one flat column per PHV field, in `u32`
+//!   lanes when every field fits 32 bits and `u64` lanes otherwise) and
+//!   each instruction runs across all packets a cache line of lanes at a
+//!   time, with a gathered sweep for shift-table divergence and a
+//!   per-packet walk otherwise — bit-for-bit identical either way.
 //!
 //! Equivalence is enforced by property tests over random programs (PHV,
 //! register state, pass counts and errors must agree packet by packet) and
@@ -104,7 +105,7 @@ pub use analysis::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, Analyzer, Diagnostic,
     HwProfile, Loc, ProgramIo, Severity, ShardSafetyProof,
 };
-pub use compile::{CompileError, CompiledSwitch, DispatchCounts, FusionStats, LANE_CHUNK, SOA_MIN};
+pub use compile::{CompileError, CompiledSwitch, DispatchCounts, FusionStats, SOA_MIN};
 pub use phv::{BatchLanes, FieldId, FieldSpec, Phv, PhvLayout};
 pub use register::{
     check_partition, CmpOp, RegArrayId, RegisterArraySpec, RegisterSnapshot, RegisterState,

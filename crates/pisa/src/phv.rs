@@ -11,6 +11,18 @@
 //! declared width, exactly like a hardware container; reads can be raw
 //! (zero-extended) or signed (sign-extended from the declared width), which
 //! is how the FPISA mantissa fields get their two's-complement meaning.
+//!
+//! ## The lane word
+//!
+//! A [`Phv`] holds every field in a `u64`. A [`BatchLanes`] batch does not
+//! have to: a value masked to its field's width fits any word at least
+//! that wide, so the column word is chosen **per layout** by one rule —
+//! every field at most 32 bits wide ⇒ `u32` columns, otherwise `u64`
+//! (`PhvLayout::lane_bits`). FPISA targets a 32-bit datapath (§3.3 of the
+//! paper keeps FP32/FP16 state in 16- or 32-bit registers) and the
+//! generated programs declare nothing wider, so they all run narrow; the
+//! compiled engine's kernels are generic over `LaneWord` and decide per
+//! op whether 32-bit arithmetic is exact (see `compile`'s module docs).
 
 use serde::{Deserialize, Serialize};
 
@@ -102,6 +114,18 @@ impl PhvLayout {
             .map(|(i, f)| (FieldId(i as u16), f))
     }
 
+    /// Width of the lane word a batch over this layout is stored and swept
+    /// in ([`BatchLanes`]): 32 bits when every field fits, else 64. This is
+    /// the whole rule — a single field of 33 bits or more puts every
+    /// column on `u64`.
+    pub(crate) fn lane_bits(&self) -> u32 {
+        if self.fields.iter().all(|f| f.bits <= 32) {
+            32
+        } else {
+            64
+        }
+    }
+
     /// Bit mask covering a width-`bits` container.
     pub(crate) fn mask(bits: u32) -> u64 {
         if bits >= 64 {
@@ -188,6 +212,180 @@ impl Phv {
     }
 }
 
+/// The unsigned word one lane of a [`BatchLanes`] column is stored in — and
+/// the word the compiled engine's sweep kernels compute in. `u32` for a
+/// layout whose every field fits 32 bits ([`PhvLayout::lane_bits`]), `u64`
+/// otherwise; everything that touches a column is generic over it, so both
+/// widths run the same source.
+pub(crate) trait LaneWord:
+    Copy
+    + Eq
+    + std::fmt::Debug
+    + std::ops::BitAnd<Output = Self>
+    + std::ops::BitOr<Output = Self>
+    + std::ops::BitXor<Output = Self>
+    + std::ops::Not<Output = Self>
+{
+    const BITS: u32;
+    /// Lanes per 64-byte cache line: the chunk width of the sweep kernels.
+    const LANES: usize;
+    const ZERO: Self;
+    const ONES: Self;
+    /// The two's-complement view compares are made in.
+    type Signed: Copy + Ord;
+    /// One cache line of lanes, `[Self; Self::LANES]`.
+    type Chunk: Copy + AsRef<[Self]> + AsMut<[Self]>;
+    fn splat(self) -> Self::Chunk;
+    /// The low `BITS` bits of `x`.
+    fn narrow(x: u64) -> Self;
+    /// Zero-extended.
+    fn wide(self) -> u64;
+    /// `ONES` when `on`, else `ZERO`.
+    fn select(on: bool) -> Self;
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    /// `self << d`, zero once `d` reaches `BITS` — branchless.
+    fn shl(self, d: Self) -> Self;
+    /// `self >> d` (logical), zero once `d` reaches `BITS`.
+    fn shr(self, d: Self) -> Self;
+    /// Sign-extend from `BITS - sx` bits.
+    fn sext(self, sx: u32) -> Self::Signed;
+    /// `sext(sx) >> d` (arithmetic), `d` clamped to `BITS - 1`.
+    fn sar(self, sx: u32, d: Self) -> Self;
+}
+
+macro_rules! lane_word {
+    ($u:ty, $i:ty) => {
+        impl LaneWord for $u {
+            const BITS: u32 = <$u>::BITS;
+            const LANES: usize = 64 / std::mem::size_of::<$u>();
+            const ZERO: Self = 0;
+            const ONES: Self = <$u>::MAX;
+            type Signed = $i;
+            type Chunk = [$u; 64 / std::mem::size_of::<$u>()];
+            #[inline(always)]
+            fn splat(self) -> Self::Chunk {
+                [self; 64 / std::mem::size_of::<$u>()]
+            }
+            #[inline(always)]
+            fn narrow(x: u64) -> Self {
+                x as $u
+            }
+            #[inline(always)]
+            fn wide(self) -> u64 {
+                self as u64
+            }
+            #[inline(always)]
+            fn select(on: bool) -> Self {
+                (0 as $u).wrapping_sub(on as $u)
+            }
+            #[inline(always)]
+            fn add(self, o: Self) -> Self {
+                self.wrapping_add(o)
+            }
+            #[inline(always)]
+            fn sub(self, o: Self) -> Self {
+                self.wrapping_sub(o)
+            }
+            #[inline(always)]
+            fn shl(self, d: Self) -> Self {
+                (self << (d & (<$u>::BITS as $u - 1))) & Self::select(d < <$u>::BITS as $u)
+            }
+            #[inline(always)]
+            fn shr(self, d: Self) -> Self {
+                (self >> (d & (<$u>::BITS as $u - 1))) & Self::select(d < <$u>::BITS as $u)
+            }
+            #[inline(always)]
+            fn sext(self, sx: u32) -> $i {
+                ((self << sx) as $i) >> sx
+            }
+            #[inline(always)]
+            fn sar(self, sx: u32, d: Self) -> Self {
+                (self.sext(sx) >> d.min(<$u>::BITS as $u - 1)) as $u
+            }
+        }
+    };
+}
+lane_word!(u32, i32);
+lane_word!(u64, i64);
+
+/// A zeroed buffer of lane words whose first element sits on a 64-byte
+/// boundary: a `Vec` allocated one cache line long and entered at the
+/// aligned offset, so no `unsafe` view is needed. (A moved `Vec` keeps its
+/// heap pointer; a clone re-derives the offset.)
+#[derive(Debug)]
+struct Aligned<W> {
+    words: Vec<W>,
+    /// Index of the first live word; `words[off..]` is the buffer.
+    off: usize,
+}
+
+impl<W> Default for Aligned<W> {
+    fn default() -> Self {
+        Aligned {
+            words: Vec::new(),
+            off: 0,
+        }
+    }
+}
+
+impl<W: LaneWord> Aligned<W> {
+    fn zeroed(len: usize) -> Self {
+        if len == 0 {
+            return Aligned::default(); // no allocation: `mem::take` is free
+        }
+        let mut words = vec![W::ZERO; len + W::LANES];
+        // A `W`-aligned pointer reaches a 64-byte boundary within one line
+        // of lanes; the `min` only guards the offset the API may decline
+        // to compute.
+        let off = words.as_ptr().align_offset(64).min(W::LANES);
+        words.truncate(off + len);
+        Aligned { words, off }
+    }
+
+    #[inline]
+    fn buf(&self) -> &[W] {
+        &self.words[self.off..]
+    }
+
+    #[inline]
+    fn buf_mut(&mut self) -> &mut [W] {
+        &mut self.words[self.off..]
+    }
+}
+
+impl<W: LaneWord> Clone for Aligned<W> {
+    fn clone(&self) -> Self {
+        let mut c = Self::zeroed(self.buf().len());
+        c.buf_mut().copy_from_slice(self.buf());
+        c
+    }
+}
+
+/// A [`BatchLanes`] column buffer at the layout's lane word.
+#[derive(Debug, Clone)]
+enum Columns {
+    Narrow(Aligned<u32>),
+    Wide(Aligned<u64>),
+}
+
+/// The mutable column buffer of a [`BatchLanes`], for the compiled engine
+/// to pick its lane word from.
+pub(crate) enum ColumnsMut<'a> {
+    Narrow(&'a mut [u32]),
+    Wide(&'a mut [u64]),
+}
+
+/// Run `$body` with `$c` bound to the [`Aligned`] buffer of either width.
+macro_rules! each_word {
+    ($cols:expr, $c:ident => $body:expr) => {
+        match $cols {
+            Columns::Narrow($c) => $body,
+            Columns::Wide($c) => $body,
+        }
+    };
+}
+
 /// A structure-of-arrays batch of packets: one flat column (lane) per PHV
 /// field, so the compiled engine's batch mode can execute one instruction
 /// across every packet in a tight inner loop instead of walking one packet
@@ -198,107 +396,107 @@ impl Phv {
 /// the zero-copy path `fpisa-pipeline` uses) or transposed from existing
 /// [`Phv`]s at the batch boundary (`load` / `store`).
 ///
-/// The backing store is allocated in 64-byte cache-line units and `cap`
-/// is always a multiple of 8 lanes, so **every column starts on a
-/// 64-byte boundary**: the compiled engine's eight-wide chunk kernels
-/// sweep whole aligned lines and a vector load never straddles two.
-#[derive(Debug, Clone, Default)]
+/// **The lane word is a property of the layout** (`PhvLayout::lane_bits`):
+/// when every field is at most 32 bits wide the columns are `u32` — 16
+/// lanes to a cache line, half the bytes to zero, fill and sweep — and
+/// `u64` otherwise. No caller chooses it and none can observe it: `set`
+/// and `get` speak `u64` either way.
+///
+/// The buffer starts on a 64-byte boundary and `cap` is always a whole
+/// number of cache lines of lanes, so **every column starts on a 64-byte
+/// boundary**: the compiled engine's chunk kernels sweep whole aligned
+/// lines and a vector load never straddles two.
+#[derive(Debug, Clone)]
 pub struct BatchLanes {
-    /// The column buffer, in 64-byte-aligned cache-line cells; viewed as
-    /// a flat `[u64]` through [`BatchLanes::buf`] / [`BatchLanes::buf_mut`].
-    cells: Vec<CacheLine>,
+    cols: Columns,
     /// Per-field container mask, in layout order.
     masks: Vec<u64>,
-    /// Lane stride: the allocated packet capacity (multiple of
-    /// [`LANES_PER_LINE`]).
+    /// Lane stride: the allocated packet capacity (a multiple of the lane
+    /// word's [`LaneWord::LANES`]).
     cap: usize,
     /// Live packet count (`<= cap`).
     len: usize,
 }
 
-/// One 64-byte-aligned allocation unit of a [`BatchLanes`] buffer.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, align(64))]
-struct CacheLine([u64; LANES_PER_LINE]);
-
-/// `u64` lanes per 64-byte cache line.
-const LANES_PER_LINE: usize = 8;
+impl Default for BatchLanes {
+    /// A buffer of no fields and no capacity — a placeholder to build the
+    /// real one over ([`BatchLanes::new`]) once the layout is known.
+    fn default() -> Self {
+        BatchLanes {
+            cols: Columns::Narrow(Aligned::default()),
+            masks: Vec::new(),
+            cap: 0,
+            len: 0,
+        }
+    }
+}
 
 impl BatchLanes {
     /// A lanes buffer for `layout` with room for `cap` packets. The buffer
     /// grows on demand, so `cap` is only a pre-allocation hint.
     pub fn new(layout: &PhvLayout, cap: usize) -> Self {
+        Self::with_lane_bits(layout, cap.max(1), layout.lane_bits())
+    }
+
+    /// [`BatchLanes::new`] at a forced lane word — the test seam that runs
+    /// a narrow layout on `u64` columns, so both instantiations of the
+    /// engine can be held against each other on one program.
+    pub(crate) fn with_lane_bits(layout: &PhvLayout, cap: usize, lane_bits: u32) -> Self {
         let masks: Vec<u64> = layout
             .fields
             .iter()
             .map(|f| PhvLayout::mask(f.bits))
             .collect();
-        let cap = Self::pad_cap(cap.max(1));
-        BatchLanes {
-            cells: Self::alloc(masks.len(), cap),
+        let mut lanes = BatchLanes {
+            cols: if lane_bits == 32 {
+                Columns::Narrow(Aligned::default())
+            } else {
+                Columns::Wide(Aligned::default())
+            },
             masks,
-            cap,
+            cap: 0,
             len: 0,
-        }
+        };
+        lanes.alloc(cap);
+        lanes
     }
 
     /// Round the column stride up to whole cache lines, and keep large
-    /// strides off powers of two: at 4096 packets a column is exactly
-    /// 32 KiB, so *every* column of a packet maps to the same L1 set and
-    /// the per-packet walks (transpose, divergent tape fallback) thrash
-    /// an 8-way set with ~50 lines. One extra cache line of padding
-    /// staggers consecutive columns across sets — and, being exactly
-    /// [`LANES_PER_LINE`] lanes, keeps the stride a multiple of 8 so
-    /// every column stays 64-byte aligned.
-    fn pad_cap(cap: usize) -> usize {
-        let cap = cap.div_ceil(LANES_PER_LINE) * LANES_PER_LINE;
-        if cap >= 512 {
-            cap + LANES_PER_LINE
+    /// strides off the L1 way size. A 32 KiB 8-way L1 holds 4 KiB per
+    /// way, so columns a multiple of 4 KiB apart map lane `i` of *every*
+    /// column to one set, and the per-packet walks (transpose, lane fill,
+    /// divergent tape fallback) thrash its 8 ways with a few dozen
+    /// columns. The test is on the column's size in **bytes** — 1024
+    /// `u32` lanes alias exactly as 512 `u64` lanes do — and one extra
+    /// cache line of padding staggers consecutive columns across sets
+    /// while keeping every column 64-byte aligned.
+    fn pad_cap<W: LaneWord>(cap: usize) -> usize {
+        const WAY_BYTES: usize = 4096;
+        let cap = cap.div_ceil(W::LANES) * W::LANES;
+        if cap * std::mem::size_of::<W>() >= WAY_BYTES {
+            cap + W::LANES
         } else {
             cap
         }
     }
 
-    /// A zeroed cache-line-aligned buffer of `fields` columns of `cap`
-    /// lanes. `cap` is a multiple of [`LANES_PER_LINE`] (the `pad_cap`
-    /// invariant), so the columns tile the cells exactly.
-    fn alloc(fields: usize, cap: usize) -> Vec<CacheLine> {
-        debug_assert_eq!(cap % LANES_PER_LINE, 0);
-        vec![CacheLine([0; LANES_PER_LINE]); fields * cap / LANES_PER_LINE]
-    }
-
-    /// The flat column view: field `f`, lane `i` at `f * cap + i`.
-    #[inline]
-    fn buf(&self) -> &[u64] {
-        // SAFETY: `CacheLine` is `repr(C)` over `[u64; LANES_PER_LINE]`,
-        // so `cells` is exactly `cells.len() * LANES_PER_LINE` contiguous
-        // initialized `u64`s (alignment 64 ≥ 8).
-        unsafe {
-            std::slice::from_raw_parts(
-                self.cells.as_ptr().cast::<u64>(),
-                self.cells.len() * LANES_PER_LINE,
-            )
+    /// Replace the buffer with a zeroed one of at least `cap` lanes per
+    /// column.
+    fn alloc(&mut self, cap: usize) {
+        fn fresh<W: LaneWord>(c: &mut Aligned<W>, fields: usize, cap: usize) -> usize {
+            let cap = BatchLanes::pad_cap::<W>(cap);
+            *c = Aligned::zeroed(fields * cap);
+            cap
         }
-    }
-
-    /// Mutable [`BatchLanes::buf`].
-    #[inline]
-    fn buf_mut(&mut self) -> &mut [u64] {
-        // SAFETY: as in `buf`.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.cells.as_mut_ptr().cast::<u64>(),
-                self.cells.len() * LANES_PER_LINE,
-            )
-        }
+        let fields = self.masks.len();
+        self.cap = each_word!(&mut self.cols, c => fresh(c, fields, cap));
     }
 
     fn ensure_cap(&mut self, len: usize) {
         if len > self.cap {
             // Discard and reallocate: callers overwrite (load) or zero
             // (begin) the active region anyway.
-            self.cap = Self::pad_cap(len.next_power_of_two());
-            self.cells = Self::alloc(self.masks.len(), self.cap);
+            self.alloc(len.next_power_of_two());
         }
     }
 
@@ -307,50 +505,63 @@ impl BatchLanes {
     pub fn begin(&mut self, len: usize) {
         self.ensure_cap(len);
         self.len = len;
-        let (fields, cap) = (self.masks.len(), self.cap);
-        let buf = self.buf_mut();
-        for f in 0..fields {
-            let base = f * cap;
-            buf[base..base + len].fill(0);
-        }
+        let cap = self.cap;
+        each_word!(&mut self.cols, c => {
+            if cap > 0 {
+                for col in c.buf_mut().chunks_exact_mut(cap) {
+                    col[..len].fill(0);
+                }
+            }
+        });
     }
 
     /// Transpose a batch of PHVs in (every field of every packet is
     /// overwritten; no prior clear needed).
     ///
     /// This is half the fixed cost of SoA execution over a PHV buffer, so
-    /// the inner walk is a single strided pointer chase per packet — the
-    /// ~50 column cache lines it touches stay L1-resident across
-    /// consecutive packets (8 packets share each line).
+    /// the walk is packet-major — one strided pass over the columns per
+    /// packet, whose cache lines stay L1-resident across consecutive
+    /// packets — with nothing per packet but one slice of its values (an
+    /// iterator per column doubled the cost on a four-field program).
     pub fn load(&mut self, phvs: &[Phv]) {
         self.ensure_cap(phvs.len());
         self.len = phvs.len();
-        let cap = self.cap;
-        let base = self.cells.as_mut_ptr().cast::<u64>();
-        for (i, p) in phvs.iter().enumerate() {
-            debug_assert_eq!(p.values.len(), self.masks.len(), "PHV layout mismatch");
-            let n = self.masks.len().min(p.values.len());
-            for f in 0..n {
-                // SAFETY: `f < masks.len()` and `i < len <= cap`, and
-                // `buf.len() == masks.len() * cap`.
-                unsafe { *base.add(f * cap + i) = *p.values.get_unchecked(f) };
+        let (cap, fields) = (self.cap, self.masks.len());
+        each_word!(&mut self.cols, c => {
+            let buf = c.buf_mut();
+            for (i, p) in phvs.iter().enumerate() {
+                let mut at = i;
+                for &v in &p.values[..fields] {
+                    buf[at] = LaneWord::narrow(v);
+                    at += cap;
+                }
             }
-        }
+        });
     }
 
     /// Transpose the first `upto` packets back out into PHVs.
     pub fn store(&self, phvs: &mut [Phv], upto: usize) {
+        self.store_fields(phvs, upto, 0..self.masks.len());
+    }
+
+    /// [`BatchLanes::store`] for the columns `fields` alone — all a batch
+    /// loaded from these very PHVs needs back when nothing else can have
+    /// been written.
+    pub(crate) fn store_fields(
+        &self,
+        phvs: &mut [Phv],
+        upto: usize,
+        fields: impl Iterator<Item = usize> + Clone,
+    ) {
         let cap = self.cap;
-        let base = self.cells.as_ptr().cast::<u64>();
-        for (i, p) in phvs[..upto].iter_mut().enumerate() {
-            debug_assert_eq!(p.values.len(), self.masks.len(), "PHV layout mismatch");
-            let n = self.masks.len().min(p.values.len());
-            for f in 0..n {
-                // SAFETY: as in `load`; `upto <= len <= cap` is the
-                // caller's contract, checked by the slice above.
-                unsafe { *p.values.get_unchecked_mut(f) = *base.add(f * cap + i) };
+        each_word!(&self.cols, c => {
+            let buf = c.buf();
+            for (i, p) in phvs[..upto].iter_mut().enumerate() {
+                for f in fields.clone() {
+                    p.values[f] = buf[f * cap + i].wide();
+                }
             }
-        }
+        });
     }
 
     /// Live packet count.
@@ -375,7 +586,8 @@ impl BatchLanes {
     #[inline]
     pub fn get(&self, id: FieldId, i: usize) -> u64 {
         debug_assert!(i < self.len);
-        self.buf()[id.0 as usize * self.cap + i]
+        let at = id.0 as usize * self.cap + i;
+        each_word!(&self.cols, c => c.words[c.off + at].wide())
     }
 
     /// Write a field for packet `i`, truncating to its declared width.
@@ -383,36 +595,43 @@ impl BatchLanes {
     pub fn set(&mut self, id: FieldId, i: usize, value: u64) {
         debug_assert!(i < self.len);
         let f = id.0 as usize;
-        let off = f * self.cap + i;
+        let at = f * self.cap + i;
         let v = value & self.masks[f];
-        self.buf_mut()[off] = v;
+        each_word!(&mut self.cols, c => c.words[c.off + at] = LaneWord::narrow(v));
     }
 
     /// Copy packet `i` into a flat value row (compiled-engine fallback).
     #[inline]
     pub(crate) fn read_row(&self, i: usize, row: &mut [u64]) {
-        let (cap, buf) = (self.cap, self.buf());
-        for (f, v) in row.iter_mut().enumerate() {
-            *v = buf[f * cap + i];
-        }
+        let cap = self.cap;
+        each_word!(&self.cols, c => {
+            for (f, v) in row.iter_mut().enumerate() {
+                *v = c.buf()[f * cap + i].wide();
+            }
+        });
     }
 
     /// Copy a flat value row back into packet `i`.
     #[inline]
     pub(crate) fn write_row(&mut self, i: usize, row: &[u64]) {
         let cap = self.cap;
-        let buf = self.buf_mut();
-        for (f, &v) in row.iter().enumerate() {
-            buf[f * cap + i] = v;
-        }
+        each_word!(&mut self.cols, c => {
+            for (f, &v) in row.iter().enumerate() {
+                c.buf_mut()[f * cap + i] = LaneWord::narrow(v);
+            }
+        });
     }
 
-    /// The raw column buffer and its stride, for the compiled engine's
-    /// batch execution (which pre-resolves every field offset and mask).
+    /// The raw column buffer at its lane word, its stride and the live
+    /// lane count, for the compiled engine's batch execution (which
+    /// pre-resolves every field offset and mask).
     #[inline]
-    pub(crate) fn raw_parts_mut(&mut self) -> (&mut [u64], usize, usize) {
-        let (cap, len) = (self.cap, self.len);
-        (self.buf_mut(), cap, len)
+    pub(crate) fn parts_mut(&mut self) -> (ColumnsMut<'_>, usize, usize) {
+        let cols = match &mut self.cols {
+            Columns::Narrow(c) => ColumnsMut::Narrow(c.buf_mut()),
+            Columns::Wide(c) => ColumnsMut::Wide(c.buf_mut()),
+        };
+        (cols, self.cap, self.len)
     }
 }
 
@@ -564,27 +783,47 @@ mod tests {
         }
     }
 
+    /// The address and element size of a batch's column buffer.
+    fn base_and_word(lanes: &mut BatchLanes) -> (usize, usize) {
+        match lanes.parts_mut().0 {
+            ColumnsMut::Narrow(buf) => (buf.as_ptr() as usize, 4),
+            ColumnsMut::Wide(buf) => (buf.as_ptr() as usize, 8),
+        }
+    }
+
     #[test]
     fn batch_lanes_columns_are_cache_line_aligned() {
-        let mut l = PhvLayout::new();
-        let fields: Vec<FieldId> = (0..5).map(|i| l.field(format!("f{i}"), 32)).collect();
-        // Batch sizes deliberately off every power-of-two and
-        // multiple-of-8 boundary, including the ≥512 stagger region.
-        for n in [1usize, 3, 7, 13, 100, 250, 511, 517, 1000, 4096] {
-            let mut lanes = BatchLanes::new(&l, n);
-            lanes.begin(n);
-            let cap = lanes.capacity();
-            assert_eq!(cap % LANES_PER_LINE, 0, "stride {cap} not whole lines");
-            assert!(cap >= n, "capacity {cap} below batch size {n}");
-            let base = lanes.cells.as_ptr() as usize;
-            assert_eq!(base % 64, 0, "buffer base not 64-byte aligned");
-            for f in &fields {
-                // Column start address = base + field * cap * 8 bytes.
-                assert_eq!(
-                    (base + f.0 as usize * cap * 8) % 64,
-                    0,
-                    "column {f:?} misaligned at batch size {n}"
-                );
+        // Both lane words: five 32-bit fields run narrow, a 33-bit one
+        // puts the same shape on `u64` columns.
+        for widest in [32u32, 33] {
+            let mut l = PhvLayout::new();
+            let fields: Vec<FieldId> = (0..5)
+                .map(|i| l.field(format!("f{i}"), if i == 0 { widest } else { 32 }))
+                .collect();
+            // Batch sizes deliberately off every power-of-two and
+            // whole-line boundary, including the staggered region, through
+            // a clone (which must re-derive its own aligned offset).
+            for n in [1usize, 3, 7, 13, 100, 250, 511, 517, 1000, 1024, 4096] {
+                let mut lanes = BatchLanes::new(&l, n).clone();
+                lanes.begin(n);
+                let cap = lanes.capacity();
+                assert!(cap >= n, "capacity {cap} below batch size {n}");
+                let (base, word) = base_and_word(&mut lanes);
+                assert_eq!(word * 8, l.lane_bits() as usize);
+                assert_eq!(cap * word % 64, 0, "stride {cap} not whole lines");
+                assert_eq!(base % 64, 0, "buffer base not 64-byte aligned");
+                for f in &fields {
+                    assert_eq!(
+                        (base + f.0 as usize * cap * word) % 64,
+                        0,
+                        "column {f:?} misaligned at batch size {n}"
+                    );
+                }
+                // The set-aliasing stagger is a rule about bytes: no
+                // column of 4 KiB or more is a whole number of L1 ways.
+                if cap * word >= 4096 {
+                    assert_ne!(cap * word % 4096, 0, "{n} lanes of {word} bytes alias");
+                }
             }
         }
     }
@@ -613,7 +852,9 @@ mod tests {
             }
             // The same invariant through the raw strided view the
             // compiled engine uses.
-            let (buf, cap, len) = lanes.raw_parts_mut();
+            let (ColumnsMut::Wide(buf), cap, len) = lanes.parts_mut() else {
+                panic!("64-bit fields must take `u64` columns");
+            };
             assert_eq!(len, n);
             for i in 0..n {
                 assert_eq!(buf[cap + i], 0xB000 + i as u64);

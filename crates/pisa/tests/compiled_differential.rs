@@ -312,15 +312,25 @@ fn compiled_engine_matches_interpreter_on_random_programs() {
     assert!(recirculated > 0, "no recirculation generated");
 }
 
+/// `program` with one unused 33-bit field declared after its own: enough
+/// to put every batch column on the 64-bit lane word, whatever the widths
+/// the program really uses. The lane word is a property of the layout and
+/// nothing public selects it, so this is how a test reaches the other one.
+fn on_wide_lanes(program: &SwitchProgram) -> SwitchProgram {
+    let mut wide = program.clone();
+    wide.layout.field("lane_word_pad", 33);
+    wide
+}
+
 /// Run one batch through the interpreter packet by packet and through
 /// `run_batch_soa`, demanding bit-for-bit identical pass counts, PHVs,
 /// registers and fault behaviour: the earliest faulting packet's error
-/// wins and every packet before it is fully applied. Returns the SoA
-/// engine's per-table dispatch counts for the batch, so a directed test
-/// can also pin the path it meant to exercise.
+/// wins and every packet before it is fully applied. The SoA engine runs
+/// twice, on the program's own lane word and [`on_wide_lanes`], and must
+/// dispatch both runs alike. Returns its per-table dispatch counts for the
+/// batch, so a directed test can also pin the path it meant to exercise.
 fn check_soa_batch(label: &str, program: &SwitchProgram, phvs: &[Phv]) -> Vec<DispatchCounts> {
     let mut sw = Switch::new(program.clone()).unwrap();
-    let mut cs = CompiledSwitch::compile(program).unwrap();
     let mut interp_phvs = phvs.to_vec();
     let mut interp_total = 0u64;
     let mut interp_err = None;
@@ -335,34 +345,59 @@ fn check_soa_batch(label: &str, program: &SwitchProgram, phvs: &[Phv]) -> Vec<Di
             }
         }
     }
-    let mut phvs = phvs.to_vec();
-    match (cs.run_batch_soa(&mut phvs), interp_err) {
-        (Ok(total), None) => {
-            assert_eq!(total, interp_total, "{label}");
-            assert_eq!(phvs, interp_phvs, "{label}: PHVs diverged");
+    let mut counts: Vec<Vec<DispatchCounts>> = Vec::new();
+    for (word, program) in [("own", program.clone()), ("wide", on_wide_lanes(program))] {
+        let label = format!("{label} / {word} lane word");
+        let mut cs = CompiledSwitch::compile(&program).unwrap();
+        // The same packets in this layout (the pad field stays zero).
+        let mut got: Vec<Phv> = phvs
+            .iter()
+            .map(|p| {
+                let mut q = Phv::new(&program.layout);
+                for (id, _) in sw.program().layout.iter() {
+                    q.set(id, p.get(id));
+                }
+                q
+            })
+            .collect();
+        let result = cs.run_batch_soa(&mut got);
+        let same = |upto: usize, what: &str| {
+            for (i, (g, w)) in got[..upto].iter().zip(&interp_phvs).enumerate() {
+                for (id, spec) in sw.program().layout.iter() {
+                    let (g, w) = (g.get(id), w.get(id));
+                    assert_eq!(g, w, "{label}: {what} diverged, lane {i} `{}`", spec.name);
+                }
+            }
+        };
+        match (result, &interp_err) {
+            (Ok(total), None) => {
+                assert_eq!(total, interp_total, "{label}");
+                same(got.len(), "PHVs");
+            }
+            (Err(ce), Some(ie)) => {
+                assert_eq!(&ce, ie, "{label}: fault diverged");
+                same(fault_at, "pre-fault PHVs");
+            }
+            (got, want) => panic!("{label}: SoA batch {got:?} vs interpreter {want:?}"),
         }
-        (Err(ce), Some(ie)) => {
-            assert_eq!(ce, ie, "{label}: fault diverged");
-            assert_eq!(
-                phvs[..fault_at],
-                interp_phvs[..fault_at],
-                "{label}: pre-fault PHVs diverged"
-            );
+        for (ai, spec) in program.arrays.iter().enumerate() {
+            let id = RegArrayId(ai as u16);
+            for idx in 0..spec.entries {
+                assert_eq!(
+                    sw.register(id, idx),
+                    cs.register(id, idx),
+                    "{label}: register {}[{idx}] diverged",
+                    spec.name
+                );
+            }
         }
-        (got, want) => panic!("{label}: SoA batch {got:?} vs interpreter {want:?}"),
+        counts.push(cs.dispatch_counts().to_vec());
     }
-    for (ai, spec) in program.arrays.iter().enumerate() {
-        let id = RegArrayId(ai as u16);
-        for idx in 0..spec.entries {
-            assert_eq!(
-                sw.register(id, idx),
-                cs.register(id, idx),
-                "{label}: register {}[{idx}] diverged",
-                spec.name
-            );
-        }
-    }
-    cs.dispatch_counts().to_vec()
+    assert_eq!(
+        counts[0], counts[1],
+        "{label}: the lane word changed the dispatch"
+    );
+    counts.swap_remove(0)
 }
 
 /// One PHV with every field drawn uniformly from its width.
@@ -723,6 +758,12 @@ fn compiled_batches_match_interpreter_streams() {
         if program.validate().is_err() {
             continue;
         }
+        // Odd seeds on the other lane word.
+        let program = if seed % 2 == 0 {
+            program
+        } else {
+            on_wide_lanes(&program)
+        };
         let mut sw = Switch::new(program.clone()).unwrap();
         let mut cs = CompiledSwitch::compile(&program).unwrap();
         let mut phvs: Vec<Phv> = (0..32).map(|_| random_phv(&program, &mut rng)).collect();
