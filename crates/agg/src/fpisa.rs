@@ -3,7 +3,7 @@
 //! [`FpisaAggregator`] puts the gradient on the wire in any format a
 //! [`PipelineSpec`] supports (FP32, FP16, BF16, custom) and folds it
 //! through the compiled Fig. 2 pipeline of `fpisa-pipeline` —
-//! [`FpisaPipeline::add_batch`] on ingest, [`FpisaPipeline::read_batch`]
+//! [`FpisaPipeline::add_ranges`] on ingest, [`FpisaPipeline::read_range`]
 //! on read-out. Unlike the SwitchML baseline there is **no global scaling
 //! factor**: every element aggregates at its own binade, which is exactly
 //! the Fig. 10 advantage on wide-dynamic-range gradients.
@@ -37,8 +37,6 @@ pub struct FpisaAggregator {
     clipped: u64,
     /// Additions counted directly when shadows are off.
     bare_adds: u64,
-    /// Scratch buffer reused by `add_wire`.
-    batch: Vec<(usize, u64)>,
 }
 
 impl FpisaAggregator {
@@ -58,7 +56,6 @@ impl FpisaAggregator {
             retired: AddStats::default(),
             clipped: 0,
             bare_adds: 0,
-            batch: Vec::new(),
             pipe,
         })
     }
@@ -199,18 +196,11 @@ impl Aggregator for FpisaAggregator {
                 }
             }
         }
-        // One combined batch through the pipeline: on a sharded spec this
-        // is where ingest fans out across cores (whole chunks land on one
-        // shard when the shard alignment matches the chunk size).
-        self.batch.clear();
-        for &(start, words) in chunks {
-            self.batch
-                .extend(words.iter().enumerate().map(|(i, &w)| (start + i, w)));
-        }
-        let batch = std::mem::take(&mut self.batch);
-        let result = self.pipe.add_batch(&batch);
-        self.batch = batch;
-        result?;
+        // One combined batch through the pipeline, the chunks handed over
+        // as the ranges they are: on a sharded spec this is where ingest
+        // fans out across cores (whole chunks land on one shard when the
+        // shard alignment matches the chunk size).
+        self.pipe.add_ranges(chunks)?;
         match &mut self.shadow {
             Some(shadow) => {
                 for &(start, words) in chunks {

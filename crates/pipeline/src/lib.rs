@@ -30,7 +30,10 @@
 //! interpreting [`fpisa_pisa::Switch`] reference — with bit-for-bit
 //! identical results; [`FpisaPipeline::add_batch`] and
 //! [`FpisaPipeline::read_batch`] push whole packet slices through a
-//! reusable PHV buffer for million-packet aggregation runs.
+//! reusable buffer for million-packet aggregation runs, and
+//! [`FpisaPipeline::add_ranges`] / [`FpisaPipeline::read_range`] /
+//! [`FpisaPipeline::clear_range`] take contiguous slot ranges as ranges —
+//! the shape every packet of the paper's protocol has.
 //!
 //! ## Example
 //!
@@ -348,6 +351,15 @@ impl FpisaPipeline {
         Ok(())
     }
 
+    /// Check the slot span `start..start + len` against the spec — the one
+    /// range check of the range-shaped APIs — and return its end.
+    fn check_span(&self, start: usize, len: usize) -> Result<usize, RuntimeError> {
+        start
+            .checked_add(len)
+            .filter(|&e| e <= self.slots())
+            .ok_or_else(|| self.slot_error(start.saturating_add(len).saturating_sub(1)))
+    }
+
     /// Packets per internal batch chunk for the active engine.
     fn batch_chunk(&self) -> usize {
         match &self.engine {
@@ -401,6 +413,30 @@ impl FpisaPipeline {
                 let (slot, bits) = packets[i];
                 (OP_ADD, slot as u64, bits)
             },
+            None,
+        )
+    }
+
+    /// [`FpisaPipeline::add_batch`] for packets that arrive as the wire
+    /// carries them: each `(start, words)` chunk folds `words[i]` into slot
+    /// `start + i`, chunks in order — the ADD mirror of
+    /// [`FpisaPipeline::read_range`]. Same packets, same order and same
+    /// result as `add_batch` over the flattened `(slot, bits)` pairs, but
+    /// no pair list is built: one range check per chunk, then the compiled
+    /// engine's lanes are filled a column at a time
+    /// ([`BatchLanes::fill`] / [`BatchLanes::fill_iota`] /
+    /// [`BatchLanes::fill_slice`]), and the consecutive slots reach the
+    /// stateful tables as runs they serve from one register window each.
+    ///
+    /// Every chunk is validated up front: on an out-of-range chunk the
+    /// call errors **before any packet runs**. Empty chunks are skipped.
+    pub fn add_ranges(&mut self, chunks: &[(usize, &[u64])]) -> Result<(), RuntimeError> {
+        for &(start, words) in chunks {
+            self.check_span(start, words.len())?;
+        }
+        self.run_ranges(
+            OP_ADD,
+            chunks.iter().map(|&(start, w)| (start, w.len(), Some(w))),
             None,
         )
     }
@@ -482,20 +518,84 @@ impl FpisaPipeline {
 
     /// [`FpisaPipeline::read_batch`] over the contiguous slot range
     /// `start..start + len` — the shape every chunked read-out protocol
-    /// uses — without materializing a slot-index list.
+    /// uses — without materializing a slot-index list: one range check,
+    /// the lanes filled a column at a time like
+    /// [`FpisaPipeline::add_ranges`], and the result column drained in one
+    /// pass per batch.
     pub fn read_range(&mut self, start: usize, len: usize) -> Result<Vec<u64>, RuntimeError> {
-        start
-            .checked_add(len)
-            .filter(|&e| e <= self.slots())
-            .ok_or_else(|| self.slot_error(start.saturating_add(len).saturating_sub(1)))?;
+        self.check_span(start, len)?;
         let mut out = Vec::with_capacity(len);
-        self.run_batch_impl(len, |i| (OP_READ, (start + i) as u64, 0), Some(&mut out))?;
+        self.run_ranges(OP_READ, std::iter::once((start, len, None)), Some(&mut out))?;
         Ok(out)
     }
 
+    /// The range-shaped batch loop: one `op` packet per slot of every
+    /// `(start, len, words)` range, ranges back to back and in order,
+    /// packet `k` of a range carrying `words[k]` as its value (`None`:
+    /// READ packets carry none). Ranges are already validated.
+    ///
+    /// On the compiled engine a batch is [`SOA_CHUNK`] lanes cut from the
+    /// ranges as they come — the same batches [`FpisaPipeline::add_batch`]
+    /// would cut from the flattened packets — and each piece of a range
+    /// is written with the column writers. The other engines run the same
+    /// packets through [`FpisaPipeline::run_batch_impl`].
+    fn run_ranges<'a>(
+        &mut self,
+        op: u64,
+        mut ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
+        mut collect: Option<&mut Vec<u64>>,
+    ) -> Result<(), RuntimeError> {
+        let mut left: usize = ranges.clone().map(|(_, len, _)| len).sum();
+        let Engine::Compiled(c) = &mut self.engine else {
+            let mut packets = ranges.flat_map(|(start, len, words)| {
+                (0..len).map(move |k| (op, (start + k) as u64, words.map_or(0, |w| w[k])))
+            });
+            let next = |_| packets.next().expect("one packet per counted slot");
+            return self.run_batch_impl(left, next, collect);
+        };
+        let (f_op, f_slot, f_value, f_result) = (
+            self.fields.op,
+            self.fields.slot,
+            self.fields.value,
+            self.fields.result,
+        );
+        let lanes = &mut self.lanes;
+        if lanes.capacity() == 0 {
+            *lanes = BatchLanes::new(c.layout(), SOA_CHUNK.min(left.max(1)));
+        }
+        // The range being cut: `(next slot, slots left, their words)`.
+        let (mut slot, mut rest, mut words) = (0usize, 0usize, None);
+        while left > 0 {
+            let len = SOA_CHUNK.min(left);
+            lanes.begin(len);
+            lanes.fill(f_op, op);
+            let mut at = 0;
+            while at < len {
+                if rest == 0 {
+                    (slot, rest, words) = ranges.next().expect("ranges hold every counted slot");
+                    continue;
+                }
+                let take = rest.min(len - at);
+                lanes.fill_iota(f_slot, at, take, slot as u64);
+                if let Some(w) = words {
+                    lanes.fill_slice(f_value, at, &w[..take]);
+                    words = Some(&w[take..]);
+                }
+                (slot, rest, at) = (slot + take, rest - take, at + take);
+            }
+            c.run_lanes(lanes)?;
+            if let Some(out) = collect.as_deref_mut() {
+                lanes.extend_from_column(f_result, out);
+            }
+            left -= len;
+        }
+        Ok(())
+    }
+
     /// The shared batch loop. `fill` yields packet `i`'s `(op, slot,
-    /// value)` input fields; when `collect` is given, every processed
-    /// packet's `result` field is appended to it.
+    /// value)` input fields, and is asked for each `i` once, in order;
+    /// when `collect` is given, every processed packet's `result` field is
+    /// appended to it.
     ///
     /// On the compiled engine the packets are written straight into the
     /// reusable [`BatchLanes`] columns and executed there — no per-packet
@@ -505,7 +605,7 @@ impl FpisaPipeline {
     fn run_batch_impl(
         &mut self,
         n: usize,
-        fill: impl Fn(usize) -> (u64, u64, u64),
+        mut fill: impl FnMut(usize) -> (u64, u64, u64),
         mut collect: Option<&mut Vec<u64>>,
     ) -> Result<(), RuntimeError> {
         let (f_op, f_slot, f_value, f_result) = (
@@ -611,15 +711,17 @@ impl FpisaPipeline {
     }
 
     /// Control-plane reset of a contiguous slot range (see
-    /// [`FpisaPipeline::clear_slot`]). The range is validated up front: on
-    /// an out-of-range slot the call errors before any slot is cleared.
+    /// [`FpisaPipeline::clear_slot`]): one range check, then one fill per
+    /// register array. On an out-of-range span the call errors before any
+    /// slot is cleared.
     pub fn clear_range(&mut self, start: usize, len: usize) -> Result<(), RuntimeError> {
-        let end = start
-            .checked_add(len)
-            .filter(|&e| e <= self.slots())
-            .ok_or_else(|| self.slot_error(start.saturating_add(len).saturating_sub(1)))?;
-        for slot in start..end {
-            self.clear_slot(slot)?;
+        self.check_span(start, len)?;
+        for array in [self.arrays.exponent, self.arrays.mantissa] {
+            match &mut self.engine {
+                Engine::Interpreted => self.switch.fill_registers(array, start, len, 0),
+                Engine::Compiled(c) => c.fill_registers(array, start, len, 0),
+                Engine::Sharded(s) => s.fill_registers(array, start, len, 0),
+            }
         }
         Ok(())
     }

@@ -274,6 +274,146 @@ fn extended_full_matches_reference_bit_for_bit() {
     run_differential(PipelineVariant::ExtendedFull, 0xD1FF_0003);
 }
 
+/// The range-shaped calls against the scattered and the scalar ones, on
+/// every cell and every engine: `add_ranges` ≡ `add_batch` over the
+/// flattened pairs ≡ one `add_bits` per element, `read_range` ≡
+/// `read_batch` ≡ `read_bits`, `clear_range` ≡ one `clear_slot` per slot.
+/// The chunk list has empty chunks (first, mid-list, at the very end of the
+/// slot space), chunks that straddle the compiled engine's 256-lane batch
+/// boundary, and slots that are hit again by a later chunk.
+#[test]
+fn range_shaped_calls_equal_scattered_and_scalar_ones_on_every_cell() {
+    const N: usize = 600;
+    let mut rng = SmallRng::seed_from_u64(0xD1FF_0004);
+    // (start, words): lanes 0..64 | 64..214 | 214..314 (over 256) |
+    // 314..315 | 315..600 (over 512) | 600..700.
+    let shape: [(usize, usize); 9] = [
+        (7, 0),
+        (0, 64),
+        (300, 150),
+        (250, 100),
+        (N, 0),
+        (599, 1),
+        (10, 285),
+        (3, 0),
+        (500, 100),
+    ];
+    for variant in PipelineVariant::all() {
+        for (format, guard, rounding) in cells() {
+            let cell = format!("{variant:?}/{format:?}/g{guard}/{rounding:?}");
+            let spec = PipelineSpec::new(variant)
+                .format(format)
+                .guard_bits(guard)
+                .read_rounding(rounding)
+                .slots(N);
+            let words: Vec<Vec<u64>> = shape
+                .iter()
+                .map(|&(_, len)| (0..len).map(|_| random_bits(&mut rng, format)).collect())
+                .collect();
+            let chunks: Vec<(usize, &[u64])> = shape
+                .iter()
+                .zip(&words)
+                .map(|(&(start, _), w)| (start, w.as_slice()))
+                .collect();
+            let pairs: Vec<(usize, u64)> = chunks
+                .iter()
+                .flat_map(|&(start, w)| w.iter().enumerate().map(move |(i, &b)| (start + i, b)))
+                .collect();
+            let mut scalar = FpisaPipeline::from_spec(spec).unwrap();
+            for _ in 0..2 {
+                for &(slot, bits) in &pairs {
+                    scalar.add_bits(slot, bits).unwrap();
+                }
+            }
+            let want_state: Vec<(u32, i64)> = (0..N).map(|s| scalar.register_state(s)).collect();
+            let want_read: Vec<u64> = (0..N).map(|s| scalar.read_bits(s).unwrap()).collect();
+            for (engine, spec) in [
+                ("interpreted", spec.engine(ExecEngine::Interpreted)),
+                ("compiled", spec.engine(ExecEngine::Compiled)),
+                ("sharded", spec.engine(ExecEngine::Compiled).shards(3)),
+            ] {
+                let label = format!("{cell} / {engine}");
+                let mut ranged = FpisaPipeline::from_spec(spec).unwrap();
+                let mut scattered = FpisaPipeline::from_spec(spec).unwrap();
+                for _ in 0..2 {
+                    ranged.add_ranges(&chunks).unwrap();
+                    scattered.add_batch(&pairs).unwrap();
+                }
+                ranged.add_ranges(&[]).unwrap();
+                for (s, &want) in want_state.iter().enumerate() {
+                    assert_eq!(
+                        ranged.register_state(s),
+                        want,
+                        "{label}: add_ranges, slot {s}"
+                    );
+                    assert_eq!(
+                        scattered.register_state(s),
+                        want,
+                        "{label}: add_batch, slot {s}"
+                    );
+                }
+                // Read-outs: the whole space, a piece over a batch boundary,
+                // empty pieces.
+                let all: Vec<usize> = (0..N).collect();
+                assert_eq!(ranged.read_range(0, N).unwrap(), want_read, "{label}");
+                assert_eq!(ranged.read_batch(&all).unwrap(), want_read, "{label}");
+                assert_eq!(
+                    ranged.read_range(100, 300).unwrap(),
+                    want_read[100..400],
+                    "{label}"
+                );
+                assert_eq!(ranged.read_range(N, 0).unwrap(), [0u64; 0], "{label}");
+                // A chunk out of range — the last of the call, its start in
+                // range — is rejected before any packet of any chunk runs.
+                for bad in [(N - 4, &words[1][..5]), (usize::MAX, &words[1][..2])] {
+                    let err = ranged.add_ranges(&[chunks[1], bad]).unwrap_err();
+                    assert!(
+                        matches!(err, fpisa_pisa::RuntimeError::IndexOutOfRange { .. }),
+                        "{label}: {err:?}"
+                    );
+                    assert!(ranged.read_range(N - 4, 5).is_err(), "{label}");
+                    assert!(ranged.clear_range(N - 4, 5).is_err(), "{label}");
+                }
+                for (s, &want) in want_state.iter().enumerate() {
+                    assert_eq!(
+                        ranged.register_state(s),
+                        want,
+                        "{label}: rejected, slot {s}"
+                    );
+                }
+                // Resets: a span against the per-slot loop, then all of it.
+                ranged.clear_range(250, 0).unwrap();
+                ranged.clear_range(190, 320).unwrap();
+                for s in 190..510 {
+                    scattered.clear_slot(s).unwrap();
+                }
+                for (s, &kept) in want_state.iter().enumerate() {
+                    let want = if (190..510).contains(&s) {
+                        (0, 0)
+                    } else {
+                        kept
+                    };
+                    assert_eq!(
+                        ranged.register_state(s),
+                        want,
+                        "{label}: clear_range, slot {s}"
+                    );
+                    assert_eq!(
+                        scattered.register_state(s),
+                        want,
+                        "{label}: clear_slot, slot {s}"
+                    );
+                }
+                ranged.clear_range(0, N).unwrap();
+                assert!(
+                    (0..N).all(|s| ranged.register_state(s) == (0, 0)),
+                    "{label}"
+                );
+            }
+        }
+    }
+}
+
 /// Directed FP32 streams that historically break FP pipelines: pure
 /// cancellation, saturation pressure, exact powers of two at the headroom
 /// boundary, and denormal dust — run through every format/rounding cell

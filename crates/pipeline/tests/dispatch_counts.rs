@@ -4,6 +4,9 @@
 //! batch should pay per lane only in the tables whose keys really differ
 //! between lanes; if a change makes the READ-only tables look at the lanes
 //! of an ADD batch again, this fails where a benchmark would merely drift.
+//! Likewise for Phase C: a chunk's slots are consecutive, so both stateful
+//! tables must serve every lane from a register window — a lane-fill path
+//! that stops producing runs fails here.
 
 use fpisa_core::FpFormat;
 use fpisa_pipeline::{FpisaPipeline, PipelineSpec, PipelineVariant, OP_ADD, OP_READ};
@@ -140,4 +143,71 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
         "the LPM rows sweep the lanes"
     );
     assert_eq!(phase_b(read.of("find_top")), (0, 1, 0, 0));
+}
+
+/// Every `add_ranges` / `read_range` chunk carries consecutive slots, so
+/// the two stateful tables serve all 64 lanes of a batch from one register
+/// window each (`windowed`, 64 of 64) — on ADD and on READ, with the
+/// lanes filled by the column writers as the pipeline fills them, and
+/// alike on both lane words (one unused 33-bit field puts the same program
+/// on 64-bit columns).
+#[test]
+fn consecutive_slots_reach_the_stateful_tables_as_register_windows() {
+    let pipe = FpisaPipeline::from_spec(
+        PipelineSpec::new(PipelineVariant::TofinoA)
+            .format(FpFormat::FP16)
+            .slots(LANES + 8),
+    )
+    .unwrap();
+    let fields = pipe.fields();
+    let mut wide = pipe.switch_program().clone();
+    wide.layout.field("lane_word_pad", 33);
+    let mut per_word = Vec::new();
+    for program in [pipe.switch_program(), &wide] {
+        let table = |name: &str| {
+            let mut tables = program.stages.iter().flat_map(|s| &s.tables);
+            tables.position(|t| t.name == name).unwrap()
+        };
+        let (exponent, mantissa) = (table("exponent"), table("mantissa"));
+        let mut cs = CompiledSwitch::compile(program).unwrap();
+        let mut lanes = BatchLanes::new(cs.layout(), LANES);
+        let words: Vec<u64> = (0..LANES)
+            .map(|k| FpFormat::FP16.encode(1.0 + k as f64 / 8.0))
+            .collect();
+        let mut seen = Vec::new();
+        // Two ADD batches (install, then align against what is stored)
+        // and a READ batch, all over slots 3..67.
+        for op in [OP_ADD, OP_ADD, OP_READ] {
+            lanes.begin(LANES);
+            lanes.fill(fields.op, op);
+            lanes.fill_iota(fields.slot, 0, LANES, 3);
+            if op == OP_ADD {
+                lanes.fill_slice(fields.value, 0, &words);
+            }
+            cs.run_lanes(&mut lanes).unwrap();
+            let counts = cs.dispatch_counts();
+            seen.push((counts[exponent], counts[mantissa]));
+        }
+        for (batch, (e, m)) in seen.iter().enumerate() {
+            let lanes = (batch as u64 + 1) * LANES as u64;
+            assert_eq!(
+                (e.lanes, e.windowed),
+                (lanes, lanes),
+                "exponent, batch {batch}"
+            );
+            assert_eq!(
+                (m.lanes, m.windowed),
+                (lanes, lanes),
+                "mantissa, batch {batch}"
+            );
+        }
+        // No other table has a stateful call to serve.
+        let total: u64 = cs.dispatch_counts().iter().map(|c| c.windowed).sum();
+        assert_eq!(total, 2 * 3 * LANES as u64);
+        per_word.push(cs.dispatch_counts().to_vec());
+    }
+    assert_eq!(
+        per_word[0], per_word[1],
+        "the lane word changed the dispatch"
+    );
 }

@@ -72,8 +72,26 @@
 //!
 //! **Phase C** applies in packet order, stopping at the first out-of-range
 //! lane, so per-slot update order (and thus every register value, SALU
-//! output and fault) is bit-for-bit the per-packet engine's.
-//! [`CompiledSwitch::dispatch_counts`] reports which way each table went.
+//! output and fault) is bit-for-bit the per-packet engine's. The
+//! definition is one indexed access per lane. Where a one-action batch's
+//! index column *ascends slot by slot* — every packet of the paper's
+//! protocol carries consecutive elements — the range stays a range: the
+//! column splits into maximal ascending runs, and a run of eight lanes or
+//! more takes its **register window** `regs[base..base + len]` once. That
+//! checked slice is the fault test: a run crossing the array's end is
+//! clipped there and the first lane past the clip faults, exactly as lane
+//! by lane. Over the window the call runs as staged sweeps resolved per
+//! 64-lane block, not per lane — a compare sweep per condition leaf into a
+//! lane mask, `on_true` over the taken lanes and `on_false` over the rest
+//! (a block gone all one way runs that update branch-free), then the
+//! output store, after every read as per packet. Runs go in lane order and
+//! the slots inside one are distinct, so nothing is reordered. The
+//! per-lane loop keeps shorter runs and columns that are no run at all
+//! (duplicate or permuted slots: a window's setup would not pay, and
+//! duplicates need the order), a constant index (one slot), and
+//! divergent-action tables (each lane under its own call).
+//! [`CompiledSwitch::dispatch_counts`] reports which way each table went,
+//! and how many lanes its windows served.
 //!
 //! The SoA mode is only entered for programs where table-major order is
 //! observably identical to packet-major order (see
@@ -88,9 +106,9 @@
 //! *lane word*: `u32` when every PHV field is at most 32 bits wide, `u64`
 //! otherwise (`PhvLayout::lane_bits`; no option selects it). Everything
 //! that touches a column — facts, key packs, row claims, the three Phase B
-//! sweeps, Phase C's loads and output stores — is one generic source over
-//! `LaneWord`, instantiated twice. An action is a fixed op template plus
-//! constants (Packet Transactions), so the template is resolved when a
+//! sweeps, Phase C's run scan and window sweeps — is one generic source
+//! over `LaneWord`, instantiated twice. An action is a fixed op template
+//! plus constants (Packet Transactions), so the template is resolved when a
 //! sweep starts, not per chunk: the ALU `match` and the operand shape
 //! (`field∘field`, `field∘const`, `const∘field`) are decided outside the
 //! lane loop, each arm a loop around one branchless op in which a constant
@@ -504,6 +522,10 @@ pub struct DispatchCounts {
     /// Phase B: a divergent batch past the masked cut-over, each packet
     /// walking its own tape.
     pub walk: u64,
+    /// Phase C, among `lanes`: lanes whose stateful call was served from a
+    /// register window (their index column ran ascending for eight lanes
+    /// or more) instead of one indexed access per lane.
+    pub windowed: u64,
 }
 
 impl CompiledTable {
@@ -1610,6 +1632,51 @@ fn drop_dead_stores(prims: &[CompiledPrim], tape: &mut Vec<CompiledPrim>, stats:
     }
 }
 
+/// The lanes from `lo` of a column buffer: what one block of a
+/// register-window sweep ([`salu_window`]) reads its operands from.
+struct Block<'a, W> {
+    buf: &'a [W],
+    cap: usize,
+    lo: usize,
+}
+
+impl<W: LaneWord> Block<'_, W> {
+    /// `f(item, operand)` down `items` (one per lane of the block) and the
+    /// operand's signed values side by side — the operand's shape decided
+    /// here, outside the loop.
+    #[inline(always)]
+    fn zip<I: Iterator>(&self, op: CompiledOperand, items: I, mut f: impl FnMut(I::Item, i64)) {
+        match op {
+            CompiledOperand::Field { idx, sx } => {
+                let col = &self.buf[idx as usize * self.cap + self.lo..];
+                items
+                    .zip(col)
+                    .for_each(|(item, &x)| f(item, x.wide().sext(sx)));
+            }
+            CompiledOperand::Const(c) => items.for_each(|item| f(item, c)),
+        }
+    }
+}
+
+/// Bind `$f` to the signed compare `$cmp` and evaluate `$body`: like
+/// [`with_alu`], the `match` sits outside whatever loop `$body` runs.
+macro_rules! with_cmp {
+    (@arm $f:ident, $body:expr, $op:tt) => {{
+        let $f = |a: i64, b: i64| a $op b;
+        $body
+    }};
+    ($cmp:expr, |$f:ident| $body:expr) => {
+        match $cmp {
+            CmpOp::Eq => with_cmp!(@arm $f, $body, ==),
+            CmpOp::Ne => with_cmp!(@arm $f, $body, !=),
+            CmpOp::Lt => with_cmp!(@arm $f, $body, <),
+            CmpOp::Le => with_cmp!(@arm $f, $body, <=),
+            CmpOp::Gt => with_cmp!(@arm $f, $body, >),
+            CmpOp::Ge => with_cmp!(@arm $f, $body, >=),
+        }
+    };
+}
+
 /// One leaf of a lowered SALU condition, operands pre-resolved.
 #[derive(Debug, Clone, Copy)]
 enum CondLeaf {
@@ -1625,16 +1692,25 @@ impl CondLeaf {
             CondLeaf::Always => true,
             CondLeaf::MetaNonZero(f) => vals[f as usize * stride + lane] != V::ZERO,
             CondLeaf::RegCmp { cmp, rhs } => {
-                let rhs = rhs.signed(vals, stride, lane);
-                match cmp {
-                    CmpOp::Eq => stored == rhs,
-                    CmpOp::Ne => stored != rhs,
-                    CmpOp::Lt => stored < rhs,
-                    CmpOp::Le => stored <= rhs,
-                    CmpOp::Gt => stored > rhs,
-                    CmpOp::Ge => stored >= rhs,
-                }
+                with_cmp!(cmp, |f| f(stored, rhs.signed(vals, stride, lane)))
             }
+        }
+    }
+
+    /// [`CondLeaf::eval`] for a whole block into `taken` (all `true` on
+    /// entry): one compare sweep, against the register window `win`.
+    fn sweep<W: LaneWord>(&self, win: &[i64], lanes: &Block<W>, taken: &mut [bool]) {
+        match *self {
+            CondLeaf::Always => {}
+            CondLeaf::MetaNonZero(idx) => {
+                let raw = CompiledOperand::Field { idx, sx: 0 };
+                lanes.zip(raw, taken.iter_mut(), |t, x| *t = x != 0);
+            }
+            CondLeaf::RegCmp { cmp, rhs } => with_cmp!(cmp, |f| {
+                lanes.zip(rhs, taken.iter_mut().zip(win), |(t, &stored), x| {
+                    *t = f(stored, x)
+                })
+            }),
         }
     }
 }
@@ -1724,6 +1800,52 @@ impl CompiledCond {
     }
 }
 
+/// **The** definition of the SALU updates, mirroring [`SaluUpdate::apply`]:
+/// evaluate `$body` once per step of update `$u`, with `$op` bound to the
+/// step's operand (read signed) and `$f` to `new = f(stored, operand)`,
+/// the `match` outside whatever loop `$body` runs. `Keep` has no step;
+/// `ShiftRightAddSat` has two — shift the stored value, then add.
+macro_rules! with_update {
+    (@step $f:ident, $body:expr, $def:expr) => {{
+        let $f = $def;
+        $body
+    }};
+    ($u:expr, $meta:expr, |$op:ident, $f:ident| $body:expr) => {{
+        use crate::register::truncate;
+        let (width, min, max) = ($meta.width, $meta.min, $meta.max);
+        // `saturating_add` then `clamp` equals saturating the exact sum: a
+        // sum past `i64` is past `max`/`min` too.
+        let add_sat = move |s: i64, x: i64| s.saturating_add(x).clamp(min, max);
+        match $u {
+            CompiledUpdate::Keep => {}
+            CompiledUpdate::Write($op) => {
+                with_update!(@step $f, $body, |_: i64, x: i64| truncate(x, width))
+            }
+            CompiledUpdate::AddSat($op) => with_update!(@step $f, $body, add_sat),
+            CompiledUpdate::AddWrap($op) => {
+                with_update!(@step $f, $body, |s: i64, x: i64| truncate(s.wrapping_add(x), width))
+            }
+            CompiledUpdate::ShiftRightAddSat { shift, addend } => {
+                // The distance reads raw: a field "sign-extended" from all
+                // 64 bits, a constant reinterpreted as it stands.
+                let $op = match shift {
+                    CompiledOperand::Field { idx, .. } => CompiledOperand::Field { idx, sx: 0 },
+                    c => c,
+                };
+                with_update!(@step $f, $body, |s: i64, d: i64| s >> (d as u64).min(63));
+                let $op = addend;
+                with_update!(@step $f, $body, add_sat)
+            }
+            CompiledUpdate::MaxSigned($op) => {
+                with_update!(@step $f, $body, |s: i64, x: i64| s.max(truncate(x, width)))
+            }
+            CompiledUpdate::MinSigned($op) => {
+                with_update!(@step $f, $body, |s: i64, x: i64| s.min(truncate(x, width)))
+            }
+        }
+    }};
+}
+
 /// A lowered SALU update: [`SaluUpdate`] with pre-resolved operands,
 /// applied against the flat register file with precomputed width bounds.
 #[derive(Debug, Clone, Copy)]
@@ -1766,35 +1888,30 @@ impl CompiledUpdate {
         stride: usize,
         lane: usize,
     ) -> i64 {
-        match *self {
-            CompiledUpdate::Keep => stored,
-            CompiledUpdate::Write(op) => {
-                crate::register::truncate(op.signed(vals, stride, lane), meta.width)
-            }
-            // `saturating_add` then `clamp` equals saturating the exact
-            // sum: a sum past `i64` is past `max`/`min` too.
-            CompiledUpdate::AddSat(op) => stored
-                .saturating_add(op.signed(vals, stride, lane))
-                .clamp(meta.min, meta.max),
-            CompiledUpdate::AddWrap(op) => crate::register::truncate(
-                stored.wrapping_add(op.signed(vals, stride, lane)),
-                meta.width,
-            ),
-            CompiledUpdate::ShiftRightAddSat { shift, addend } => {
-                let d = shift.raw(vals, stride, lane).min(63) as u32;
-                (stored >> d)
-                    .saturating_add(addend.signed(vals, stride, lane))
-                    .clamp(meta.min, meta.max)
-            }
-            CompiledUpdate::MaxSigned(op) => stored.max(crate::register::truncate(
-                op.signed(vals, stride, lane),
-                meta.width,
-            )),
-            CompiledUpdate::MinSigned(op) => stored.min(crate::register::truncate(
-                op.signed(vals, stride, lane),
-                meta.width,
-            )),
-        }
+        let mut new = stored;
+        with_update!(*self, meta, |op, f| new =
+            f(new, op.signed(vals, stride, lane)));
+        new
+    }
+
+    /// [`CompiledUpdate::apply`] over the register window `win` of one
+    /// block: every lane, or when `MASKED` the lanes with `taken == want`
+    /// — a branch that follows the data, which measured faster here than
+    /// computing both updates and blending.
+    fn sweep<W: LaneWord, const MASKED: bool>(
+        &self,
+        meta: &ArrayMeta,
+        win: &mut [i64],
+        lanes: &Block<W>,
+        (taken, want): (&[bool], bool),
+    ) {
+        with_update!(*self, meta, |op, f| {
+            lanes.zip(op, win.iter_mut().zip(taken), |(reg, &t), x| {
+                if !MASKED || t == want {
+                    *reg = f(*reg, x);
+                }
+            })
+        });
     }
 }
 
@@ -2057,6 +2174,12 @@ impl CompiledSwitch {
     /// Control-plane write of a register entry.
     pub fn set_register(&mut self, id: RegArrayId, index: usize, value: i64) {
         self.state.set(id, index, value);
+    }
+
+    /// Control-plane write of one value into a span of register entries
+    /// ([`RegisterState::fill_range`]).
+    pub fn fill_registers(&mut self, id: RegArrayId, start: usize, len: usize, value: i64) {
+        self.state.fill_range(id, start, len, value);
     }
 
     /// The live register state.
@@ -2338,7 +2461,9 @@ impl CompiledSwitch {
                         op.sweep::<W, false>(buf, cap, limit, &[], MISS);
                     }
                     if let Some((cs, meta)) = call(action) {
-                        stopped = salu_lanes(cs, meta, regs, buf, cap, limit).map(|at| (at, meta));
+                        let batch = (&mut *buf, cap, limit);
+                        stopped = salu_lanes(cs, meta, regs, batch, &mut count.windowed)
+                            .map(|at| (at, meta));
                     }
                 }
                 Err(seen) => {
@@ -2464,46 +2589,217 @@ fn salu_access<V: LaneWord>(
 /// `(lane, index)` of the first lane indexing out of range; the lanes
 /// before it are applied, it and the lanes after it are not.
 ///
-/// The condition's shape is dispatched here, once, so each lane loop
-/// evaluates its leaves inline.
+/// An ascending run of the index column at least [`WINDOW_MIN`] lanes
+/// long takes its register window once — clipped at the array's end, which
+/// *is* the fault test — and [`salu_window`] sweeps the call over it
+/// (counted in `windowed`); every other lane goes through [`salu_access`],
+/// which stays the definition. See the module docs.
 fn salu_lanes<W: LaneWord>(
     cs: &CompiledStateful,
     meta: &ArrayMeta,
     regs: &mut [i64],
-    buf: &mut [W],
-    cap: usize,
-    limit: usize,
+    (buf, cap, limit): (&mut [W], usize, usize),
+    windowed: &mut u64,
+) -> Option<(usize, usize)> {
+    let regs = window(regs, meta);
+    let CompiledOperand::Field { idx: field, .. } = cs.index else {
+        return salu_stretch(cs, meta, regs, (buf, cap), 0..limit); // one slot: no run
+    };
+    let col = field as usize * cap;
+    // Lanes `done..i` sit in runs too short for a window: they go lane by
+    // lane, as one stretch, before the next window or at the end.
+    let (mut done, mut i) = (0, 0);
+    while i < limit {
+        let base = buf[col + i].wide();
+        let (len, run) = next_run(&buf[col + i..col + limit]);
+        // A run ends where the lane word would wrap: that lane starts over
+        // at slot 0, it does not extend the window.
+        let len = len.min((W::ONES.wide() - base).saturating_add(1) as usize);
+        if run && len >= WINDOW_MIN {
+            if let Some(stop) = salu_stretch(cs, meta, regs, (buf, cap), done..i) {
+                return Some(stop);
+            }
+            let base = base as usize;
+            let fit = regs.len().saturating_sub(base).min(len);
+            if fit > 0 {
+                salu_window(cs, meta, &mut regs[base..base + fit], buf, cap, i);
+            }
+            *windowed += fit as u64;
+            if fit < len {
+                return Some((i + fit, base + fit));
+            }
+            done = i + len;
+        }
+        i += len;
+    }
+    salu_stretch(cs, meta, regs, (buf, cap), done..limit)
+}
+
+/// Lanes `lanes`, one [`salu_access`] each, in order: the definition of
+/// Phase C. Returns `(lane, index)` of the first lane out of range.
+///
+/// The condition's shape is dispatched here, once, so each lane loop
+/// evaluates its leaves inline (one loop evaluating `cs.cond` per lane
+/// measured 12% slower on permuted-slot batches).
+fn salu_stretch<W: LaneWord>(
+    cs: &CompiledStateful,
+    meta: &ArrayMeta,
+    regs: &mut [i64],
+    (buf, cap): (&mut [W], usize),
+    lanes: std::ops::Range<usize>,
 ) -> Option<(usize, usize)> {
     // Generic, not `dyn`: one lane loop per shape, its condition inlined.
     #[inline(always)]
-    fn lanes<W: LaneWord>(
+    fn each<W: LaneWord>(
         cs: &CompiledStateful,
         meta: &ArrayMeta,
-        regs: &mut [i64],
-        (buf, cap, limit): (&mut [W], usize, usize),
+        (regs, buf, cap): (&mut [i64], &mut [W], usize),
+        mut lanes: std::ops::Range<usize>,
         taken: impl Fn(i64, &[W], usize) -> bool,
     ) -> Option<(usize, usize)> {
-        let regs = window(regs, meta);
-        (0..limit).find_map(|i| {
+        lanes.find_map(|i| {
             let access = salu_access(cs, meta, regs, buf, cap, i, |old, buf| taken(old, buf, i));
             access.err().map(|idx| (i, idx))
         })
     }
-    let batch = (buf, cap, limit);
+    let batch = (regs, buf, cap);
     match &cs.cond {
-        CompiledCond::Always => lanes(cs, meta, regs, batch, |_, _, _| true),
-        CompiledCond::One(a) => lanes(cs, meta, regs, batch, |old, buf, i| {
+        CompiledCond::Always => each(cs, meta, batch, lanes, |_, _, _| true),
+        CompiledCond::One(a) => each(cs, meta, batch, lanes, |old, buf, i| {
             a.eval(old, buf, cap, i)
         }),
-        CompiledCond::Or(a, b) => lanes(cs, meta, regs, batch, |old, buf, i| {
+        CompiledCond::Or(a, b) => each(cs, meta, batch, lanes, |old, buf, i| {
             a.eval(old, buf, cap, i) || b.eval(old, buf, cap, i)
         }),
-        CompiledCond::And(a, b) => lanes(cs, meta, regs, batch, |old, buf, i| {
+        CompiledCond::And(a, b) => each(cs, meta, batch, lanes, |old, buf, i| {
             a.eval(old, buf, cap, i) && b.eval(old, buf, cap, i)
         }),
-        CompiledCond::Tree(t) => lanes(cs, meta, regs, batch, |old, buf, i| {
+        CompiledCond::Tree(t) => each(cs, meta, batch, lanes, |old, buf, i| {
             t.eval(old, buf, cap, i)
         }),
+    }
+}
+
+/// How the non-empty index column `col` starts: `(len, false)` for `len`
+/// lanes none of which steps up into the next (`col[k + 1] == col[k] + 1`)
+/// — duplicate and permuted slots — or `(len, true)` for a maximal
+/// ascending run of `len` lanes. Steps are tested a cache line of lanes
+/// per compare sweep, lane by lane only at the ends.
+fn next_run<W: LaneWord>(col: &[W]) -> (usize, bool) {
+    let (one, n) = (W::narrow(1), col.len());
+    let up = |j: usize| col[j] == col[j - 1].add(one);
+    // Of the steps into lanes `j..j + LANES`: (OR, AND) of "ascends".
+    let line = |j: usize| {
+        let ups = map2::<W>(&load(col, 0, j - 1), &load(col, 0, j), |a, b| {
+            W::select(a.add(one) == b)
+        });
+        let ups = ups.as_ref().iter();
+        ups.fold((W::ZERO, W::ONES), |(any, all), &m| (any | m, all & m))
+    };
+    let mut j = 1;
+    while j + W::LANES <= n && line(j).0 == W::ZERO {
+        j += W::LANES;
+    }
+    // A last, partial line: test the whole line that ends the column.
+    if j < n && n - j < W::LANES && n > W::LANES && line(n - W::LANES).0 == W::ZERO {
+        j = n;
+    }
+    while j < n && !up(j) {
+        j += 1;
+    }
+    // Lanes `0..j - 1` step nowhere; lane `j - 1` does, unless `col` ended.
+    let singles = if j < n { j - 1 } else { n };
+    if singles > 0 {
+        return (singles, false);
+    }
+    while j + W::LANES <= n && line(j).1 == W::ONES {
+        j += W::LANES;
+    }
+    while j < n && up(j) {
+        j += 1;
+    }
+    (j, true)
+}
+
+/// Shortest run served from a register window: below it the per-run setup
+/// outweighs the per-lane saving. One value for both lane words, so
+/// [`DispatchCounts::windowed`] does not depend on the word.
+const WINDOW_MIN: usize = 8;
+
+/// Lanes per block of a window sweep: the condition's lane mask and the
+/// saved old values live on the stack, and a block's columns stay in L1
+/// from one staged sweep to the next.
+const SALU_BLOCK: usize = 64;
+
+/// The call `cs` by lanes `lo..lo + win.len()` against their register
+/// window `win` (lane `lo + k` owns `win[k]`), as staged sweeps resolved
+/// once per block, not per lane: a compare sweep per condition leaf into
+/// the lane mask `taken`; `on_true` over the taken lanes and `on_false`
+/// over the rest (a block that went all one way — a count decides — runs
+/// that update unmasked); then the output store. Every PHV read precedes
+/// that store, as in [`salu_access`], so an output field the call itself
+/// reads is safe; `Old` values an update would overwrite are saved first.
+fn salu_window<W: LaneWord>(
+    cs: &CompiledStateful,
+    meta: &ArrayMeta,
+    win: &mut [i64],
+    buf: &mut [W],
+    cap: usize,
+    lo: usize,
+) {
+    use CompiledUpdate::Keep;
+    let save_old = matches!(cs.output, Some((_, _, SaluOutput::Old)))
+        && !matches!((cs.on_true, cs.on_false), (Keep, Keep));
+    for (b, win) in win.chunks_mut(SALU_BLOCK).enumerate() {
+        let (lo, n) = (lo + b * SALU_BLOCK, win.len());
+        let lanes = Block {
+            buf: &*buf,
+            cap,
+            lo,
+        };
+        // What the output store will read, where that is not `win` as the
+        // updates leave it: the saved `Old` values, or the predicate bits.
+        let mut vals = [0i64; SALU_BLOCK];
+        if save_old {
+            vals[..n].copy_from_slice(win);
+        }
+        let (mut taken, mut other) = ([true; SALU_BLOCK], [true; SALU_BLOCK]);
+        let (taken, other) = (&mut taken[..n], &mut other[..n]);
+        match &cs.cond {
+            CompiledCond::Always => {}
+            CompiledCond::One(a) => a.sweep(win, &lanes, taken),
+            CompiledCond::Or(a, b) | CompiledCond::And(a, b) => {
+                a.sweep(win, &lanes, taken);
+                b.sweep(win, &lanes, other);
+                let or = matches!(cs.cond, CompiledCond::Or(..));
+                let both = taken.iter_mut().zip(&*other);
+                both.for_each(|(t, &o)| *t = if or { *t | o } else { *t & o });
+            }
+            CompiledCond::Tree(tree) => {
+                for (k, (t, &stored)) in taken.iter_mut().zip(&*win).enumerate() {
+                    *t = tree.eval(stored, lanes.buf, cap, lo + k);
+                }
+            }
+        }
+        match taken.iter().filter(|&&t| t).count() {
+            0 => (cs.on_false).sweep::<W, false>(meta, win, &lanes, (taken, false)),
+            hits if hits == n => (cs.on_true).sweep::<W, false>(meta, win, &lanes, (taken, true)),
+            _ => {
+                (cs.on_true).sweep::<W, true>(meta, win, &lanes, (taken, true));
+                (cs.on_false).sweep::<W, true>(meta, win, &lanes, (taken, false));
+            }
+        }
+        if let Some((dst, mask, kind)) = cs.output {
+            if kind == SaluOutput::Predicate {
+                let bits = vals.iter_mut().zip(&*taken);
+                bits.for_each(|(v, &t)| *v = i64::from(t));
+            }
+            let own = save_old || kind == SaluOutput::Predicate;
+            let vals = if own { &vals[..n] } else { &*win };
+            let out = &mut buf[dst as usize * cap + lo..][..n];
+            let stores = out.iter_mut().zip(vals);
+            stores.for_each(|(d, &v)| *d = W::narrow(v as u64 & mask));
+        }
     }
 }
 
@@ -3616,6 +3912,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `next_run` against the scalar definition of a maximal ascending
+    /// run, walking whole columns on both lane words: every `(len, true)`
+    /// must be exactly the maximal run at that lane, every `(len, false)`
+    /// must cover only lanes that start one-lane runs.
+    #[test]
+    fn next_run_walks_a_column_by_its_maximal_runs() {
+        fn check<W: LaneWord>(col: &[u64]) {
+            let lanes: Vec<W> = col.iter().map(|&v| W::narrow(v)).collect();
+            let up = |k: usize| k + 1 < col.len() && col[k] + 1 == col[k + 1];
+            let mut i = 0;
+            while i < lanes.len() {
+                let (len, run) = next_run(&lanes[i..]);
+                assert!(len >= 1 && i + len <= lanes.len(), "{col:?} at {i}");
+                if run {
+                    let want = 1 + (i..).take_while(|&k| up(k)).count();
+                    assert_eq!(len, want, "run at lane {i} of {col:?}");
+                } else {
+                    assert!((i..i + len).all(|k| !up(k)), "singles at {i} of {col:?}");
+                }
+                i += len;
+            }
+        }
+        // A small deterministic generator: pieces of 1..40 lanes, each an
+        // ascending run, a constant, a descent or a stride-2 climb.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for _ in 0..400 {
+            let mut col: Vec<u64> = Vec::new();
+            for _ in 0..next(8) + 1 {
+                let (first, len, shape) = (next(1000) + 100, next(40) + 1, next(5));
+                col.extend((0..len).map(|k| match shape {
+                    0 | 1 => first + k,
+                    2 => first,
+                    3 => first - k,
+                    _ => first + 2 * k,
+                }));
+            }
+            check::<u32>(&col);
+            check::<u64>(&col);
+        }
+        check::<u32>(&[5]);
+        check::<u64>(&(0..100).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -392,9 +392,11 @@ macro_rules! each_word {
 /// through the whole pipeline at a time.
 ///
 /// The layout is column-major: field `f`'s value for packet `i` lives at
-/// `buf[f * cap + i]`. A batch is either filled directly (`begin` + `set`,
-/// the zero-copy path `fpisa-pipeline` uses) or transposed from existing
-/// [`Phv`]s at the batch boundary (`load` / `store`).
+/// `buf[f * cap + i]`. A batch is either filled directly — `begin`, then
+/// `set` per packet or the column writers `fill` / `fill_iota` /
+/// `fill_slice` per lane range, the zero-copy paths `fpisa-pipeline` uses —
+/// or transposed from existing [`Phv`]s at the batch boundary (`load` /
+/// `store`).
 ///
 /// **The lane word is a property of the layout** (`PhvLayout::lane_bits`):
 /// when every field is at most 32 bits wide the columns are `u32` — 16
@@ -600,6 +602,52 @@ impl BatchLanes {
         each_word!(&mut self.cols, c => c.words[c.off + at] = LaneWord::narrow(v));
     }
 
+    /// The column writer behind [`BatchLanes::fill`], [`BatchLanes::fill_iota`]
+    /// and [`BatchLanes::fill_slice`]: lanes `at..at + values.len()` of one
+    /// field in a single pass, each value truncated to the declared width
+    /// like [`BatchLanes::set`]. Panics if the lanes are not all live.
+    #[inline]
+    fn write_column(&mut self, id: FieldId, at: usize, values: impl ExactSizeIterator<Item = u64>) {
+        let f = id.0 as usize;
+        let (mask, end) = (self.masks[f], at + values.len());
+        assert!(end <= self.len, "column write past the live lanes");
+        let base = f * self.cap;
+        each_word!(&mut self.cols, c => {
+            for (lane, v) in c.buf_mut()[base + at..base + end].iter_mut().zip(values) {
+                *lane = LaneWord::narrow(v & mask);
+            }
+        });
+    }
+
+    /// Write one value into a field of every live packet — a batch's
+    /// constant column (an opcode) in one pass instead of one
+    /// [`BatchLanes::set`] per packet.
+    pub fn fill(&mut self, id: FieldId, value: u64) {
+        self.write_column(id, 0, std::iter::repeat_n(value, self.len));
+    }
+
+    /// Write `first, first + 1, …` into a field of packets
+    /// `at..at + len`: consecutive slots, the shape of every packet that
+    /// carries a contiguous range of elements.
+    pub fn fill_iota(&mut self, id: FieldId, at: usize, len: usize, first: u64) {
+        self.write_column(id, at, (0..len).map(|k| first.wrapping_add(k as u64)));
+    }
+
+    /// Write `values` into a field of packets `at..at + values.len()`.
+    pub fn fill_slice(&mut self, id: FieldId, at: usize, values: &[u64]) {
+        self.write_column(id, at, values.iter().copied());
+    }
+
+    /// Append a field's value for every live packet, in packet order, to
+    /// `out` — a result column drained in one pass instead of one
+    /// [`BatchLanes::get`] per packet.
+    pub fn extend_from_column(&self, id: FieldId, out: &mut Vec<u64>) {
+        let base = id.0 as usize * self.cap;
+        each_word!(&self.cols, c => {
+            out.extend(c.buf()[base..base + self.len].iter().map(|w| w.wide()));
+        });
+    }
+
     /// Copy packet `i` into a flat value row (compiled-engine fallback).
     #[inline]
     pub(crate) fn read_row(&self, i: usize, row: &mut [u64]) {
@@ -781,6 +829,58 @@ mod tests {
             assert_eq!(lanes.get(a, i), 0);
             assert_eq!(lanes.get(b, i), 0);
         }
+    }
+
+    #[test]
+    fn column_writers_equal_per_lane_sets_on_both_lane_words() {
+        let mut l = PhvLayout::new();
+        let op = l.field("op", 2);
+        let slot = l.field("slot", 9);
+        let value = l.field("value", 16);
+        let untouched = l.field("untouched", 32);
+        for lane_bits in [32, 64] {
+            for n in [1usize, 15, 16, 17, 100, 256] {
+                let mut by_column = BatchLanes::with_lane_bits(&l, n, lane_bits);
+                let mut by_lane = BatchLanes::with_lane_bits(&l, n, lane_bits);
+                by_column.begin(n);
+                by_lane.begin(n);
+                // Values wider than their fields: every writer truncates
+                // like `set`. The slot column is two iota pieces, the
+                // value column two slices, the second of each mid-batch.
+                let words: Vec<u64> = (0..n as u64).map(|i| i * 0x1_0101 + 0xFFFF_0000).collect();
+                let cut = n / 3;
+                by_column.fill(op, 7);
+                by_column.fill_iota(slot, 0, cut, 500);
+                by_column.fill_iota(slot, cut, n - cut, 3);
+                by_column.fill_slice(value, 0, &words[..cut]);
+                by_column.fill_slice(value, cut, &words[cut..]);
+                by_column.fill_slice(value, n, &[]); // empty, at the end
+                for (i, &word) in words.iter().enumerate() {
+                    by_lane.set(op, i, 7);
+                    let first = if i < cut { 500 + i } else { 3 + i - cut };
+                    by_lane.set(slot, i, first as u64);
+                    by_lane.set(value, i, word);
+                }
+                for f in [op, slot, value, untouched] {
+                    let (mut got, mut want) = (vec![99], vec![99]);
+                    by_column.extend_from_column(f, &mut got);
+                    want.extend((0..n).map(|i| by_lane.get(f, i)));
+                    assert_eq!(got, want, "{lane_bits}-bit lanes / {n} packets / {f:?}");
+                }
+                assert_eq!(by_column.get(op, n - 1), 3, "masked to two bits");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the live lanes")]
+    fn a_column_write_past_the_live_lanes_panics() {
+        let mut l = PhvLayout::new();
+        let f = l.field("f", 8);
+        let mut lanes = BatchLanes::new(&l, 64);
+        lanes.begin(10);
+        // Within the allocation, but not within the batch.
+        lanes.fill_iota(f, 8, 3, 0);
     }
 
     /// The address and element size of a batch's column buffer.

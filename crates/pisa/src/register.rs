@@ -431,6 +431,17 @@ impl RegisterState {
         self.values[meta.offset + index] = truncate(value, meta.width);
     }
 
+    /// Control-plane write of `value` into entries `start..start + len` of
+    /// one array, truncating to its width: one range check and one slice
+    /// fill — how a protocol resets a chunk of slots between rounds.
+    /// Panics on an out-of-range span, like indexing.
+    pub fn fill_range(&mut self, id: RegArrayId, start: usize, len: usize, value: i64) {
+        let meta = &self.metas[id.0 as usize];
+        let end = start.checked_add(len).filter(|&e| e <= meta.entries);
+        let end = end.expect("index range out of range");
+        self.values[meta.offset + start..meta.offset + end].fill(truncate(value, meta.width));
+    }
+
     /// The metadata and mutable value file, split for the compiled
     /// engine's hot loop (which needs both at once).
     pub(crate) fn parts_mut(&mut self) -> (&[ArrayMeta], &mut [i64]) {
@@ -622,6 +633,67 @@ mod tests {
         let x = l.field("x", 32);
         let out = l.field("out", 32);
         (l, x, out)
+    }
+
+    #[test]
+    fn fill_range_equals_per_entry_sets_and_leaves_the_rest() {
+        let specs: Vec<RegisterArraySpec> = [(8u32, 10usize), (32, 7)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(width_bits, entries))| RegisterArraySpec {
+                name: format!("r{i}"),
+                width_bits,
+                entries,
+                stage: i,
+            })
+            .collect();
+        for (id, entries) in [(RegArrayId(0), 10usize), (RegArrayId(1), 7)] {
+            // Every span of the array, the empty ones included; the value
+            // does not fit the 8-bit array and must truncate like `set`.
+            for start in 0..=entries {
+                for len in 0..=entries - start {
+                    let mut filled = RegisterState::new(&specs);
+                    for a in 0..2u16 {
+                        for i in 0..filled.entries(RegArrayId(a)) {
+                            filled.set(RegArrayId(a), i, 40 + i as i64);
+                        }
+                    }
+                    let mut looped = filled.clone();
+                    filled.fill_range(id, start, len, 0x1_7F);
+                    for i in start..start + len {
+                        looped.set(id, i, 0x1_7F);
+                    }
+                    assert_eq!(filled, looped, "{id:?} {start}+{len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn fill_range_past_the_array_panics_like_indexing() {
+        // One past array 0's end would land in array 1 of the flat file.
+        let mut r = RegisterState::new(&[
+            RegisterArraySpec {
+                name: "a".into(),
+                width_bits: 8,
+                entries: 4,
+                stage: 0,
+            },
+            RegisterArraySpec {
+                name: "b".into(),
+                width_bits: 8,
+                entries: 4,
+                stage: 1,
+            },
+        ]);
+        r.fill_range(RegArrayId(0), 2, 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn fill_range_with_an_overflowing_span_panics() {
+        arr(8).fill_range(R, 2, usize::MAX, 1);
     }
 
     #[test]

@@ -473,6 +473,21 @@ impl ShardedSwitch {
         self.shards[s].set_register(id, slot - self.ranges[s].start, value);
     }
 
+    /// Control-plane write of one value into the **global** slot span
+    /// `start..start + len` ([`RegisterState::fill_range`]), each shard
+    /// filling the part of the span it owns. Panics on an out-of-range
+    /// span, like indexing.
+    pub fn fill_registers(&mut self, id: RegArrayId, start: usize, len: usize, value: i64) {
+        let end = start.checked_add(len).filter(|&e| e <= self.total_slots);
+        let end = end.expect("slot range out of range");
+        for (shard, r) in self.shards.iter_mut().zip(&self.ranges) {
+            let (lo, hi) = (start.max(r.start), end.min(r.end()));
+            if lo < hi {
+                shard.fill_registers(id, lo - r.start, hi - lo, value);
+            }
+        }
+    }
+
     /// Reassemble the full-space register state from the shards — the
     /// inverse of splitting, for snapshots, migration to a single-core
     /// engine, or multi-switch merging.
@@ -827,6 +842,38 @@ mod tests {
         assert!(check_partition(8, &[SlotRange::new(0, 0), SlotRange::new(0, 8)]).is_err());
         // Exact.
         check_partition(8, &[SlotRange::new(0, 3), SlotRange::new(3, 5)]).unwrap();
+    }
+
+    #[test]
+    fn fill_registers_spans_shards_like_per_slot_writes() {
+        let total = 23;
+        for shards in [1usize, 2, 3, 8] {
+            // Spans inside one shard, across two, across all; empty ones.
+            for (start, len) in [(0, 23), (0, 0), (23, 0), (5, 1), (2, 9), (7, 16), (11, 12)] {
+                let (mut filled, _, _) = sharded_counter(total, shards);
+                for s in 0..total {
+                    filled.set_register(RegArrayId(0), s, 100 + s as i64);
+                }
+                let mut looped = filled.clone();
+                filled.fill_registers(RegArrayId(0), start, len, -3);
+                for s in start..start + len {
+                    looped.set_register(RegArrayId(0), s, -3);
+                }
+                assert_eq!(
+                    filled.merged_state(),
+                    looped.merged_state(),
+                    "{shards} shards, span {start}+{len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn fill_registers_past_the_slot_space_panics() {
+        sharded_counter(23, 3)
+            .0
+            .fill_registers(RegArrayId(0), 20, 4, 0);
     }
 
     #[test]

@@ -380,6 +380,12 @@ impl Switch {
         self.state.set(id, index, value);
     }
 
+    /// Control-plane write of one value into a span of register entries
+    /// ([`RegisterState::fill_range`]).
+    pub fn fill_registers(&mut self, id: RegArrayId, start: usize, len: usize, value: i64) {
+        self.state.fill_range(id, start, len, value);
+    }
+
     /// A fresh PHV for this program's layout.
     pub fn phv(&self) -> Phv {
         Phv::new(&self.program.layout)

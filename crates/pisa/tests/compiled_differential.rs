@@ -448,7 +448,7 @@ fn soa_batches_match_interpreter_streams() {
 #[test]
 fn soa_uniform_column_batches_match_interpreter() {
     let mut soa_runs = 0usize;
-    let mut uniform_lookups = 0u64;
+    let (mut uniform_lookups, mut windowed) = (0u64, 0u64);
     for seed in 0..400u64 {
         let (program, mut rng) = random_program(0xFAC7_0000 + seed);
         if program.validate().is_err() {
@@ -457,6 +457,17 @@ fn soa_uniform_column_batches_match_interpreter() {
         let cs = CompiledSwitch::compile(&program).unwrap();
         if cs.soa_eligible() {
             soa_runs += 1;
+        }
+        // (index field, entries of the array it indexes), per stateful call.
+        let mut indexed: Vec<(FieldId, usize)> = Vec::new();
+        for call in (program.stages.iter())
+            .flat_map(|s| &s.tables)
+            .flat_map(|t| &t.actions)
+            .flat_map(|a| &a.stateful)
+        {
+            if let Operand::Field(f) = call.index {
+                indexed.push((f, program.arrays[call.array.0 as usize].entries));
+            }
         }
         for last_lane_differs in [false, true] {
             let n = [17usize, 48, 64, 100][rng.gen_range(0..4)];
@@ -481,6 +492,24 @@ fn soa_uniform_column_batches_match_interpreter() {
             if last_lane_differs {
                 phvs[n - 1] = random_phv(&program, &mut rng);
             }
+            // The traffic real callers send: half the time, a field that
+            // indexes a register array counts up slot by slot in runs —
+            // mostly inside the array, now and then off its end.
+            for &(f, entries) in &indexed {
+                if rng.gen::<bool>() {
+                    continue;
+                }
+                let mut i = 0;
+                while i < n {
+                    // Long runs (from slot 0) as often as any other.
+                    let first = rng.gen_range(0..entries) * usize::from(rng.gen::<bool>());
+                    let room = entries - first + usize::from(rng.gen_range(0u32..6) == 0);
+                    for (k, p) in phvs[i..].iter_mut().take(room).enumerate() {
+                        p.set(f, (first + k) as u64);
+                    }
+                    i += room;
+                }
+            }
             // The table-major engine lets the lanes after a faulting one
             // run the tables before the fault, register updates included;
             // the interpreter never starts them. End the batch at the
@@ -495,10 +524,15 @@ fn soa_uniform_column_batches_match_interpreter() {
                 &phvs,
             );
             uniform_lookups += counts.iter().map(|c| c.uniform_lookup).sum::<u64>();
+            windowed += counts.iter().map(|c| c.windowed).sum::<u64>();
         }
     }
     assert!(soa_runs > 0, "no SoA-eligible program generated");
     assert!(uniform_lookups > 0, "no batch resolved a table uniformly");
+    assert!(
+        windowed > 100,
+        "only {windowed} lanes ran in a register window"
+    );
 }
 
 /// Order-sensitive accumulator for the adversarial duplicate-slot tests:
@@ -548,7 +582,7 @@ fn check_adversarial_batch(
     val: FieldId,
     idxs: &[u64],
     vals: &[u64],
-) {
+) -> Vec<DispatchCounts> {
     let cs = CompiledSwitch::compile(program).unwrap();
     assert!(cs.soa_eligible(), "directed program must take the SoA path");
     let phvs: Vec<Phv> = idxs
@@ -561,7 +595,7 @@ fn check_adversarial_batch(
             p
         })
         .collect();
-    check_soa_batch(pat, program, &phvs);
+    check_soa_batch(pat, program, &phvs)
 }
 
 /// Adversarial duplicate-slot batches for Phase C: all packets hitting
@@ -1562,6 +1596,424 @@ fn saturating_updates_at_the_i64_edges_match_interpreter() {
                 ],
             );
             check_soa_batch(&format!("{width}-bit / {update:?}"), &program, &phvs);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Phase C register windows: a uniform-action batch whose index column
+// ascends slot by slot for eight lanes or more serves that run from one
+// register window, as staged sweeps. Every test compares against the
+// interpreter on both lane words through `check_soa_batch`, and pins
+// `DispatchCounts::windowed` so it is known to have taken the window path.
+// ---------------------------------------------------------------------
+
+/// Lanes the engine must serve from a register window for index column
+/// `idxs` over an array of `entries`: the lanes of every maximal ascending
+/// run of eight or more, up to the first out-of-range one — the scalar
+/// definition the engine's line-at-a-time scan is held to.
+fn windowed_lanes(idxs: &[u64], entries: usize) -> u64 {
+    let (mut served, mut i) = (0u64, 0usize);
+    while i < idxs.len() {
+        let mut len = 1;
+        while i + len < idxs.len() && idxs[i + len - 1].checked_add(1) == Some(idxs[i + len]) {
+            len += 1;
+        }
+        let fit = (entries as u64).saturating_sub(idxs[i]).min(len as u64);
+        if len >= 8 {
+            served += fit;
+        }
+        if fit < len as u64 {
+            break; // the first lane past the array's end faults
+        }
+        i += len;
+    }
+    served
+}
+
+/// `runs` of `(first slot, lanes)` laid end to end.
+fn runs(runs: &[(u64, usize)]) -> Vec<u64> {
+    (runs.iter())
+        .flat_map(|&(first, n)| (0..n as u64).map(move |k| first + k))
+        .collect()
+}
+
+/// Index columns that are one run, many runs of every length around the
+/// window threshold and both lane words' line widths, descending,
+/// constant, interleaved, and runs over the same slots twice — the order
+/// of which shows in the `Old` outputs of `order_sensitive_program`.
+#[test]
+fn phase_c_windows_cover_every_run_shape() {
+    let entries = 64usize;
+    let (program, idx, val, _out) = order_sensitive_program(entries);
+    let mut rng = SmallRng::seed_from_u64(0x51D5_0010);
+    let shapes: Vec<(&str, Vec<u64>)> = vec![
+        ("one run", runs(&[(0, 64)])),
+        ("one run, off the line grid", runs(&[(3, 37)])),
+        (
+            "runs of 1, 7, 8, 9, 15, 16, 17, 33",
+            runs(&[
+                (40, 1),
+                (2, 7),
+                (20, 8),
+                (1, 9),
+                (30, 15),
+                (0, 16),
+                (40, 17),
+                (5, 33),
+            ]),
+        ),
+        ("descending", (0..48).rev().collect()),
+        ("constant", vec![7; 40]),
+        (
+            "the same slots twice, then a third run across both",
+            runs(&[(0, 20), (0, 20), (10, 30)]),
+        ),
+        (
+            "singles and duplicates between windows",
+            [
+                vec![9, 9, 3],
+                runs(&[(8, 12)]),
+                vec![5, 4, 4, 6, 6],
+                runs(&[(8, 12), (50, 3)]),
+            ]
+            .concat(),
+        ),
+        (
+            "a step up every other lane",
+            (0..40).map(|i| (i / 2 * 5 + i % 2) as u64).collect(),
+        ),
+        ("long enough only together", runs(&[(0, 4), (4, 4), (9, 7)])),
+        (
+            "a run, then more than a line of singles to the end",
+            [runs(&[(0, 30)]), (0..23).map(|i| 60 - 2 * i).collect()].concat(),
+        ),
+    ];
+    for (shape, idxs) in &shapes {
+        let vals: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..8u64)).collect();
+        let counts = check_adversarial_batch(shape, &program, idx, val, idxs, &vals);
+        assert_eq!(counts[0].windowed, windowed_lanes(idxs, entries), "{shape}");
+        assert_eq!(counts[0].lanes, idxs.len() as u64, "{shape}");
+    }
+}
+
+/// The line-at-a-time run scan against its scalar definition, on random
+/// columns built from runs of random lengths (many exactly at a line's
+/// edge) with random single lanes in between.
+#[test]
+fn phase_c_run_scan_matches_its_scalar_definition() {
+    let entries = 256usize;
+    let (program, idx, val, _out) = order_sensitive_program(entries);
+    let mut rng = SmallRng::seed_from_u64(0x51D5_0011);
+    let mut windowed = 0;
+    for case in 0..60 {
+        let mut idxs: Vec<u64> = Vec::new();
+        while idxs.len() < 200 {
+            let len = match rng.gen_range(0u32..4) {
+                0 => 1,
+                1 => rng.gen_range(2..8),
+                2 => [8usize, 15, 16, 17, 31, 32, 33][rng.gen_range(0..7)],
+                _ => rng.gen_range(8..70),
+            };
+            let first = rng.gen_range(0..(entries - len) as u64);
+            idxs.extend(runs(&[(first, len)]));
+        }
+        idxs.truncate(rng.gen_range(150..=200));
+        let vals: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..8u64)).collect();
+        let label = format!("case {case}");
+        let counts = check_adversarial_batch(&label, &program, idx, val, &idxs, &vals);
+        assert_eq!(
+            counts[0].windowed,
+            windowed_lanes(&idxs, entries),
+            "{label}"
+        );
+        windowed += counts[0].windowed;
+    }
+    assert!(windowed > 3000, "the cases must mostly run in windows");
+}
+
+/// A run that crosses the end of the array is clipped there: the lanes
+/// before the end are applied, the first lane past it faults with the
+/// interpreter's error, and neither it nor anything after it — a later
+/// run over live slots included — touches a register.
+#[test]
+fn a_window_crossing_the_end_of_the_array_faults_at_the_clip() {
+    let entries = 40usize;
+    let (program, idx, val, _out) = order_sensitive_program(entries);
+    let mut rng = SmallRng::seed_from_u64(0x51D5_0012);
+    let cases: Vec<(&str, Vec<u64>)> = vec![
+        ("crossing by one", runs(&[(0, 10), (28, 13), (0, 10)])),
+        ("crossing in the first block", runs(&[(30, 30), (0, 10)])),
+        ("one lane fits", runs(&[(5, 9), (39, 12)])),
+        ("nothing fits", runs(&[(5, 9), (40, 12), (0, 9)])),
+        ("far past the end", runs(&[(5, 9), (60_000, 12)])),
+        ("a short run crossing", runs(&[(5, 9), (38, 5), (0, 9)])),
+        ("the first lane of the batch", runs(&[(45, 20)])),
+    ];
+    for (case, idxs) in &cases {
+        let vals: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..8u64)).collect();
+        let counts = check_adversarial_batch(case, &program, idx, val, idxs, &vals);
+        assert_eq!(counts[0].windowed, windowed_lanes(idxs, entries), "{case}");
+    }
+}
+
+/// Slots at the very top of the index field's range: `base + len` leaves
+/// `usize` on the 64-bit lane word, and on either word the column "steps
+/// up" from the field's largest value to 0 — a wrap, not a run. Every such
+/// lane is out of range for any array that fits in memory, so the first of
+/// them must fault, after the lanes before it have landed.
+#[test]
+fn window_bounds_do_not_overflow_at_the_top_of_the_index_range() {
+    for idx_bits in [16u32, 32, 64] {
+        let mut l = PhvLayout::new();
+        let idx = l.field("idx", idx_bits);
+        let out = l.field("out", 32);
+        let bump = Action::nop("bump").call(StatefulCall {
+            array: RegArrayId(0),
+            index: Operand::Field(idx),
+            cond: SaluCond::Always,
+            on_true: SaluUpdate::AddSat(Operand::Const(1)),
+            on_false: SaluUpdate::Keep,
+            output: Some((out, SaluOutput::New)),
+        });
+        let entries = 24usize;
+        let program = staged(
+            l,
+            vec![Table::always("bump", bump)],
+            vec![array("r", 32, entries, 0)],
+        );
+        let top = field_max(idx_bits);
+        for back in [0u64, 3, 11] {
+            // A live run, then twelve lanes counting up through `top`.
+            let idxs: Vec<u64> = (0..10u64)
+                .chain((0..12u64).map(|k| (top - back).wrapping_add(k) & top))
+                .collect();
+            let phvs = batch(&program, idxs.len(), &[(idx, &|i| idxs[i])]);
+            let label = format!("{idx_bits}-bit index / {back} below the top");
+            let counts = check_soa_batch(&label, &program, &phvs);
+            assert_eq!(counts[0].windowed, 10, "{label}");
+        }
+    }
+}
+
+/// The largest value of a `bits`-wide field.
+fn field_max(bits: u32) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
+/// The output field is also the index field, or a field the call's own
+/// condition or update reads. Per packet every read precedes the output
+/// store; the staged sweeps must keep that, for each output kind, and the
+/// index column they overwrite must not disturb the runs still to come.
+#[test]
+fn window_outputs_into_fields_the_call_reads() {
+    let mut rng = SmallRng::seed_from_u64(0x51D5_0013);
+    let entries = 48usize;
+    for aliased in [
+        "index",
+        "condition operand",
+        "update operand",
+        "both operands",
+    ] {
+        for output in [SaluOutput::Old, SaluOutput::New, SaluOutput::Predicate] {
+            let mut l = PhvLayout::new();
+            let idx = l.field("idx", 16);
+            let lim = l.field("lim", 16);
+            let val = l.field("val", 16);
+            let out = match aliased {
+                "index" => idx,
+                "condition operand" => lim,
+                "update operand" => val,
+                _ => lim,
+            };
+            // "both operands": the condition and the update read `lim`.
+            let add = if aliased == "both operands" { lim } else { val };
+            let call = Action::nop("call").call(StatefulCall {
+                array: RegArrayId(0),
+                index: Operand::Field(idx),
+                cond: SaluCond::RegCmp {
+                    cmp: CmpOp::Lt,
+                    rhs: Operand::Field(lim),
+                },
+                on_true: SaluUpdate::AddSat(Operand::Field(add)),
+                on_false: SaluUpdate::Write(Operand::Field(add)),
+                output: Some((out, output)),
+            });
+            // A later table reads every field, so a wrong store shows.
+            let mut fold = Action::nop("fold");
+            let seen = l.field("seen", 32);
+            for f in [idx, lim, val] {
+                fold = fold.prim(seen, AluOp::Add, Operand::Field(seen), Operand::Field(f));
+            }
+            let program = staged(
+                l,
+                vec![Table::always("call", call), Table::always("fold", fold)],
+                vec![array("r", 16, entries, 0), array("unused", 16, 1, 1)],
+            );
+            let idxs = runs(&[(0, 30), (4, 3), (10, 30), (0, 9)]);
+            let lims: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..40)).collect();
+            let vals: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..30)).collect();
+            let phvs = batch(
+                &program,
+                idxs.len(),
+                &[
+                    (idx, &|i| idxs[i]),
+                    (lim, &|i| lims[i]),
+                    (val, &|i| vals[i]),
+                ],
+            );
+            let label = format!("{output:?} into the {aliased}");
+            let counts = check_soa_batch(&label, &program, &phvs);
+            assert_eq!(counts[0].windowed, 30 + 30 + 9, "{label}");
+        }
+    }
+}
+
+/// A constant index sends every lane to one slot: no run, no window, the
+/// lanes chained through the slot in packet order.
+#[test]
+fn a_constant_index_never_takes_a_window() {
+    let mut l = PhvLayout::new();
+    let val = l.field("val", 16);
+    let out = l.field("out", 32);
+    let call = Action::nop("call").call(StatefulCall {
+        array: RegArrayId(0),
+        index: Operand::Const(2),
+        cond: SaluCond::RegCmp {
+            cmp: CmpOp::Lt,
+            rhs: Operand::Field(val),
+        },
+        on_true: SaluUpdate::Write(Operand::Field(val)),
+        on_false: SaluUpdate::AddWrap(Operand::Const(1)),
+        output: Some((out, SaluOutput::Old)),
+    });
+    let program = staged(
+        l,
+        vec![Table::always("call", call)],
+        vec![array("r", 32, 4, 0)],
+    );
+    let phvs = batch(&program, 64, &[(val, &|i| (i as u64 * 7) % 13)]);
+    let counts = check_soa_batch("constant index", &program, &phvs);
+    assert_eq!((counts[0].lanes, counts[0].windowed), (64, 0));
+}
+
+/// Every update × every output × every condition shape the compiler
+/// lowers (no leaf, one leaf of each kind and compare, two leaves under
+/// `||` / `&&`, a depth-3 tree, and leaves no lane / every lane satisfies,
+/// so whole blocks go one way), against registers 8, 32 and 64 bits wide
+/// with operands at their saturating edges — all through register windows
+/// (one run spans two sweep blocks, another revisits its slots).
+#[test]
+fn every_update_output_and_condition_matches_interpreter_in_windows() {
+    let mut rng = SmallRng::seed_from_u64(0x51D5_0014);
+    for width in [8u32, 32, 64] {
+        let mut l = PhvLayout::new();
+        let idx = l.field("idx", 16);
+        let flag = l.field("flag", 1);
+        let sh = l.field("sh", 8);
+        let val = l.field("val", width.max(16));
+        let out = l.field("out", width.max(16));
+        let (fv, fs) = (Operand::Field(val), Operand::Field(sh));
+        let (min, max) = if width == 64 {
+            (i64::MIN, i64::MAX)
+        } else {
+            (-(1i64 << (width - 1)), (1i64 << (width - 1)) - 1)
+        };
+        let edges = [0, 1, -1, max, min, max - 1, min + 1, max / 2, min / 2, 3];
+        let updates = [
+            SaluUpdate::Keep,
+            SaluUpdate::Write(fv),
+            SaluUpdate::AddSat(fv),
+            SaluUpdate::AddWrap(fv),
+            SaluUpdate::ShiftRightAddSat {
+                shift: fs,
+                addend: fv,
+            },
+            SaluUpdate::MaxSigned(fv),
+            SaluUpdate::MinSigned(fv),
+            SaluUpdate::AddSat(Operand::Const(max)),
+            SaluUpdate::ShiftRightAddSat {
+                shift: Operand::Const(2),
+                addend: Operand::Const(min),
+            },
+        ];
+        let leaf = |cmp, rhs| SaluCond::RegCmp { cmp, rhs };
+        let or =
+            |x: &SaluCond, y: &SaluCond| SaluCond::Or(Box::new(x.clone()), Box::new(y.clone()));
+        let and =
+            |x: &SaluCond, y: &SaluCond| SaluCond::And(Box::new(x.clone()), Box::new(y.clone()));
+        let (a, b, c) = (
+            leaf(CmpOp::Lt, fv),
+            SaluCond::MetaNonZero(flag),
+            leaf(CmpOp::Ge, Operand::Const(max / 3)),
+        );
+        let mut conds = vec![
+            SaluCond::Always,
+            b.clone(),
+            leaf(CmpOp::Ge, Operand::Const(i64::MIN)), // every lane
+            leaf(CmpOp::Lt, Operand::Const(i64::MIN)), // no lane
+            or(&a, &b),
+            and(&a, &b),
+            or(&and(&a, &b), &and(&c, &or(&a, &b))),
+        ];
+        for cmp in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            conds.push(leaf(cmp, fv));
+            conds.push(leaf(cmp, Operand::Const(1)));
+        }
+        let outputs = [
+            None,
+            Some(SaluOutput::Old),
+            Some(SaluOutput::New),
+            Some(SaluOutput::Predicate),
+        ];
+        let idxs = runs(&[(0, 70), (3, 2), (20, 30), (90, 9)]);
+        for (u, on_true) in updates.iter().enumerate() {
+            let on_false = updates[(u + 3) % updates.len()];
+            for cond in &conds {
+                for output in outputs {
+                    let call = Action::nop("call").call(StatefulCall {
+                        array: RegArrayId(0),
+                        index: Operand::Field(idx),
+                        cond: cond.clone(),
+                        on_true: *on_true,
+                        on_false,
+                        output: output.map(|o| (out, o)),
+                    });
+                    let program = staged(
+                        l.clone(),
+                        vec![Table::always("call", call)],
+                        vec![array("r", width, 100, 0)],
+                    );
+                    let vals: Vec<u64> = idxs
+                        .iter()
+                        .map(|_| edges[rng.gen_range(0..edges.len())] as u64)
+                        .collect();
+                    let phvs = batch(
+                        &program,
+                        idxs.len(),
+                        &[
+                            (idx, &|i| idxs[i]),
+                            (val, &|i| vals[i]),
+                            (flag, &|i| (i as u64 / 3) % 2),
+                            (sh, &|i| [0u64, 1, 7, 63, 200][i % 5]),
+                        ],
+                    );
+                    let label = format!("{width}-bit / {on_true:?} / {cond:?} / {output:?}");
+                    let counts = check_soa_batch(&label, &program, &phvs);
+                    assert_eq!(counts[0].windowed, 70 + 30 + 9, "{label}");
+                }
+            }
         }
     }
 }
