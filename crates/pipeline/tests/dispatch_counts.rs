@@ -77,11 +77,15 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
     run(OP_ADD, &gradient(0));
     let add = run(OP_ADD, &gradient(1));
 
-    let phase_a = |c: DispatchCounts| (c.gate_decided, c.uniform_lookup, c.lut, c.per_lane);
+    // One resolution per table and batch; `rows` resolves and runs at once.
+    let phase_a = |c: DispatchCounts| (c.gate_decided, c.uniform_lookup, c.lut, c.per_lane, c.rows);
     let phase_b = |c: DispatchCounts| (c.uniform, c.selector, c.masked, c.walk);
     for c in &add.counts {
         assert_eq!(c.lanes, LANES as u64);
-        assert_eq!(c.gate_decided + c.uniform_lookup + c.lut + c.per_lane, 1);
+        assert_eq!(
+            c.gate_decided + c.uniform_lookup + c.lut + c.per_lane + c.rows,
+            1
+        );
     }
     // The eight READ-only tables leave an ADD batch after one compare on
     // the uniform `op` column.
@@ -95,39 +99,40 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
         "mask_frac",
         "pack",
     ] {
-        assert_eq!(phase_a(add.of(table)), (1, 0, 0, 0), "ADD / {table}");
+        assert_eq!(phase_a(add.of(table)), (1, 0, 0, 0, 0), "ADD / {table}");
     }
     // `op` and `skip` are both uniform: one scalar lookup each.
     for table in ["exponent", "delta", "mantissa"] {
-        assert_eq!(phase_a(add.of(table)), (0, 1, 0, 0), "ADD / {table}");
+        assert_eq!(phase_a(add.of(table)), (0, 1, 0, 0, 0), "ADD / {table}");
         assert_eq!(phase_b(add.of(table)), (1, 0, 0, 0), "ADD / {table}");
     }
     // `classify` keys on two 32-bit columns that both vary, and has two
     // entries (zero, subnormal) over a default: a handful of mask/value
     // rows swept chunk-major over both columns, not a hash probe and a
     // scan per lane. No other table of an ADD batch resolves that way.
-    assert_eq!(phase_a(add.of("classify")), (0, 0, 0, 1));
+    assert_eq!(phase_a(add.of("classify")), (0, 0, 0, 1, 0));
     for (table, c) in add.names.iter().zip(&add.counts) {
         assert_eq!(c.claimed, u64::from(table == "classify"), "ADD / {table}");
     }
     // The sign bit: a one-bit LUT, then one masked sweep per action.
-    assert_eq!(phase_a(add.of("apply_sign")), (0, 0, 1, 0));
+    assert_eq!(phase_a(add.of("apply_sign")), (0, 0, 1, 0, 0));
     assert_eq!(phase_b(add.of("apply_sign")), (0, 0, 1, 0));
-    // The alignment distance really is per-lane; its shift actions share
-    // one skeleton.
-    assert_eq!(phase_a(add.of("align_shift_table")), (0, 0, 0, 1));
-    assert_eq!(phase_b(add.of("align_shift_table")), (0, 1, 0, 0));
+    // The alignment distance really is per-lane, and every action of its
+    // table is one constant shift: shift rows, no Phase B arm.
+    assert_eq!(phase_a(add.of("align_shift_table")), (0, 0, 0, 0, 1));
+    assert_eq!(phase_b(add.of("align_shift_table")), (0, 0, 0, 0));
 
     let read = run(OP_READ, &|_| 0.0);
     // Every READ lane carries the value 0: `classify` sees uniform keys.
-    assert_eq!(phase_a(read.of("classify")), (0, 1, 0, 0));
+    assert_eq!(phase_a(read.of("classify")), (0, 1, 0, 0, 0));
     // Only these look at lanes: the leading-one scan and the shift
-    // distance per lane, the one-bit flags through LUTs.
+    // distance per lane (as shift rows), the one-bit flags through LUTs.
     for (table, c) in read.names.iter().zip(&read.counts) {
-        let touches_lanes = c.lut + c.per_lane == 1;
+        let touches_lanes = c.lut + c.per_lane + c.rows == 1;
         let expected = match table.as_str() {
-            "find_top" | "frac_shift_table" => (0, 0, 0, 1),
-            "absval" | "subnormal_select" | "pack" if touches_lanes => (0, 0, 1, 0),
+            "find_top" => (0, 0, 0, 1, 0),
+            "frac_shift_table" => (0, 0, 0, 0, 1),
+            "absval" | "subnormal_select" | "pack" if touches_lanes => (0, 0, 1, 0, 0),
             _ => {
                 assert!(!touches_lanes, "READ / {table} touched lanes: {c:?}");
                 continue;
@@ -135,8 +140,12 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
         };
         assert_eq!(phase_a(*c), expected, "READ / {table}");
     }
-    assert_eq!(phase_a(read.of("absval")), (0, 0, 1, 0), "signs are mixed");
-    assert_eq!(phase_a(read.of("find_top")), (0, 0, 0, 1));
+    assert_eq!(
+        phase_a(read.of("absval")),
+        (0, 0, 1, 0, 0),
+        "signs are mixed"
+    );
+    assert_eq!(phase_a(read.of("find_top")), (0, 0, 0, 1, 0));
     assert_eq!(
         read.of("find_top").claimed,
         1,
@@ -204,6 +213,97 @@ fn consecutive_slots_reach_the_stateful_tables_as_register_windows() {
         // No other table has a stateful call to serve.
         let total: u64 = cs.dispatch_counts().iter().map(|c| c.windowed).sum();
         assert_eq!(total, 2 * 3 * LANES as u64);
+        per_word.push(cs.dispatch_counts().to_vec());
+    }
+    assert_eq!(
+        per_word[0], per_word[1],
+        "the lane word changed the dispatch"
+    );
+}
+
+/// No FP16 Tofino batch walks. The two shift tables run a divergent batch
+/// as shift rows — one pass, no per-lane action — including the two
+/// batches that used to leave the fast arms: a 256-lane READ batch over
+/// registers spread across many binades, whose renormalisation distances
+/// (`frac_shift`) take more than eight values (past the masked cut-over,
+/// and `frac_shift_table`'s `dst = 0` default broke the selector skeleton),
+/// and an ADD batch with zero inputs, which makes `skip` vary beside
+/// `bigger` and `d2` (three varying key columns on `align_shift_table`).
+/// Alike on both lane words.
+#[test]
+fn fp16_tofino_shift_tables_run_as_rows_and_no_batch_walks() {
+    const LANES: usize = 256;
+    let pipe = FpisaPipeline::from_spec(
+        PipelineSpec::new(PipelineVariant::TofinoA)
+            .format(FpFormat::FP16)
+            .slots(LANES),
+    )
+    .unwrap();
+    let fields = pipe.fields();
+    let mut wide = pipe.switch_program().clone();
+    wide.layout.field("lane_word_pad", 33);
+    let mut per_word = Vec::new();
+    for program in [pipe.switch_program(), &wide] {
+        let names: Vec<String> = (program.stages.iter())
+            .flat_map(|s| &s.tables)
+            .map(|t| t.name.clone())
+            .collect();
+        let column = |name: &str| program.layout.lookup(name).unwrap();
+        let mut cs = CompiledSwitch::compile(program).unwrap();
+        let mut lanes = BatchLanes::new(cs.layout(), LANES);
+        let mut batches = Vec::new();
+        // Magnitudes over twelve binades, both signs. The second batch
+        // takes back all but 2^-1..2^-10 of each slot, so the sums' leading
+        // ones spread out; every fifth input of it is zero.
+        for (op, second) in [(OP_ADD, false), (OP_ADD, true), (OP_READ, false)] {
+            lanes.begin(LANES);
+            for k in 0..LANES {
+                let sign = if k % 3 == 1 { -1.0 } else { 1.0 };
+                let x = sign * (1.0 + (k % 7) as f64 / 8.0) / f64::from(1u32 << (k % 12));
+                let x = match (second, k % 5) {
+                    (false, _) => x,
+                    (true, 0) => 0.0,
+                    (true, _) => -x * (1.0 - 1.0 / f64::from(2u32 << (k % 10))),
+                };
+                lanes.set(fields.op, k, op);
+                lanes.set(fields.slot, k, k as u64);
+                lanes.set(fields.value, k, FpFormat::FP16.encode(x));
+            }
+            let before = cs.dispatch_counts().to_vec();
+            cs.run_lanes(&mut lanes).unwrap();
+            let distinct = |f: &str| {
+                let mut v: Vec<u64> = (0..LANES).map(|k| lanes.get(column(f), k)).collect();
+                v.sort_unstable();
+                v.dedup();
+                v.len()
+            };
+            if second {
+                assert_eq!(distinct("skip"), 2, "some inputs are zero, some not");
+            }
+            if op == OP_READ {
+                let shifts = distinct("frac_shift");
+                assert!(shifts > 8, "only {shifts} shift distances");
+            }
+            let counts: Vec<DispatchCounts> = (cs.dispatch_counts().iter().zip(&before))
+                .map(|(c, b)| DispatchCounts {
+                    lanes: c.lanes - b.lanes,
+                    rows: c.rows - b.rows,
+                    walk: c.walk - b.walk,
+                    ..DispatchCounts::default()
+                })
+                .collect();
+            batches.push(Counts {
+                names: names.clone(),
+                counts,
+            });
+        }
+        for (batch, counts) in batches.iter().enumerate() {
+            for (table, c) in counts.names.iter().zip(&counts.counts) {
+                assert_eq!(c.walk, 0, "batch {batch} / {table} walked");
+            }
+        }
+        assert_eq!(batches[1].of("align_shift_table").rows, 1, "ADD with zeros");
+        assert_eq!(batches[2].of("frac_shift_table").rows, 1, "READ");
         per_word.push(cs.dispatch_counts().to_vec());
     }
     assert_eq!(

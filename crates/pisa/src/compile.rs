@@ -52,7 +52,9 @@
 //! batch with one compare (an ADD batch leaves every READ-only table this
 //! way); uniform key columns cost one scalar lookup; a few varying key
 //! bits go through an action LUT enumerated per batch; otherwise each lane
-//! packs just its varying columns onto a constant and probes the matcher.
+//! packs just its varying columns onto a constant and probes the matcher —
+//! except on a table lowered to *shift rows* (below), where a divergent
+//! batch resolves and runs in one pass.
 //!
 //! **Phase B** has three arms, tried in this order:
 //!
@@ -60,8 +62,9 @@
 //!    *instruction-major*, each op streaming across all lanes through its
 //!    chunk kernel, a cache line of lanes at a time;
 //! 2. **selector** — a divergent batch on a table whose actions all share
-//!    one op skeleton (the FPISA shift tables): one gathered sweep per
-//!    template position, each lane fetching its own op and constants;
+//!    one op skeleton (`find_top`'s per-entry constants): one gathered
+//!    sweep per template position, each lane fetching its own op and
+//!    constants;
 //! 3. **masked** — any other divergent batch: each distinct action's tape
 //!    runs instruction-major through the same chunk kernels, storing only
 //!    into the lanes that resolved to it.
@@ -69,6 +72,33 @@
 //! Only a batch that hit more distinct actions than masked sweeps pay for
 //! falls back to walking each packet's tape — same code as the scalar
 //! engine.
+//!
+//! **Shift rows.** Tofino has no two-operand shift, so the FPISA program
+//! enumerates its alignment and renormalisation shifts as exact-match
+//! tables, one constant shift per distance. A table with no stateful call,
+//! a direct-index matcher, and every non-empty action one `dst = src ⊕ c`
+//! (⊕ a shift) or `dst = 0` (a logical shift by 64, bit for bit) — one
+//! `dst` and one `src` throughout — is lowered to `ShiftRows`: each
+//! matcher slot holds its full key next to its action's row of constants
+//! (a miss takes the default's row; an empty action or no default keeps).
+//! A divergent batch on it runs 16 lanes at a time — a scalar gather per
+//! lane (pack the varying key columns onto the uniform-key constant, load
+//! the slot, verify the key) and one vector loop over the chunk — with no
+//! per-lane action and no second pass. SSE2 has no per-lane variable
+//! shift, so on `u32` lanes a row is two multipliers (`pmuludq`) applied to
+//! `y`, the source — for an arithmetic shift sign-extended with its sign
+//! flipped in (`y ≥ 0`), and flipped back out of the result:
+//!
+//! | shift | row | result |
+//! |---|---|---|
+//! | left by `c < 32` | `mlo = 2^c` | low half of `y·mlo` |
+//! | right by `1 ≤ c ≤ 31` | `mhi = 2^(32−c)` | high half of `y·mhi` |
+//! | by 0 / by `c ≥ 32` | `mlo = 1` / neither | `y` / 0 or the sign fill |
+//!
+//! `u64` lanes keep two shift counts. The kernel stays out of line, so the
+//! batch loop every program runs does not carry it: a prototype that
+//! inlined it read the SwitchML workload, which never runs it, 8–24%
+//! slower (binary layout; on the landed code both forms read alike).
 //!
 //! **Phase C** applies in packet order, stopping at the first out-of-range
 //! lane, so per-slot update order (and thus every register value, SALU
@@ -406,8 +436,10 @@ struct CompiledTable {
     /// Selected-constant dispatch (see [`SelectorTape`]): set when every
     /// action of this table runs the same op skeleton, with per-action
     /// ops/constants gathered at dispatch — the divergent-batch fast
-    /// path for shift tables.
+    /// path for tables of one skeleton.
     selector: Option<SelectorTape>,
+    /// Set when the table lowers to [`ShiftRows`] (see the module docs).
+    rows: Option<ShiftRows>,
 }
 
 /// Widest combined *varying* key width (bits) for which
@@ -514,6 +546,9 @@ pub struct DispatchCounts {
     pub claimed: u64,
     /// Phase B: one action for the whole batch, run instruction-major.
     pub uniform: u64,
+    /// Phase A and B in one: a divergent batch on a table lowered to shift
+    /// rows, each lane's row gathered from its matcher slot (no Phase B arm).
+    pub rows: u64,
     /// Phase B: a divergent batch on a selector-shaped table, one
     /// gathered sweep per template op.
     pub selector: u64,
@@ -631,8 +666,9 @@ impl CompiledTable {
     ///
     /// Returns `Ok(a)` when the whole batch resolved to the one action
     /// `a` ([`MISS`] when neither an entry nor a default applies) —
-    /// `act_of` may then be left untouched — and otherwise, with
-    /// `act_of[..n]` filled lane by lane, `Err` of the batch's
+    /// `act_of` may then be left untouched — and otherwise `Err` of how
+    /// the batch diverges: the key split a [`ShiftRows`] table packs from,
+    /// or, with `act_of[..n]` filled lane by lane, the batch's
     /// [distinct actions](Self::distinct_actions).
     fn lookup_lanes<W: LaneWord>(
         &self,
@@ -641,7 +677,7 @@ impl CompiledTable {
         n: usize,
         s: &mut LaneScratch,
         counts: &mut DispatchCounts,
-    ) -> Result<u32, Option<u64>> {
+    ) -> Result<u32, Divergent> {
         let dflt = self.default_action.unwrap_or(MISS);
         if let Matcher::Const(a) = &self.matcher {
             counts.uniform_lookup += 1;
@@ -655,6 +691,7 @@ impl CompiledTable {
             scanbuf,
             claims,
             claim_pats,
+            vary: rows_vary,
         } = s;
         let act_of = &mut act_of[..n];
         let mut cols = Cols { buf, cap, n, facts };
@@ -701,6 +738,11 @@ impl CompiledTable {
         if n_vary == 0 {
             counts.uniform_lookup += 1;
             return Ok(self.lookup(buf, cap, 0, keybuf).unwrap_or(MISS));
+        }
+        if self.rows.is_some() && n_vary <= MAX_VARYING_KEYS {
+            counts.rows += 1;
+            *rows_vary = vary;
+            return Err(Divergent::Rows(kconst, n_vary));
         }
         if vary_bits <= SPLIT_LUT_BITS && n >= 1 << vary_bits {
             // Every varying column is at least one bit wide, so all of
@@ -831,14 +873,14 @@ impl CompiledTable {
     /// the uniformity test too. A table that never runs masked sweeps
     /// (selector-shaped, or more than 64 actions) has no use for the
     /// bitmap and stops at the first difference instead: `Err(None)`.
-    fn distinct_actions(&self, acts: &[u32]) -> Result<u32, Option<u64>> {
+    fn distinct_actions(&self, acts: &[u32]) -> Result<u32, Divergent> {
         let (base, end) = self.actions;
         if self.selector.is_some() || end - base > 64 {
             let first = acts[0];
             return if acts.iter().all(|&a| a == first) {
                 Ok(first)
             } else {
-                Err(None)
+                Err(Divergent::Acts(None))
             };
         }
         // One vectorizable sweep settles the common case of no difference.
@@ -854,9 +896,19 @@ impl CompiledTable {
         match (seen.count_ones(), missed) {
             (0, _) => Ok(MISS),
             (1, false) => Ok(base + seen.trailing_zeros()),
-            _ => Err(Some(seen)),
+            _ => Err(Divergent::Acts(Some(seen))),
         }
     }
+}
+
+/// How a batch diverges (the `Err` of [`CompiledTable::lookup_lanes`]).
+enum Divergent {
+    /// `act_of` holds every lane's action; `Some` of the distinct-action
+    /// bitmap when the table keeps one.
+    Acts(Option<u64>),
+    /// A [`ShiftRows`] table: the uniform key part, and how many of
+    /// [`LaneScratch::vary`] are the varying key columns.
+    Rows(u64, usize),
 }
 
 /// Most lanes in one chunk of any lane word ([`LaneWord::LANES`] of `u32`):
@@ -1191,10 +1243,11 @@ fn sweep_op<W: LaneWord, const MASKED: bool>(
 }
 
 /// Selected-constant dispatch for a divergent table whose actions all run
-/// the *same* op skeleton. The canonical case is a shift table — dozens
-/// of actions `dst = src << k` / `dst = src >> k`, one per alignment
-/// delta — where a mixed-magnitude batch resolves to many distinct
-/// actions: more than masked per-action sweeps pay for. When
+/// the *same* op skeleton. The canonical case is a table of one constant
+/// per entry — `find_top`'s `top = t`, one action per leading-one
+/// position — where a batch resolves to many distinct actions: more than
+/// masked per-action sweeps pay for. (A shift table of that shape runs as
+/// [`ShiftRows`] where its matcher allows.) When
 /// every non-empty action tape in a table is the same-length sequence of
 /// primitives with matching destination and mask at each position, and
 /// each operand position is either one shared operand or a
@@ -1279,13 +1332,9 @@ enum SelDispatch {
     /// Every active action runs the same op: one gathered sweep through
     /// that op's kernel.
     Uniform(AluOp),
-    /// Per-action ops drawn only from `{Shl, ShrLogic, ShrArith}` — the
-    /// alignment-table case. Codes per table-relative action
-    /// (0 = `Shl`, 1 = `ShrLogic`, 2 = `ShrArith`): the chunk kernel
-    /// computes all three shifts branchlessly and selects by code.
-    ShiftMix(Box<[u8]>),
-    /// Arbitrary per-action ops: the ALU `match` per lane, with gathered
-    /// operands — still one sweep per position, no tape walks.
+    /// Per-action ops: the ALU `match` per lane, with gathered operands —
+    /// still one sweep per position, no tape walks. (Shift tables whose
+    /// ops differ per action lower to [`ShiftRows`] instead.)
     Mixed(Box<[AluOp]>),
 }
 
@@ -1295,11 +1344,6 @@ impl SelDispatch {
     fn op_for(&self, rel: usize) -> AluOp {
         match self {
             SelDispatch::Uniform(op) => *op,
-            SelDispatch::ShiftMix(codes) => match codes[rel] {
-                0 => AluOp::Shl,
-                1 => AluOp::ShrLogic,
-                _ => AluOp::ShrArith,
-            },
             SelDispatch::Mixed(ops) => ops[rel],
         }
     }
@@ -1372,21 +1416,6 @@ impl SelectorOp {
                         map2::<W>(&a, &b, f)
                     })
                 }),
-                SelDispatch::ShiftMix(codes) => {
-                    sweep_chunks::<W, true>(buf, dst, |buf, i0, keep| {
-                        let (a, b, rel) = gather(buf, i0, keep);
-                        let mut out = a;
-                        let lanes = out.as_mut().iter_mut().zip(b.as_ref()).zip(&rel);
-                        for ((o, &d), &r) in lanes {
-                            // Mask-merge the three shifts by code — no
-                            // data-dependent branch per lane.
-                            let (shl, shr) = (W::select(codes[r] == 0), W::select(codes[r] == 1));
-                            let sar = o.sar(asx, d) & !(shl | shr);
-                            *o = (o.shl(d) & shl) | (o.shr(d) & shr) | sar;
-                        }
-                        out
-                    })
-                }
                 SelDispatch::Mixed(ops) => sweep_chunks::<W, true>(buf, dst, |buf, i0, keep| {
                     let (a, b, rel) = gather(buf, i0, keep);
                     let mut out = a;
@@ -1531,23 +1560,6 @@ fn build_selector(
             .collect();
         let dispatch = if live.iter().all(|&op| op == live[0]) {
             SelDispatch::Uniform(live[0])
-        } else if live
-            .iter()
-            .all(|op| matches!(op, AluOp::Shl | AluOp::ShrLogic | AluOp::ShrArith))
-        {
-            // Inactive rows get an arbitrary code (their match arm maps
-            // `Set` to 2); dead-lane gathers read row 0, compute garbage,
-            // and mask it out at the store, so the value never matters.
-            SelDispatch::ShiftMix(
-                op_by_action
-                    .iter()
-                    .map(|op| match op {
-                        AluOp::Shl => 0u8,
-                        AluOp::ShrLogic => 1,
-                        _ => 2,
-                    })
-                    .collect(),
-            )
         } else {
             SelDispatch::Mixed(op_by_action.into_boxed_slice())
         };
@@ -1565,6 +1577,191 @@ fn build_selector(
         active: active.into_boxed_slice(),
         ops: out.into_boxed_slice(),
     })
+}
+
+/// A shift table as rows (see the module docs): one source, one
+/// destination, and per direct-index matcher slot its full packed key next
+/// to its action's [`ShiftRow`] — a slot holding no entry holds the miss
+/// row, under any key.
+#[derive(Debug, Clone)]
+struct ShiftRows {
+    dst: u32,
+    dst_mask: u64,
+    src: u32,
+    /// `64 - width` of `src`.
+    sx: u32,
+    slots: Box<[(u64, ShiftRow)]>,
+    /// A packed key's slot is `key & mask`.
+    mask: u64,
+    /// The default's row, or a keep-row.
+    miss: ShiftRow,
+}
+
+/// One action as constants: the shift of `y` is `lo32(y·mlo) | hi32(y·mhi)`
+/// on `u32` lanes and `(y << shl) | (y >> shr)` on `u64` ones (a count of
+/// 64 shifts everything out); `flip` makes it arithmetic, and a keep-row is
+/// not `live`.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShiftRow {
+    mlo: u32,
+    mhi: u32,
+    shl: u8,
+    shr: u8,
+    flip: bool,
+    live: bool,
+}
+
+impl ShiftRow {
+    /// The row of `dst = src ⊕ c`, `c` already clamped to 64.
+    fn new(op: AluOp, c: u32) -> Self {
+        let (shl, shr) = if op == AluOp::Shl { (c, 64) } else { (64, c) };
+        // In 32 bits, a right shift by 0 is the left one.
+        let (l, r) = if c == 0 { (0, 64) } else { (shl, shr) };
+        ShiftRow {
+            mlo: if l < 32 { 1 << l } else { 0 },
+            mhi: if r < 32 { 1 << (32 - r) } else { 0 },
+            shl: shl as u8,
+            shr: shr as u8,
+            flip: op == AluOp::ShrArith,
+            live: true,
+        }
+    }
+}
+
+/// Lower one table to [`ShiftRows`], when it qualifies: no stateful call,
+/// a direct-index matcher, every non-empty action one shift of a field by
+/// a constant or `dst = 0`, all into one destination from one source, and
+/// on a 32-bit layout every such op narrow.
+fn build_rows(
+    t: &CompiledTable,
+    table_actions: &[CompiledAction],
+    prims: &[CompiledPrim],
+    lane_bits: u32,
+) -> Option<ShiftRows> {
+    use CompiledOperand::{Const, Field};
+    if t.has_stateful {
+        return None;
+    }
+    let (mut dst, mut src) = (None, None);
+    let mut rows = Vec::with_capacity(table_actions.len());
+    for a in table_actions {
+        rows.push(match &prims[a.prims.0 as usize..a.prims.1 as usize] {
+            [] => ShiftRow::default(),
+            [p] if lane_bits == 64 || p.narrow => {
+                let (op, c) = match (p.op, p.a, p.b) {
+                    // `dst = 0` is a logical shift by 64, bit for bit.
+                    (AluOp::Set, Const(0), _) => (AluOp::ShrLogic, 64),
+                    (
+                        AluOp::Shl | AluOp::ShrLogic | AluOp::ShrArith,
+                        a @ Field { .. },
+                        Const(c),
+                    ) if *src.get_or_insert(a) == a => (p.op, c as u32),
+                    _ => return None,
+                };
+                if *dst.get_or_insert((p.dst, p.dst_mask)) != (p.dst, p.dst_mask) {
+                    return None;
+                }
+                ShiftRow::new(op, c)
+            }
+            _ => return None,
+        });
+    }
+    let (Some((dst, dst_mask)), Some(Field { idx: src, sx })) = (dst, src) else {
+        return None;
+    };
+    // `MISS` wraps past every row.
+    let rel = |a: u32| rows.get(a.wrapping_sub(t.actions.0) as usize).copied();
+    let miss = t.default_action.and_then(rel).unwrap_or_default();
+    let row = |a: u32| rel(a).unwrap_or(miss);
+    let (slots, mask) = match &t.matcher {
+        Matcher::Dense(slots) => {
+            let slots = (0..).zip(slots.iter()).map(|(k, &a)| (k, row(a)));
+            (slots.collect(), (1 << t.key_bits) - 1)
+        }
+        Matcher::DenseKeyed { mask, slots } => {
+            (slots.iter().map(|&(k, a)| (k, row(a))).collect(), *mask)
+        }
+        _ => return None,
+    };
+    Some(ShiftRows {
+        dst,
+        dst_mask,
+        src,
+        sx,
+        slots,
+        mask,
+        miss,
+    })
+}
+
+impl ShiftRows {
+    /// A divergent batch of lanes `0..n` (Phase A and B in one), keys
+    /// packed onto `kconst` from the columns `vary`: one and two varying
+    /// columns get their own pack, more fold. Out of line: see the module
+    /// docs.
+    #[inline(never)]
+    fn run<W: LaneWord>(&self, buf: &mut [W], cap: usize, n: usize, kconst: u64, vary: &[VaryCol]) {
+        let at = |buf: &[W], v: &VaryCol, i: usize| buf[v.base + i].wide() << v.key_shift;
+        match vary {
+            [a] => self.sweep(buf, cap, n, |buf, i| kconst | at(buf, a, i)),
+            [a, b] => self.sweep(buf, cap, n, |buf, i| kconst | at(buf, a, i) | at(buf, b, i)),
+            _ => self.sweep(buf, cap, n, |buf, i| {
+                vary.iter().fold(kconst, |key, v| key | at(buf, v, i))
+            }),
+        }
+    }
+
+    /// Per chunk: each lane's row by one scalar gather — key, slot, verify
+    /// (a lane past `n` keeps) — then one vector loop computes the chunk
+    /// and blend-stores it. A chunk's reads all precede its store, so a
+    /// destination that is the source or a key column is safe.
+    #[inline(always)]
+    fn sweep<W: LaneWord>(
+        &self,
+        buf: &mut [W],
+        cap: usize,
+        n: usize,
+        key_at: impl Fn(&[W], usize) -> u64,
+    ) {
+        let (s0, d0) = (self.src as usize * cap, self.dst as usize * cap);
+        let asx = self.sx.saturating_sub(64 - W::BITS);
+        let (mask, top) = (W::narrow(self.dst_mask), W::narrow(u64::from(W::BITS - 1)));
+        let mut i0 = 0;
+        while i0 < n {
+            let (mut lo, mut hi) = (W::ZERO.splat(), W::ZERO.splat());
+            let (mut flip, mut live) = (W::ZERO.splat(), W::ZERO.splat());
+            for k in 0..W::LANES.min(n - i0) {
+                let key = key_at(buf, i0 + k);
+                let (held, row) = self.slots[(key & self.mask) as usize];
+                let row = if held == key { row } else { self.miss };
+                let (l, h) = if W::BITS == 32 {
+                    (row.mlo, row.mhi)
+                } else {
+                    (row.shl.into(), row.shr.into())
+                };
+                (lo.as_mut()[k], hi.as_mut()[k]) = (W::narrow(l.into()), W::narrow(h.into()));
+                flip.as_mut()[k] = W::select(row.flip);
+                live.as_mut()[k] = W::select(row.live);
+            }
+            let x = load(buf, s0, i0);
+            let dst = &mut buf[d0 + i0..d0 + i0 + W::LANES];
+            for (j, d) in dst.iter_mut().enumerate() {
+                let (x, flip, live) = (x.as_ref()[j], flip.as_ref()[j], live.as_ref()[j]);
+                let (lo, hi) = (lo.as_ref()[j], hi.as_ref()[j]);
+                let sign = x.sar(asx, top) & flip;
+                let y = ((x.sar(asx, W::ZERO) & flip) | (x & !flip)) ^ sign;
+                let shifted = if W::BITS == 32 {
+                    let (y, lo, hi) = (y.wide(), lo.wide(), hi.wide());
+                    W::narrow(y * lo) | W::narrow((y * hi) >> 32)
+                } else {
+                    y.shl(lo) | y.shr(hi)
+                };
+                let out = (shifted ^ sign) & mask;
+                *d = (out & live) | (*d & !live);
+            }
+            i0 += W::LANES;
+        }
+    }
 }
 
 /// Compile-time op-tape statistics, reported by
@@ -1992,6 +2189,8 @@ struct LaneScratch {
     /// `(mask, value)` on each varying column (see [`claim_lanes`]).
     claims: Vec<u32>,
     claim_pats: Vec<(u64, u64)>,
+    /// The varying key columns a [`ShiftRows`] batch packs.
+    vary: [VaryCol; MAX_VARYING_KEYS],
 }
 
 impl CompiledSwitch {
@@ -2072,10 +2271,12 @@ impl CompiledSwitch {
                 ct.actions = (base, actions.len() as u32);
                 ct.writes = (w0 as u32, writes.len() as u32);
                 ct.has_stateful = table.actions.iter().any(|a| !a.stateful.is_empty());
-                ct.selector = build_selector(base, &actions[base as usize..], &prims);
+                let table_actions = &actions[base as usize..];
+                ct.selector = build_selector(base, table_actions, &prims);
                 if ct.selector.is_some() {
                     fusion.selector_tables += 1;
                 }
+                ct.rows = build_rows(&ct, table_actions, &prims, fusion.lane_bits);
                 tables.push(ct);
             }
         }
@@ -2444,13 +2645,18 @@ impl CompiledSwitch {
             count.lanes += limit as u64;
             // Phase A: resolve every live packet's action.
             let resolved = t.lookup_lanes(buf, cap, limit, scratch, count);
-            if resolved == Ok(MISS) {
+            if matches!(resolved, Ok(MISS)) {
                 continue; // no live packet runs anything in this table
             }
             let act_of = &scratch.act_of[..limit];
             // Phase C stops at the first out-of-range lane: `(lane, index)`.
             let mut stopped = None;
             match resolved {
+                Err(Divergent::Rows(kconst, n_vary)) => {
+                    // Lookup and shift in one pass; no stateful call.
+                    let rows = t.rows.as_ref().expect("only a rows table diverges to rows");
+                    rows.run(buf, cap, limit, kconst, &scratch.vary[..n_vary]);
+                }
                 Ok(a) => {
                     // Phase B, uniform: instruction-major — each op sweeps
                     // the batch. One action for the whole batch also lets
@@ -2466,11 +2672,10 @@ impl CompiledSwitch {
                             .map(|at| (at, meta));
                     }
                 }
-                Err(seen) => {
+                Err(Divergent::Acts(seen)) => {
                     // Phase B, divergent. A selector-shaped table (same op
-                    // skeleton across all actions — the FPISA shift tables,
-                    // where a mixed-magnitude batch hits dozens of alignment
-                    // actions) collapses to one gathered sweep per template
+                    // skeleton across all actions, which may hit dozens of
+                    // them) collapses to one gathered sweep per template
                     // op. Otherwise each distinct action's tape sweeps the
                     // batch under a blend-store — primitives are lane-local,
                     // so the order of the actions is immaterial — unless the
@@ -3056,6 +3261,7 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         writes: (0, 0),
         has_stateful: false,
         selector: None,
+        rows: None,
     }
 }
 
@@ -3730,9 +3936,8 @@ mod tests {
         Selector,
         /// Two actions of different lengths: masked per-action sweeps.
         Masked,
-        /// One skeleton again, but the second action runs another op: the
-        /// selector's per-lane shift merge (between shifts) or its
-        /// per-lane ALU `match` (anything else).
+        /// One skeleton again, but the second action runs another op (a
+        /// shift another shift): the selector's per-lane ALU `match`.
         MixedOps,
     }
 

@@ -160,8 +160,9 @@ impl Gen {
         let actions: Vec<Action> = (0..n_actions)
             .map(|i| self.action(format!("{name}_a{i}"), stage_array))
             .collect();
-        match self.rng.gen_range(0u32..5) {
+        match self.rng.gen_range(0u32..6) {
             0 => Table::always(name, actions.into_iter().next().unwrap()),
+            1 => self.shift_table(name),
             _ => {
                 let n_keys = self.rng.gen_range(1usize..3);
                 let keys: Vec<(FieldId, MatchKind)> = (0..n_keys)
@@ -196,6 +197,50 @@ impl Gen {
                 t
             }
         }
+    }
+
+    /// An enumerated shift table, the way Tofino spells a shift by a
+    /// field: one exact entry per distance, each action one constant shift
+    /// of one source into one destination — now and then `dst = 0` or an
+    /// empty action — so that it lowers to shift rows whenever its key is
+    /// narrow enough to index directly.
+    fn shift_table(&mut self, name: String) -> Table {
+        let (src, dst) = (self.field(), self.field());
+        let keys: Vec<(FieldId, MatchKind)> = (0..self.rng.gen_range(1usize..3))
+            .map(|_| (self.field(), MatchKind::Exact))
+            .collect();
+        let n_actions = self.rng.gen_range(2usize..12);
+        let actions: Vec<Action> = (0..n_actions)
+            .map(|i| {
+                let a = Action::nop(format!("{name}_a{i}"));
+                match self.rng.gen_range(0u32..10) {
+                    0 => a,
+                    1 => a.set(dst, Operand::Const(0)),
+                    _ => {
+                        let op = SHIFT_OPS[self.rng.gen_range(0..3)];
+                        let c = Operand::Const(self.rng.gen_range(-2i64..70));
+                        a.prim(dst, op, Operand::Field(src), c)
+                    }
+                }
+            })
+            .collect();
+        let default = self
+            .rng
+            .gen::<bool>()
+            .then(|| self.rng.gen_range(0..n_actions));
+        let mut t = Table::keyed(name, keys.clone(), actions, default);
+        for a in 0..n_actions {
+            // Small key values, so random lanes hit entries as well as miss.
+            let key: Vec<KeyMatch> = keys
+                .iter()
+                .map(|(f, _)| {
+                    let max = field_max(self.widths[f.0 as usize]).min(7);
+                    KeyMatch::Exact(self.rng.gen_range(0..=max))
+                })
+                .collect();
+            t = t.entry(key, self.rng.gen_range(0u32..2), a);
+        }
+        t
     }
 }
 
@@ -419,7 +464,7 @@ fn random_phv(program: &SwitchProgram, rng: &mut SmallRng) -> Phv {
 /// execution → transpose back, with per-packet fallback for ineligible
 /// programs) must leave PHVs and registers exactly as the interpreter's
 /// packet-at-a-time loop does — including the uniform-key, split-key-LUT,
-/// selector and per-packet paths random programs fall into.
+/// selector, shift-row and per-packet paths random programs fall into.
 #[test]
 fn soa_batches_match_interpreter_streams() {
     let mut soa_runs = 0usize;
@@ -448,7 +493,7 @@ fn soa_batches_match_interpreter_streams() {
 #[test]
 fn soa_uniform_column_batches_match_interpreter() {
     let mut soa_runs = 0usize;
-    let (mut uniform_lookups, mut windowed) = (0u64, 0u64);
+    let (mut uniform_lookups, mut windowed, mut rows) = (0u64, 0u64, 0u64);
     for seed in 0..400u64 {
         let (program, mut rng) = random_program(0xFAC7_0000 + seed);
         if program.validate().is_err() {
@@ -525,10 +570,12 @@ fn soa_uniform_column_batches_match_interpreter() {
             );
             uniform_lookups += counts.iter().map(|c| c.uniform_lookup).sum::<u64>();
             windowed += counts.iter().map(|c| c.windowed).sum::<u64>();
+            rows += counts.iter().map(|c| c.rows).sum::<u64>();
         }
     }
     assert!(soa_runs > 0, "no SoA-eligible program generated");
     assert!(uniform_lookups > 0, "no batch resolved a table uniformly");
+    assert!(rows > 0, "no batch ran a table as shift rows");
     assert!(
         windowed > 100,
         "only {windowed} lanes ran in a register window"
@@ -2015,5 +2062,365 @@ fn every_update_output_and_condition_matches_interpreter_in_windows() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shift rows: a table whose every action is one constant shift of one
+// source into one destination (or `dst = 0`) runs a divergent batch in one
+// pass — each lane's row gathered from its matcher slot, no per-lane
+// action. Every test compares against the interpreter on both lane words
+// (`check_soa_batch`) and pins which tables took the rows.
+// ---------------------------------------------------------------------
+
+const SHIFT_OPS: [AluOp; 3] = [AluOp::Shl, AluOp::ShrLogic, AluOp::ShrArith];
+
+/// `dst = src ⊕ c`: the one action shape shift rows lower.
+fn shift(dst: FieldId, op: AluOp, src: FieldId, c: i64) -> Action {
+    Action::nop(format!("{op:?}{c}")).prim(dst, op, Operand::Field(src), Operand::Const(c))
+}
+
+/// `dst = 0`, which lowers as a logical shift by 64.
+fn zero(dst: FieldId) -> Action {
+    Action::nop("zero").set(dst, Operand::Const(0))
+}
+
+/// An exact-match table on `key` that runs `actions[a]` for key value `a`.
+fn enumerated(name: &str, key: FieldId, actions: Vec<Action>, default: Option<usize>) -> Table {
+    let n = actions.len();
+    let t = Table::keyed(name, vec![(key, MatchKind::Exact)], actions, default);
+    (0..n).fold(t, |t, a| t.entry(vec![KeyMatch::Exact(a as u64)], 0, a))
+}
+
+/// What a `bits`-wide source has to get right: zero, one, both sides of
+/// its sign bit, all ones, and two bit patterns.
+fn sign_edges(bits: u32) -> Vec<u64> {
+    let (max, top) = (field_max(bits), 1u64 << (bits - 1));
+    let edges = [top - 1, top, top + 1, max - 1, max, 0, 1];
+    let patterns = [0x5555_5555_5555_5555, 0xDEAD_BEEF_F00D_CAFE];
+    edges.iter().chain(&patterns).map(|v| v & max).collect()
+}
+
+/// `check_soa_batch`, then: exactly the tables named in `rows` ran the
+/// batch as shift rows, and no table walked.
+fn check_rows(label: &str, program: &SwitchProgram, phvs: &[Phv], rows: &[&str]) {
+    let counts = check_soa_batch(label, program, phvs);
+    let tables = program.stages.iter().flat_map(|s| &s.tables);
+    for (t, c) in tables.zip(&counts) {
+        let want = u64::from(rows.contains(&t.name.as_str()));
+        assert_eq!(c.rows, want, "{label} / {}: {c:?}", t.name);
+        assert_eq!(c.walk, 0, "{label} / {}", t.name);
+    }
+}
+
+/// Every shift op at every count 0..=64, and constants past 64 (clamped
+/// when lowered) and negative ones, on a source at its sign edges: one
+/// action per (op, count) in one table and a lane on each; keys past them
+/// miss to a `dst = 0` default.
+#[test]
+fn shift_rows_cover_every_op_and_count() {
+    let mut l = PhvLayout::new();
+    let k = l.field("k", 8);
+    let x = l.field("x", 32);
+    let y = l.field("y", 32);
+    let counts = (0..=64).chain([65, 100, 1 << 40, i64::MAX, -1, i64::MIN]);
+    let mut actions: Vec<Action> = SHIFT_OPS
+        .iter()
+        .flat_map(|&op| counts.clone().map(move |c| shift(y, op, x, c)))
+        .collect();
+    actions.push(zero(y));
+    let default = actions.len() - 1;
+    let program = staged(
+        l,
+        vec![enumerated("shifts", k, actions, Some(default))],
+        vec![],
+    );
+    let edges = sign_edges(32);
+    let phvs = batch(
+        &program,
+        256 * edges.len(),
+        &[
+            (k, &|i| i as u64 % 256),
+            (x, &|i| edges[i / 256]),
+            (y, &|_| 0xA5A5_A5A5),
+        ],
+    );
+    check_rows("every op and count", &program, &phvs, &["shifts"]);
+}
+
+/// Sources 1, 8, 16, 31 and 32 bits wide — and 33, 63 and 64, which put
+/// the layout on `u64` lanes — each at its sign edges, into a destination
+/// as wide as the lane word's half and into a 12-bit one (its mask), at
+/// the counts around the source's own width and both lane words'.
+#[test]
+fn shift_rows_hold_at_every_source_width() {
+    for bits in [1u32, 8, 16, 31, 32, 33, 63, 64] {
+        let mut l = PhvLayout::new();
+        let k = l.field("k", 8);
+        let x = l.field("x", bits);
+        let full = l.field("full", bits.max(32));
+        let narrow = l.field("narrow", 12);
+        let counts = [0, 1, bits - 1, bits, bits + 1, 11, 12, 31, 32, 33, 63, 64];
+        let actions = |dst| -> Vec<Action> {
+            let each = |&op| counts.iter().map(move |&c| shift(dst, op, x, i64::from(c)));
+            SHIFT_OPS.iter().flat_map(each).collect()
+        };
+        // Keys 36..64 miss, with no default: the destination keeps.
+        let program = staged(
+            l,
+            vec![
+                enumerated("full", k, actions(full), None),
+                enumerated("narrow", k, actions(narrow), None),
+            ],
+            vec![],
+        );
+        let edges = sign_edges(bits);
+        let phvs = batch(
+            &program,
+            64 * edges.len(),
+            &[
+                (k, &|i| i as u64 % 64),
+                (x, &|i| edges[i / 64]),
+                (full, &|i| 0x0123_4567_89AB_CDEF_u64.rotate_left(i as u32)),
+                (narrow, &|i| i as u64 * 37),
+            ],
+        );
+        check_rows(
+            &format!("{bits}-bit source"),
+            &program,
+            &phvs,
+            &["full", "narrow"],
+        );
+    }
+}
+
+/// A miss and an empty action keep the destination unless a default
+/// writes it: a `dst = 0` default, no default at all, and an empty action
+/// as the default — each table also matching its empty action by key.
+#[test]
+fn shift_rows_keep_or_zero_on_misses_and_empty_actions() {
+    let mut l = PhvLayout::new();
+    let k = l.field("k", 4);
+    let x = l.field("x", 16);
+    let ys = [l.field("y0", 16), l.field("y1", 16), l.field("y2", 16)];
+    let actions = |y| {
+        vec![
+            shift(y, AluOp::Shl, x, 3),
+            shift(y, AluOp::ShrArith, x, 5),
+            Action::nop("empty"),
+            zero(y),
+        ]
+    };
+    // Keys 0..4 hit an action, 4..16 miss.
+    let program = staged(
+        l,
+        vec![
+            enumerated("zero_default", k, actions(ys[0]), Some(3)),
+            enumerated("no_default", k, actions(ys[1]), None),
+            enumerated("empty_default", k, actions(ys[2]), Some(2)),
+        ],
+        vec![],
+    );
+    let mut rng = SmallRng::seed_from_u64(0x5817_0003);
+    let xs: Vec<u64> = (0..100).map(|_| rng.gen_range(0..1u64 << 16)).collect();
+    let phvs = batch(
+        &program,
+        xs.len(),
+        &[
+            (k, &|i| i as u64 % 16),
+            (x, &|i| xs[i]),
+            (ys[0], &|i| 0x1111 + i as u64),
+            (ys[1], &|i| 0x2222 + i as u64),
+            (ys[2], &|i| 0x3333 + i as u64),
+        ],
+    );
+    let all = ["zero_default", "no_default", "empty_default"];
+    check_rows("misses and empty actions", &program, &phvs, &all);
+}
+
+/// A key too wide to index directly lowers to an index on its low bits,
+/// verified against the full key: entries at distances ±1..=12 (two's
+/// complement, as the alignment table keys them), lanes whose key shares
+/// an entry's low bits but not the rest, lanes on empty slots with key 0,
+/// and a default that shifts.
+#[test]
+fn shift_rows_verify_the_full_key_behind_a_prefix_index() {
+    let mut l = PhvLayout::new();
+    let d = l.field("d", 32);
+    let x = l.field("x", 32);
+    let y = l.field("y", 32);
+    let mut t = Table::keyed("verified", vec![(d, MatchKind::Exact)], Vec::new(), None);
+    let mut keys = Vec::new();
+    for c in 1..=12i64 {
+        for (op, key) in [(AluOp::Shl, c), (AluOp::ShrArith, -c)] {
+            let key = key as u64 & 0xFFFF_FFFF;
+            t.actions.push(shift(y, op, x, c));
+            let a = t.actions.len() - 1;
+            t = t.entry(vec![KeyMatch::Exact(key)], 0, a);
+            keys.push(key);
+        }
+    }
+    t.actions.push(shift(y, AluOp::ShrArith, x, 63));
+    t.default_action = Some(t.actions.len() - 1);
+    let program = staged(l, vec![t], vec![]);
+    // Each entry's key, then the same low bits under other high bits.
+    let lane_keys: Vec<u64> = (keys.iter())
+        .chain(&[0, 32, 0x8000_0000])
+        .flat_map(|&key| {
+            [
+                key,
+                key ^ (1 << 5),
+                key ^ (1 << 16),
+                key ^ (1 << 31),
+                key + 64,
+            ]
+        })
+        .map(|key| key & 0xFFFF_FFFF)
+        .collect();
+    let edges = sign_edges(32);
+    let phvs = batch(
+        &program,
+        lane_keys.len(),
+        &[
+            (d, &|i| lane_keys[i]),
+            (x, &|i| edges[i % edges.len()]),
+            (y, &|_| 0x5A5A),
+        ],
+    );
+    check_rows("prefix collisions", &program, &phvs, &["verified"]);
+}
+
+/// The alignment table's shape — keyed on an opcode, a skip flag, a
+/// direction bit and a 32-bit distance, gated on `op == 1, skip == 0` —
+/// with one, two, three and four key columns varying (each key pack), the
+/// opcode among them: lanes of two opcodes in one batch, so a gate column
+/// varies and its failing lanes miss.
+#[test]
+fn shift_rows_pack_every_count_of_varying_key_columns() {
+    let mut l = PhvLayout::new();
+    let op = l.field("op", 2);
+    let skip = l.field("skip", 1);
+    let bigger = l.field("bigger", 1);
+    let d2 = l.field("d2", 32);
+    let x = l.field("x", 32);
+    let y = l.field("y", 32);
+    let keys = [op, skip, bigger, d2].map(|f| (f, MatchKind::Exact));
+    let mut t = Table::keyed("align", keys.to_vec(), Vec::new(), None);
+    let entry = |mut t: Table, act: Action, bigger: u64, dist: u64| {
+        t.actions.push(act);
+        let (a, key) = (t.actions.len() - 1, [1, 0, bigger, dist & 0xFFFF_FFFF]);
+        t.entry(key.map(KeyMatch::Exact).to_vec(), 2, a)
+    };
+    for c in 1..=8i64 {
+        t = entry(t, shift(y, AluOp::Shl, x, c), 1, c as u64);
+    }
+    for c in 0..=10i64 {
+        t = entry(
+            t,
+            shift(y, AluOp::ShrArith, x, c),
+            0,
+            c.wrapping_neg() as u64,
+        );
+    }
+    t.actions.push(shift(y, AluOp::ShrArith, x, 63));
+    t.default_action = Some(t.actions.len() - 1);
+    let program = staged(l, vec![t], vec![]);
+    let mut rng = SmallRng::seed_from_u64(0x5817_0005);
+    let dists: Vec<u64> = (0..256)
+        .map(|i| match i % 4 {
+            0 => rng.gen_range(1..=8),
+            1 | 2 => rng.gen_range(0i64..11).wrapping_neg() as u64 & 0xFFFF_FFFF,
+            _ => rng.gen_range(0..1u64 << 32),
+        })
+        .collect();
+    let bits: Vec<u64> = (0..256).map(|_| rng.gen_range(0..4)).collect();
+    let xs: Vec<u64> = (0..256).map(|_| rng.gen_range(0..1u64 << 32)).collect();
+    for vary in [
+        &[d2][..],
+        &[bigger],
+        &[bigger, d2],
+        &[skip, bigger, d2],
+        &[op, d2],
+        &[op, skip, bigger, d2],
+    ] {
+        let pick = |f: FieldId, varying: u64, uniform: u64| {
+            if vary.contains(&f) {
+                varying
+            } else {
+                uniform
+            }
+        };
+        let phvs = batch(
+            &program,
+            256,
+            &[
+                (op, &|i| pick(op, 1 + bits[i] % 2, 1)),
+                (skip, &|i| pick(skip, u64::from(bits[i] == 3), 0)),
+                (bigger, &|i| pick(bigger, bits[i] / 2, 0)),
+                (d2, &|i| pick(d2, dists[i], 0xFFFF_FFFD)),
+                (x, &|i| xs[i]),
+                (y, &|i| i as u64),
+            ],
+        );
+        let label = format!("{} varying key columns", vary.len());
+        check_rows(&label, &program, &phvs, &["align"]);
+    }
+}
+
+/// Tables one rule away from shift rows keep the selector, masked or
+/// walking path — and still match: an action of two ops, a different
+/// source per action, a different destination per action, a stateful
+/// action, and a shift by a field distance.
+#[test]
+fn tables_that_are_not_shift_rows_keep_their_paths() {
+    let mut l = PhvLayout::new();
+    let k = l.field("k", 2);
+    let x = l.field("x", 32);
+    let z = l.field("z", 32);
+    let y = l.field("y", 32);
+    let w = l.field("w", 32);
+    let idx = l.field("idx", 4);
+    let call = StatefulCall {
+        array: RegArrayId(0),
+        index: Operand::Field(idx),
+        cond: SaluCond::Always,
+        on_true: SaluUpdate::AddWrap(Operand::Field(x)),
+        on_false: SaluUpdate::Keep,
+        output: None,
+    };
+    let pair =
+        |name: &str, a: Action| enumerated(name, k, vec![a, shift(y, AluOp::ShrLogic, x, 2)], None);
+    let two_ops =
+        shift(y, AluOp::Shl, x, 1).prim(y, AluOp::Xor, Operand::Field(y), Operand::Const(7));
+    let by_field =
+        Action::nop("by_field").prim(y, AluOp::Shl, Operand::Field(x), Operand::Field(z));
+    let tables = vec![
+        pair("two_ops", two_ops),
+        pair("other_src", shift(y, AluOp::Shl, z, 1)),
+        pair("other_dst", shift(w, AluOp::Shl, x, 1)),
+        pair("stateful", shift(y, AluOp::Shl, x, 1).call(call)),
+        pair("by_field", by_field),
+    ];
+    let program = staged(l, tables, vec![array("r", 32, 16, 3)]);
+    let mut rng = SmallRng::seed_from_u64(0x5817_0006);
+    let vals: Vec<[u64; 3]> = (0..64)
+        .map(|_| [0, 0, 0].map(|_: u64| rng.gen_range(0..1u64 << 32)))
+        .collect();
+    let phvs = batch(
+        &program,
+        64,
+        &[
+            (k, &|i| i as u64 % 3),
+            (x, &|i| vals[i][0]),
+            (z, &|i| vals[i][1] % 40),
+            (y, &|i| vals[i][2]),
+            (idx, &|i| i as u64 % 16),
+        ],
+    );
+    let counts = check_soa_batch("not shift rows", &program, &phvs);
+    for c in &counts {
+        assert_eq!(c.rows, 0, "{c:?}");
+        assert_eq!(c.lut + c.per_lane, 1, "{c:?}");
+        assert_eq!(c.selector + c.masked + c.walk, 1, "{c:?}");
     }
 }
