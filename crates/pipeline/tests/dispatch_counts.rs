@@ -79,7 +79,7 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
 
     // One resolution per table and batch; `rows` resolves and runs at once.
     let phase_a = |c: DispatchCounts| (c.gate_decided, c.uniform_lookup, c.lut, c.per_lane, c.rows);
-    let phase_b = |c: DispatchCounts| (c.uniform, c.selector, c.masked, c.walk);
+    let phase_b = |c: DispatchCounts| (c.uniform, c.masked, c.walk);
     for c in &add.counts {
         assert_eq!(c.lanes, LANES as u64);
         assert_eq!(
@@ -104,7 +104,7 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
     // `op` and `skip` are both uniform: one scalar lookup each.
     for table in ["exponent", "delta", "mantissa"] {
         assert_eq!(phase_a(add.of(table)), (0, 1, 0, 0, 0), "ADD / {table}");
-        assert_eq!(phase_b(add.of(table)), (1, 0, 0, 0), "ADD / {table}");
+        assert_eq!(phase_b(add.of(table)), (1, 0, 0), "ADD / {table}");
     }
     // `classify` keys on two 32-bit columns that both vary, and has two
     // entries (zero, subnormal) over a default: a handful of mask/value
@@ -116,11 +116,11 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
     }
     // The sign bit: a one-bit LUT, then one masked sweep per action.
     assert_eq!(phase_a(add.of("apply_sign")), (0, 0, 1, 0, 0));
-    assert_eq!(phase_b(add.of("apply_sign")), (0, 0, 1, 0));
+    assert_eq!(phase_b(add.of("apply_sign")), (0, 1, 0));
     // The alignment distance really is per-lane, and every action of its
     // table is one constant shift: shift rows, no Phase B arm.
     assert_eq!(phase_a(add.of("align_shift_table")), (0, 0, 0, 0, 1));
-    assert_eq!(phase_b(add.of("align_shift_table")), (0, 0, 0, 0));
+    assert_eq!(phase_b(add.of("align_shift_table")), (0, 0, 0));
 
     let read = run(OP_READ, &|_| 0.0);
     // Every READ lane carries the value 0: `classify` sees uniform keys.
@@ -151,7 +151,8 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
         1,
         "the LPM rows sweep the lanes"
     );
-    assert_eq!(phase_b(read.of("find_top")), (0, 1, 0, 0));
+    // One masked sweep per leading-one position the batch holds.
+    assert_eq!(phase_b(read.of("find_top")), (0, 1, 0));
 }
 
 /// Every `add_ranges` / `read_range` chunk carries consecutive slots, so
@@ -225,11 +226,11 @@ fn consecutive_slots_reach_the_stateful_tables_as_register_windows() {
 /// as shift rows — one pass, no per-lane action — including the two
 /// batches that used to leave the fast arms: a 256-lane READ batch over
 /// registers spread across many binades, whose renormalisation distances
-/// (`frac_shift`) take more than eight values (past the masked cut-over,
-/// and `frac_shift_table`'s `dst = 0` default broke the selector skeleton),
-/// and an ADD batch with zero inputs, which makes `skip` vary beside
-/// `bigger` and `d2` (three varying key columns on `align_shift_table`).
-/// Alike on both lane words.
+/// (`frac_shift`) and leading-one positions (`top`) take more than eight
+/// values each, and an ADD batch with zero inputs, which makes `skip` vary
+/// beside `bigger` and `d2` (three varying key columns on
+/// `align_shift_table`). On that READ batch `find_top` runs one masked
+/// sweep per leading-one position. Alike on both lane words.
 #[test]
 fn fp16_tofino_shift_tables_run_as_rows_and_no_batch_walks() {
     const LANES: usize = 256;
@@ -283,11 +284,14 @@ fn fp16_tofino_shift_tables_run_as_rows_and_no_batch_walks() {
             if op == OP_READ {
                 let shifts = distinct("frac_shift");
                 assert!(shifts > 8, "only {shifts} shift distances");
+                let tops = distinct("top");
+                assert!(tops > 8, "only {tops} leading-one positions");
             }
             let counts: Vec<DispatchCounts> = (cs.dispatch_counts().iter().zip(&before))
                 .map(|(c, b)| DispatchCounts {
                     lanes: c.lanes - b.lanes,
                     rows: c.rows - b.rows,
+                    masked: c.masked - b.masked,
                     walk: c.walk - b.walk,
                     ..DispatchCounts::default()
                 })
@@ -304,6 +308,7 @@ fn fp16_tofino_shift_tables_run_as_rows_and_no_batch_walks() {
         }
         assert_eq!(batches[1].of("align_shift_table").rows, 1, "ADD with zeros");
         assert_eq!(batches[2].of("frac_shift_table").rows, 1, "READ");
+        assert_eq!(batches[2].of("find_top").masked, 1, "READ");
         per_word.push(cs.dispatch_counts().to_vec());
     }
     assert_eq!(

@@ -56,22 +56,19 @@
 //! except on a table lowered to *shift rows* (below), where a divergent
 //! batch resolves and runs in one pass.
 //!
-//! **Phase B** has three arms, tried in this order:
+//! **Phase B** has two arms:
 //!
 //! 1. **uniform** — the whole batch resolved to one action: the tape runs
 //!    *instruction-major*, each op streaming across all lanes through its
 //!    chunk kernel, a cache line of lanes at a time;
-//! 2. **selector** — a divergent batch on a table whose actions all share
-//!    one op skeleton (`find_top`'s per-entry constants): one gathered
-//!    sweep per template position, each lane fetching its own op and
-//!    constants;
-//! 3. **masked** — any other divergent batch: each distinct action's tape
-//!    runs instruction-major through the same chunk kernels, storing only
-//!    into the lanes that resolved to it.
+//! 2. **masked** — a divergent batch: each distinct action's tape runs
+//!    instruction-major through the same chunk kernels, storing only into
+//!    the lanes that resolved to it (`find_top`, one action per
+//!    leading-one position, runs at most 16 such sweeps on FP16).
 //!
-//! Only a batch that hit more distinct actions than masked sweeps pay for
-//! falls back to walking each packet's tape — same code as the scalar
-//! engine.
+//! Only a table with more than 64 actions — more than the distinct-action
+//! bitmap holds — has each packet of a divergent batch walk its own tape,
+//! the same code as the scalar engine.
 //!
 //! **Shift rows.** Tofino has no two-operand shift, so the FPISA program
 //! enumerates its alignment and renormalisation shifts as exact-match
@@ -135,7 +132,7 @@
 //! A batch's columns are stored, and its sweeps computed, in the layout's
 //! *lane word*: `u32` when every PHV field is at most 32 bits wide, `u64`
 //! otherwise (`PhvLayout::lane_bits`; no option selects it). Everything
-//! that touches a column — facts, key packs, row claims, the three Phase B
+//! that touches a column — facts, key packs, row claims, the Phase B
 //! sweeps, Phase C's run scan and window sweeps — is one generic source
 //! over `LaneWord`, instantiated twice. An action is a fixed op template
 //! plus constants (Packet Transactions), so the template is resolved when a
@@ -433,11 +430,6 @@ struct CompiledTable {
     writes: (u32, u32),
     /// Whether any action of the table makes a stateful call.
     has_stateful: bool,
-    /// Selected-constant dispatch (see [`SelectorTape`]): set when every
-    /// action of this table runs the same op skeleton, with per-action
-    /// ops/constants gathered at dispatch — the divergent-batch fast
-    /// path for tables of one skeleton.
-    selector: Option<SelectorTape>,
     /// Set when the table lowers to [`ShiftRows`] (see the module docs).
     rows: Option<ShiftRows>,
 }
@@ -458,11 +450,6 @@ const SCAN_MAX_ENTRIES: usize = 8;
 /// columns folded into a constant; a table with more falls back to the
 /// scalar [`CompiledTable::lookup`] per lane.
 const MAX_VARYING_KEYS: usize = 8;
-
-/// Most distinct actions a divergent batch runs as masked per-action
-/// sweeps; past it (or on a table with more than 64 actions, which the
-/// distinct-action bitmap cannot hold) each packet walks its own tape.
-const MASKED_MAX_ACTIONS: u32 = 8;
 
 /// What a batch knows about one PHV column over its live lanes. Filled on
 /// first use by [`Cols::fact`] and forgotten for exactly the fields an
@@ -549,13 +536,10 @@ pub struct DispatchCounts {
     /// Phase A and B in one: a divergent batch on a table lowered to shift
     /// rows, each lane's row gathered from its matcher slot (no Phase B arm).
     pub rows: u64,
-    /// Phase B: a divergent batch on a selector-shaped table, one
-    /// gathered sweep per template op.
-    pub selector: u64,
     /// Phase B: a divergent batch run as masked per-action sweeps.
     pub masked: u64,
-    /// Phase B: a divergent batch past the masked cut-over, each packet
-    /// walking its own tape.
+    /// Phase B: a divergent batch on a table with more than 64 actions,
+    /// each packet walking its own tape.
     pub walk: u64,
     /// Phase C, among `lanes`: lanes whose stateful call was served from a
     /// register window (their index column ran ascending for eight lanes
@@ -870,12 +854,12 @@ impl CompiledTable {
     /// the split-LUT that bounds one): `Ok(a)` when all are the one action
     /// `a` ([`MISS`] included), otherwise `Err` of the bitmap over
     /// table-relative action ids. Branchless per element — the bitmap is
-    /// the uniformity test too. A table that never runs masked sweeps
-    /// (selector-shaped, or more than 64 actions) has no use for the
-    /// bitmap and stops at the first difference instead: `Err(None)`.
+    /// the uniformity test too. A table of more than 64 actions, which the
+    /// bitmap cannot hold, stops at the first difference instead:
+    /// `Err(None)`.
     fn distinct_actions(&self, acts: &[u32]) -> Result<u32, Divergent> {
         let (base, end) = self.actions;
-        if self.selector.is_some() || end - base > 64 {
+        if end - base > 64 {
             let first = acts[0];
             return if acts.iter().all(|&a| a == first) {
                 Ok(first)
@@ -904,7 +888,7 @@ impl CompiledTable {
 /// How a batch diverges (the `Err` of [`CompiledTable::lookup_lanes`]).
 enum Divergent {
     /// `act_of` holds every lane's action; `Some` of the distinct-action
-    /// bitmap when the table keeps one.
+    /// bitmap when the table has at most 64 actions.
     Acts(Option<u64>),
     /// A [`ShiftRows`] table: the uniform key part, and how many of
     /// [`LaneScratch::vary`] are the varying key columns.
@@ -1242,343 +1226,6 @@ fn sweep_op<W: LaneWord, const MASKED: bool>(
     })
 }
 
-/// Selected-constant dispatch for a divergent table whose actions all run
-/// the *same* op skeleton. The canonical case is a table of one constant
-/// per entry — `find_top`'s `top = t`, one action per leading-one
-/// position — where a batch resolves to many distinct actions: more than
-/// masked per-action sweeps pay for. (A shift table of that shape runs as
-/// [`ShiftRows`] where its matcher allows.) When
-/// every non-empty action tape in a table is the same-length sequence of
-/// primitives with matching destination and mask at each position, and
-/// each operand position is either one shared operand or a
-/// per-action `Const`, Phase B needs exactly one sweep per template
-/// position: each lane *gathers its own op and constants* from per-action
-/// tables indexed by its resolved action. Lanes that missed, or whose
-/// action has an empty tape (a nop/skip arm), keep their destination
-/// untouched — the same observable behaviour as not running the tape.
-#[derive(Debug, Clone)]
-struct SelectorTape {
-    /// First global action index of the owning table: `act_of` holds
-    /// global indices, the per-action tables below are table-relative.
-    base: u32,
-    /// Per action (table-relative): whether it runs the template tape.
-    /// Empty-tape actions are inactive and behave like misses in Phase B.
-    active: Box<[bool]>,
-    /// The template ops, instruction-major (lane-local, so running each
-    /// position across all lanes before the next preserves per-lane
-    /// program order exactly as the uniform tape sweep does).
-    ops: Box<[SelectorOp]>,
-}
-
-/// One operand position of a [`SelectorOp`]: shared by every action, or a
-/// per-action constant gathered at dispatch time.
-#[derive(Debug, Clone)]
-enum SelOperand {
-    /// One operand for all actions (a field column, or one shared const).
-    Uniform(CompiledOperand),
-    /// A `Const` per table-relative action index (raw `u64` with sign
-    /// shift 0; `Const` operands already are their signed value
-    /// bit-for-bit in 64 bits, so the `i64 → u64 → i64` roundtrip is
-    /// bit-exact). Inactive rows hold 0 and are never observable.
-    PerAction(Box<[u64]>),
-}
-
-impl SelOperand {
-    /// The sign-extension shift in lane word `W` (mirrors
-    /// [`CompiledOperand::sx_shift`]; gathered constants need none).
-    #[inline]
-    fn sx_shift<W: LaneWord>(&self) -> u32 {
-        match self {
-            SelOperand::Uniform(o) => o.sx_shift::<W>(),
-            SelOperand::PerAction(_) => 0,
-        }
-    }
-
-    /// The raw 64-bit value for one lane (`rel` is the lane's
-    /// table-relative action; callers only use the result for live lanes,
-    /// but any in-range `rel` is safe to read).
-    #[inline(always)]
-    fn raw<W: LaneWord>(&self, buf: &[W], cap: usize, lane: usize, rel: usize) -> u64 {
-        match self {
-            SelOperand::Uniform(o) => o.raw(buf, cap, lane),
-            SelOperand::PerAction(v) => v[rel],
-        }
-    }
-
-    /// One chunk of raw operand values from lane `i0`: a shared operand
-    /// loads or splats, a per-action table gathers each lane's constant
-    /// through `rel` (dead lanes carry row 0 — total, and never stored).
-    #[inline(always)]
-    fn load<W: LaneWord>(&self, buf: &[W], cap: usize, i0: usize, rel: &[usize]) -> W::Chunk {
-        match self {
-            SelOperand::Uniform(CompiledOperand::Field { idx, .. }) => {
-                load(buf, *idx as usize * cap, i0)
-            }
-            SelOperand::Uniform(CompiledOperand::Const(c)) => W::narrow(*c as u64).splat(),
-            SelOperand::PerAction(v) => {
-                let mut chunk = W::ZERO.splat();
-                for (o, &r) in chunk.as_mut().iter_mut().zip(rel) {
-                    *o = W::narrow(v[r]);
-                }
-                chunk
-            }
-        }
-    }
-}
-
-/// How one [`SelectorOp`] position resolves its ALU op across actions.
-#[derive(Debug, Clone)]
-enum SelDispatch {
-    /// Every active action runs the same op: one gathered sweep through
-    /// that op's kernel.
-    Uniform(AluOp),
-    /// Per-action ops: the ALU `match` per lane, with gathered operands —
-    /// still one sweep per position, no tape walks. (Shift tables whose
-    /// ops differ per action lower to [`ShiftRows`] instead.)
-    Mixed(Box<[AluOp]>),
-}
-
-impl SelDispatch {
-    /// The op one lane with table-relative action `rel` executes.
-    #[inline(always)]
-    fn op_for(&self, rel: usize) -> AluOp {
-        match self {
-            SelDispatch::Uniform(op) => *op,
-            SelDispatch::Mixed(ops) => ops[rel],
-        }
-    }
-}
-
-/// One position of a [`SelectorTape`]: the shared destination plus each
-/// action's op and operands.
-#[derive(Debug, Clone)]
-struct SelectorOp {
-    dst: u32,
-    dst_mask: u64,
-    dispatch: SelDispatch,
-    a: SelOperand,
-    b: SelOperand,
-    /// Every action's primitive at this position is [`narrow_exact`] (see
-    /// [`CompiledPrim::narrow`]).
-    narrow: bool,
-}
-
-impl SelectorTape {
-    /// Phase B for a divergent batch: one gathered sweep per template op.
-    fn execute_lanes<W: LaneWord>(&self, buf: &mut [W], cap: usize, n: usize, act: &[u32]) {
-        for op in self.ops.iter() {
-            op.execute_lanes(buf, cap, n, act, self.base, &self.active);
-        }
-    }
-}
-
-impl SelectorOp {
-    /// Sweep all lanes: each live lane computes its action's op with its
-    /// action's operands; missed/inactive lanes keep their destination.
-    fn execute_lanes<W: LaneWord>(
-        &self,
-        buf: &mut [W],
-        cap: usize,
-        n: usize,
-        act: &[u32],
-        base: u32,
-        active: &[bool],
-    ) {
-        let d0 = self.dst as usize * cap;
-        // A lane's table-relative action, when it runs the template.
-        let live = |aid: u32| {
-            let rel = aid.wrapping_sub(base) as usize;
-            (aid != MISS && active[rel]).then_some(rel)
-        };
-        let mut tail = 0;
-        if W::BITS == 64 || self.narrow {
-            let (asx, bsx) = (self.a.sx_shift::<W>(), self.b.sx_shift::<W>());
-            let dst = (d0, n, W::narrow(self.dst_mask));
-            // The chunk's operands, each lane's gathered through its own
-            // action. Dead lanes carry action row 0 (always in range, the
-            // table has ≥ 2 actions) so every gather is total; what they
-            // compute is never stored.
-            let gather = |buf: &[W], i0: usize, keep: &mut W::Chunk| {
-                let mut rel = [0usize; MAX_LANES];
-                let lanes = rel.iter_mut().zip(keep.as_mut());
-                for ((r, k), &aid) in lanes.zip(&act[i0..i0 + W::LANES]) {
-                    let rel = live(aid);
-                    *k = W::select(rel.is_some());
-                    *r = rel.unwrap_or(0);
-                }
-                let a = self.a.load(buf, cap, i0, &rel);
-                (a, self.b.load(buf, cap, i0, &rel), rel)
-            };
-            tail = match &self.dispatch {
-                SelDispatch::Uniform(op) => with_alu!(*op, asx, bsx, |f| {
-                    sweep_chunks::<W, true>(buf, dst, |buf, i0, keep| {
-                        let (a, b, _) = gather(buf, i0, keep);
-                        map2::<W>(&a, &b, f)
-                    })
-                }),
-                SelDispatch::Mixed(ops) => sweep_chunks::<W, true>(buf, dst, |buf, i0, keep| {
-                    let (a, b, rel) = gather(buf, i0, keep);
-                    let mut out = a;
-                    let lanes = out.as_mut().iter_mut().zip(b.as_ref()).zip(&rel);
-                    for ((o, &y), &r) in lanes {
-                        *o = alu(ops[r], *o, asx, y, bsx);
-                    }
-                    out
-                }),
-            };
-        }
-        for i in tail..n {
-            let Some(rel) = live(act[i]) else { continue };
-            let a = self.a.raw(buf, cap, i, rel);
-            let b = self.b.raw(buf, cap, i, rel);
-            let (asx, bsx) = (self.a.sx_shift::<u64>(), self.b.sx_shift::<u64>());
-            let out = alu(self.dispatch.op_for(rel), a, asx, b, bsx);
-            buf[d0 + i] = W::narrow(out & self.dst_mask);
-        }
-    }
-}
-
-/// One operand position across a table's actions, being unified by
-/// [`build_selector`]: either every active action so far agrees on one
-/// operand, or every one is a `Const` (values may differ per action).
-struct SelOperandAcc {
-    /// The first active action's operand, while still a candidate for
-    /// [`SelOperand::Uniform`].
-    first: CompiledOperand,
-    /// Whether every operand seen equals `first`.
-    all_same: bool,
-    /// Per-action raw constants; meaningless once a `Field` is seen
-    /// (`all_const` false).
-    consts: Vec<u64>,
-    all_const: bool,
-}
-
-impl SelOperandAcc {
-    fn new(n: usize, ai: usize, o: CompiledOperand) -> Self {
-        let mut acc = SelOperandAcc {
-            first: o,
-            all_same: true,
-            consts: vec![0u64; n],
-            all_const: true,
-        };
-        acc.note(ai, o);
-        acc.all_same = true;
-        acc
-    }
-
-    fn note(&mut self, ai: usize, o: CompiledOperand) {
-        self.all_same &= o == self.first;
-        match o {
-            CompiledOperand::Const(c) => self.consts[ai] = c as u64,
-            CompiledOperand::Field { .. } => self.all_const = false,
-        }
-    }
-
-    fn finish(self) -> Option<SelOperand> {
-        if self.all_same {
-            Some(SelOperand::Uniform(self.first))
-        } else if self.all_const {
-            Some(SelOperand::PerAction(self.consts.into_boxed_slice()))
-        } else {
-            // Different field operands (or a field/const mix) per action:
-            // no gatherable representation.
-            None
-        }
-    }
-}
-
-/// Detect the selected-constant shape over one table's actions (see
-/// [`SelectorTape`]): every non-empty action tape must be the same-length
-/// sequence of primitives with matching destination and mask at each
-/// position; each position's op may vary per action, and each
-/// operand must be one shared operand or a per-action `Const`. Requires
-/// at least two actions running the template (a lone shape is the uniform
-/// path's job, not dispatch).
-fn build_selector(
-    base: u32,
-    table_actions: &[CompiledAction],
-    prims: &[CompiledPrim],
-) -> Option<SelectorTape> {
-    let n = table_actions.len();
-    if n < 2 {
-        return None;
-    }
-    let mut active = vec![false; n];
-    // Per template position, accumulated across actions.
-    let mut dsts: Vec<(u32, u64)> = Vec::new();
-    let mut narrow: Vec<bool> = Vec::new();
-    let mut ops: Vec<Vec<AluOp>> = Vec::new(); // [position][action]
-    let mut accs_a: Vec<SelOperandAcc> = Vec::new();
-    let mut accs_b: Vec<SelOperandAcc> = Vec::new();
-    let mut first = true;
-    for (ai, a) in table_actions.iter().enumerate() {
-        let aps = &prims[a.prims.0 as usize..a.prims.1 as usize];
-        if aps.is_empty() {
-            continue;
-        }
-        if first {
-            first = false;
-            for p in aps {
-                dsts.push((p.dst, p.dst_mask));
-                narrow.push(p.narrow);
-                let mut v = vec![AluOp::Set; n];
-                v[ai] = p.op;
-                ops.push(v);
-                accs_a.push(SelOperandAcc::new(n, ai, p.a));
-                accs_b.push(SelOperandAcc::new(n, ai, p.b));
-            }
-        } else {
-            if aps.len() != dsts.len() {
-                return None;
-            }
-            for (j, p) in aps.iter().enumerate() {
-                if (p.dst, p.dst_mask) != dsts[j] {
-                    return None;
-                }
-                ops[j][ai] = p.op;
-                narrow[j] &= p.narrow;
-                accs_a[j].note(ai, p.a);
-                accs_b[j].note(ai, p.b);
-            }
-        }
-        active[ai] = true;
-    }
-    if first || active.iter().filter(|&&x| x).count() < 2 {
-        return None;
-    }
-    let mut out: Vec<SelectorOp> = Vec::with_capacity(dsts.len());
-    for ((((dst, dst_mask), narrow), op_by_action), (acc_a, acc_b)) in dsts
-        .into_iter()
-        .zip(narrow)
-        .zip(ops)
-        .zip(accs_a.into_iter().zip(accs_b))
-    {
-        let live: Vec<AluOp> = active
-            .iter()
-            .zip(&op_by_action)
-            .filter_map(|(&on, &op)| on.then_some(op))
-            .collect();
-        let dispatch = if live.iter().all(|&op| op == live[0]) {
-            SelDispatch::Uniform(live[0])
-        } else {
-            SelDispatch::Mixed(op_by_action.into_boxed_slice())
-        };
-        out.push(SelectorOp {
-            dst,
-            dst_mask,
-            dispatch,
-            a: acc_a.finish()?,
-            b: acc_b.finish()?,
-            narrow,
-        });
-    }
-    Some(SelectorTape {
-        base,
-        active: active.into_boxed_slice(),
-        ops: out.into_boxed_slice(),
-    })
-}
-
 /// A shift table as rows (see the module docs): one source, one
 /// destination, and per direct-index matcher slot its full packed key next
 /// to its action's [`ShiftRow`] — a slot holding no entry holds the miss
@@ -1777,10 +1424,9 @@ pub struct FusionStats {
     pub fused_pairs: usize,
     /// Stores dropped because the next op overwrote them unread.
     pub dead_stores: usize,
-    /// Tables compiled to selected-constant dispatch (same op shape
-    /// across all actions, per-action right-hand constant): divergent
-    /// batches run one gathered sweep per template op instead of one
-    /// masked sweep per distinct action.
+    /// Retired: the selector arm was removed (divergent batches run masked
+    /// sweeps), so this always reads 0. The field stays because the repo
+    /// benchmark's ledger reports it.
     pub selector_tables: usize,
     /// Width of the lane word batches of this program run at: 32 when
     /// every PHV field fits 32 bits, else 64.
@@ -2272,10 +1918,6 @@ impl CompiledSwitch {
                 ct.writes = (w0 as u32, writes.len() as u32);
                 ct.has_stateful = table.actions.iter().any(|a| !a.stateful.is_empty());
                 let table_actions = &actions[base as usize..];
-                ct.selector = build_selector(base, table_actions, &prims);
-                if ct.selector.is_some() {
-                    fusion.selector_tables += 1;
-                }
                 ct.rows = build_rows(&ct, table_actions, &prims, fusion.lane_bits);
                 tables.push(ct);
             }
@@ -2604,6 +2246,10 @@ impl CompiledSwitch {
         }
     }
 
+    /// Out of line, so each lane word keeps its own function: inlined into
+    /// `run_lanes_simple`, the SwitchML workload read about 4% slower
+    /// (`op_rel_p50`, 2-core x86-64 host).
+    #[inline(never)]
     fn run_columns<W: LaneWord>(
         &mut self,
         buf: &mut [W],
@@ -2673,19 +2319,12 @@ impl CompiledSwitch {
                     }
                 }
                 Err(Divergent::Acts(seen)) => {
-                    // Phase B, divergent. A selector-shaped table (same op
-                    // skeleton across all actions, which may hit dozens of
-                    // them) collapses to one gathered sweep per template
-                    // op. Otherwise each distinct action's tape sweeps the
-                    // batch under a blend-store — primitives are lane-local,
-                    // so the order of the actions is immaterial — unless the
-                    // batch hit so many that per-packet walks are cheaper.
-                    if let Some(sel) = &t.selector {
-                        count.selector += 1;
-                        sel.execute_lanes(buf, cap, limit, act_of);
-                    } else if let Some(mut seen) =
-                        seen.filter(|s| s.count_ones() <= MASKED_MAX_ACTIONS)
-                    {
+                    // Phase B, divergent: each distinct action's tape sweeps
+                    // the batch under a blend-store — primitives are
+                    // lane-local, so the order of the actions is immaterial
+                    // — unless the table has more actions than the bitmap
+                    // holds, and each packet walks its own tape.
+                    if let Some(mut seen) = seen {
                         count.masked += 1;
                         while seen != 0 {
                             let a = t.actions.0 + seen.trailing_zeros();
@@ -3260,7 +2899,6 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         actions: (action_base, action_base),
         writes: (0, 0),
         has_stateful: false,
-        selector: None,
         rows: None,
     }
 }
@@ -3926,18 +3564,18 @@ mod tests {
         }
     }
 
-    /// How a directed narrow-rule program runs its primitives.
+    /// How a directed narrow-rule program lays out its primitives. Every
+    /// two-action shape runs a divergent batch as masked per-action sweeps.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Shape {
         /// One action for every lane: the uniform sweeps.
         Uniform,
-        /// Two actions of one skeleton, differing in their constants: the
-        /// gathered selector sweeps.
-        Selector,
-        /// Two actions of different lengths: masked per-action sweeps.
+        /// Two actions of one op skeleton, differing in their constants.
+        SameOps,
+        /// Two actions of different lengths.
         Masked,
         /// One skeleton again, but the second action runs another op (a
-        /// shift another shift): the selector's per-lane ALU `match`.
+        /// shift another shift).
         MixedOps,
     }
 
@@ -3958,7 +3596,7 @@ mod tests {
         l.field("unused", widest);
         let mut narrow = 0usize;
         // `shift` moves every constant to its neighbour in the edge list:
-        // the second action of a selector pair.
+        // the second action of a `SameOps` pair.
         let mut action = |name: &str, op: AluOp, shift: usize, l: &mut PhvLayout| {
             let mut a = Action::nop(name);
             let mut n = 0usize;
@@ -3989,7 +3627,7 @@ mod tests {
         let first = action("first", op, 0, &mut l);
         let table = match shape {
             Shape::Uniform => Table::always("edges", first),
-            Shape::Selector | Shape::Masked | Shape::MixedOps => {
+            Shape::SameOps | Shape::Masked | Shape::MixedOps => {
                 // The next op, staying among the three shifts from a shift.
                 let at = ALU_OPS.iter().position(|&o| o == op).unwrap();
                 let next = match op {
@@ -4027,8 +3665,13 @@ mod tests {
 
     /// Run a batch through the interpreter packet by packet and through
     /// `run_lanes` on columns of `lane_bits`: every field of every lane
-    /// must agree.
-    fn check_lanes(label: &str, program: &SwitchProgram, phvs: &[Phv], lane_bits: u32) {
+    /// must agree. Returns the first table's dispatch counts.
+    fn check_lanes(
+        label: &str,
+        program: &SwitchProgram,
+        phvs: &[Phv],
+        lane_bits: u32,
+    ) -> DispatchCounts {
         let mut sw = Switch::new(program.clone()).unwrap();
         let mut want = phvs.to_vec();
         for p in &mut want {
@@ -4048,16 +3691,18 @@ mod tests {
             }
         }
         assert_eq!(cs.register_state(), sw.register_state(), "{label}");
+        cs.dispatch_counts()[0]
     }
 
     /// Every narrow-eligibility rule, at its edges, against the
     /// interpreter: each op × each edge constant on either side × field
-    /// widths 32 and 12 × the uniform, selector and masked sweeps × lane
-    /// counts around the 16-lane chunk, on the layout's own `u32` columns,
-    /// on `u64` columns forced under the same program, and on a layout a
-    /// 33-bit field makes wide. The narrow/widened split is pinned too, so
-    /// a rule can be neither too bold (a lane disagrees) nor too shy (the
-    /// count drops).
+    /// widths 32 and 12 × the uniform sweeps and masked sweeps over three
+    /// two-action shapes × lane counts around the 16-lane chunk, on the
+    /// layout's own `u32` columns, on `u64` columns forced under the same
+    /// program, and on a layout a 33-bit field makes wide. The
+    /// narrow/widened split and the Phase B arm are pinned too, so a rule
+    /// can be neither too bold (a lane disagrees) nor too shy (the count
+    /// drops).
     #[test]
     fn narrow_lane_rules_hold_at_their_edges() {
         const VALUES: [u64; 8] = [
@@ -4074,7 +3719,7 @@ mod tests {
         for op in ALU_OPS {
             for shape in [
                 Shape::Uniform,
-                Shape::Selector,
+                Shape::SameOps,
                 Shape::Masked,
                 Shape::MixedOps,
             ] {
@@ -4084,8 +3729,6 @@ mod tests {
                     let cs = CompiledSwitch::compile(&program).unwrap();
                     let stats = cs.fusion_stats();
                     let label = format!("{op:?} / {shape:?} / widest field {widest}");
-                    let selector = matches!(shape, Shape::Selector | Shape::MixedOps);
-                    assert_eq!(stats.selector_tables, usize::from(selector), "{label}");
                     if widest == 32 {
                         assert_eq!(stats.lane_bits, 32, "{label}");
                         assert_eq!(stats.narrow_ops, narrow, "{label}");
@@ -4111,8 +3754,17 @@ mod tests {
                             })
                             .collect();
                         let label = format!("{label} / {n} lanes");
-                        check_lanes(&label, &program, &phvs, stats.lane_bits);
-                        check_lanes(&label, &program, &phvs, 64);
+                        // Phase B `(uniform, masked, walk)`: one lane has
+                        // one action; more lanes alternate two.
+                        let arm = if shape == Shape::Uniform || n == 1 {
+                            (1, 0, 0)
+                        } else {
+                            (0, 1, 0)
+                        };
+                        for lane_bits in [stats.lane_bits, 64] {
+                            let c = check_lanes(&label, &program, &phvs, lane_bits);
+                            assert_eq!((c.uniform, c.masked, c.walk), arm, "{label}");
+                        }
                     }
                 }
             }

@@ -55,8 +55,10 @@
 //!   [`phv::BatchLanes`] buffer (one flat column per PHV field, in `u32`
 //!   lanes when every field fits 32 bits and `u64` lanes otherwise) and
 //!   each instruction runs across all packets a cache line of lanes at a
-//!   time, with a gathered sweep for shift-table divergence and a
-//!   per-packet walk otherwise — bit-for-bit identical either way.
+//!   time; a divergent batch runs as shift rows on a shift table, as one
+//!   masked sweep per distinct action otherwise, and as per-packet walks
+//!   only on a table of more than 64 actions — bit-for-bit identical
+//!   every way.
 //!
 //! Equivalence is enforced by property tests over random programs (PHV,
 //! register state, pass counts and errors must agree packet by packet) and

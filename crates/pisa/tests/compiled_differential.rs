@@ -464,7 +464,7 @@ fn random_phv(program: &SwitchProgram, rng: &mut SmallRng) -> Phv {
 /// execution → transpose back, with per-packet fallback for ineligible
 /// programs) must leave PHVs and registers exactly as the interpreter's
 /// packet-at-a-time loop does — including the uniform-key, split-key-LUT,
-/// selector, shift-row and per-packet paths random programs fall into.
+/// masked, shift-row and per-packet paths random programs fall into.
 #[test]
 fn soa_batches_match_interpreter_streams() {
     let mut soa_runs = 0usize;
@@ -712,12 +712,13 @@ fn phase_c_keeps_earliest_fault_semantics() {
 }
 
 /// A divergent batch on a table whose actions do *not* share one op
-/// skeleton (different tape lengths and destinations, so no selector):
-/// 2, 3 and 4 distinct actions plus MISS lanes, at 64 and 256 lanes, with
-/// and without out-of-range indices. Every lane walks its own tape, and
-/// PHVs, registers and the earliest fault must equal the interpreter's.
+/// skeleton (different tape lengths and destinations): 2, 3 and 4 distinct
+/// actions plus MISS lanes, at 64 and 256 lanes, with and without
+/// out-of-range indices. Each distinct action sweeps the batch masked, each
+/// lane makes its own action's stateful call, and PHVs, registers and the
+/// earliest fault must equal the interpreter's.
 #[test]
-fn divergent_non_selector_table_matches_interpreter() {
+fn divergent_mixed_action_table_matches_interpreter() {
     let mut layout = PhvLayout::new();
     let k = layout.field("k", 4);
     let v = layout.field("v", 16);
@@ -780,11 +781,6 @@ fn divergent_non_selector_table_matches_interpreter() {
     program.validate().expect("directed program must validate");
     let cs = CompiledSwitch::compile(&program).unwrap();
     assert!(cs.soa_eligible(), "directed program must take the SoA path");
-    assert_eq!(
-        cs.fusion_stats().selector_tables,
-        0,
-        "the table must not be selector-shaped"
-    );
 
     let mut rng = SmallRng::seed_from_u64(0xD1FE_0001);
     for distinct in 2..=4u64 {
@@ -819,11 +815,9 @@ fn divergent_non_selector_table_matches_interpreter() {
                         phvs[lane].set(idx, bad);
                     }
                 }
-                check_soa_batch(
-                    &format!("{distinct} actions / {n} lanes / faults={faults}"),
-                    &program,
-                    &phvs,
-                );
+                let label = format!("{distinct} actions / {n} lanes / faults={faults}");
+                let counts = check_soa_batch(&label, &program, &phvs);
+                assert_eq!(counts[0].masked, 1, "{label}");
             }
         }
     }
@@ -1304,9 +1298,9 @@ fn scan_tables_fold_their_uniform_columns() {
 }
 
 /// A table of `n_actions` actions that share no op skeleton (tape lengths,
-/// destinations and operand kinds differ, so no selector), most of them
-/// stateful, keyed exactly on `k` with no default: key `a` runs action `a`,
-/// keys past the last action miss.
+/// destinations and operand kinds differ), most of them stateful, keyed
+/// exactly on `k` with no default: key `a` runs action `a`, keys past the
+/// last action miss.
 fn divergent_program(n_actions: usize, entries: usize) -> (SwitchProgram, [FieldId; 4]) {
     let mut l = PhvLayout::new();
     let k = l.field("k", 8);
@@ -1362,12 +1356,6 @@ fn divergent_program(n_actions: usize, entries: usize) -> (SwitchProgram, [Field
         vec![mixed, Table::always("fold", fold)],
         vec![array("r", 32, entries, 0)],
     );
-    let cs = CompiledSwitch::compile(&program).unwrap();
-    assert_eq!(
-        cs.fusion_stats().selector_tables,
-        0,
-        "must not be a selector"
-    );
     (program, [k, v, w, idx])
 }
 
@@ -1407,22 +1395,36 @@ fn divergent_batch(
     phvs
 }
 
-/// Divergent batches on a non-selector table run one masked sweep per
-/// distinct action, up to eight of them; past that, and on a table with
-/// more actions than the distinct-action bitmap holds, each packet walks
-/// its own tape. Lane counts straddle the eight-lane chunk; actions read
-/// their own destinations; MISS lanes sit between the live ones.
+/// Divergent batches run one masked sweep per distinct action on any table
+/// of at most 64 actions — what the distinct-action bitmap holds — however
+/// many of them a batch hits; on a table of 65, each packet walks its own
+/// tape. Lane counts straddle the eight-lane chunk; actions read their own
+/// destinations; MISS lanes sit between the live ones.
 #[test]
-fn masked_sweeps_and_the_walk_past_their_cut_over_match_interpreter() {
+fn masked_sweeps_up_to_64_actions_and_the_walk_past_them_match_interpreter() {
     let entries = 8u64;
     let mut rng = SmallRng::seed_from_u64(0xD1FE_0002);
-    for (n_actions, distincts) in [(12usize, vec![2u64, 5, 8, 9, 12]), (65, vec![2, 9, 65])] {
+    let tables = [
+        (12usize, vec![2u64, 5, 8, 9, 12]),
+        (64, vec![2, 9, 64]),
+        (65, vec![2, 9, 65]),
+    ];
+    for (n_actions, distincts) in tables {
         let (program, fields) = divergent_program(n_actions, entries as usize);
         for &distinct in &distincts {
             for n in [1usize, 7, 8, 9, 64, 255] {
                 for faults in [false, true] {
                     let mut phvs =
                         divergent_batch(&program, fields, &mut rng, n, distinct, entries);
+                    if n == 255 {
+                        // Every one of the `distinct` actions occurs: the
+                        // 64-action table is hit by all 64.
+                        let mut hit: Vec<u64> = phvs.iter().map(|p| p.get(fields[0])).collect();
+                        hit.retain(|&k| k < distinct);
+                        hit.sort_unstable();
+                        hit.dedup();
+                        assert_eq!(hit.len() as u64, distinct);
+                    }
                     if faults && n >= 9 {
                         // Two out-of-range lanes, both on stateful actions:
                         // the earlier one must win.
@@ -1436,7 +1438,7 @@ fn masked_sweeps_and_the_walk_past_their_cut_over_match_interpreter() {
                     );
                     let counts = check_soa_batch(&label, &program, &phvs);
                     if n >= 64 {
-                        let masked = n_actions <= 64 && distinct <= 8;
+                        let masked = n_actions <= 64;
                         assert_eq!(counts[0].masked, u64::from(masked), "{label}");
                         assert_eq!(counts[0].walk, u64::from(!masked), "{label}");
                     }
@@ -2367,10 +2369,10 @@ fn shift_rows_pack_every_count_of_varying_key_columns() {
     }
 }
 
-/// Tables one rule away from shift rows keep the selector, masked or
-/// walking path — and still match: an action of two ops, a different
-/// source per action, a different destination per action, a stateful
-/// action, and a shift by a field distance.
+/// Tables one rule away from shift rows keep the masked path — and still
+/// match: an action of two ops, a different source per action, a
+/// different destination per action, a stateful action, and a shift by a
+/// field distance.
 #[test]
 fn tables_that_are_not_shift_rows_keep_their_paths() {
     let mut l = PhvLayout::new();
@@ -2421,6 +2423,6 @@ fn tables_that_are_not_shift_rows_keep_their_paths() {
     for c in &counts {
         assert_eq!(c.rows, 0, "{c:?}");
         assert_eq!(c.lut + c.per_lane, 1, "{c:?}");
-        assert_eq!(c.selector + c.masked + c.walk, 1, "{c:?}");
+        assert_eq!((c.masked, c.walk), (1, 0), "{c:?}");
     }
 }
