@@ -74,9 +74,10 @@ impl FpisaAggregator {
     /// [`FpisaAggregator::fp16_tofino`] sharded across `shards` cores,
     /// with shard boundaries aligned to `chunk` slots so every protocol
     /// chunk's slot range lands on exactly one shard (pass the job's
-    /// `elements_per_packet`). Ingest parallelizes across the shards via
-    /// [`crate::Aggregator::add_wire_multi`]; results stay bit-for-bit
-    /// identical to the single-core engine.
+    /// `elements_per_packet`). [`crate::Aggregator::add_wire_multi`] runs
+    /// each shard's chunks on that shard's engine, shard by shard on the
+    /// calling thread; results stay bit-for-bit identical to the
+    /// single-core engine.
     pub fn fp16_tofino_sharded(
         slots: usize,
         shards: usize,
@@ -172,12 +173,12 @@ impl Aggregator for FpisaAggregator {
     fn encode(&mut self, x: f64) -> u64 {
         // Clamp at the host, as the paper's transports do: an out-of-range
         // value would encode to an infinity bit pattern the switch has no
-        // semantics for.
-        let clamped = x.clamp(-self.max_finite, self.max_finite);
-        if clamped != x {
+        // semantics for. NaN is not a clip: `clamp` passes it through.
+        if x.abs() > self.max_finite {
             self.clipped += 1;
         }
-        self.format.encode(clamped)
+        self.format
+            .encode(x.clamp(-self.max_finite, self.max_finite))
     }
 
     fn add_wire(&mut self, start: usize, words: &[u64]) -> Result<(), AggError> {
@@ -197,9 +198,9 @@ impl Aggregator for FpisaAggregator {
             }
         }
         // One combined batch through the pipeline, the chunks handed over
-        // as the ranges they are: on a sharded spec this is where ingest
-        // fans out across cores (whole chunks land on one shard when the
-        // shard alignment matches the chunk size).
+        // as the ranges they are: on a sharded spec each shard runs the
+        // chunks it owns (whole chunks land on one shard when the shard
+        // alignment matches the chunk size).
         self.pipe.add_ranges(chunks)?;
         match &mut self.shadow {
             Some(shadow) => {
@@ -313,6 +314,9 @@ mod tests {
         let w = agg.encode(1e9); // far beyond FP16's 65504
         assert_eq!(w, FpFormat::FP16.encode(65504.0));
         assert_eq!(agg.encode(-1e9), FpFormat::FP16.encode(-65504.0));
+        assert_eq!(agg.stats().clipped, 2);
+        // NaN is not beyond the finite range, so it is no clip.
+        agg.encode(f64::NAN);
         assert_eq!(agg.stats().clipped, 2);
         agg.add_wire(0, &[w]).unwrap();
         assert_eq!(agg.read_range(0, 1).unwrap(), vec![65504.0]);

@@ -14,7 +14,11 @@
 //! via the SALU's old-value output) validated against the stock
 //! [`SwitchCaps::tofino`] profile and executed on the compiled engine —
 //! the same substrate the FPISA pipeline runs on, with none of its
-//! floating-point stages. Quantization clipping is accounted on the host
+//! floating-point stages. Packets reach it the way FPISA's do: every
+//! payload and read-out is a slot range, filled into the engine's lanes a
+//! column at a time by [`ShardedSwitch::run_ranges`] (split shard by
+//! shard on the calling thread when sharded) — no PHV is built per
+//! packet. Quantization clipping is accounted on the host
 //! ([`AggStats::clipped`]); register saturation is accounted via a
 //! control-plane mirror ([`fpisa_core::AddStats::overflows`]) while the
 //! aggregated values themselves always come from the switch registers.
@@ -22,9 +26,10 @@
 use crate::backend::{AggError, AggStats, Aggregator};
 use fpisa_core::AddStats;
 use fpisa_pisa::{
-    partition_slots_aligned, prove_shard_safety, verify_program, Action, CompiledSwitch, FieldId,
-    KeyMatch, MatchKind, Operand, Phv, PhvLayout, RegArrayId, RegisterArraySpec, SaluCond,
-    SaluOutput, SaluUpdate, ShardedSwitch, Stage, StatefulCall, SwitchCaps, SwitchProgram, Table,
+    partition_slots_aligned, prove_shard_safety, verify_program, Action, BatchLanes,
+    CompiledSwitch, KeyMatch, MatchKind, Operand, PhvLayout, RegArrayId, RegisterArraySpec,
+    SaluCond, SaluOutput, SaluUpdate, ShardedSwitch, SlotFields, Stage, StatefulCall, SwitchCaps,
+    SwitchProgram, Table,
 };
 
 /// Packet opcode: fold a quantized value into a slot.
@@ -41,23 +46,15 @@ fn qmax_for(workers: u32) -> i64 {
     ((1i64 << (VALUE_BITS - 1)) - 1) / workers as i64
 }
 
-/// Packets per internal batch chunk pushed through the (possibly
-/// sharded) engine by `add_wire` — big enough to amortize worker spawns
-/// when sharded.
-const BATCH_CHUNK: usize = 8192;
-
 /// A switch-side fixed-point aggregation backend: host-scaled integers
 /// summed saturating in a plain PISA register array — run behind a
-/// [`ShardedSwitch`] so the slot space can be partitioned across cores
-/// exactly like the FPISA backend's (1 shard by default; see
+/// [`ShardedSwitch`] so the slot space can be partitioned exactly like
+/// the FPISA backend's (1 shard by default; see
 /// [`SwitchMlFixedPoint::with_shards`]).
 #[derive(Debug, Clone)]
 pub struct SwitchMlFixedPoint {
     engine: ShardedSwitch,
-    op: FieldId,
-    slot: FieldId,
-    value: FieldId,
-    result: FieldId,
+    fields: SlotFields,
     array: RegArrayId,
     slots: usize,
     /// The global scaling factor: real value = integer × `scale`.
@@ -70,8 +67,8 @@ pub struct SwitchMlFixedPoint {
     mirror: Vec<i64>,
     stats: AddStats,
     clipped: u64,
-    /// Reusable PHV buffer for the batched ADD and READ paths.
-    phv_buf: Vec<Phv>,
+    /// Reusable lane buffer of the range-shaped ADD and READ paths.
+    lanes: BatchLanes,
 }
 
 impl SwitchMlFixedPoint {
@@ -95,14 +92,11 @@ impl SwitchMlFixedPoint {
                 detail: format!("slot count {slots} outside 1..=65536"),
             });
         }
-        let (engine, op, slot, value, result, array) = build_engine(slots, 1, 1)?;
+        let (engine, fields, array) = build_engine(slots, 1, 1)?;
         let qmax = qmax_for(workers);
         Ok(SwitchMlFixedPoint {
             engine,
-            op,
-            slot,
-            value,
-            result,
+            fields,
             array,
             slots,
             scale,
@@ -110,7 +104,7 @@ impl SwitchMlFixedPoint {
             mirror: vec![0; slots],
             stats: AddStats::default(),
             clipped: 0,
-            phv_buf: Vec::new(),
+            lanes: BatchLanes::default(),
         })
     }
 
@@ -130,13 +124,7 @@ impl SwitchMlFixedPoint {
                 detail: format!("shard count {shards} outside 1..={}", self.slots),
             });
         }
-        let (engine, op, slot, value, result, array) = build_engine(self.slots, shards, chunk)?;
-        self.engine = engine;
-        self.op = op;
-        self.slot = slot;
-        self.value = value;
-        self.result = result;
-        self.array = array;
+        (self.engine, self.fields, self.array) = build_engine(self.slots, shards, chunk)?;
         Ok(self)
     }
 
@@ -194,28 +182,17 @@ impl SwitchMlFixedPoint {
 /// Build the (possibly sharded) execution engine: one compiled one-stage
 /// program per slot range, behind a [`ShardedSwitch`] routed on the
 /// `slot` field. `shards == 1` keeps the single-engine layout.
-#[allow(clippy::type_complexity)]
 fn build_engine(
     slots: usize,
     shards: usize,
     chunk_align: usize,
-) -> Result<
-    (
-        ShardedSwitch,
-        FieldId,
-        FieldId,
-        FieldId,
-        FieldId,
-        RegArrayId,
-    ),
-    AggError,
-> {
+) -> Result<(ShardedSwitch, SlotFields, RegArrayId), AggError> {
     let ranges = partition_slots_aligned(slots, shards, chunk_align);
     let mut engines = Vec::with_capacity(ranges.len());
     let mut proofs = Vec::with_capacity(ranges.len());
-    let mut fields = None;
+    let mut ids = None;
     for r in &ranges {
-        let (program, op, slot, value, result, array) = build_program(r.len);
+        let (program, fields, array) = build_program(r.len);
         // Generated code is not exempt from the deny gate: every shard
         // program must analyze error-free before it compiles.
         let report = verify_program(&program);
@@ -226,7 +203,7 @@ fn build_engine(
             });
         }
         proofs.push(
-            prove_shard_safety(&program, slot).map_err(|ds| AggError::BadSpec {
+            prove_shard_safety(&program, fields.slot).map_err(|ds| AggError::BadSpec {
                 detail: format!(
                     "generated SwitchML program failed the shard-safety proof: {}",
                     ds.first().map(ToString::to_string).unwrap_or_default()
@@ -239,27 +216,18 @@ fn build_engine(
             })?,
         );
         // The layout is identical for every shard; keep one set of ids.
-        fields.get_or_insert((op, slot, value, result, array));
+        ids.get_or_insert((fields, array));
     }
-    let (op, slot, value, result, array) = fields.expect("at least one shard");
-    let engine = ShardedSwitch::new(engines, ranges, slot)
+    let (fields, array) = ids.expect("at least one shard");
+    let engine = ShardedSwitch::new(engines, ranges, fields.slot)
         .and_then(|e| e.attach_safety_proofs(&proofs))
         .map_err(AggError::Switch)?;
-    Ok((engine, op, slot, value, result, array))
+    Ok((engine, fields, array))
 }
 
 /// The one-stage integer-sum program: exactly what SwitchML asks of a
 /// stock switch.
-fn build_program(
-    slots: usize,
-) -> (
-    SwitchProgram,
-    FieldId,
-    FieldId,
-    FieldId,
-    FieldId,
-    RegArrayId,
-) {
+fn build_program(slots: usize) -> (SwitchProgram, SlotFields, RegArrayId) {
     let mut layout = PhvLayout::new();
     let op = layout.field("op", 1);
     let slot = layout.field("slot", 16);
@@ -306,7 +274,13 @@ fn build_program(
         arrays: vec![sum],
         recirc_field: None,
     };
-    (program, op, slot, value, result, array)
+    let fields = SlotFields {
+        op,
+        slot,
+        value,
+        result,
+    };
+    (program, fields, array)
 }
 
 impl Aggregator for SwitchMlFixedPoint {
@@ -328,10 +302,12 @@ impl Aggregator for SwitchMlFixedPoint {
 
     fn encode(&mut self, x: f64) -> u64 {
         let q = (x / self.scale).round();
-        let clamped = q.clamp(-(self.qmax as f64), self.qmax as f64);
-        if clamped != q {
+        // `clamp` passes NaN through (the cast below makes it word 0); only
+        // a value beyond `±qmax` is a clip.
+        if q.abs() > self.qmax as f64 {
             self.clipped += 1;
         }
+        let clamped = q.clamp(-(self.qmax as f64), self.qmax as f64);
         (clamped as i64 as u64) & ((1u64 << VALUE_BITS) - 1)
     }
 
@@ -344,35 +320,12 @@ impl Aggregator for SwitchMlFixedPoint {
         for &(start, words) in chunks {
             self.check_range(start, words.len())?;
         }
-        // Stream the ADD packets through the engine in batch chunks: on a
-        // sharded backend each batch fans out across the shard workers.
-        // The buffer is sized to the work at hand (a scalar add_wire
-        // allocates one PHV, not a full chunk), growing up to BATCH_CHUNK.
-        let mask = (1u64 << VALUE_BITS) - 1;
-        let total_words: usize = chunks.iter().map(|(_, w)| w.len()).sum();
-        let needed = total_words.clamp(1, BATCH_CHUNK);
-        if self.phv_buf.len() < needed {
-            let proto = self.engine.shard(0).phv();
-            self.phv_buf.resize(needed, proto);
-        }
-        let mut pending = chunks
-            .iter()
-            .flat_map(|&(start, words)| words.iter().enumerate().map(move |(i, &w)| (start + i, w)))
-            .peekable();
-        while pending.peek().is_some() {
-            let mut len = 0usize;
-            for phv in self.phv_buf.iter_mut() {
-                let Some((slot, w)) = pending.next() else {
-                    break;
-                };
-                phv.clear();
-                phv.set(self.op, OP_ADD);
-                phv.set(self.slot, slot as u64);
-                phv.set(self.value, w & mask);
-                len += 1;
-            }
-            self.engine.run_batch(&mut self.phv_buf[..len])?;
-        }
+        // The chunks go to the engine as the ranges they are: the words
+        // fill the value column directly (truncated to the field's 32
+        // bits), each shard taking the pieces it owns.
+        let ranges = chunks.iter().map(|&(start, w)| (start, w.len(), Some(w)));
+        self.engine
+            .run_ranges(&mut self.lanes, self.fields, OP_ADD, ranges, None)?;
         // Control-plane accounting: did the saturating register sum lose
         // information? (Per-slot order matches the engine's exactly.)
         for &(start, words) in chunks {
@@ -385,34 +338,20 @@ impl Aggregator for SwitchMlFixedPoint {
 
     fn read_range(&mut self, start: usize, len: usize) -> Result<Vec<f64>, AggError> {
         self.check_range(start, len)?;
-        // READ packets ride the same batch path as ingest: whole chunks
-        // through the per-shard batch engine instead of one scalar run
-        // per slot.
-        let needed = len.clamp(1, BATCH_CHUNK);
-        if self.phv_buf.len() < needed {
-            let proto = self.engine.shard(0).phv();
-            self.phv_buf.resize(needed, proto);
-        }
-        let mut out = Vec::with_capacity(len);
-        let mut slot = start;
-        while slot < start + len {
-            let n = needed.min(start + len - slot);
-            for (i, phv) in self.phv_buf[..n].iter_mut().enumerate() {
-                phv.clear();
-                phv.set(self.op, OP_READ);
-                phv.set(self.slot, (slot + i) as u64);
-            }
-            self.engine.run_batch(&mut self.phv_buf[..n])?;
-            for (i, phv) in self.phv_buf[..n].iter().enumerate() {
-                let raw = phv.get(self.result);
-                // Sign-extend the register value from its width.
-                let q = ((raw as i64) << (64 - VALUE_BITS)) >> (64 - VALUE_BITS);
-                debug_assert_eq!(q, self.mirror[slot + i], "switch and mirror diverged");
-                out.push(q as f64 * self.scale);
-            }
-            slot += n;
-        }
-        Ok(out)
+        // READ packets ride the same range path as ingest, the result
+        // column drained in packet order.
+        let mut raw = Vec::with_capacity(len);
+        let range = std::iter::once((start, len, None));
+        self.engine
+            .run_ranges(&mut self.lanes, self.fields, OP_READ, range, Some(&mut raw))?;
+        let mirror = &self.mirror[start..start + len];
+        let out = raw.into_iter().zip(mirror).map(|(raw, &m)| {
+            // Sign-extend the register value from its width.
+            let q = ((raw as i64) << (64 - VALUE_BITS)) >> (64 - VALUE_BITS);
+            debug_assert_eq!(q, m, "switch and mirror diverged");
+            q as f64 * self.scale
+        });
+        Ok(out.collect())
     }
 
     fn clear_range(&mut self, start: usize, len: usize) -> Result<(), AggError> {
@@ -495,32 +434,62 @@ mod tests {
 
     /// A packet's slots are consecutive, so the program's one stateful
     /// table serves every ADD and READ lane from a register window — here
-    /// through the backend's own PHV-buffer path, and alike on the other
-    /// lane word (one unused 33-bit field). A fill path that stops
-    /// producing runs fails this, not a benchmark.
+    /// through the backend's own range path: one chunk per call, several
+    /// chunks out of order in one `add_wire_multi` call (cut into a
+    /// 256-lane batch and a 32-lane one), on every shard of a sharded
+    /// backend, and alike on the other lane word (one unused 33-bit
+    /// field). A fill path that stops producing runs fails this, not a
+    /// benchmark.
     #[test]
     fn consecutive_slots_are_served_from_register_windows() {
-        let mut agg = SwitchMlFixedPoint::new(100, 0.5, 2).unwrap();
+        let mut agg = SwitchMlFixedPoint::new(300, 0.5, 2).unwrap();
         let words: Vec<u64> = (0..64).map(|i| agg.encode(i as f64 - 20.0)).collect();
-        agg.add_wire(30, &words).unwrap();
-        agg.read_range(30, 64).unwrap();
+        let multi = [96, 0, 240, 48, 192, 144].map(|start| (start, 48, Some(&words[..48])));
+        // `(opcode, ranges)` per call, the ranges as the engine takes them.
+        type Span<'a> = (usize, usize, Option<&'a [u64]>);
+        let calls: [(u64, &[Span]); 4] = [
+            (OP_ADD, &[(30, 64, Some(&words))]),
+            (OP_READ, &[(30, 64, None)]),
+            (OP_ADD, &multi),
+            (OP_READ, &[(0, 300, None)]),
+        ];
+        let drive = |agg: &mut SwitchMlFixedPoint| -> Vec<Vec<f64>> {
+            let mut reads = Vec::new();
+            for &(opcode, ranges) in &calls {
+                if opcode == OP_ADD {
+                    let chunks: Vec<(usize, &[u64])> =
+                        ranges.iter().map(|&(s, _, w)| (s, w.unwrap())).collect();
+                    agg.add_wire_multi(&chunks).unwrap();
+                } else {
+                    reads.push(agg.read_range(ranges[0].0, ranges[0].1).unwrap());
+                }
+            }
+            reads
+        };
+        let reads = drive(&mut agg);
         let own = agg.engine.shard(0).dispatch_counts().to_vec();
-        assert_eq!((own[0].lanes, own[0].windowed), (128, 128));
+        assert_eq!((own[0].lanes, own[0].windowed), (716, 716));
 
-        let (mut program, op, slot, value, _, _) = build_program(100);
+        // Two shards on 48-slot boundaries: every chunk lands whole on one
+        // shard, and each shard serves all its lanes from windows.
+        let mut sharded = SwitchMlFixedPoint::new(300, 0.5, 2)
+            .unwrap()
+            .with_shards(2, 48)
+            .unwrap();
+        assert_eq!(drive(&mut sharded), reads);
+        for s in 0..2 {
+            let c = sharded.engine.shard(s).dispatch_counts()[0];
+            assert!(c.lanes > 0 && c.windowed == c.lanes, "shard {s}: {c:?}");
+        }
+
+        let (mut program, fields, _) = build_program(300);
         program.layout.field("lane_word_pad", 33);
         let mut wide = CompiledSwitch::compile(&program).unwrap();
-        for opcode in [OP_ADD, OP_READ] {
-            let mut phvs: Vec<Phv> = (0..64usize)
-                .map(|i| {
-                    let mut p = wide.phv();
-                    p.set(op, opcode);
-                    p.set(slot, 30 + i as u64);
-                    p.set(value, if opcode == OP_ADD { words[i] } else { 0 });
-                    p
-                })
-                .collect();
-            wide.run_batch(&mut phvs).unwrap();
+        let mut lanes = BatchLanes::default();
+        for &(opcode, ranges) in &calls {
+            let ranges = ranges.iter().copied();
+            wide.run_ranges(&mut lanes, fields, opcode, ranges, None)
+                .unwrap();
         }
         assert_eq!(
             wide.dispatch_counts(),
@@ -546,6 +515,9 @@ mod tests {
         assert_eq!(agg.stats().clipped, 2);
         // Exactly at the clamp: no clip.
         agg.encode(qmax as f64);
+        assert_eq!(agg.stats().clipped, 2);
+        // NaN is not beyond the clamp, so it is no clip (it casts to 0).
+        assert_eq!(agg.encode(f64::NAN), 0);
         assert_eq!(agg.stats().clipped, 2);
     }
 
@@ -607,11 +579,11 @@ mod tests {
 
     #[test]
     fn generated_program_analyzes_clean_and_proves_shard_safety() {
-        let (program, _, slot, ..) = build_program(6);
+        let (program, fields, _) = build_program(6);
         let report = verify_program(&program);
         assert!(report.is_clean(), "analysis errors:\n{report}");
-        let proof = prove_shard_safety(&program, slot).expect("proof must succeed");
-        assert_eq!(proof.slot_field(), slot);
+        let proof = prove_shard_safety(&program, fields.slot).expect("proof must succeed");
+        assert_eq!(proof.slot_field(), fields.slot);
         assert_eq!(proof.shard_slots(), 6);
         // And the sharded backend carries the proof end to end.
         let agg = SwitchMlFixedPoint::new(8, 1.0, 2)

@@ -7,7 +7,9 @@
 //! network applies, every slot sees the same addition sequence on 1 shard
 //! and on N — and FPISA addition, order-sensitive as it is, produces the
 //! same registers and the same read-outs. The shuffled stream is fed to
-//! both the scalar `ingest` path and the parallel `ingest_batch` path.
+//! both the scalar `ingest` path and the batched `ingest_batch` path,
+//! whose one `add_wire_multi` call hands every shard its pieces of an
+//! out-of-order, overlapping chunk list.
 
 use fpisa_agg::{
     AggPacket, AggregationSwitch, Aggregator, FpisaAggregator, JobSpec, SwitchMlFixedPoint,
@@ -150,11 +152,14 @@ fn sharded_switchml_is_bit_identical_to_single_core_under_shuffled_order() {
         2,
         false,
     );
-    for shards in [2usize, 4] {
+    // Chunk-aligned shards, and one unaligned geometry: 5 shards of 19–20
+    // slots cut 16-slot chunks at shard boundaries, so the range path
+    // splits chunks across shards.
+    for (shards, align) in [(2usize, EPP), (4, EPP), (5, 1)] {
         for batched in [false, true] {
             let backend = SwitchMlFixedPoint::new(ELEMENTS, scale, WORKERS)
                 .unwrap()
-                .with_shards(shards, EPP)
+                .with_shards(shards, align)
                 .unwrap();
             assert_eq!(backend.shards(), shards);
             let (sharded, stats) = run_rounds(backend, 0xBEEF, 2, batched);

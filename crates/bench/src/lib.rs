@@ -385,8 +385,8 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
 
     /// One full-round all-reduce bench: packetize → ingest (scalar or
     /// batched) → read → finish. `batched` routes a whole round through
-    /// `ingest_batch`, the parallel path that fans out across the
-    /// backend's shards.
+    /// `ingest_batch`, whose one `add_wire_multi` call runs each of the
+    /// backend's shards over its own chunks.
     fn bench_allreduce(
         results: &mut Vec<BenchResult>,
         name: &str,
@@ -471,8 +471,7 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
     // The shard-scaling curve: a 2048-element gradient (32 chunks of 64,
     // so 8 chunk-aligned shards stay distinct) through the batched ingest
     // path on 1/2/4/8 slot-range shards. The 1-shard row is the
-    // single-core baseline the speedup figure is measured against;
-    // scaling past it requires as many physical cores.
+    // single-engine baseline; the others price the shard split.
     let big = GradientWorkload {
         workers: 8,
         elements: 2048,
@@ -482,14 +481,12 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
     let big_rounds = ((2.0 * scale) as u64).max(1);
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     for shards in [1usize, 2, 4, 8] {
-        // Force the worker budget to the shard count so the curve always
-        // measures the persistent-pool dispatch path it claims to —
-        // without this, a host with fewer cores than shards silently runs
-        // every bucket inline and the curve measures nothing new. On a
-        // 1-core host that forcing means the "parallel" workers time-slice
-        // one core, so the row measures pool dispatch overhead, not
-        // scaling: record it under a `_forcedpool` name so the artifact
-        // can't be mistaken for a real shard curve.
+        // `ingest_batch` hands the shards their chunks as slot ranges,
+        // which run shard by shard on the calling thread; the worker pool
+        // (budget forced to the shard count here) serves only scattered
+        // `add_batch` / `read_batch`. Rows from a 1-core host keep their
+        // `_forcedpool` suffix so they are never compared with rows from
+        // hosts with more cores.
         let name = if shards > 1 && host_cores == 1 {
             format!("agg/allreduce/fpisa_fp16_shards{shards}_forcedpool")
         } else {

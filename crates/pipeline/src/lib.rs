@@ -82,23 +82,17 @@ pub use spec::{format_name, ExecEngine, PipelineSpec, SpecError, MAX_SLOTS};
 use fpisa_core::{FpFormat, FpisaConfig};
 use fpisa_pisa::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, BatchLanes, CompiledSwitch,
-    Phv, ProgramError, ResourceReport, RuntimeError, ShardedSwitch, SlotRange, Switch,
-    SwitchProgram,
+    Phv, ProgramError, ResourceReport, RuntimeError, ShardedSwitch, SlotFields, SlotRange, Switch,
+    SwitchProgram, LANE_CHUNK,
 };
 
-/// Packets per internal batch chunk: small enough that the whole PHV
-/// buffer stays L1-resident (64 packets × ~50 containers × 8 B ≈ 26 KiB),
-/// large enough to amortize the per-call overhead of the batch APIs.
+/// Packets per internal batch chunk of the interpreter: small enough that
+/// the whole PHV buffer stays L1-resident (64 packets × ~50 containers ×
+/// 8 B ≈ 26 KiB), large enough to amortize the per-call overhead of the
+/// batch APIs. The compiled engine cuts [`LANE_CHUNK`]-lane batches.
 const BATCH_CHUNK: usize = 64;
 
-/// Packets per chunk on the compiled engine's **SoA lanes** path. The
-/// working set there is per-column (one flat `u64` lane per PHV field,
-/// traversed sequentially), not per-packet, so the chunk can be larger
-/// than [`BATCH_CHUNK`] — each column of 256 packets is 2 KiB, and a
-/// bigger chunk amortizes the per-table dispatch across more packets.
-const SOA_CHUNK: usize = 256;
-
-/// Packets per batch chunk on the **sharded** engine: buckets are handed
+/// Packets per scattered batch chunk on the **sharded** engine: buckets are handed
 /// to pool workers per chunk, so the chunk must be big enough to amortize
 /// the hand-off across all shards (8192 packets × ~50 containers × 8 B ≈
 /// 3 MiB — cache residency matters less than core utilization here).
@@ -164,12 +158,13 @@ pub struct FpisaPipeline {
     engine: Engine,
     /// Scratch PHV reused by the scalar packet APIs.
     scratch: Phv,
-    /// PHV buffer reused by the interpreted/sharded batch APIs, grown on
-    /// first use.
+    /// PHV buffer reused by the interpreter's batch APIs and the sharded
+    /// engine's scattered ones, grown on first use.
     batch_buf: Vec<Phv>,
-    /// SoA column buffer reused by the compiled engine's batch APIs:
-    /// packets are written straight into field columns — no per-packet
-    /// PHV construction, no transpose at the boundary.
+    /// SoA column buffer reused by the compiled engine's batch APIs and by
+    /// both compiled engines' range APIs: packets are written straight
+    /// into field columns — no per-packet PHV construction, no transpose
+    /// at the boundary.
     lanes: BatchLanes,
     fields: Fields,
     arrays: Arrays,
@@ -534,62 +529,37 @@ impl FpisaPipeline {
     /// packet `k` of a range carrying `words[k]` as its value (`None`:
     /// READ packets carry none). Ranges are already validated.
     ///
-    /// On the compiled engine a batch is [`SOA_CHUNK`] lanes cut from the
-    /// ranges as they come — the same batches [`FpisaPipeline::add_batch`]
-    /// would cut from the flattened packets — and each piece of a range
-    /// is written with the column writers. The other engines run the same
-    /// packets through [`FpisaPipeline::run_batch_impl`].
+    /// Both compiled engines fill lanes straight from the ranges:
+    /// [`CompiledSwitch::run_ranges`] cuts [`LANE_CHUNK`]-lane batches — the
+    /// same batches [`FpisaPipeline::add_batch`] would cut from the
+    /// flattened packets — and [`ShardedSwitch::run_ranges`] runs each
+    /// shard's pieces that way on the calling thread. Only the interpreter,
+    /// the oracle, runs the same packets as PHVs through
+    /// [`FpisaPipeline::run_batch_impl`].
     fn run_ranges<'a>(
         &mut self,
         op: u64,
-        mut ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
-        mut collect: Option<&mut Vec<u64>>,
+        ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
+        collect: Option<&mut Vec<u64>>,
     ) -> Result<(), RuntimeError> {
-        let mut left: usize = ranges.clone().map(|(_, len, _)| len).sum();
-        let Engine::Compiled(c) = &mut self.engine else {
-            let mut packets = ranges.flat_map(|(start, len, words)| {
-                (0..len).map(move |k| (op, (start + k) as u64, words.map_or(0, |w| w[k])))
-            });
-            let next = |_| packets.next().expect("one packet per counted slot");
-            return self.run_batch_impl(left, next, collect);
+        let fields = SlotFields {
+            op: self.fields.op,
+            slot: self.fields.slot,
+            value: self.fields.value,
+            result: self.fields.result,
         };
-        let (f_op, f_slot, f_value, f_result) = (
-            self.fields.op,
-            self.fields.slot,
-            self.fields.value,
-            self.fields.result,
-        );
-        let lanes = &mut self.lanes;
-        if lanes.capacity() == 0 {
-            *lanes = BatchLanes::new(c.layout(), SOA_CHUNK.min(left.max(1)));
-        }
-        // The range being cut: `(next slot, slots left, their words)`.
-        let (mut slot, mut rest, mut words) = (0usize, 0usize, None);
-        while left > 0 {
-            let len = SOA_CHUNK.min(left);
-            lanes.begin(len);
-            lanes.fill(f_op, op);
-            let mut at = 0;
-            while at < len {
-                if rest == 0 {
-                    (slot, rest, words) = ranges.next().expect("ranges hold every counted slot");
-                    continue;
-                }
-                let take = rest.min(len - at);
-                lanes.fill_iota(f_slot, at, take, slot as u64);
-                if let Some(w) = words {
-                    lanes.fill_slice(f_value, at, &w[..take]);
-                    words = Some(&w[take..]);
-                }
-                (slot, rest, at) = (slot + take, rest - take, at + take);
+        match &mut self.engine {
+            Engine::Compiled(c) => c.run_ranges(&mut self.lanes, fields, op, ranges, collect),
+            Engine::Sharded(s) => s.run_ranges(&mut self.lanes, fields, op, ranges, collect),
+            Engine::Interpreted => {
+                let n = ranges.clone().map(|(_, len, _)| len).sum();
+                let mut packets = ranges.flat_map(|(start, len, words)| {
+                    (0..len).map(move |k| (op, (start + k) as u64, words.map_or(0, |w| w[k])))
+                });
+                let next = |_| packets.next().expect("one packet per counted slot");
+                self.run_batch_impl(n, next, collect)
             }
-            c.run_lanes(lanes)?;
-            if let Some(out) = collect.as_deref_mut() {
-                lanes.extend_from_column(f_result, out);
-            }
-            left -= len;
         }
-        Ok(())
     }
 
     /// The shared batch loop. `fill` yields packet `i`'s `(op, slot,
@@ -617,10 +587,10 @@ impl FpisaPipeline {
         if let Engine::Compiled(c) = &mut self.engine {
             let lanes = &mut self.lanes;
             if lanes.capacity() == 0 {
-                *lanes = BatchLanes::new(c.layout(), SOA_CHUNK.min(n.max(1)));
+                *lanes = BatchLanes::new(c.layout(), LANE_CHUNK.min(n.max(1)));
             }
-            for start in (0..n).step_by(SOA_CHUNK) {
-                let len = SOA_CHUNK.min(n - start);
+            for start in (0..n).step_by(LANE_CHUNK) {
+                let len = LANE_CHUNK.min(n - start);
                 lanes.begin(len);
                 for k in 0..len {
                     let (op, slot, value) = fill(start + k);

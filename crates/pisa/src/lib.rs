@@ -72,11 +72,14 @@
 //! on it: the slot space is split into contiguous ranges
 //! ([`shard::partition_slots`], optionally chunk-aligned), each owned by
 //! one compiled shard, packets are routed by a caller-supplied slot
-//! field and rebased to shard-local indices, and
-//! [`shard::ShardedSwitch::run_batch`] fans a packet buffer out across a
-//! persistent channel-fed worker pool with zero cross-shard locking —
-//! still bit-for-bit identical to a single full-space engine, because
-//! routing preserves the per-slot packet order.
+//! field and rebased to shard-local indices. Range-shaped batches
+//! ([`shard::ShardedSwitch::run_ranges`]) are split at shard boundaries
+//! and run shard by shard on the calling thread through the same lane
+//! loop a single engine uses ([`compile::CompiledSwitch::run_ranges`]);
+//! scattered PHV batches ([`shard::ShardedSwitch::run_batch`]) fan out
+//! across a persistent channel-fed worker pool with zero cross-shard
+//! locking. Both stay bit-for-bit identical to a single full-space engine,
+//! because routing preserves the per-slot packet order.
 //!
 //! ## Static analysis
 //!
@@ -95,6 +98,7 @@ pub mod action;
 pub mod analysis;
 pub mod compile;
 pub mod phv;
+pub mod ranges;
 pub mod register;
 pub mod resources;
 pub mod shard;
@@ -109,6 +113,7 @@ pub use analysis::{
 };
 pub use compile::{CompileError, CompiledSwitch, DispatchCounts, FusionStats, SOA_MIN};
 pub use phv::{BatchLanes, FieldId, FieldSpec, Phv, PhvLayout};
+pub use ranges::{SlotFields, LANE_CHUNK};
 pub use register::{
     check_partition, CmpOp, RegArrayId, RegisterArraySpec, RegisterSnapshot, RegisterState,
     SaluCond, SaluOutput, SaluUpdate, SlotRange, StatefulCall,

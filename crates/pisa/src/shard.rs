@@ -20,7 +20,14 @@
 //!   PHV field carrying the global slot index — to the shard owning that
 //!   slot, and the field is rebased to the shard-local index on the way
 //!   in;
-//! * [`ShardedSwitch::run_batch`] partitions a packet buffer by shard and
+//! * [`ShardedSwitch::run_ranges`] takes packets as the protocol carries
+//!   them — `(start, len, words)` ranges of global slots — clips each
+//!   range to each shard's range, rebases the piece, and runs every
+//!   shard's pieces on that shard's engine **on the calling thread**
+//!   through [`CompiledSwitch::run_ranges`]: lanes filled a column at a
+//!   time from the wire words, no PHV built or transposed, no hand-off;
+//! * [`ShardedSwitch::run_batch`] — scattered packets in a PHV buffer,
+//!   the one path the pool serves — partitions the buffer by shard and
 //!   feeds the buckets to a **persistent worker pool** — long-lived
 //!   worker threads created once on the first large batch and fed over
 //!   channels, with **zero cross-shard locking**: each worker owns its
@@ -44,7 +51,8 @@ use std::thread::JoinHandle;
 
 use crate::analysis::ShardSafetyProof;
 use crate::compile::CompiledSwitch;
-use crate::phv::{FieldId, Phv};
+use crate::phv::{BatchLanes, FieldId, Phv};
+use crate::ranges::SlotFields;
 use crate::register::{check_partition, RegArrayId, RegisterState, SlotRange};
 use crate::switch::RuntimeError;
 
@@ -254,8 +262,9 @@ impl ShardedSwitch {
     ///
     /// Validated up front: the ranges must partition `0..total` exactly
     /// once, every register array of shard `i` must have exactly
-    /// `ranges[i].len` entries (the shard-local slot space), and the slot
-    /// field must exist in every shard's layout.
+    /// `ranges[i].len` entries (the shard-local slot space), every shard
+    /// must share one PHV layout (one PHV prototype and one lane buffer
+    /// serve them all), and the slot field must exist in it.
     pub fn new(
         shards: Vec<CompiledSwitch>,
         ranges: Vec<SlotRange>,
@@ -276,6 +285,11 @@ impl ShardedSwitch {
                 return Err(oob(format!(
                     "shard {i} register arrays do not all span its {}-slot range",
                     range.len
+                )));
+            }
+            if shard.layout() != shards[0].layout() {
+                return Err(oob(format!(
+                    "shard {i}'s PHV layout differs from shard 0's"
                 )));
             }
             if usize::from(slot_field.0) >= shard.layout().len() {
@@ -530,6 +544,84 @@ impl ShardedSwitch {
         })
     }
 
+    /// [`CompiledSwitch::run_ranges`] over **global** slots: one `op`
+    /// packet per slot of every `(start, len, words)` range, results
+    /// appended to `collect` in packet order.
+    ///
+    /// Every range is checked against the slot space, and `fields.slot`
+    /// against the routing field, **before any packet runs**. Each range
+    /// is then clipped to each shard's [`SlotRange`], its slots rebased to
+    /// shard-local indices and its words sliced to match. Consecutive
+    /// pieces on one shard run as one call on that shard's engine, on the
+    /// calling thread. Pieces keep their list order, so results come back
+    /// in packet order for any range list (ascending or not, overlapping
+    /// or not) and every slot sees its packets in the order a single
+    /// full-space engine would. `lanes` serves every shard, which share
+    /// one layout.
+    pub fn run_ranges<'a>(
+        &mut self,
+        lanes: &mut BatchLanes,
+        fields: SlotFields,
+        op: u64,
+        ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
+        mut collect: Option<&mut Vec<u64>>,
+    ) -> Result<(), RuntimeError> {
+        self.assert_unpoisoned();
+        let oob = |detail: String| RuntimeError::IndexOutOfRange { detail };
+        if fields.slot != self.slot_field {
+            return Err(oob(format!(
+                "slot column field id {} is not the routing field id {}",
+                fields.slot.0, self.slot_field.0
+            )));
+        }
+        for (start, len, _) in ranges.clone() {
+            if start
+                .checked_add(len)
+                .is_none_or(|end| end > self.total_slots)
+            {
+                return Err(oob(format!(
+                    "slot range {start}+{len} out of range for sharded switch with {} slots",
+                    self.total_slots
+                )));
+            }
+        }
+        // One shard owns `0..total`: nothing to clip or rebase, and the
+        // split's iterator chain would cost a one-table program ~13%.
+        if self.shards.len() == 1 {
+            return self.shards[0]
+                .run_ranges(lanes, fields, op, ranges, collect)
+                .inspect_err(|e| self.check_shard_fault(e));
+        }
+        // `(shard, (local start, len, words))` per piece of every range.
+        let owned = &self.ranges;
+        let pieces = ranges
+            .filter(|&(_, len, _)| len > 0)
+            .flat_map(|(start, len, words)| {
+                let end = start + len;
+                let first = owned.partition_point(|r| r.end() <= start);
+                owned[first..]
+                    .iter()
+                    .take_while(move |r| r.start < end)
+                    .enumerate()
+                    .map(move |(i, r)| {
+                        let (lo, hi) = (start.max(r.start), end.min(r.end()));
+                        let words = words.map(|w| &w[lo - start..hi - start]);
+                        (first + i, (lo - r.start, hi - lo, words))
+                    })
+            });
+        let mut pieces = pieces.peekable();
+        while let Some(&(s, _)) = pieces.peek() {
+            let run = pieces
+                .clone()
+                .map_while(move |(t, p)| (t == s).then_some(p));
+            self.shards[s]
+                .run_ranges(lanes, fields, op, run, collect.as_deref_mut())
+                .inspect_err(|e| self.check_shard_fault(e))?;
+            while pieces.next_if(|&(t, _)| t == s).is_some() {}
+        }
+        Ok(())
+    }
+
     /// Process a buffer of packets across all shards, returning the total
     /// pass count.
     ///
@@ -728,28 +820,38 @@ impl ShardedSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::{Action, Operand};
+    use crate::action::{Action, AluOp, Operand};
     use crate::phv::PhvLayout;
     use crate::register::{RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, StatefulCall};
     use crate::stage::Stage;
-    use crate::switch::{SwitchCaps, SwitchProgram};
+    use crate::switch::{Switch, SwitchCaps, SwitchProgram};
     use crate::table::Table;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
+    /// The counter's opcodes: bump (the zero a fresh PHV carries) or read.
+    const OP_BUMP: u64 = 0;
+    const OP_READ: u64 = 1;
+
     /// A per-slot saturating counter program over `slots` register
-    /// entries, with the count echoed into the `count` field.
+    /// entries: a packet bumps its slot by one plus its `value`, or only
+    /// reads it when `op` is set, and the slot's count after the packet is
+    /// echoed into the `count` field.
     fn counter_program(slots: usize) -> (SwitchProgram, FieldId, FieldId) {
         let mut layout = PhvLayout::new();
         let slot = layout.field("slot", 16);
         let count = layout.field("count", 32);
-        let bump = Action::nop("bump").call(StatefulCall {
-            array: RegArrayId(0),
-            index: Operand::Field(slot),
-            cond: SaluCond::Always,
-            on_true: SaluUpdate::AddSat(Operand::Const(1)),
-            on_false: SaluUpdate::Keep,
-            output: Some((count, SaluOutput::New)),
-        });
+        let op = layout.field("op", 1);
+        let value = layout.field("value", 16);
+        let bump = Action::nop("bump")
+            .prim(value, AluOp::Add, Operand::Field(value), Operand::Const(1))
+            .call(StatefulCall {
+                array: RegArrayId(0),
+                index: Operand::Field(slot),
+                cond: SaluCond::MetaNonZero(op),
+                on_true: SaluUpdate::Keep,
+                on_false: SaluUpdate::AddSat(Operand::Field(value)),
+                output: Some((count, SaluOutput::New)),
+            });
         let program = SwitchProgram {
             caps: SwitchCaps::tofino(),
             layout,
@@ -763,6 +865,17 @@ mod tests {
             recirc_field: None,
         };
         (program, slot, count)
+    }
+
+    /// The counter's columns as a range-shaped batch writes and reads them.
+    fn counter_fields(program: &SwitchProgram) -> SlotFields {
+        let id = |name| program.layout.lookup(name).expect("counter field");
+        SlotFields {
+            op: id("op"),
+            slot: id("slot"),
+            value: id("value"),
+            result: id("count"),
+        }
     }
 
     fn sharded_counter(total: usize, shards: usize) -> (ShardedSwitch, FieldId, FieldId) {
@@ -874,6 +987,128 @@ mod tests {
         sharded_counter(23, 3)
             .0
             .fill_registers(RegArrayId(0), 20, 4, 0);
+    }
+
+    /// One range of a range-shaped call: `(start, len, words)`.
+    type Span<'a> = (usize, usize, Option<&'a [u64]>);
+
+    /// Range-shaped calls of `(op, ranges)` over 600 slots: ranges across
+    /// every shard and across the 256-lane batches, ranges straddling
+    /// shard boundaries (200 and 400 on 3 shards, multiples of 75 on 8),
+    /// empty ones, out-of-order and overlapping lists, and a READ whose one
+    /// range spans every shard.
+    fn range_calls(words: &[u64]) -> Vec<(u64, Vec<Span<'_>>)> {
+        let w = |start: usize, len: usize| (start, len, Some(&words[start..start + len]));
+        vec![
+            (OP_BUMP, vec![w(0, 600)]),
+            (OP_BUMP, vec![w(190, 20), w(5, 0), w(399, 2), w(0, 300)]),
+            (OP_BUMP, vec![(250, 300, None), (600, 0, None), w(70, 10)]),
+            (OP_READ, vec![(0, 600, None)]),
+            (
+                OP_READ,
+                vec![(400, 100, None), (0, 0, None), (10, 290, None)],
+            ),
+        ]
+    }
+
+    #[test]
+    fn run_ranges_split_at_shards_match_one_engine_and_the_interpreter() {
+        let total = 600;
+        let (program, _, _) = counter_program(total);
+        let fields = counter_fields(&program);
+        let words: Vec<u64> = (0..total as u64).map(|i| i % 7).collect();
+        let calls = range_calls(&words);
+
+        // The oracle: every packet as a PHV through the interpreter.
+        let mut interp = Switch::new(program.clone()).unwrap();
+        let mut want: Vec<Vec<u64>> = Vec::new();
+        for (op, ranges) in &calls {
+            let mut out = Vec::new();
+            for &(start, len, w) in ranges {
+                for k in 0..len {
+                    let mut p = interp.phv();
+                    p.set(fields.op, *op);
+                    p.set(fields.slot, (start + k) as u64);
+                    p.set(fields.value, w.map_or(0, |w| w[k]));
+                    interp.run(&mut p).unwrap();
+                    out.push(p.get(fields.result));
+                }
+            }
+            want.push(out);
+        }
+
+        let mut single = CompiledSwitch::compile(&program).unwrap();
+        let mut lanes = BatchLanes::default();
+        for ((op, ranges), want) in calls.iter().zip(&want) {
+            let mut out = Vec::new();
+            let ranges = ranges.iter().copied();
+            single
+                .run_ranges(&mut lanes, fields, *op, ranges, Some(&mut out))
+                .unwrap();
+            assert_eq!(&out, want, "full-space engine");
+        }
+        assert_eq!(single.register_state(), interp.register_state());
+
+        for shards in [1usize, 2, 3, 8] {
+            let (mut sharded, _, _) = sharded_counter(total, shards);
+            let mut lanes = BatchLanes::default();
+            for (i, ((op, ranges), want)) in calls.iter().zip(&want).enumerate() {
+                let mut out = Vec::new();
+                let ranges = ranges.iter().copied();
+                sharded
+                    .run_ranges(&mut lanes, fields, *op, ranges, Some(&mut out))
+                    .unwrap();
+                assert_eq!(&out, want, "{shards} shards, call {i}");
+            }
+            assert_eq!(
+                &sharded.merged_state(),
+                single.register_state(),
+                "{shards} shards"
+            );
+            assert!(!sharded.worker_pool_active(), "ranges never use the pool");
+        }
+    }
+
+    #[test]
+    fn run_ranges_reject_bad_ranges_before_any_register_changes() {
+        let (program, _, _) = counter_program(600);
+        let fields = counter_fields(&program);
+        let words = vec![3u64; 600];
+        let (mut sw, _, _) = sharded_counter(600, 3);
+        let mut lanes = BatchLanes::default();
+        let bump = std::iter::once((0, 600, Some(&words[..])));
+        sw.run_ranges(&mut lanes, fields, OP_BUMP, bump, None)
+            .unwrap();
+        let before = sw.merged_state();
+        let bad: [&[Span]; 3] = [
+            &[(0, 10, Some(&words[..10])), (595, 10, Some(&words[..10]))],
+            &[(10, 5, None), (usize::MAX, 2, None)],
+            &[(601, 0, None)],
+        ];
+        for ranges in bad {
+            let res = sw.run_ranges(&mut lanes, fields, OP_BUMP, ranges.iter().copied(), None);
+            assert!(
+                matches!(res, Err(RuntimeError::IndexOutOfRange { .. })),
+                "{ranges:?} must be rejected"
+            );
+            assert_eq!(sw.merged_state(), before, "{ranges:?} changed registers");
+        }
+        // The slot column must be the field the shards are routed by.
+        let wrong = SlotFields {
+            slot: fields.value,
+            ..fields
+        };
+        let res = sw.run_ranges(&mut lanes, wrong, OP_BUMP, [(0, 4, None)].into_iter(), None);
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
+        assert_eq!(sw.merged_state(), before);
+
+        // One engine: a range past the 16-bit slot field is rejected
+        // before any packet runs instead of wrapping to slot 0.
+        let mut single = CompiledSwitch::compile(&program).unwrap();
+        let wraps = [(10, 5, None), (65_530, 10, None)];
+        let res = single.run_ranges(&mut lanes, fields, OP_BUMP, wraps.into_iter(), None);
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
+        assert!((0..600).all(|s| single.register(RegArrayId(0), s) == 0));
     }
 
     #[test]
@@ -1107,6 +1342,11 @@ mod tests {
         .is_err());
         // Unknown slot field.
         assert!(ShardedSwitch::new(engines.clone(), ranges.clone(), FieldId(99)).is_err());
+        // Shards whose PHV layouts differ (one lane buffer serves them all).
+        let (mut other, _, _) = counter_program(ranges[1].len);
+        other.layout.field("pad", 8);
+        let mixed = vec![engines[0].clone(), CompiledSwitch::compile(&other).unwrap()];
+        assert!(ShardedSwitch::new(mixed, ranges.clone(), slot).is_err());
         // Valid.
         ShardedSwitch::new(engines, ranges, slot).unwrap();
     }

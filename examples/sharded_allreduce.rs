@@ -4,10 +4,11 @@
 //!
 //! The slot space is partitioned into contiguous, chunk-aligned ranges —
 //! one `CompiledSwitch` per range — and each round's packets are ingested
-//! through `AggregationSwitch::ingest_batch`, which fans whole chunks out
-//! across `std::thread::scope` workers with zero cross-shard locking.
-//! Throughput scales with physical cores; correctness does not depend on
-//! them (every row below is bit-identical to the 1-shard baseline).
+//! through `AggregationSwitch::ingest_batch`, whose one `add_wire_multi`
+//! call runs each shard over the chunks it owns, shard by shard on the
+//! calling thread (`ShardedSwitch::run_ranges`). Every row below is
+//! bit-identical to the 1-shard baseline; the timing shows what the split
+//! costs, not a parallel speed-up.
 //!
 //! ```sh
 //! cargo run --release --example sharded_allreduce
@@ -110,7 +111,7 @@ fn main() {
         )
     );
     println!(
-        "\n(Speedup tracks physical cores: on a single-core host the sweep verifies \
-         correctness, not scaling.)"
+        "\n(Range ingest runs shard by shard on one thread: the sweep verifies \
+         correctness and prices the split, not scaling.)"
     );
 }
