@@ -113,6 +113,7 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
     assert_eq!(phase_a(add.of("classify")), (0, 0, 0, 1, 0));
     for (table, c) in add.names.iter().zip(&add.counts) {
         assert_eq!(c.claimed, u64::from(table == "classify"), "ADD / {table}");
+        assert_eq!(c.leading, 0, "ADD / {table}");
     }
     // The sign bit: a one-bit LUT, then one masked sweep per action.
     assert_eq!(phase_a(add.of("apply_sign")), (0, 0, 1, 0, 0));
@@ -146,11 +147,17 @@ fn fp16_tofino_batches_pay_per_lane_only_where_lanes_differ() {
         "signs are mixed"
     );
     assert_eq!(phase_a(read.of("find_top")), (0, 0, 0, 1, 0));
+    // The LPM rows are one leading-one pattern per position: each lane
+    // loads its action at its leading one, no row sweeps the lanes.
     assert_eq!(
-        read.of("find_top").claimed,
-        1,
-        "the LPM rows sweep the lanes"
+        (read.of("find_top").leading, read.of("find_top").claimed),
+        (1, 0),
+        "find_top resolves by the leading one"
     );
+    for (table, c) in read.names.iter().zip(&read.counts) {
+        assert_eq!(c.claimed, 0, "READ / {table}");
+        assert_eq!(c.leading, u64::from(table == "find_top"), "READ / {table}");
+    }
     // One masked sweep per leading-one position the batch holds.
     assert_eq!(phase_b(read.of("find_top")), (0, 1, 0));
 }

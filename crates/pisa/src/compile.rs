@@ -51,10 +51,15 @@
 //! field has executed. A gate check on a uniform column decides the whole
 //! batch with one compare (an ADD batch leaves every READ-only table this
 //! way); uniform key columns cost one scalar lookup; a few varying key
-//! bits go through an action LUT enumerated per batch; otherwise each lane
-//! packs just its varying columns onto a constant and probes the matcher —
-//! except on a table lowered to *shift rows* (below), where a divergent
-//! batch resolves and runs in one pass.
+//! bits go through an action LUT enumerated per batch (each lane's index
+//! built a column pass at a time, then one load per lane); a handful of
+//! mask/value rows sweep the varying columns chunk-major — unless they are
+//! leading-one patterns on one column (`find_top`: row `t` pins bit `t` set
+//! and the bits above it clear), and each lane loads the winner at its
+//! masked key's leading one, Fig. 5's TCAM as one lookup; otherwise each
+//! lane packs just its varying columns onto a constant and probes the
+//! matcher — except on a table lowered to *shift rows* (below), where a
+//! divergent batch resolves and runs in one pass.
 //!
 //! **Phase B** has two arms:
 //!
@@ -64,7 +69,7 @@
 //! 2. **masked** — a divergent batch: each distinct action's tape runs
 //!    instruction-major through the same chunk kernels, storing only into
 //!    the lanes that resolved to it (`find_top`, one action per
-//!    leading-one position, runs at most 16 such sweeps on FP16).
+//!    leading-one position, runs one per position a batch holds).
 //!
 //! Only a table with more than 64 actions — more than the distinct-action
 //! bitmap holds — has each packet of a divergent batch walk its own tape,
@@ -531,6 +536,10 @@ pub struct DispatchCounts {
     /// were swept chunk-major over the varying key columns, instead of one
     /// probe per lane.
     pub claimed: u64,
+    /// Phase A, among the `per_lane` batches: the rows were one leading-one
+    /// pattern per position on one varying column, so each lane took the
+    /// action at its masked leading one (no row sweep).
+    pub leading: u64,
     /// Phase B: one action for the whole batch, run instruction-major.
     pub uniform: u64,
     /// Phase A and B in one: a divergent batch on a table lowered to shift
@@ -646,7 +655,9 @@ impl CompiledTable {
     ///   the uniform ones fold into and probes the matcher; a scan table
     ///   first drops every entry the uniform columns already rule out, and
     ///   when what is left are mask/value rows it sweeps them chunk-major
-    ///   over the varying columns instead ([`claim_lanes`]).
+    ///   over the varying columns instead ([`claim_lanes`]), or, for
+    ///   leading-one rows on one column ([`leading_one_top`]), loads each
+    ///   lane's winner at its leading one.
     ///
     /// Returns `Ok(a)` when the whole batch resolved to the one action
     /// `a` ([`MISS`] when neither an entry nor a default applies) —
@@ -745,12 +756,15 @@ impl CompiledTable {
             // one, no lane needs looking at.
             let distinct = self.distinct_actions(lut);
             if distinct.is_err() {
-                for (i, a) in act_of.iter_mut().enumerate() {
-                    let mut combo = 0usize;
-                    for v in vary {
-                        combo |= (buf[v.base + i].wide() as usize) << v.lut_shift;
+                // Each lane's LUT index, one column pass at a time.
+                act_of.fill(0);
+                for v in vary {
+                    for (c, x) in act_of.iter_mut().zip(&buf[v.base..v.base + n]) {
+                        *c |= (x.wide() as u32) << v.lut_shift;
                     }
-                    *a = lut[combo & (lut.len() - 1)];
+                }
+                for a in act_of.iter_mut() {
+                    *a = lut[*a as usize & (lut.len() - 1)];
                 }
             }
             return distinct;
@@ -822,19 +836,32 @@ impl CompiledTable {
                     // Mask/value rows on every varying column, lowest
                     // precedence first so the last row to claim a lane is
                     // its winner. Columns are whole cache lines of lanes.
-                    counts.claimed += 1;
                     claims.clear();
                     claim_pats.clear();
                     for &e in scanbuf.iter().rev() {
                         claims.push(scan.cands[e as usize].action);
                         claim_pats.extend(vary.iter().map(|v| (pat(e, v).mask, pat(e, v).value)));
                     }
-                    let lines = n.next_multiple_of(W::LANES);
-                    let mut cols = [&buf[..0]; MAX_VARYING_KEYS];
-                    for (col, v) in cols.iter_mut().zip(vary) {
-                        *col = &buf[v.base..v.base + lines];
+                    if let (Some(top), [v]) = (leading_one_top(claim_pats), vary) {
+                        // Each lane loads the winner at its masked key's bit
+                        // length, as the Fig. 5 TCAM resolves it.
+                        counts.leading += 1;
+                        let mut at = [dflt; 65];
+                        for (&a, &(_, value)) in claims.iter().zip(&*claim_pats) {
+                            at[value.trailing_zeros() as usize + 1] = a;
+                        }
+                        for (a, x) in act_of.iter_mut().zip(&buf[v.base..v.base + n]) {
+                            *a = at[(u64::BITS - (x.wide() & top).leading_zeros()) as usize];
+                        }
+                    } else {
+                        counts.claimed += 1;
+                        let lines = n.next_multiple_of(W::LANES);
+                        let mut cols = [&buf[..0]; MAX_VARYING_KEYS];
+                        for (col, v) in cols.iter_mut().zip(vary) {
+                            *col = &buf[v.base..v.base + lines];
+                        }
+                        claim_lanes(&cols[..vary.len()], act_of, dflt, claims, claim_pats);
                     }
-                    claim_lanes(&cols[..vary.len()], act_of, dflt, claims, claim_pats);
                     return self.distinct_actions(act_of);
                 }
                 for (i, a) in act_of.iter_mut().enumerate() {
@@ -929,6 +956,15 @@ fn claim_lanes<W: LaneWord>(
         }
         acts.copy_from_slice(&won[..acts.len()]);
     }
+}
+
+/// The key mask `2^(h+1) − 1` when every `(mask, value)` of `pats` is a
+/// leading-one pattern — row `t` pins bit `t` set and bits `t+1..=h` clear,
+/// one top bit `h` for all, and nothing below `t` — else `None`.
+fn leading_one_top(pats: &[(u64, u64)]) -> Option<u64> {
+    let top = u64::MAX.checked_shr(pats.first()?.0.leading_zeros())?;
+    let leading = |&(m, v): &(u64, u64)| v.is_power_of_two() && m == top & !(v - 1);
+    pats.iter().all(leading).then_some(top)
 }
 
 /// One lowered action: ranges into the shared primitive and stateful op
@@ -1438,18 +1474,6 @@ pub struct FusionStats {
     /// makes 32-bit arithmetic exact (zero at 64 bits, and zero for every
     /// generated FPISA program — a test holds them to it).
     pub widened_ops: usize,
-}
-
-impl FusionStats {
-    /// Fraction of original ops eliminated by dead-store removal:
-    /// `1 − tape_ops / original_ops` (0.0 for an empty tape).
-    pub fn coverage(&self) -> f64 {
-        if self.original_ops == 0 {
-            0.0
-        } else {
-            1.0 - self.tape_ops as f64 / self.original_ops as f64
-        }
-    }
 }
 
 /// The dead-store peephole, run per action at compile time:
@@ -2156,11 +2180,7 @@ impl CompiledSwitch {
 
     fn run_batch_soa_indexed(&mut self, phvs: &mut [Phv]) -> Result<u64, (usize, RuntimeError)> {
         if !self.soa_simple {
-            let mut total = 0u64;
-            for (i, phv) in phvs.iter_mut().enumerate() {
-                total += u64::from(self.run(phv).map_err(|e| (i, e))?);
-            }
-            return Ok(total);
+            return self.run_batch_indexed(phvs);
         }
         if phvs.is_empty() {
             return Ok(0);
@@ -2168,21 +2188,13 @@ impl CompiledSwitch {
         let mut lanes = std::mem::take(&mut self.lanes);
         lanes.load(phvs);
         let res = self.run_lanes_simple(&mut lanes);
-        match res {
-            Ok(total) => {
-                lanes.store_fields(phvs, phvs.len(), self.written.iter().copied());
-                self.lanes = lanes;
-                Ok(total)
-            }
-            Err((i, e)) => {
-                // Packets before the fault are fully applied, the faulting
-                // packet is left as the fault found it, later packets'
-                // PHVs keep their input values (never touched).
-                lanes.store_fields(phvs, i + 1, self.written.iter().copied());
-                self.lanes = lanes;
-                Err((i, e))
-            }
-        }
+        // On a fault at packet `i`, packets before it are fully applied, it
+        // is left as the fault found it, and later packets' PHVs keep their
+        // input values (never touched).
+        let stored = res.as_ref().map_or_else(|(i, _)| i + 1, |_| phvs.len());
+        lanes.store_fields(phvs, stored, self.written.iter().copied());
+        self.lanes = lanes;
+        res
     }
 
     /// Execute a batch held directly in [`BatchLanes`] — the zero-copy
@@ -2848,24 +2860,15 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         }
         Matcher::Dense(slots.into_boxed_slice())
     } else if key_bits <= 64 {
-        let mut packed: Vec<(u64, Cand)> = Vec::with_capacity(exact.len());
+        let mut map: KeyMap<u64> = KeyMap::default();
         for (cand, tuple) in exact {
-            let key = key_of(tuple);
-            // Resolve duplicate keys to their winner at compile time.
-            match packed.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, cur)) => {
-                    if cand.beats(cur) {
-                        *cur = cand;
-                    }
-                }
-                None => packed.push((key, cand)),
-            }
+            insert_best(&mut map, key_of(tuple), cand);
         }
-        match injective_prefix_bits(&packed, DENSE_MAX_BITS) {
+        match injective_prefix_bits(&map, DENSE_MAX_BITS) {
             Some(w) if scan.cands.is_empty() => {
                 let mask = (1u64 << w) - 1;
                 let mut slots: Vec<(u64, u32)> = vec![(0, MISS); 1usize << w];
-                for (key, cand) in packed {
+                for (key, cand) in map {
                     slots[(key & mask) as usize] = (key, cand.action);
                 }
                 Matcher::DenseKeyed {
@@ -2873,13 +2876,7 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
                     slots: slots.into_boxed_slice(),
                 }
             }
-            _ => {
-                let mut map: KeyMap<u64> = KeyMap::default();
-                for (key, cand) in packed {
-                    map.insert(key, cand);
-                }
-                Matcher::PackedHash { map, scan }
-            }
+            _ => Matcher::PackedHash { map, scan },
         }
     } else {
         let mut map: KeyMap<Box<[u64]>> = KeyMap::default();
@@ -2905,13 +2902,13 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
 
 /// Smallest low-bit prefix width (≤ `max_bits`) under which the packed
 /// keys are pairwise distinct, making a verify-on-load direct index
-/// possible. Duplicate keys were already resolved to one winner.
-fn injective_prefix_bits(packed: &[(u64, Cand)], max_bits: u32) -> Option<u32> {
+/// possible.
+fn injective_prefix_bits(packed: &KeyMap<u64>, max_bits: u32) -> Option<u32> {
     let floor = packed.len().next_power_of_two().trailing_zeros().max(1);
     'widths: for w in floor..=max_bits {
         let mask = (1u64 << w) - 1;
         let mut seen = std::collections::HashSet::with_capacity(packed.len());
-        for (key, _) in packed {
+        for key in packed.keys() {
             if !seen.insert(key & mask) {
                 continue 'widths;
             }
@@ -3505,7 +3502,6 @@ mod tests {
         assert_eq!(stats.original_ops, 4);
         assert_eq!(stats.dead_stores, 1);
         assert_eq!(stats.tape_ops, 3);
-        assert!(stats.coverage() > 0.2);
         // And the shortened tape is still bit-for-bit the interpreter.
         for vv in [0u64, 0xFFFF_FFFF, 0x0003_FC00, 0xDEAD_BEEF] {
             let p = run_both(&program, |p| p.set(v, vv));

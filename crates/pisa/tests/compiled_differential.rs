@@ -1297,6 +1297,116 @@ fn scan_tables_fold_their_uniform_columns() {
     }
 }
 
+/// `find_top`'s row shape and its near misses. Leading-one rows on one
+/// varying column resolve by each lane's masked leading one (`leading`);
+/// a row of another shape — a value that is not one bit, a mask pinning
+/// bits below the one, a different top bit — or a second varying key
+/// column keeps the row sweep (`claimed`). The rows cover bits `t..=9` of
+/// a 16-bit key whose lanes also carry bits above 9; one position holds a
+/// second row that outranks its neighbours and another holds a tie that
+/// must lose; some lanes are zero under the mask, on tables with and
+/// without a default.
+#[test]
+fn leading_one_rows_resolve_by_the_leading_one() {
+    const TOP: u32 = 9;
+    let mut l = PhvLayout::new();
+    let op = l.field("op", 2);
+    let k = l.field("k", 16);
+    let k2 = l.field("k2", 4);
+    let outs: Vec<FieldId> = (0..6).map(|t| l.field(format!("out{t}"), 8)).collect();
+    let lead = |b: u32| KeyMatch::Ternary {
+        value: 1 << b,
+        mask: (2 << TOP) - (1 << b),
+    };
+    // Actions: `out = b` per position, then 50, 51 and 77.
+    let lpm = |t: usize, default: bool, odd: Option<KeyMatch>, second_col: bool| {
+        let set = |v: i64| Action::nop(format!("set{v}")).set(outs[t], Operand::Const(v));
+        let actions = (0..=TOP as i64).chain([50, 51, 77]).map(set).collect();
+        let mut keys = vec![(op, MatchKind::Exact), (k, MatchKind::Ternary)];
+        if second_col {
+            keys.push((k2, MatchKind::Ternary));
+        }
+        let (a50, a51, a77) = (TOP as usize + 1, TOP as usize + 2, TOP as usize + 3);
+        let mut rows = Vec::new();
+        for b in 0..=TOP {
+            rows.push((vec![KeyMatch::Exact(1), lead(b)], b + 1, b as usize));
+            // Outranks every `op = 1` row, but never on an `op = 1` batch.
+            rows.push((vec![KeyMatch::Exact(2), lead(b)], 100, a77));
+        }
+        // Position 3 has a second row above everything; position 5 a tie
+        // installed later, which loses.
+        rows.push((vec![KeyMatch::Exact(1), lead(3)], 50, a50));
+        rows.push((vec![KeyMatch::Exact(1), lead(5)], 6, a51));
+        if let Some(odd) = odd {
+            rows.push((vec![KeyMatch::Exact(1), odd], 60, a77));
+        }
+        if second_col {
+            let pin = KeyMatch::Ternary { value: 1, mask: 1 };
+            rows.push((vec![KeyMatch::Exact(1), lead(7), pin], 70, a50));
+        }
+        let table = Table::keyed(format!("lpm{t}"), keys, actions, default.then_some(a77));
+        rows.into_iter()
+            .fold(table, |table, (mut key, priority, action)| {
+                key.resize(if second_col { 3 } else { 2 }, KeyMatch::Any);
+                table.entry(key, priority, action)
+            })
+    };
+    let odd = |value, mask| KeyMatch::Ternary { value, mask };
+    let program = staged(
+        l,
+        vec![
+            lpm(0, false, None, false),
+            lpm(1, true, None, false),
+            lpm(2, true, Some(odd(5, 7)), false),
+            lpm(3, true, Some(odd(1 << 2, (2 << TOP) - 1)), false),
+            lpm(4, false, Some(odd(1 << 4, (1 << TOP) - (1 << 4))), false),
+            lpm(5, false, None, true),
+        ],
+        vec![],
+    );
+    let key = |i: usize| {
+        let x = (i as u64).wrapping_mul(0x9E37) >> (i % 13);
+        // Zero under the mask; zero; leading ones at 0..=2, at 3 and at 5
+        // (two rows each), and at 9 over a clear 5..=8; the rest anywhere.
+        // Junk above the mask throughout.
+        let high = x & 0xFC00;
+        match i % 7 {
+            0 => high,
+            1 => 0,
+            2 => high | (x & 7),
+            3 => high | 0x210 | (x & 0xF),
+            4 => high | 0x8 | (x & 7),
+            5 => high | 0x20 | (x & 0x1F),
+            _ => x & 0xFFFF,
+        }
+    };
+    for n in [5usize, 64, 131] {
+        let phvs = batch(
+            &program,
+            n,
+            &[(op, &|_| 1), (k, &key), (k2, &|i| i as u64 % 16)],
+        );
+        let label = format!("{n} lanes");
+        let counts = check_soa_batch(&label, &program, &phvs);
+        let arms: Vec<_> = counts
+            .iter()
+            .map(|c| (c.per_lane, c.leading, c.claimed))
+            .collect();
+        assert_eq!(
+            arms,
+            [
+                (1, 1, 0),
+                (1, 1, 0),
+                (1, 0, 1),
+                (1, 0, 1),
+                (1, 0, 1),
+                (1, 0, 1)
+            ],
+            "{label}"
+        );
+    }
+}
+
 /// A table of `n_actions` actions that share no op skeleton (tape lengths,
 /// destinations and operand kinds differ), most of them stateful, keyed
 /// exactly on `k` with no default: key `a` runs action `a`, keys past the
