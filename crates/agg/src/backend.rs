@@ -96,6 +96,14 @@ pub trait Aggregator {
 
     /// Switch side: fold one wire word per consecutive slot, starting at
     /// `start`. The range is validated before any state changes.
+    ///
+    /// A fold may be **deferred**: a backend may hold the words in a
+    /// partly filled batch and run it with later calls' words (the FPISA
+    /// backend does, through [`fpisa_pipeline::FpisaPipeline::add_ranges`]).
+    /// Folds still apply in call order, and each takes effect no later
+    /// than the backend's next `read_range` or `clear_range`, so every
+    /// read-out is the one folding at once would give. A call that fails
+    /// validation returns before anything is held.
     fn add_wire(&mut self, start: usize, words: &[u64]) -> Result<(), AggError>;
 
     /// Switch side, many chunks at once: fold several `(start, words)`

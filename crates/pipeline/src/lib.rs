@@ -35,6 +35,14 @@
 //! [`FpisaPipeline::clear_range`] take contiguous slot ranges as ranges —
 //! the shape every packet of the paper's protocol has.
 //!
+//! On the compiled engine [`FpisaPipeline::add_ranges`] keeps a partly
+//! filled batch **open** across calls, so the small chunks the wire carries
+//! run as full [`LANE_CHUNK`]-lane batches. An ADD takes effect no later
+//! than the next call that reads, clears or runs packets — every read-out,
+//! register value and error is the one running each call at once would
+//! give — and a call that fails validation returns before anything is
+//! appended.
+//!
 //! ## Example
 //!
 //! ```
@@ -82,8 +90,8 @@ pub use spec::{format_name, ExecEngine, PipelineSpec, SpecError, MAX_SLOTS};
 use fpisa_core::{FpFormat, FpisaConfig};
 use fpisa_pisa::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, BatchLanes, CompiledSwitch,
-    Phv, ProgramError, ResourceReport, RuntimeError, ShardedSwitch, SlotFields, SlotRange, Switch,
-    SwitchProgram, LANE_CHUNK,
+    DispatchCounts, Phv, ProgramError, ResourceReport, RuntimeError, ShardedSwitch, SlotFields,
+    SlotRange, Switch, SwitchProgram, LANE_CHUNK,
 };
 
 /// Packets per internal batch chunk of the interpreter: small enough that
@@ -166,6 +174,11 @@ pub struct FpisaPipeline {
     /// into field columns — no per-packet PHV construction, no transpose
     /// at the boundary.
     lanes: BatchLanes,
+    /// The compiled engine's open ADD batch: packets
+    /// [`FpisaPipeline::add_ranges`] has accepted but not yet run
+    /// ([`CompiledSwitch::hold_ranges`]). Every other entry that runs
+    /// packets or touches registers runs it first.
+    open: BatchLanes,
     fields: Fields,
     arrays: Arrays,
     spec: PipelineSpec,
@@ -234,6 +247,7 @@ impl FpisaPipeline {
             scratch,
             batch_buf: Vec::new(),
             lanes: BatchLanes::default(),
+            open: BatchLanes::default(),
             fields,
             arrays,
             spec,
@@ -380,6 +394,7 @@ impl FpisaPipeline {
     /// docs); the switch will process their bit patterns like any others.
     pub fn add_bits(&mut self, slot: usize, bits: u64) -> Result<(), RuntimeError> {
         self.check_slot(slot)?;
+        self.run_open()?;
         self.scratch.clear();
         self.scratch.set(self.fields.op, OP_ADD);
         self.scratch.set(self.fields.slot, slot as u64);
@@ -424,16 +439,27 @@ impl FpisaPipeline {
     /// stateful tables as runs they serve from one register window each.
     ///
     /// Every chunk is validated up front: on an out-of-range chunk the
-    /// call errors **before any packet runs**. Empty chunks are skipped.
+    /// call errors **before any packet runs** or is appended to the open
+    /// batch. Empty chunks are skipped.
+    ///
+    /// On the compiled engine the packets join the **open batch**
+    /// ([`CompiledSwitch::hold_ranges`]): each batch that reaches
+    /// [`LANE_CHUNK`] lanes runs now, and the remainder waits for the next
+    /// call. An ADD takes effect no later than the next call that reads,
+    /// clears or runs packets ([`FpisaPipeline::register_state`] included),
+    /// so nothing observable changes but the batch boundaries; a fault of
+    /// the open batch is returned by the call that runs it. The
+    /// interpreter and the sharded engine run every call at once.
     pub fn add_ranges(&mut self, chunks: &[(usize, &[u64])]) -> Result<(), RuntimeError> {
         for &(start, words) in chunks {
             self.check_span(start, words.len())?;
         }
-        self.run_ranges(
-            OP_ADD,
-            chunks.iter().map(|&(start, w)| (start, w.len(), Some(w))),
-            None,
-        )
+        let ranges = chunks.iter().map(|&(start, w)| (start, w.len(), Some(w)));
+        let fields = self.slot_fields();
+        match &mut self.engine {
+            Engine::Compiled(c) => c.hold_ranges(&mut self.open, fields, OP_ADD, ranges),
+            _ => self.run_ranges(OP_ADD, ranges, None),
+        }
     }
 
     /// [`FpisaPipeline::add_batch`] over `f32` values (FP32 specs only,
@@ -485,6 +511,7 @@ impl FpisaPipeline {
     /// spec's format. Reading does not modify the slot.
     pub fn read_bits(&mut self, slot: usize) -> Result<u64, RuntimeError> {
         self.check_slot(slot)?;
+        self.run_open()?;
         self.scratch.clear();
         self.scratch.set(self.fields.op, OP_READ);
         self.scratch.set(self.fields.slot, slot as u64);
@@ -542,12 +569,8 @@ impl FpisaPipeline {
         ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
         collect: Option<&mut Vec<u64>>,
     ) -> Result<(), RuntimeError> {
-        let fields = SlotFields {
-            op: self.fields.op,
-            slot: self.fields.slot,
-            value: self.fields.value,
-            result: self.fields.result,
-        };
+        self.run_open()?;
+        let fields = self.slot_fields();
         match &mut self.engine {
             Engine::Compiled(c) => c.run_ranges(&mut self.lanes, fields, op, ranges, collect),
             Engine::Sharded(s) => s.run_ranges(&mut self.lanes, fields, op, ranges, collect),
@@ -578,6 +601,7 @@ impl FpisaPipeline {
         mut fill: impl FnMut(usize) -> (u64, u64, u64),
         mut collect: Option<&mut Vec<u64>>,
     ) -> Result<(), RuntimeError> {
+        self.run_open()?;
         let (f_op, f_slot, f_value, f_result) = (
             self.fields.op,
             self.fields.slot,
@@ -628,6 +652,26 @@ impl FpisaPipeline {
         Ok(())
     }
 
+    /// The columns a range-shaped batch writes and reads.
+    fn slot_fields(&self) -> SlotFields {
+        SlotFields {
+            op: self.fields.op,
+            slot: self.fields.slot,
+            value: self.fields.value,
+            result: self.fields.result,
+        }
+    }
+
+    /// Run the compiled engine's open ADD batch, if it holds packets
+    /// ([`CompiledSwitch::run_held`]), so the registers reflect every ADD
+    /// accepted so far. A no-op on the other engines, which hold nothing.
+    fn run_open(&mut self) -> Result<(), RuntimeError> {
+        match &mut self.engine {
+            Engine::Compiled(c) => c.run_held(&mut self.open),
+            _ => Ok(()),
+        }
+    }
+
     /// Up-front slot validation for the batch APIs: error before any
     /// packet runs.
     fn validate_slots(&self, mut slots: impl Iterator<Item = usize>) -> Result<(), RuntimeError> {
@@ -663,6 +707,7 @@ impl FpisaPipeline {
     /// reuses a slot between rounds without rebuilding the pipeline.
     pub fn clear_slot(&mut self, slot: usize) -> Result<(), RuntimeError> {
         self.check_slot(slot)?;
+        self.run_open()?;
         match &mut self.engine {
             Engine::Interpreted => {
                 self.switch.set_register(self.arrays.exponent, slot, 0);
@@ -686,6 +731,7 @@ impl FpisaPipeline {
     /// slot is cleared.
     pub fn clear_range(&mut self, start: usize, len: usize) -> Result<(), RuntimeError> {
         self.check_span(start, len)?;
+        self.run_open()?;
         for array in [self.arrays.exponent, self.arrays.mantissa] {
             match &mut self.engine {
                 Engine::Interpreted => self.switch.fill_registers(array, start, len, 0),
@@ -696,11 +742,30 @@ impl FpisaPipeline {
         Ok(())
     }
 
+    /// The compiled engine's [`DispatchCounts`] per table, in execution
+    /// order (see [`CompiledSwitch::dispatch_counts`]): which way each batch
+    /// it ran went. Empty on the interpreter and the sharded engine. The
+    /// open ADD batch is not run for this: its packets count once a later
+    /// call runs them.
+    pub fn dispatch_counts(&self) -> &[DispatchCounts] {
+        match &self.engine {
+            Engine::Compiled(c) => c.dispatch_counts(),
+            _ => &[],
+        }
+    }
+
     /// Raw register state of a slot: `(biased exponent, signed mantissa)`.
     /// `(0, 0)` is an empty slot. Control-plane access used by the
     /// differential tests to compare against the reference model. Reads
-    /// from whichever engine holds the live state.
-    pub fn register_state(&self, slot: usize) -> (u32, i64) {
+    /// from whichever engine holds the live state, after running the
+    /// compiled engine's open ADD batch: every ADD
+    /// [`FpisaPipeline::add_ranges`] accepted is in the state read. That
+    /// batch cannot fault — each slot it holds was checked against the
+    /// slot count, which is the register arrays' length — so this panics
+    /// only on a broken invariant.
+    pub fn register_state(&mut self, slot: usize) -> (u32, i64) {
+        self.run_open()
+            .expect("ADDs to validated slots never fault");
         match &self.engine {
             Engine::Interpreted => (
                 self.switch.register(self.arrays.exponent, slot) as u32,

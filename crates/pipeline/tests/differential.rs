@@ -471,3 +471,109 @@ fn directed_edge_streams_match_bit_for_bit() {
         }
     }
 }
+
+/// The compiled engine's open ADD batch against the interpreter, which
+/// runs every call at once, bit for bit on every variant × format:
+/// `add_ranges` calls of 0, 1, 63, 64, 65, 255, 256, 257 and 600 words,
+/// each a chunk plus a second chunk over slots of the first (one open batch
+/// holds a slot twice), later calls landing on earlier calls' slots. Every
+/// third call is followed by one of the entries that run the open batch
+/// first, in turn, so batches span up to three calls; one clone taken while
+/// a batch is open reads out the same as the original.
+#[test]
+fn open_batches_match_the_interpreter_across_every_entry() {
+    const N: usize = 700;
+    const SIZES: [usize; 9] = [0, 1, 63, 64, 65, 255, 256, 257, 600];
+    let mut rng = SmallRng::seed_from_u64(0x0BE7_0033);
+    for variant in PipelineVariant::all() {
+        for format in [FpFormat::FP32, FpFormat::FP16, FpFormat::BF16] {
+            let spec = PipelineSpec::new(variant).format(format).slots(N);
+            let mut interp =
+                FpisaPipeline::from_spec(spec.engine(ExecEngine::Interpreted)).unwrap();
+            let mut comp = FpisaPipeline::from_spec(spec.engine(ExecEngine::Compiled)).unwrap();
+            for step in 0..3 * SIZES.len() {
+                let label = format!("{variant:?}/{format:?} step {step}");
+                let len = SIZES[step % SIZES.len()];
+                let start = rng.gen_range(0..=N - len);
+                let words: Vec<u64> = (0..len).map(|_| random_bits(&mut rng, format)).collect();
+                let chunks = [(start, &words[..]), (start + len / 4, &words[..len / 2])];
+                interp.add_ranges(&chunks).unwrap();
+                comp.add_ranges(&chunks).unwrap();
+                if step == 13 {
+                    let mut twin = comp.clone();
+                    let ran = |p: &FpisaPipeline| p.dispatch_counts()[0].lanes;
+                    let before = ran(&twin);
+                    twin.register_state(0);
+                    assert!(ran(&twin) > before, "{label}: no batch was open");
+                    let want = interp.read_range(0, N).unwrap();
+                    assert_eq!(twin.read_range(0, N).unwrap(), want, "{label}: clone");
+                    assert_eq!(comp.read_range(0, N).unwrap(), want, "{label}");
+                }
+                if step % 3 != 2 {
+                    continue;
+                }
+                let slot = rng.gen_range(0..N);
+                let bits = random_bits(&mut rng, format);
+                let x = format.decode(bits);
+                match step / 3 {
+                    0 => {
+                        // On the slots the call holds twice: three ADDs per
+                        // slot, whose order the truncating variants see.
+                        for s in start + len / 4..start + len / 2 {
+                            interp.add_bits(s, bits).unwrap();
+                            comp.add_bits(s, bits).unwrap();
+                        }
+                    }
+                    1 => {
+                        let pairs = [(slot, bits), (start, bits), (slot, bits)];
+                        interp.add_batch(&pairs).unwrap();
+                        comp.add_batch(&pairs).unwrap();
+                    }
+                    2 if format == FpFormat::FP32 => {
+                        let pairs = [(slot, x as f32), (start, -x as f32)];
+                        interp.add_batch_f32(&pairs).unwrap();
+                        comp.add_batch_f32(&pairs).unwrap();
+                    }
+                    2 => {
+                        interp.add_value(start, x).unwrap();
+                        comp.add_value(start, x).unwrap();
+                    }
+                    3 => {
+                        let want = interp.read_bits(start).unwrap();
+                        assert_eq!(comp.read_bits(start).unwrap(), want, "{label}");
+                    }
+                    4 => {
+                        let slots: Vec<usize> = (start..start + len).rev().collect();
+                        let want = interp.read_batch(&slots).unwrap();
+                        assert_eq!(comp.read_batch(&slots).unwrap(), want, "{label}");
+                    }
+                    5 => {
+                        let want = interp.read_range(start, len).unwrap();
+                        assert_eq!(comp.read_range(start, len).unwrap(), want, "{label}");
+                    }
+                    6 => {
+                        interp.clear_slot(start).unwrap();
+                        comp.clear_slot(start).unwrap();
+                    }
+                    7 => {
+                        interp.clear_range(start + len / 4, len / 2).unwrap();
+                        comp.clear_range(start + len / 4, len / 2).unwrap();
+                    }
+                    _ => {
+                        for s in start..start + len {
+                            let want = interp.register_state(s);
+                            assert_eq!(comp.register_state(s), want, "{label}: slot {s}");
+                        }
+                    }
+                }
+            }
+            let label = format!("{variant:?}/{format:?}");
+            for s in 0..N {
+                let want = interp.register_state(s);
+                assert_eq!(comp.register_state(s), want, "{label}: slot {s}");
+            }
+            let want = interp.read_range(0, N).unwrap();
+            assert_eq!(comp.read_range(0, N).unwrap(), want, "{label}");
+        }
+    }
+}

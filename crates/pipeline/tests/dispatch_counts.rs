@@ -196,7 +196,7 @@ fn consecutive_slots_reach_the_stateful_tables_as_register_windows() {
         // and a READ batch, all over slots 3..67.
         for op in [OP_ADD, OP_ADD, OP_READ] {
             lanes.begin(LANES);
-            lanes.fill(fields.op, op);
+            lanes.fill(fields.op, 0, op);
             lanes.fill_iota(fields.slot, 0, LANES, 3);
             if op == OP_ADD {
                 lanes.fill_slice(fields.value, 0, &words);
@@ -322,4 +322,96 @@ fn fp16_tofino_shift_tables_run_as_rows_and_no_batch_walks() {
         per_word[0], per_word[1],
         "the lane word changed the dispatch"
     );
+}
+
+/// The compiled pipeline's open ADD batch, pinned by
+/// [`FpisaPipeline::dispatch_counts`]: `add_ranges` calls fill one batch
+/// across calls, a batch runs when it reaches 256 lanes or when something
+/// reads the registers, and the 64-word chunks a round's packets carry,
+/// arriving in ascending slot order, reach Phase C as one 256-lane window.
+#[test]
+fn add_ranges_fill_one_open_batch_across_calls() {
+    let spec = PipelineSpec::new(PipelineVariant::TofinoA)
+        .format(FpFormat::FP16)
+        .slots(512);
+    let words: Vec<u64> = (0..300)
+        .map(|k| FpFormat::FP16.encode(1.0 + k as f64 / 64.0))
+        .collect();
+    let counts = |pipe: &FpisaPipeline| Counts {
+        names: (pipe.switch_program().stages.iter())
+            .flat_map(|s| &s.tables)
+            .map(|t| t.name.clone())
+            .collect(),
+        counts: pipe.dispatch_counts().to_vec(),
+    };
+    // Batches a table has resolved, of either op.
+    let batches =
+        |c: &DispatchCounts| c.gate_decided + c.uniform_lookup + c.lut + c.per_lane + c.rows;
+    let stateful = |c: &Counts| {
+        let (e, m) = (c.of("exponent"), c.of("mantissa"));
+        [(e.lanes, e.windowed), (m.lanes, m.windowed)]
+    };
+
+    // Three 64-word calls run nothing; the fourth fills the batch, which
+    // runs as one ADD resolution of 256 lanes (an ADD batch leaves the
+    // READ-only `find_top` at its gate), and the read then runs only its
+    // own 64-lane READ batch.
+    let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
+    assert_eq!(counts(&pipe).counts.len(), 16);
+    for k in 0..4 {
+        assert!(
+            pipe.dispatch_counts().iter().all(|c| c.lanes == 0),
+            "a 64-word call ran its own batch"
+        );
+        pipe.add_ranges(&[(64 * k, &words[64 * k..64 * (k + 1)])])
+            .unwrap();
+    }
+    pipe.read_range(0, 64).unwrap();
+    let after = counts(&pipe);
+    for (table, c) in after.names.iter().zip(&after.counts) {
+        assert_eq!((c.lanes, batches(c)), (256 + 64, 2), "{table}");
+    }
+    assert_eq!(after.of("find_top").gate_decided, 1, "one ADD resolution");
+    assert_eq!(
+        stateful(&after),
+        [(256 + 64, 256 + 64); 2],
+        "one window each"
+    );
+
+    // A 256-word call fills its batch and runs it: nothing stays open.
+    let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
+    pipe.add_ranges(&[(0, &words[..256])]).unwrap();
+    let full = counts(&pipe);
+    assert_eq!(stateful(&full), [(256, 256); 2]);
+    pipe.register_state(0);
+    assert_eq!(
+        pipe.dispatch_counts(),
+        &full.counts[..],
+        "a batch stayed open"
+    );
+
+    // A 300-word call runs 256 lanes and holds 44; the next read runs
+    // those 44 first.
+    let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
+    pipe.add_ranges(&[(100, &words[..])]).unwrap();
+    let ran = counts(&pipe);
+    assert_eq!(stateful(&ran), [(256, 256); 2]);
+    assert_eq!(ran.of("find_top").gate_decided, 1);
+    pipe.read_range(0, 8).unwrap();
+    let after = counts(&pipe);
+    assert_eq!(stateful(&after), [(256 + 44 + 8, 256 + 44 + 8); 2]);
+    assert_eq!(after.of("find_top").gate_decided, 2, "the 44 ran as ADDs");
+    for (table, c) in after.names.iter().zip(&after.counts) {
+        assert_eq!(batches(c), 3, "{table}");
+    }
+
+    // The other engines hold nothing, and count nothing here.
+    for spec in [
+        spec.shards(2),
+        spec.engine(fpisa_pipeline::ExecEngine::Interpreted),
+    ] {
+        let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
+        pipe.add_ranges(&[(0, &words[..64])]).unwrap();
+        assert!(pipe.dispatch_counts().is_empty());
+    }
 }

@@ -483,21 +483,35 @@ impl BatchLanes {
     }
 
     /// Replace the buffer with a zeroed one of at least `cap` lanes per
-    /// column.
+    /// column, copying the live lanes over.
     fn alloc(&mut self, cap: usize) {
-        fn fresh<W: LaneWord>(c: &mut Aligned<W>, fields: usize, cap: usize) -> usize {
+        fn grow<W: LaneWord>(
+            c: &mut Aligned<W>,
+            fields: usize,
+            old: usize,
+            live: usize,
+            cap: usize,
+        ) -> usize {
             let cap = BatchLanes::pad_cap::<W>(cap);
-            *c = Aligned::zeroed(fields * cap);
+            let mut grown = Aligned::zeroed(fields * cap);
+            if live > 0 {
+                let cols = grown
+                    .buf_mut()
+                    .chunks_exact_mut(cap)
+                    .zip(c.buf().chunks_exact(old));
+                for (to, from) in cols {
+                    to[..live].copy_from_slice(&from[..live]);
+                }
+            }
+            *c = grown;
             cap
         }
-        let fields = self.masks.len();
-        self.cap = each_word!(&mut self.cols, c => fresh(c, fields, cap));
+        let (fields, old, live) = (self.masks.len(), self.cap, self.len);
+        self.cap = each_word!(&mut self.cols, c => grow(c, fields, old, live, cap));
     }
 
     fn ensure_cap(&mut self, len: usize) {
         if len > self.cap {
-            // Discard and reallocate: callers overwrite (load) or zero
-            // (begin) the active region anyway.
             self.alloc(len.next_power_of_two());
         }
     }
@@ -505,16 +519,26 @@ impl BatchLanes {
     /// Start a fresh batch of `len` zeroed packets (a cleared lane batch is
     /// indistinguishable from `len` fresh [`Phv::new`] packets).
     pub fn begin(&mut self, len: usize) {
+        self.len = 0;
+        self.extend_to(len);
+    }
+
+    /// Grow the batch to `len` packets: the packets already in it keep
+    /// every field, and only the new ones `self.len()..len` are zeroed — a
+    /// batch filled over several calls. Panics if `len` is below the live
+    /// count.
+    pub fn extend_to(&mut self, len: usize) {
+        assert!(len >= self.len, "extending a batch cannot drop packets");
         self.ensure_cap(len);
-        self.len = len;
-        let cap = self.cap;
+        let (cap, from) = (self.cap, self.len);
         each_word!(&mut self.cols, c => {
-            if cap > 0 {
+            if len > from {
                 for col in c.buf_mut().chunks_exact_mut(cap) {
-                    col[..len].fill(0);
+                    col[from..len].fill(0);
                 }
             }
         });
+        self.len = len;
     }
 
     /// Transpose a batch of PHVs in (every field of every packet is
@@ -526,6 +550,7 @@ impl BatchLanes {
     /// packets — with nothing per packet but one slice of its values (an
     /// iterator per column doubled the cost on a four-field program).
     pub fn load(&mut self, phvs: &[Phv]) {
+        self.len = 0; // every lane is overwritten: nothing to carry over
         self.ensure_cap(phvs.len());
         self.len = phvs.len();
         let (cap, fields) = (self.cap, self.masks.len());
@@ -619,11 +644,12 @@ impl BatchLanes {
         });
     }
 
-    /// Write one value into a field of every live packet — a batch's
+    /// Write one value into a field of live packets `at..` — a batch's
     /// constant column (an opcode) in one pass instead of one
     /// [`BatchLanes::set`] per packet.
-    pub fn fill(&mut self, id: FieldId, value: u64) {
-        self.write_column(id, 0, std::iter::repeat_n(value, self.len));
+    pub fn fill(&mut self, id: FieldId, at: usize, value: u64) {
+        let len = self.len.saturating_sub(at);
+        self.write_column(id, at, std::iter::repeat_n(value, len));
     }
 
     /// Write `first, first + 1, …` into a field of packets
@@ -849,7 +875,7 @@ mod tests {
                 // value column two slices, the second of each mid-batch.
                 let words: Vec<u64> = (0..n as u64).map(|i| i * 0x1_0101 + 0xFFFF_0000).collect();
                 let cut = n / 3;
-                by_column.fill(op, 7);
+                by_column.fill(op, 0, 7);
                 by_column.fill_iota(slot, 0, cut, 500);
                 by_column.fill_iota(slot, cut, n - cut, 3);
                 by_column.fill_slice(value, 0, &words[..cut]);
@@ -869,6 +895,51 @@ mod tests {
                 }
                 assert_eq!(by_column.get(op, n - 1), 3, "masked to two bits");
             }
+        }
+    }
+
+    #[test]
+    fn column_writers_fill_a_batch_extended_in_place_on_both_lane_words() {
+        let mut l = PhvLayout::new();
+        let op = l.field("op", 2);
+        let slot = l.field("slot", 16);
+        let value = l.field("value", 32);
+        for lane_bits in [32, 64] {
+            // Room for 16 lanes: the last extension must grow the columns.
+            let mut lanes = BatchLanes::with_lane_bits(&l, 16, lane_bits);
+            lanes.begin(16);
+            lanes.fill(value, 0, 0xAB); // stale past the batch below
+            lanes.begin(10);
+            lanes.fill(op, 0, 1);
+            lanes.fill_iota(slot, 0, 10, 100);
+            for (to, first) in [(16usize, 200u64), (300, 300), (300, 0)] {
+                let from = lanes.len();
+                lanes.extend_to(to);
+                for f in [op, slot, value] {
+                    for i in from..to {
+                        assert_eq!(lanes.get(f, i), 0, "{lane_bits}-bit lanes: new lane {i}");
+                    }
+                }
+                lanes.fill(op, from, 2);
+                lanes.fill_iota(slot, from, to - from, first);
+            }
+            let mut ops = Vec::new();
+            lanes.extend_from_column(op, &mut ops);
+            let want: Vec<u64> = (0..300).map(|i| if i < 10 { 1 } else { 2 }).collect();
+            assert_eq!(ops, want, "{lane_bits}-bit lanes");
+            let slots: Vec<u64> = (0..300).map(|i| lanes.get(slot, i)).collect();
+            let want: Vec<u64> = (0..300u64)
+                .map(|i| match i {
+                    0..10 => 100 + i,
+                    10..16 => 200 + i - 10,
+                    _ => 300 + i - 16,
+                })
+                .collect();
+            assert_eq!(slots, want, "{lane_bits}-bit lanes");
+            assert!(
+                (0..300).all(|i| lanes.get(value, i) == 0),
+                "{lane_bits}-bit lanes"
+            );
         }
     }
 

@@ -6,6 +6,16 @@
 //! [`CompiledSwitch::run_ranges`] is the one lane loop every compiled
 //! engine uses for them; [`crate::ShardedSwitch::run_ranges`] splits the
 //! ranges at shard boundaries and runs each shard's pieces through it.
+//!
+//! The same loop can also leave its last batch **open**
+//! ([`CompiledSwitch::hold_ranges`]): a call fills lanes from where the
+//! previous one stopped, runs each batch that reaches [`LANE_CHUNK`] lanes
+//! and keeps the rest for the next call, until [`CompiledSwitch::run_held`]
+//! runs it. Many small calls then cost what one large one does, and
+//! because every register array is touched from one table only (what
+//! [`CompiledSwitch::soa_eligible`] checks), a table-major batch of several
+//! calls' packets leaves the registers exactly as running the calls one by
+//! one would: only the batch boundaries move.
 
 use crate::compile::CompiledSwitch;
 use crate::phv::{BatchLanes, FieldId, PhvLayout};
@@ -56,8 +66,58 @@ impl CompiledSwitch {
         lanes: &mut BatchLanes,
         fields: SlotFields,
         op: u64,
+        ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
+        collect: Option<&mut Vec<u64>>,
+    ) -> Result<(), RuntimeError> {
+        lanes.begin(0);
+        self.fill_ranges(lanes, fields, op, ranges, collect, false)
+    }
+
+    /// [`CompiledSwitch::run_ranges`] into an **open batch**: the packets
+    /// are appended to the lanes `open` already holds (its live count is
+    /// the open batch), each batch that reaches [`LANE_CHUNK`] lanes runs,
+    /// and the remainder stays in `open` for the next call — to be filled
+    /// further, or run by [`CompiledSwitch::run_held`]. Results are not
+    /// collected: hold only packets whose effect is on the registers.
+    ///
+    /// Ranges are validated as `run_ranges` validates them, before anything
+    /// is appended. If a batch that filled up faults, `open` is left empty
+    /// and the error returned; the rest of the call is not appended. Start
+    /// from an empty `BatchLanes::default()`, built over this engine's
+    /// layout on first use.
+    pub fn hold_ranges<'a>(
+        &mut self,
+        open: &mut BatchLanes,
+        fields: SlotFields,
+        op: u64,
+        ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
+    ) -> Result<(), RuntimeError> {
+        self.fill_ranges(open, fields, op, ranges, None, true)
+    }
+
+    /// Run the open batch [`CompiledSwitch::hold_ranges`] left in `open`,
+    /// if it holds any packets, and empty it — also when it faults, so
+    /// the faulted packets are neither run again nor appended to.
+    pub fn run_held(&mut self, open: &mut BatchLanes) -> Result<(), RuntimeError> {
+        if open.is_empty() {
+            return Ok(());
+        }
+        let ran = self.run_lanes(open);
+        open.begin(0);
+        ran.map(drop)
+    }
+
+    /// The range lane loop: append the ranges' packets to the lanes in
+    /// `lanes`, running every batch that fills up to [`LANE_CHUNK`] and —
+    /// unless `hold` — the last one, however short.
+    fn fill_ranges<'a>(
+        &mut self,
+        lanes: &mut BatchLanes,
+        fields: SlotFields,
+        op: u64,
         mut ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
         mut collect: Option<&mut Vec<u64>>,
+        hold: bool,
     ) -> Result<(), RuntimeError> {
         let slot_max = PhvLayout::mask(self.layout().spec(fields.slot).bits);
         let mut left = 0usize;
@@ -76,10 +136,11 @@ impl CompiledSwitch {
         // The range being cut: `(next slot, slots left, their words)`.
         let (mut slot, mut rest, mut words) = (0usize, 0usize, None);
         while left > 0 {
-            let len = LANE_CHUNK.min(left);
-            lanes.begin(len);
-            lanes.fill(fields.op, op);
-            let mut at = 0;
+            let from = lanes.len();
+            let len = LANE_CHUNK.min(from + left);
+            lanes.extend_to(len);
+            lanes.fill(fields.op, from, op);
+            let mut at = from;
             while at < len {
                 if rest == 0 {
                     (slot, rest, words) = ranges.next().expect("ranges hold every counted slot");
@@ -93,12 +154,224 @@ impl CompiledSwitch {
                 }
                 (slot, rest, at) = (slot + take, rest - take, at + take);
             }
-            self.run_lanes(lanes)?;
-            if let Some(out) = collect.as_deref_mut() {
+            left -= len - from;
+            if hold && len < LANE_CHUNK {
+                break;
+            }
+            let ran = self.run_lanes(lanes);
+            if let (Ok(_), Some(out)) = (&ran, collect.as_deref_mut()) {
                 lanes.extend_from_column(fields.result, out);
             }
-            left -= len;
+            lanes.begin(0);
+            ran?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::action::{Action, AluOp, Operand};
+    use crate::register::{
+        RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, StatefulCall,
+    };
+    use crate::stage::Stage;
+    use crate::switch::{Switch, SwitchCaps, SwitchProgram};
+    use crate::table::Table;
+
+    /// The counter's opcodes: bump a slot by one plus the value, or read it.
+    const OP_BUMP: u64 = 0;
+    const OP_READ: u64 = 1;
+
+    /// A per-slot saturating counter over `entries` register entries behind
+    /// a 16-bit slot field, so slots from `entries` up fault in Phase C.
+    fn counter(entries: usize) -> (SwitchProgram, SlotFields) {
+        let mut layout = PhvLayout::new();
+        let slot = layout.field("slot", 16);
+        let result = layout.field("count", 32);
+        let op = layout.field("op", 1);
+        let value = layout.field("value", 16);
+        let bump = Action::nop("bump")
+            .prim(value, AluOp::Add, Operand::Field(value), Operand::Const(1))
+            .call(StatefulCall {
+                array: RegArrayId(0),
+                index: Operand::Field(slot),
+                cond: SaluCond::MetaNonZero(op),
+                on_true: SaluUpdate::Keep,
+                on_false: SaluUpdate::AddSat(Operand::Field(value)),
+                output: Some((result, SaluOutput::New)),
+            });
+        let program = SwitchProgram {
+            caps: SwitchCaps::tofino(),
+            layout,
+            stages: vec![Stage::new().table(Table::always("count", bump))],
+            arrays: vec![RegisterArraySpec {
+                name: "pkt_count".into(),
+                width_bits: 32,
+                entries,
+                stage: 0,
+            }],
+            recirc_field: None,
+        };
+        let fields = SlotFields {
+            op,
+            slot,
+            value,
+            result,
+        };
+        (program, fields)
+    }
+
+    /// Run `(op, slot, value)` packets one at a time on the interpreter.
+    fn interpret(
+        sw: &mut Switch,
+        fields: SlotFields,
+        packets: impl Iterator<Item = (u64, usize, u64)>,
+    ) {
+        for (op, slot, value) in packets {
+            let mut p = sw.phv();
+            p.set(fields.op, op);
+            p.set(fields.slot, slot as u64);
+            p.set(fields.value, value);
+            sw.run(&mut p).unwrap();
+        }
+    }
+
+    /// Calls of 0, 1, 63, 64, 65, 255, 256, 257 and 600 words with slots
+    /// hit again by later calls (one open batch holds a slot twice), READs
+    /// held between bumps, and the open batch run every fourth call: after
+    /// every call exactly the packets of the batches that filled have run,
+    /// each in order, and the rest is open.
+    #[test]
+    fn open_batch_fills_across_calls_like_the_interpreter() {
+        let (program, fields) = counter(700);
+        let words: Vec<u64> = (0..600u64).map(|i| i * 7 % 11).collect();
+        let calls = [
+            (OP_BUMP, 5, 0),
+            (OP_BUMP, 10, 1),
+            (OP_BUMP, 0, 63),
+            (OP_READ, 3, 64),
+            (OP_BUMP, 40, 65),
+            (OP_BUMP, 10, 255),
+            (OP_READ, 100, 256),
+            (OP_BUMP, 30, 257),
+            (OP_BUMP, 0, 600),
+            (OP_BUMP, 62, 64),
+            (OP_BUMP, 600, 65),
+            (OP_BUMP, 1, 1),
+        ];
+        let mut interp = Switch::new(program.clone()).unwrap();
+        let mut cs = CompiledSwitch::compile(&program).unwrap();
+        let mut open = BatchLanes::default();
+        // Packets handed over but not yet seen to run, in order.
+        let mut pending = std::collections::VecDeque::new();
+        for (i, &(op, start, len)) in calls.iter().enumerate() {
+            let w = &words[..len];
+            cs.hold_ranges(
+                &mut open,
+                fields,
+                op,
+                std::iter::once((start, len, Some(w))),
+            )
+            .unwrap();
+            pending.extend((0..len).map(|k| (op, start + k, w[k])));
+            assert!(
+                open.len() < LANE_CHUNK,
+                "call {i}: a full batch stayed open"
+            );
+            if i % 4 == 3 {
+                cs.run_held(&mut open).unwrap();
+                assert!(open.is_empty(), "call {i}");
+            }
+            let ran = pending.len() - open.len();
+            interpret(&mut interp, fields, pending.drain(..ran));
+            assert_eq!(cs.register_state(), interp.register_state(), "call {i}");
+        }
+        cs.run_held(&mut open).unwrap();
+        interpret(&mut interp, fields, pending.drain(..));
+        assert_eq!(cs.register_state(), interp.register_state());
+        // Nothing left to run: an empty open batch runs nothing.
+        cs.run_held(&mut open).unwrap();
+        assert_eq!(cs.register_state(), interp.register_state());
+    }
+
+    /// A batch that faults is never left open: not when `run_held` runs it,
+    /// not when it fills up inside `hold_ranges` (and the rest of that call
+    /// is not appended), so a fresh hold runs only its own packets. A range
+    /// past the slot field is rejected before anything is appended.
+    #[test]
+    fn open_batch_that_faults_is_emptied() {
+        let (program, fields) = counter(100);
+        let words: Vec<u64> = (0..300u64).map(|i| i % 5).collect();
+        let mut cs = CompiledSwitch::compile(&program).unwrap();
+        let mut open = BatchLanes::default();
+        let bump = |start: usize, len: usize| (start, len, Some(&words[..len]));
+
+        // In-range lanes, then lanes past the 100-entry array.
+        let held = [bump(0, 50), bump(90, 40)];
+        cs.hold_ranges(&mut open, fields, OP_BUMP, held.into_iter())
+            .unwrap();
+        assert_eq!(open.len(), 90);
+        let res = cs.run_held(&mut open);
+        assert!(
+            matches!(res, Err(RuntimeError::IndexOutOfRange { .. })),
+            "{res:?}"
+        );
+        assert!(open.is_empty(), "run_held left the faulted batch open");
+
+        // 200 open, then 100 more: the batch of 256 reaches slots 100..116.
+        cs.hold_ranges(
+            &mut open,
+            fields,
+            OP_BUMP,
+            [bump(0, 100), bump(0, 100)].into_iter(),
+        )
+        .unwrap();
+        let res = cs.hold_ranges(&mut open, fields, OP_BUMP, [bump(60, 100)].into_iter());
+        assert!(
+            matches!(res, Err(RuntimeError::IndexOutOfRange { .. })),
+            "{res:?}"
+        );
+        assert!(open.is_empty(), "the filled batch stayed open");
+
+        // Validation rejects a range past the slot field before appending.
+        cs.hold_ranges(&mut open, fields, OP_BUMP, [bump(0, 10)].into_iter())
+            .unwrap();
+        let wraps = [bump(20, 5), (65_530, 10, None)];
+        let res = cs.hold_ranges(&mut open, fields, OP_BUMP, wraps.into_iter());
+        assert!(
+            matches!(res, Err(RuntimeError::IndexOutOfRange { .. })),
+            "{res:?}"
+        );
+        assert_eq!(open.len(), 10, "a rejected call appended packets");
+
+        // From the state the faults left, a fresh hold and run matches the
+        // interpreter on every register.
+        let mut interp = Switch::new(program.clone()).unwrap();
+        interp
+            .set_register_state(cs.register_state().clone())
+            .unwrap();
+        interpret(&mut interp, fields, (0..10).map(|k| (OP_BUMP, k, words[k])));
+        cs.hold_ranges(
+            &mut open,
+            fields,
+            OP_BUMP,
+            [bump(3, 97), bump(0, 100)].into_iter(),
+        )
+        .unwrap();
+        cs.run_held(&mut open).unwrap();
+        interpret(
+            &mut interp,
+            fields,
+            (0..97).map(|k| (OP_BUMP, 3 + k, words[k])),
+        );
+        interpret(
+            &mut interp,
+            fields,
+            (0..100).map(|k| (OP_BUMP, k, words[k])),
+        );
+        assert_eq!(cs.register_state(), interp.register_state());
+        assert!((0..100).any(|s| cs.register(RegArrayId(0), s) != 0));
     }
 }
