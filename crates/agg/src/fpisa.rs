@@ -71,8 +71,8 @@ impl FpisaAggregator {
         )
     }
 
-    /// [`FpisaAggregator::fp16_tofino`] sharded across `shards` cores,
-    /// with shard boundaries aligned to `chunk` slots so every protocol
+    /// [`FpisaAggregator::fp16_tofino`] partitioned into `shards` slot
+    /// ranges, with shard boundaries aligned to `chunk` slots so every protocol
     /// chunk's slot range lands on exactly one shard (pass the job's
     /// `elements_per_packet`). [`crate::Aggregator::add_wire_multi`] runs
     /// each shard's chunks on that shard's engine, shard by shard on the

@@ -108,7 +108,8 @@ impl SwitchMlFixedPoint {
         })
     }
 
-    /// Re-partition the backend's slot space across `shards` cores, with
+    /// Re-partition the backend's slot space into `shards` slot-range
+    /// partitions, run one after another on the calling thread, with
     /// shard boundaries aligned to `chunk` slots (pass the job's
     /// `elements_per_packet` so whole chunks land on one shard). Register
     /// state must be empty — shard on construction, before any packet.

@@ -33,6 +33,8 @@
 //!   `fpisa-netsim`, lossless and at 10% loss, reporting both the
 //!   wall-clock cost of simulating and the simulated protocol time.
 
+#![forbid(unsafe_code)]
+
 use fpisa_agg::{
     AggregationSwitch, Aggregator, FpisaAggregator, GradientWorkload, SwitchMlFixedPoint,
 };
@@ -48,9 +50,9 @@ use std::time::Instant;
 pub const SCHEMA: &str = "fpisa-bench/v1";
 
 /// Provenance of a benchmark recording: enough to judge whether two JSON
-/// files are comparable. A 1-core container and an 8-core host produce
-/// wildly different shard curves, and a debug-profile run is meaningless —
-/// the header makes both visible in the recorded artifact.
+/// files are comparable. A shared 2-core container and an idle 8-core
+/// host time differently, and a debug-profile run is meaningless — the
+/// header makes both visible in the recorded artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchMeta {
     /// Parallelism the harness saw (`std::thread::available_parallelism`);
@@ -479,25 +481,15 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
         ..GradientWorkload::fig10(16)
     };
     let big_rounds = ((2.0 * scale) as u64).max(1);
-    let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     for shards in [1usize, 2, 4, 8] {
         // `ingest_batch` hands the shards their chunks as slot ranges,
-        // which run shard by shard on the calling thread; the worker pool
-        // (budget forced to the shard count here) serves only scattered
-        // `add_batch` / `read_batch`. Rows from a 1-core host keep their
-        // `_forcedpool` suffix so they are never compared with rows from
-        // hosts with more cores.
-        let name = if shards > 1 && host_cores == 1 {
-            format!("agg/allreduce/fpisa_fp16_shards{shards}_forcedpool")
-        } else {
-            format!("agg/allreduce/fpisa_fp16_shards{shards}")
-        };
+        // which run shard by shard on the calling thread.
+        let name = format!("agg/allreduce/fpisa_fp16_shards{shards}");
         let spec = PipelineSpec::new(PipelineVariant::TofinoA)
             .format(FpFormat::FP16)
             .slots(big.elements)
             .shards(shards)
-            .shard_align(big.elements_per_packet)
-            .parallelism(shards);
+            .shard_align(big.elements_per_packet);
         bench_allreduce(
             &mut results,
             &name,
@@ -688,15 +680,8 @@ mod tests {
         assert_eq!(results.len(), 6);
         assert!(results.iter().any(|r| r.name == "agg/allreduce/fpisa_fp16"));
         assert!(results.iter().any(|r| r.name == "agg/allreduce/switchml"));
-        // Shard rows that time-slice a single core are labeled
-        // `_forcedpool`; on a multi-core host they keep the plain name.
-        let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
         for shards in [1, 2, 4, 8] {
-            let want = if shards > 1 && host_cores == 1 {
-                format!("agg/allreduce/fpisa_fp16_shards{shards}_forcedpool")
-            } else {
-                format!("agg/allreduce/fpisa_fp16_shards{shards}")
-            };
+            let want = format!("agg/allreduce/fpisa_fp16_shards{shards}");
             assert!(
                 results.iter().any(|r| r.name == want),
                 "missing shard row {want}"

@@ -13,6 +13,8 @@
 //! tiny batch sizes and writes nothing — timing-flake-proof coverage for
 //! CI, not a measurement.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");

@@ -45,8 +45,8 @@
 //! assert_eq!(acc.read_f32(), 4.0);
 //! ```
 
-// The arithmetic oracle is plain integer code; keeping it so by
-// construction keeps the ASan job scoped to the crates that need it.
+// The arithmetic oracle is plain integer code, and like every crate of
+// the workspace it forbids `unsafe`.
 #![forbid(unsafe_code)]
 
 pub mod accumulator;

@@ -31,6 +31,8 @@
 //! assert!(fpu.area_um2 > 4.0 * alu.area_um2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cells;
 pub mod components;
 pub mod netlist;

@@ -37,11 +37,11 @@
 //!
 //! On the compiled engine [`FpisaPipeline::add_ranges`] keeps a partly
 //! filled batch **open** across calls, so the small chunks the wire carries
-//! run as full [`LANE_CHUNK`]-lane batches. An ADD takes effect no later
-//! than the next call that reads, clears or runs packets — every read-out,
-//! register value and error is the one running each call at once would
-//! give — and a call that fails validation returns before anything is
-//! appended.
+//! run as full [`LANE_CHUNK`](fpisa_pisa::LANE_CHUNK)-lane batches. An ADD
+//! takes effect no later than the next call that reads, clears or runs
+//! packets — every read-out, register value and error is the one running
+//! each call at once would give — and a call that fails validation returns
+//! before anything is appended.
 //!
 //! ## Example
 //!
@@ -79,6 +79,8 @@
 //! read-out. Inputs must be finite: a PISA switch has no NaN semantics,
 //! and the paper assumes hosts send finite values.
 
+#![forbid(unsafe_code)]
+
 pub mod program;
 pub mod report;
 pub mod spec;
@@ -91,20 +93,15 @@ use fpisa_core::{FpFormat, FpisaConfig};
 use fpisa_pisa::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, BatchLanes, CompiledSwitch,
     DispatchCounts, Phv, ProgramError, ResourceReport, RuntimeError, ShardedSwitch, SlotFields,
-    SlotRange, Switch, SwitchProgram, LANE_CHUNK,
+    SlotRange, Switch, SwitchProgram,
 };
 
 /// Packets per internal batch chunk of the interpreter: small enough that
 /// the whole PHV buffer stays L1-resident (64 packets × ~50 containers ×
 /// 8 B ≈ 26 KiB), large enough to amortize the per-call overhead of the
-/// batch APIs. The compiled engine cuts [`LANE_CHUNK`]-lane batches.
+/// batch APIs. The compiled engines cut
+/// [`LANE_CHUNK`](fpisa_pisa::LANE_CHUNK)-lane batches.
 const BATCH_CHUNK: usize = 64;
-
-/// Packets per scattered batch chunk on the **sharded** engine: buckets are handed
-/// to pool workers per chunk, so the chunk must be big enough to amortize
-/// the hand-off across all shards (8192 packets × ~50 containers × 8 B ≈
-/// 3 MiB — cache residency matters less than core utilization here).
-const SHARDED_BATCH_CHUNK: usize = 8192;
 
 /// Run the static analyzer over a generated program per the spec's
 /// [`AnalysisLevel`]: `Off` skips it, `Warn` runs it without failing,
@@ -141,7 +138,8 @@ enum Engine {
     Interpreted,
     /// The single-core compiled fast path.
     Compiled(CompiledSwitch),
-    /// The multi-core slot-range-sharded fast path.
+    /// The compiled fast path over slot-range partitions, run one after
+    /// another on the calling thread.
     Sharded(ShardedSwitch),
 }
 
@@ -161,18 +159,17 @@ pub struct FpisaPipeline {
     /// spec selects [`ExecEngine::Interpreted`].
     switch: Switch,
     /// The engine holding the live register state: the interpreter
-    /// (`switch`), the single-core compiled fast path, or the sharded
-    /// multi-core path when [`PipelineSpec::shards`] asks for one.
+    /// (`switch`), the single compiled engine, or the sharded one when
+    /// [`PipelineSpec::shards`] asks for one.
     engine: Engine,
     /// Scratch PHV reused by the scalar packet APIs.
     scratch: Phv,
-    /// PHV buffer reused by the interpreter's batch APIs and the sharded
-    /// engine's scattered ones, grown on first use.
+    /// PHV buffer reused by the interpreter's batch APIs, grown on first
+    /// use.
     batch_buf: Vec<Phv>,
-    /// SoA column buffer reused by the compiled engine's batch APIs and by
-    /// both compiled engines' range APIs: packets are written straight
-    /// into field columns — no per-packet PHV construction, no transpose
-    /// at the boundary.
+    /// SoA column buffer reused by both compiled engines' batch and range
+    /// APIs: packets are written straight into field columns — no
+    /// per-packet PHV construction, no transpose at the boundary.
     lanes: BatchLanes,
     /// The compiled engine's open ADD batch: packets
     /// [`FpisaPipeline::add_ranges`] has accepted but not yet run
@@ -228,12 +225,6 @@ impl FpisaPipeline {
                     sharded = sharded
                         .attach_safety_proofs(&proofs)
                         .expect("proofs were produced for these exact shards");
-                }
-                if let Some(pm) = spec.parallel_min_threshold() {
-                    sharded = sharded.with_parallel_min(pm);
-                }
-                if let Some(threads) = spec.parallelism_override() {
-                    sharded = sharded.with_parallelism(threads);
                 }
                 Engine::Sharded(sharded)
             }
@@ -369,23 +360,6 @@ impl FpisaPipeline {
             .ok_or_else(|| self.slot_error(start.saturating_add(len).saturating_sub(1)))
     }
 
-    /// Packets per internal batch chunk for the active engine.
-    fn batch_chunk(&self) -> usize {
-        match &self.engine {
-            Engine::Sharded(_) => SHARDED_BATCH_CHUNK,
-            _ => BATCH_CHUNK,
-        }
-    }
-
-    /// Grow the reusable batch buffer to one chunk of PHVs.
-    fn ensure_batch_buf(&mut self) {
-        let chunk = self.batch_chunk();
-        if self.batch_buf.len() < chunk {
-            let proto = self.switch.phv();
-            self.batch_buf.resize(chunk, proto);
-        }
-    }
-
     /// Process an ADD packet: fold a packed value of the spec's format
     /// into `slot`. Bits above the format's width are ignored, exactly as
     /// [`FpFormat::unpack`] masks them.
@@ -408,7 +382,7 @@ impl FpisaPipeline {
     }
 
     /// Process a slice of ADD packets — `(slot, packed bits)` pairs —
-    /// through a reusable PHV buffer: the bulk-aggregation hot path, with
+    /// through the reusable lane buffer: the bulk-aggregation hot path, with
     /// no per-packet construction work at all.
     ///
     /// Slot indices are validated up front: on an out-of-range slot the
@@ -417,14 +391,7 @@ impl FpisaPipeline {
     /// packets applied, like the equivalent scalar loop.)
     pub fn add_batch(&mut self, packets: &[(usize, u64)]) -> Result<(), RuntimeError> {
         self.validate_slots(packets.iter().map(|&(s, _)| s))?;
-        self.run_batch_impl(
-            packets.len(),
-            |i| {
-                let (slot, bits) = packets[i];
-                (OP_ADD, slot as u64, bits)
-            },
-            None,
-        )
+        self.run_pairs(OP_ADD, packets.len(), |i| packets[i], None)
     }
 
     /// [`FpisaPipeline::add_batch`] for packets that arrive as the wire
@@ -444,9 +411,10 @@ impl FpisaPipeline {
     ///
     /// On the compiled engine the packets join the **open batch**
     /// ([`CompiledSwitch::hold_ranges`]): each batch that reaches
-    /// [`LANE_CHUNK`] lanes runs now, and the remainder waits for the next
-    /// call. An ADD takes effect no later than the next call that reads,
-    /// clears or runs packets ([`FpisaPipeline::register_state`] included),
+    /// [`LANE_CHUNK`](fpisa_pisa::LANE_CHUNK) lanes runs now, and the
+    /// remainder waits for the next call. An ADD takes effect no later than
+    /// the next call that reads, clears or runs packets
+    /// ([`FpisaPipeline::register_state`] included),
     /// so nothing observable changes but the batch boundaries; a fault of
     /// the open batch is returned by the call that runs it. The
     /// interpreter and the sharded engine run every call at once.
@@ -471,14 +439,8 @@ impl FpisaPipeline {
             "add_batch_f32 on a non-FP32 pipeline"
         );
         self.validate_slots(packets.iter().map(|&(s, _)| s))?;
-        self.run_batch_impl(
-            packets.len(),
-            |i| {
-                let (slot, x) = packets[i];
-                (OP_ADD, slot as u64, u64::from(x.to_bits()))
-            },
-            None,
-        )
+        let pair = |i: usize| (packets[i].0, u64::from(packets[i].1.to_bits()));
+        self.run_pairs(OP_ADD, packets.len(), pair, None)
     }
 
     /// Process an ADD packet carrying an `f32`. Panics on non-FP32 specs
@@ -523,18 +485,14 @@ impl FpisaPipeline {
         Ok(self.scratch.get(self.fields.result))
     }
 
-    /// Process a READ packet per requested slot through the reusable PHV
+    /// Process a READ packet per requested slot through the reusable lane
     /// buffer, returning the packed read-outs in order. Slot indices are
     /// validated up front, like [`FpisaPipeline::add_batch`]; reading does
     /// not modify any slot.
     pub fn read_batch(&mut self, slots: &[usize]) -> Result<Vec<u64>, RuntimeError> {
         self.validate_slots(slots.iter().copied())?;
         let mut out = Vec::with_capacity(slots.len());
-        self.run_batch_impl(
-            slots.len(),
-            |i| (OP_READ, slots[i] as u64, 0),
-            Some(&mut out),
-        )?;
+        self.run_pairs(OP_READ, slots.len(), |i| (slots[i], 0), Some(&mut out))?;
         Ok(out)
     }
 
@@ -557,12 +515,13 @@ impl FpisaPipeline {
     /// READ packets carry none). Ranges are already validated.
     ///
     /// Both compiled engines fill lanes straight from the ranges:
-    /// [`CompiledSwitch::run_ranges`] cuts [`LANE_CHUNK`]-lane batches — the
-    /// same batches [`FpisaPipeline::add_batch`] would cut from the
-    /// flattened packets — and [`ShardedSwitch::run_ranges`] runs each
+    /// [`CompiledSwitch::run_ranges`] cuts
+    /// [`LANE_CHUNK`](fpisa_pisa::LANE_CHUNK)-lane batches — the same
+    /// batches [`FpisaPipeline::add_batch`] would cut from the flattened
+    /// packets — and [`ShardedSwitch::run_ranges`] runs each
     /// shard's pieces that way on the calling thread. Only the interpreter,
     /// the oracle, runs the same packets as PHVs through
-    /// [`FpisaPipeline::run_batch_impl`].
+    /// [`FpisaPipeline::run_phvs`].
     fn run_ranges<'a>(
         &mut self,
         op: u64,
@@ -577,76 +536,65 @@ impl FpisaPipeline {
             Engine::Interpreted => {
                 let n = ranges.clone().map(|(_, len, _)| len).sum();
                 let mut packets = ranges.flat_map(|(start, len, words)| {
-                    (0..len).map(move |k| (op, (start + k) as u64, words.map_or(0, |w| w[k])))
+                    (0..len).map(move |k| (start + k, words.map_or(0, |w| w[k])))
                 });
                 let next = |_| packets.next().expect("one packet per counted slot");
-                self.run_batch_impl(n, next, collect)
+                self.run_phvs(op, n, next, collect)
             }
         }
     }
 
-    /// The shared batch loop. `fill` yields packet `i`'s `(op, slot,
-    /// value)` input fields, and is asked for each `i` once, in order;
-    /// when `collect` is given, every processed packet's `result` field is
-    /// appended to it.
+    /// The scattered batch loop: `n` `op` packets, packet `i` carrying the
+    /// `(slot, word)` that `pair(i)` returns. Slots are already validated.
     ///
-    /// On the compiled engine the packets are written straight into the
-    /// reusable [`BatchLanes`] columns and executed there — no per-packet
-    /// PHV is ever materialized, and read-outs come straight off the
-    /// result column. The interpreted and sharded engines stream chunks
-    /// of the reusable PHV buffer as before.
-    fn run_batch_impl(
+    /// Both compiled engines fill lanes straight from the pairs —
+    /// [`CompiledSwitch::run_pairs`], and [`ShardedSwitch::run_pairs`]
+    /// shard by shard — the way [`FpisaPipeline::run_ranges`] dispatches
+    /// ranges; only the interpreter runs them as PHVs.
+    fn run_pairs(
         &mut self,
+        op: u64,
         n: usize,
-        mut fill: impl FnMut(usize) -> (u64, u64, u64),
-        mut collect: Option<&mut Vec<u64>>,
+        pair: impl Fn(usize) -> (usize, u64),
+        collect: Option<&mut Vec<u64>>,
     ) -> Result<(), RuntimeError> {
         self.run_open()?;
-        let (f_op, f_slot, f_value, f_result) = (
-            self.fields.op,
-            self.fields.slot,
-            self.fields.value,
-            self.fields.result,
-        );
-        if let Engine::Compiled(c) = &mut self.engine {
-            let lanes = &mut self.lanes;
-            if lanes.capacity() == 0 {
-                *lanes = BatchLanes::new(c.layout(), LANE_CHUNK.min(n.max(1)));
-            }
-            for start in (0..n).step_by(LANE_CHUNK) {
-                let len = LANE_CHUNK.min(n - start);
-                lanes.begin(len);
-                for k in 0..len {
-                    let (op, slot, value) = fill(start + k);
-                    lanes.set(f_op, k, op);
-                    lanes.set(f_slot, k, slot);
-                    lanes.set(f_value, k, value);
-                }
-                c.run_lanes(lanes)?;
-                if let Some(out) = collect.as_deref_mut() {
-                    out.extend((0..len).map(|k| lanes.get(f_result, k)));
-                }
-            }
-            return Ok(());
+        let fields = self.slot_fields();
+        match &mut self.engine {
+            Engine::Compiled(c) => c.run_pairs(&mut self.lanes, fields, op, n, pair, collect),
+            Engine::Sharded(s) => s.run_pairs(&mut self.lanes, fields, op, n, pair, collect),
+            Engine::Interpreted => self.run_phvs(op, n, pair, collect),
         }
-        self.ensure_batch_buf();
-        let chunk = self.batch_chunk();
-        for start in (0..n).step_by(chunk) {
-            let len = chunk.min(n - start);
+    }
+
+    /// The interpreter's batch loop: `n` `op` packets streamed through
+    /// chunks of the reusable PHV buffer. `fill` yields packet `i`'s
+    /// `(slot, value)` and is asked for each `i` once, in order; when
+    /// `collect` is given, every processed packet's `result` field is
+    /// appended to it.
+    fn run_phvs(
+        &mut self,
+        op: u64,
+        n: usize,
+        mut fill: impl FnMut(usize) -> (usize, u64),
+        mut collect: Option<&mut Vec<u64>>,
+    ) -> Result<(), RuntimeError> {
+        if self.batch_buf.len() < BATCH_CHUNK {
+            self.batch_buf.resize(BATCH_CHUNK, self.switch.phv());
+        }
+        let f = self.slot_fields();
+        for start in (0..n).step_by(BATCH_CHUNK) {
+            let len = BATCH_CHUNK.min(n - start);
             for (k, phv) in self.batch_buf[..len].iter_mut().enumerate() {
                 phv.clear();
-                let (op, slot, value) = fill(start + k);
-                phv.set(f_op, op);
-                phv.set(f_slot, slot);
-                phv.set(f_value, value);
+                let (slot, value) = fill(start + k);
+                phv.set(f.op, op);
+                phv.set(f.slot, slot as u64);
+                phv.set(f.value, value);
             }
-            match &mut self.engine {
-                Engine::Interpreted => self.switch.run_batch(&mut self.batch_buf[..len])?,
-                Engine::Compiled(_) => unreachable!("compiled engine uses the lanes path"),
-                Engine::Sharded(s) => s.run_batch(&mut self.batch_buf[..len])?,
-            };
+            self.switch.run_batch(&mut self.batch_buf[..len])?;
             if let Some(out) = collect.as_deref_mut() {
-                out.extend(self.batch_buf[..len].iter().map(|p| p.get(f_result)));
+                out.extend(self.batch_buf[..len].iter().map(|p| p.get(f.result)));
             }
         }
         Ok(())

@@ -185,12 +185,6 @@ pub struct PipelineSpec {
     engine: ExecEngine,
     shards: usize,
     shard_align: usize,
-    /// `None` keeps [`fpisa_pisa::DEFAULT_PARALLEL_MIN`].
-    #[serde(default)]
-    parallel_min: Option<usize>,
-    /// `None` asks the OS (`std::thread::available_parallelism`).
-    #[serde(default)]
-    parallelism: Option<usize>,
     /// Verify-on-compile level: [`AnalysisLevel::Deny`] by default.
     #[serde(default)]
     analysis: AnalysisLevel,
@@ -210,8 +204,6 @@ impl PipelineSpec {
             engine: ExecEngine::Compiled,
             shards: 1,
             shard_align: 1,
-            parallel_min: None,
-            parallelism: None,
             analysis: AnalysisLevel::default(),
         }
     }
@@ -258,11 +250,11 @@ impl PipelineSpec {
         self
     }
 
-    /// Builder: shard the slot space across `shards` compiled engines run
-    /// on separate cores (1 — the default — keeps the single-engine
-    /// path). Each shard owns a contiguous slot range; results are
-    /// bit-for-bit identical to single-core execution. Requires the
-    /// compiled engine.
+    /// Builder: partition the slot space across `shards` compiled engines,
+    /// slot-range partitions run one after another on the calling thread
+    /// (1 — the default — keeps the single-engine path). Each shard owns a
+    /// contiguous slot range; results are bit-for-bit identical to the
+    /// single engine. Requires the compiled engine.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -274,27 +266,6 @@ impl PipelineSpec {
     /// shard.
     pub fn shard_align(mut self, align: usize) -> Self {
         self.shard_align = align.max(1);
-        self
-    }
-
-    /// Builder: set the sharded engine's single-thread batch threshold —
-    /// batches below this many packets stay on the calling thread
-    /// (default [`fpisa_pisa::DEFAULT_PARALLEL_MIN`]). Only meaningful
-    /// with [`PipelineSpec::shards`] `> 1`; semantics are identical at
-    /// any value.
-    pub fn parallel_min(mut self, packets: usize) -> Self {
-        self.parallel_min = Some(packets);
-        self
-    }
-
-    /// Builder: override the sharded engine's worker-thread budget
-    /// instead of asking the OS. `>= 2` forces the persistent worker pool
-    /// on even where `available_parallelism` reports one core — the knob
-    /// CI smoke runs use to exercise the pool path on single-core hosts.
-    /// Only meaningful with [`PipelineSpec::shards`] `> 1`; semantics are
-    /// identical at any value.
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = Some(threads);
         self
     }
 
@@ -358,16 +329,6 @@ impl PipelineSpec {
     /// The shard-boundary alignment in slots.
     pub fn shard_alignment(&self) -> usize {
         self.shard_align
-    }
-
-    /// The configured single-thread batch threshold, if overridden.
-    pub fn parallel_min_threshold(&self) -> Option<usize> {
-        self.parallel_min
-    }
-
-    /// The configured worker-thread budget, if overridden.
-    pub fn parallelism_override(&self) -> Option<usize> {
-        self.parallelism
     }
 
     /// The slot ranges the spec's shards own: a balanced, exact,

@@ -455,7 +455,7 @@ fn directed_edge_streams_match_bit_for_bit() {
                     // to zero/subnormal).
                     let bits = format.encode(x as f64);
                     if format.unpack(bits).class == FpClass::Infinity {
-                        continue; // 1e20 overflows FP16; skip, don't poison.
+                        continue; // 1e20 overflows FP16; skip it.
                     }
                     pipe.add_bits(0, bits).unwrap();
                     reference.add_bits(bits).unwrap();

@@ -2145,22 +2145,12 @@ impl CompiledSwitch {
     /// ([`CompiledSwitch::run_batch_soa`]); everything else runs
     /// per-packet. Results are bit-for-bit identical either way.
     pub fn run_batch(&mut self, phvs: &mut [Phv]) -> Result<u64, RuntimeError> {
-        self.run_batch_indexed(phvs).map_err(|(_, e)| e)
-    }
-
-    /// [`CompiledSwitch::run_batch`], but faults carry the index of the
-    /// faulting packet (the sharding layer needs it to report the earliest
-    /// fault in original batch order).
-    pub(crate) fn run_batch_indexed(
-        &mut self,
-        phvs: &mut [Phv],
-    ) -> Result<u64, (usize, RuntimeError)> {
         if self.soa_simple && phvs.len() >= SOA_MIN {
-            return self.run_batch_soa_indexed(phvs);
+            return self.run_batch_soa(phvs);
         }
         let mut total = 0u64;
-        for (i, phv) in phvs.iter_mut().enumerate() {
-            total += u64::from(self.run(phv).map_err(|e| (i, e))?);
+        for phv in phvs.iter_mut() {
+            total += u64::from(self.run(phv)?);
         }
         Ok(total)
     }
@@ -2175,15 +2165,8 @@ impl CompiledSwitch {
     /// [SoA-eligible](CompiledSwitch::soa_eligible) fall back to the
     /// per-packet engine internally.
     pub fn run_batch_soa(&mut self, phvs: &mut [Phv]) -> Result<u64, RuntimeError> {
-        self.run_batch_soa_indexed(phvs).map_err(|(_, e)| e)
-    }
-
-    fn run_batch_soa_indexed(&mut self, phvs: &mut [Phv]) -> Result<u64, (usize, RuntimeError)> {
-        if !self.soa_simple {
-            return self.run_batch_indexed(phvs);
-        }
-        if phvs.is_empty() {
-            return Ok(0);
+        if !self.soa_simple || phvs.is_empty() {
+            return self.run_batch(phvs);
         }
         let mut lanes = std::mem::take(&mut self.lanes);
         lanes.load(phvs);
@@ -2194,7 +2177,7 @@ impl CompiledSwitch {
         let stored = res.as_ref().map_or_else(|(i, _)| i + 1, |_| phvs.len());
         lanes.store_fields(phvs, stored, self.written.iter().copied());
         self.lanes = lanes;
-        res
+        res.map_err(|(_, e)| e)
     }
 
     /// Execute a batch held directly in [`BatchLanes`] — the zero-copy

@@ -64,7 +64,7 @@
 //! register state, pass counts and errors must agree packet by packet) and
 //! by the FPISA pipeline's differential suite.
 //!
-//! ## Sharded multi-core execution
+//! ## Sharded execution
 //!
 //! All switch state lives in a flat, slot-range-partitionable
 //! [`register::RegisterState`] shared by both engines
@@ -72,14 +72,16 @@
 //! on it: the slot space is split into contiguous ranges
 //! ([`shard::partition_slots`], optionally chunk-aligned), each owned by
 //! one compiled shard, packets are routed by a caller-supplied slot
-//! field and rebased to shard-local indices. Range-shaped batches
-//! ([`shard::ShardedSwitch::run_ranges`]) are split at shard boundaries
-//! and run shard by shard on the calling thread through the same lane
-//! loop a single engine uses ([`compile::CompiledSwitch::run_ranges`]);
-//! scattered PHV batches ([`shard::ShardedSwitch::run_batch`]) fan out
-//! across a persistent channel-fed worker pool with zero cross-shard
-//! locking. Both stay bit-for-bit identical to a single full-space engine,
-//! because routing preserves the per-slot packet order.
+//! field and rebased to shard-local indices. The shards are slot-range
+//! partitions run one after another on the calling thread, like a Tofino's
+//! pipes each owning their own register state: range-shaped batches
+//! ([`shard::ShardedSwitch::run_ranges`]) are split at shard boundaries,
+//! scattered ones ([`shard::ShardedSwitch::run_pairs`]) are sorted by
+//! shard, and each shard's packets go through the same lane loops a
+//! single engine uses ([`compile::CompiledSwitch::run_ranges`],
+//! [`compile::CompiledSwitch::run_pairs`]). Both stay bit-for-bit
+//! identical to a single full-space engine, because routing preserves the
+//! per-slot packet order.
 //!
 //! ## Static analysis
 //!
@@ -93,6 +95,8 @@
 //! [`compile::CompiledSwitch::compile_with`] gates compilation on the
 //! result ([`analysis::AnalysisLevel`]). Every built-in FPISA pipeline
 //! cell and both aggregation backends analyze clean.
+
+#![forbid(unsafe_code)]
 
 pub mod action;
 pub mod analysis;
@@ -119,7 +123,7 @@ pub use register::{
     SaluCond, SaluOutput, SaluUpdate, SlotRange, StatefulCall,
 };
 pub use resources::{ResourceReport, StageResources};
-pub use shard::{partition_slots, partition_slots_aligned, ShardedSwitch, DEFAULT_PARALLEL_MIN};
+pub use shard::{partition_slots, partition_slots_aligned, ShardedSwitch};
 pub use stage::Stage;
 pub use switch::{
     PacketTrace, ProgramError, RuntimeError, Switch, SwitchCaps, SwitchProgram, TraceEntry,

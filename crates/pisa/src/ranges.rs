@@ -6,6 +6,9 @@
 //! [`CompiledSwitch::run_ranges`] is the one lane loop every compiled
 //! engine uses for them; [`crate::ShardedSwitch::run_ranges`] splits the
 //! ranges at shard boundaries and runs each shard's pieces through it.
+//! Scattered `(slot, word)` pairs take its twin,
+//! [`CompiledSwitch::run_pairs`], which [`crate::ShardedSwitch::run_pairs`]
+//! feeds shard by shard the same way.
 //!
 //! The same loop can also leave its last batch **open**
 //! ([`CompiledSwitch::hold_ranges`]): a call fills lanes from where the
@@ -21,20 +24,21 @@ use crate::compile::CompiledSwitch;
 use crate::phv::{BatchLanes, FieldId, PhvLayout};
 use crate::switch::RuntimeError;
 
-/// Lanes per batch cut from ranges (and the batch size of
-/// `fpisa-pipeline`'s scattered compiled batches): each `u32` column of
-/// 256 lanes is 1 KiB, so a batch stays cache-resident while amortizing
-/// the per-table dispatch over many packets.
+/// Lanes per batch cut from ranges or from scattered pairs: each `u32`
+/// column of 256 lanes is 1 KiB, so a batch stays cache-resident while
+/// amortizing the per-table dispatch over many packets.
 pub const LANE_CHUNK: usize = 256;
 
-/// The four PHV fields a range-shaped batch writes and reads.
+/// The four PHV fields a range- or pair-shaped batch writes and reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotFields {
     /// The opcode column: one value for every packet of a call.
     pub op: FieldId,
-    /// The slot column: `start, start + 1, …` per range.
+    /// The slot column: `start, start + 1, …` per range, or each pair's
+    /// slot.
     pub slot: FieldId,
-    /// The value column: a range's words (zero when it carries none).
+    /// The value column: a range's words (zero when it carries none), or
+    /// each pair's word.
     pub value: FieldId,
     /// The result column, drained into the caller's sink when one is
     /// given.
@@ -105,6 +109,54 @@ impl CompiledSwitch {
         let ran = self.run_lanes(open);
         open.begin(0);
         ran.map(drop)
+    }
+
+    /// The scattered twin of [`CompiledSwitch::run_ranges`]: run `n` `op`
+    /// packets in order, packet `i` carrying the `(slot, word)` that
+    /// `pair(i)` returns. When `collect` is given, every packet's result is
+    /// appended to it in packet order.
+    ///
+    /// A batch is [`LANE_CHUNK`] lanes: the `op` column is written once per
+    /// batch and each packet's slot and word with [`BatchLanes::set`].
+    /// `lanes` is the caller's reusable buffer, as for `run_ranges`.
+    ///
+    /// A slot that does not fit the slot field is rejected before any
+    /// packet runs; slots past a register array fault in Phase C like any
+    /// packet's (see [`CompiledSwitch::run_lanes`] for what a fault leaves
+    /// applied). Panics if a field is not in this engine's layout.
+    pub fn run_pairs(
+        &mut self,
+        lanes: &mut BatchLanes,
+        fields: SlotFields,
+        op: u64,
+        n: usize,
+        pair: impl Fn(usize) -> (usize, u64),
+        mut collect: Option<&mut Vec<u64>>,
+    ) -> Result<(), RuntimeError> {
+        let slot_max = PhvLayout::mask(self.layout().spec(fields.slot).bits);
+        if let Some((slot, _)) = (0..n).map(&pair).find(|&(s, _)| s as u64 > slot_max) {
+            return Err(RuntimeError::IndexOutOfRange {
+                detail: format!("slot {slot} overflows the slot field"),
+            });
+        }
+        if lanes.capacity() == 0 {
+            *lanes = BatchLanes::new(self.layout(), LANE_CHUNK.min(n.max(1)));
+        }
+        for from in (0..n).step_by(LANE_CHUNK) {
+            let len = LANE_CHUNK.min(n - from);
+            lanes.begin(len);
+            lanes.fill(fields.op, 0, op);
+            for k in 0..len {
+                let (slot, word) = pair(from + k);
+                lanes.set(fields.slot, k, slot as u64);
+                lanes.set(fields.value, k, word);
+            }
+            self.run_lanes(lanes)?;
+            if let Some(out) = collect.as_deref_mut() {
+                lanes.extend_from_column(fields.result, out);
+            }
+        }
+        Ok(())
     }
 
     /// The range lane loop: append the ranges' packets to the lanes in

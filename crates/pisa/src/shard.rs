@@ -1,13 +1,13 @@
-//! Multi-core sharded execution: slot-range-partitioned switch state.
+//! Sharded execution: slot-range-partitioned switch state.
 //!
-//! A single [`CompiledSwitch`] is one core's worth of throughput. The
-//! register state it guards, however, is *partitionable*: in every FPISA
-//! workload the stateful arrays are indexed by an **aggregation slot**
-//! carried in a PHV field, and two packets for different slots never touch
-//! the same register entry. [`ShardedSwitch`] exploits exactly that — the
-//! software analogue of the paper's observation that line rate comes from
-//! parallelism across pipeline resources, and of SwitchML/ATP-style pool
-//! partitioning on the aggregation side:
+//! The register state a [`CompiledSwitch`] guards is *partitionable*: in
+//! every FPISA workload the stateful arrays are indexed by an
+//! **aggregation slot** carried in a PHV field, and two packets for
+//! different slots never touch the same register entry. [`ShardedSwitch`]
+//! partitions it the way a Tofino partitions register state across its
+//! pipes — the paper's observation that line rate comes from partitioning
+//! pipeline resources, and of SwitchML/ATP-style pool partitioning on the
+//! aggregation side:
 //!
 //! * the slot space `0..total` is split into contiguous [`SlotRange`]s
 //!   that cover it **exactly once** (checked by
@@ -18,36 +18,30 @@
 //!   [`RegisterState::merged`] can reassemble;
 //! * every packet is routed by the caller-supplied **slot field** — the
 //!   PHV field carrying the global slot index — to the shard owning that
-//!   slot, and the field is rebased to the shard-local index on the way
+//!   slot, and the slot is rebased to the shard-local index on the way
 //!   in;
 //! * [`ShardedSwitch::run_ranges`] takes packets as the protocol carries
 //!   them — `(start, len, words)` ranges of global slots — clips each
 //!   range to each shard's range, rebases the piece, and runs every
-//!   shard's pieces on that shard's engine **on the calling thread**
-//!   through [`CompiledSwitch::run_ranges`]: lanes filled a column at a
-//!   time from the wire words, no PHV built or transposed, no hand-off;
-//! * [`ShardedSwitch::run_batch`] — scattered packets in a PHV buffer,
-//!   the one path the pool serves — partitions the buffer by shard and
-//!   feeds the buckets to a **persistent worker pool** — long-lived
-//!   worker threads created once on the first large batch and fed over
-//!   channels, with **zero cross-shard locking**: each worker owns its
-//!   shard's `&mut CompiledSwitch` and its own packet bucket for the
-//!   duration of the batch, so there is nothing to contend on. (Earlier
-//!   revisions spawned a fresh `std::thread::scope` per batch; at the
-//!   8192-packet batches the pipeline feeds, thread spawn/join overhead
-//!   inverted the shard scaling curve.) Each bucket runs through
-//!   [`CompiledSwitch::run_batch`], so eligible programs get the SoA
-//!   engine per shard.
+//!   shard's pieces through [`CompiledSwitch::run_ranges`];
+//! * [`ShardedSwitch::run_pairs`] takes scattered `(slot, word)` packets,
+//!   sorts them by shard (stably), runs each shard's packets, rebased,
+//!   through [`CompiledSwitch::run_pairs`], and writes every result back
+//!   at its packet's position.
+//!
+//! The shards are slot-range partitions run one after another on the
+//! calling thread: lanes are filled straight from the caller's ranges or
+//! pairs, with no PHV built, no thread and no hand-off.
 //!
 //! Because routing preserves the relative order of packets that share a
 //! slot (indeed, of packets that share a *shard*), the register state and
 //! every read-out are **bit-for-bit identical** to running the same packet
 //! sequence through a single full-space engine — the invariant the
 //! pipeline differential suite enforces for every sharded configuration.
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::thread::JoinHandle;
+//! Every slot is validated before any packet runs. A fault inside a shard
+//! (a program that indexes past its arrays) is returned from the first
+//! faulting shard in shard order; the shards before it keep their packets
+//! applied, and the shards after it do not run.
 
 use crate::analysis::ShardSafetyProof;
 use crate::compile::CompiledSwitch;
@@ -55,12 +49,6 @@ use crate::phv::{BatchLanes, FieldId, Phv};
 use crate::ranges::SlotFields;
 use crate::register::{check_partition, RegArrayId, RegisterState, SlotRange};
 use crate::switch::RuntimeError;
-
-/// Default for [`ShardedSwitch::with_parallel_min`]: below this many
-/// packets a `run_batch` call stays on the calling thread (handing work
-/// to pool workers would cost more than it saves); sharded semantics —
-/// routing, rebasing, per-shard state — are identical either way.
-pub const DEFAULT_PARALLEL_MIN: usize = 128;
 
 /// Split `0..total` into at most `shards` contiguous, non-empty, balanced
 /// ranges (fewer when `total < shards`). The result always satisfies
@@ -92,114 +80,9 @@ pub fn partition_slots_aligned(total: usize, shards: usize, align: usize) -> Vec
     out
 }
 
-/// Run one shard's bucket through the batch engine (SoA when the program
-/// qualifies). The error index is the packet's position *within the
-/// bucket*.
-fn run_bucket(
-    shard: &mut CompiledSwitch,
-    bucket: &mut [Phv],
-) -> Result<u64, (usize, RuntimeError)> {
-    shard.run_batch_indexed(bucket)
-}
-
-/// One bucket's outcome: total pass count, or the first fault as
-/// (position within the bucket, error).
-type BucketResult = Result<u64, (usize, RuntimeError)>;
-
-/// One unit of pool work: a shard engine plus the packet bucket routed to
-/// it for the current batch.
-///
-/// Raw pointers rather than references because the job travels through a
-/// `'static` channel while being used strictly *inside* one `run_batch`
-/// call: `run_batch` never returns (or unwinds) before every dispatched
-/// job's completion has been received, and each job points at a distinct
-/// shard and a distinct bucket, so the worker holds the only live access.
-struct ShardJob {
-    shard_idx: usize,
-    shard: *mut CompiledSwitch,
-    bucket: *mut Phv,
-    len: usize,
-}
-
-// SAFETY: see [`ShardJob`] — exclusive disjoint access, bounded by the
-// dispatch/drain window inside a single `run_batch` call.
-unsafe impl Send for ShardJob {}
-
-enum Done {
-    Finished(usize, Result<u64, (usize, RuntimeError)>),
-    Panicked,
-}
-
-fn worker_loop(jobs: mpsc::Receiver<ShardJob>, done: mpsc::Sender<Done>) {
-    while let Ok(job) = jobs.recv() {
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: `run_batch` guarantees exclusive in-bounds access
-            // for the duration of the job (see `ShardJob`).
-            let shard = unsafe { &mut *job.shard };
-            let bucket = unsafe { std::slice::from_raw_parts_mut(job.bucket, job.len) };
-            run_bucket(shard, bucket)
-        }));
-        let msg = match res {
-            Ok(r) => Done::Finished(job.shard_idx, r),
-            // A completion is sent even on panic so the dispatcher's
-            // drain loop can never deadlock; it re-raises after draining.
-            Err(_) => Done::Panicked,
-        };
-        if done.send(msg).is_err() {
-            break;
-        }
-    }
-}
-
-/// Long-lived shard workers, created once and fed one bucket per batch
-/// over per-worker channels. Worker `i` serves shard `i + 1` (shard 0
-/// always runs inline on the dispatching thread). Dropping the pool
-/// closes the job channels, which ends each worker's `recv` loop.
-struct WorkerPool {
-    job_tx: Vec<mpsc::Sender<ShardJob>>,
-    done_rx: mpsc::Receiver<Done>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn spawn(workers: usize) -> Self {
-        let (done_tx, done_rx) = mpsc::channel();
-        let mut job_tx = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<ShardJob>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || worker_loop(rx, done)));
-            job_tx.push(tx);
-        }
-        WorkerPool {
-            job_tx,
-            done_rx,
-            handles,
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.job_tx.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
 /// N compiled shards behind one switch interface, each owning a slot
 /// range. See the [module docs](self) for the execution model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShardedSwitch {
     shards: Vec<CompiledSwitch>,
     ranges: Box<[SlotRange]>,
@@ -207,53 +90,18 @@ pub struct ShardedSwitch {
     /// global slot index every packet is routed (and rebased) by.
     slot_field: FieldId,
     total_slots: usize,
-    /// Batches below this size skip bucketing and run sequentially on the
-    /// calling thread ([`Self::with_parallel_min`]).
-    parallel_min: usize,
-    /// Worker-thread budget override ([`Self::with_parallelism`]); `None`
-    /// means ask the OS (`std::thread::available_parallelism`).
-    parallelism: Option<usize>,
-    /// Lazily spawned persistent workers; stays `None` until the first
-    /// batch that actually wants threads.
-    pool: Option<WorkerPool>,
-    /// Scratch: shard index per packet of the current batch.
+    /// Scratch: shard index per packet of the current scattered call.
     shard_of: Vec<u32>,
-    /// Scratch: per-shard packet buckets (packets are *moved*, not
-    /// cloned, in and out).
-    buckets: Vec<Vec<Phv>>,
-    /// Scratch: scatter-back cursors.
+    /// Scratch: per shard, the next free position in `order`.
     cursors: Vec<usize>,
-    /// Set when a shard panicked mid-batch: register and scratch state
-    /// may be inconsistent, so further traffic is refused loudly
-    /// instead of computing garbage (or hanging on a half-drained
-    /// pool).
-    poisoned: bool,
+    /// Scratch: the current call's packet indices, stably sorted by shard.
+    order: Vec<usize>,
+    /// Scratch: one shard's results, before they go back to their
+    /// packets' positions.
+    results: Vec<u64>,
     /// Whether a shard-safety proof covers every shard (see
     /// [`Self::attach_safety_proofs`]).
     safety_proven: bool,
-}
-
-impl Clone for ShardedSwitch {
-    fn clone(&self) -> Self {
-        // Worker threads are per-instance; the clone spawns its own on
-        // first demand.
-        ShardedSwitch {
-            shards: self.shards.clone(),
-            ranges: self.ranges.clone(),
-            slot_field: self.slot_field,
-            total_slots: self.total_slots,
-            parallel_min: self.parallel_min,
-            parallelism: self.parallelism,
-            pool: None,
-            shard_of: Vec::new(),
-            buckets: (0..self.shards.len()).map(|_| Vec::new()).collect(),
-            cursors: vec![0; self.shards.len()],
-            // Poison travels with the (possibly inconsistent) register
-            // state; recovery means building a fresh instance.
-            poisoned: self.poisoned,
-            safety_proven: self.safety_proven,
-        }
-    }
 }
 
 impl ShardedSwitch {
@@ -305,13 +153,10 @@ impl ShardedSwitch {
             ranges: ranges.into_boxed_slice(),
             slot_field,
             total_slots,
-            parallel_min: DEFAULT_PARALLEL_MIN,
-            parallelism: None,
-            pool: None,
             shard_of: Vec::new(),
-            buckets: (0..n).map(|_| Vec::new()).collect(),
             cursors: vec![0; n],
-            poisoned: false,
+            order: Vec::new(),
+            results: Vec::new(),
             safety_proven: false,
         })
     }
@@ -366,19 +211,6 @@ impl ShardedSwitch {
         self.safety_proven
     }
 
-    /// Whether an earlier shard panic poisoned this instance.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    fn assert_unpoisoned(&self) {
-        assert!(
-            !self.poisoned,
-            "ShardedSwitch is poisoned: a shard panicked mid-batch and its register \
-             state may be inconsistent; build a fresh instance to recover"
-        );
-    }
-
     /// Debug-build consult of the shard-safety proof: a proven switch
     /// must never see an out-of-range stateful index surface from a
     /// shard, because the dispatcher validated the routing assumption
@@ -390,46 +222,16 @@ impl ShardedSwitch {
         );
     }
 
-    /// Set the batch size below which [`Self::run_batch`] stays strictly
-    /// on the calling thread (no bucketing, no workers). Default
-    /// [`DEFAULT_PARALLEL_MIN`]. Semantics are identical either way; this
-    /// only tunes where the hand-off overhead stops paying for itself.
-    #[must_use]
-    pub fn with_parallel_min(mut self, packets: usize) -> Self {
-        self.parallel_min = packets;
-        self
-    }
-
-    /// The current single-thread batch threshold.
-    pub fn parallel_min(&self) -> usize {
-        self.parallel_min
-    }
-
-    /// Override the worker-thread budget instead of asking the OS.
-    /// `1` forces every bucket to run sequentially on the calling thread
-    /// (still through the per-shard batch engine); `>= 2` forces the
-    /// persistent pool on even where `available_parallelism` reports a
-    /// single core — useful for exercising the pool under test.
-    #[must_use]
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = Some(threads.max(1));
-        // A budget change flips the pool decision; drop any existing
-        // workers so the next batch re-evaluates.
-        self.pool = None;
-        self
-    }
-
-    /// Whether the persistent worker pool has been spawned (it is lazy:
-    /// `false` until a batch actually wanted threads).
-    pub fn worker_pool_active(&self) -> bool {
-        self.pool.is_some()
-    }
-
-    fn effective_parallelism(&self) -> usize {
-        self.parallelism.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+    /// Reject a lane call whose slot column is not the routing field.
+    fn check_slot_field(&self, fields: SlotFields) -> Result<(), RuntimeError> {
+        if fields.slot == self.slot_field {
+            return Ok(());
+        }
+        Err(RuntimeError::IndexOutOfRange {
+            detail: format!(
+                "slot column field id {} is not the routing field id {}",
+                fields.slot.0, self.slot_field.0
+            ),
         })
     }
 
@@ -532,16 +334,15 @@ impl ShardedSwitch {
     /// shard's program saw a local packet); every other field carries the
     /// same result the full-space engine would produce.
     pub fn run(&mut self, phv: &mut Phv) -> Result<u32, RuntimeError> {
-        self.assert_unpoisoned();
         let slot = phv.get(self.slot_field) as usize;
         let s = self.shard_for_slot(slot)?;
         let start = self.ranges[s].start;
         if start != 0 {
             phv.set(self.slot_field, (slot - start) as u64);
         }
-        self.shards[s].run(phv).inspect_err(|e| {
-            self.check_shard_fault(e);
-        })
+        self.shards[s]
+            .run(phv)
+            .inspect_err(|e| self.check_shard_fault(e))
     }
 
     /// [`CompiledSwitch::run_ranges`] over **global** slots: one `op`
@@ -566,23 +367,18 @@ impl ShardedSwitch {
         ranges: impl Iterator<Item = (usize, usize, Option<&'a [u64]>)> + Clone,
         mut collect: Option<&mut Vec<u64>>,
     ) -> Result<(), RuntimeError> {
-        self.assert_unpoisoned();
-        let oob = |detail: String| RuntimeError::IndexOutOfRange { detail };
-        if fields.slot != self.slot_field {
-            return Err(oob(format!(
-                "slot column field id {} is not the routing field id {}",
-                fields.slot.0, self.slot_field.0
-            )));
-        }
+        self.check_slot_field(fields)?;
         for (start, len, _) in ranges.clone() {
             if start
                 .checked_add(len)
                 .is_none_or(|end| end > self.total_slots)
             {
-                return Err(oob(format!(
-                    "slot range {start}+{len} out of range for sharded switch with {} slots",
-                    self.total_slots
-                )));
+                return Err(RuntimeError::IndexOutOfRange {
+                    detail: format!(
+                        "slot range {start}+{len} out of range for sharded switch with {} slots",
+                        self.total_slots
+                    ),
+                });
             }
         }
         // One shard owns `0..total`: nothing to clip or rebase, and the
@@ -622,198 +418,81 @@ impl ShardedSwitch {
         Ok(())
     }
 
-    /// Process a buffer of packets across all shards, returning the total
-    /// pass count.
+    /// [`CompiledSwitch::run_pairs`] over **global** slots: `n` `op`
+    /// packets, packet `i` carrying the `(slot, word)` that `pair(i)`
+    /// returns, results written to `collect` in packet order.
     ///
-    /// Every packet's slot is validated **before any packet runs**. Large
-    /// batches are partitioned per shard and fed to the persistent worker
-    /// pool — one long-lived worker per shard beyond the first, each with
-    /// exclusive access to its shard engine and bucket; no locks, no
-    /// shared mutable state. Small batches (below
-    /// [`Self::with_parallel_min`]) and single-thread budgets stay on the
-    /// calling thread with identical semantics. Packets that share a
-    /// shard (in particular, packets that share a slot) execute in their
-    /// original relative order, so the result is bit-for-bit what a
-    /// single full-space engine produces for the same sequence.
+    /// Every slot is checked against the slot space, and `fields.slot`
+    /// against the routing field, **before any packet runs**. The packets
+    /// are then sorted by shard, keeping their order within each shard, and
+    /// each shard's packets run with rebased slots as one call on its
+    /// engine, shard after shard on the calling thread. Packets that share a
+    /// slot share a shard and keep their order, so every slot sees its
+    /// packets in the order a single full-space engine would, and each
+    /// result lands at its packet's position.
     ///
-    /// On a fault the error reported is the one whose packet came
-    /// earliest in the buffer; its shard stops there, but other shards
-    /// may have completed their packets (unlike the strictly sequential
-    /// single-engine batch).
-    pub fn run_batch(&mut self, phvs: &mut [Phv]) -> Result<u64, RuntimeError> {
-        self.assert_unpoisoned();
-        // Single-shard fast path: one range starting at 0, so routing
-        // resolves to shard 0 and rebasing is the identity — validate in
-        // one pass and hand the whole buffer to the batch engine (SoA
-        // when the program qualifies), with none of the multi-shard
-        // bookkeeping.
-        if self.shards.len() == 1 {
-            if let Some(bad) = phvs
-                .iter()
-                .map(|phv| phv.get(self.slot_field) as usize)
-                .find(|&slot| slot >= self.total_slots)
-            {
-                self.shard_for_slot(bad)?;
-            }
-            return self.shards[0].run_batch(phvs).inspect_err(|e| {
-                self.check_shard_fault(e);
-            });
-        }
-        // Route + validate up front: no packet runs if any slot is bad.
+    /// On a fault in a shard, that shard's error is returned, the shards
+    /// after it do not run, and nothing is appended to `collect`.
+    pub fn run_pairs(
+        &mut self,
+        lanes: &mut BatchLanes,
+        fields: SlotFields,
+        op: u64,
+        n: usize,
+        pair: impl Fn(usize) -> (usize, u64),
+        mut collect: Option<&mut Vec<u64>>,
+    ) -> Result<(), RuntimeError> {
+        self.check_slot_field(fields)?;
+        // Route and validate up front, counting each shard's packets.
         self.shard_of.clear();
-        self.shard_of.reserve(phvs.len());
-        for phv in phvs.iter() {
-            let slot = phv.get(self.slot_field) as usize;
-            self.shard_of.push(self.shard_for_slot(slot)? as u32);
-        }
-        // Rebase every slot field to the shard-local index.
-        for (phv, &s) in phvs.iter_mut().zip(&self.shard_of) {
-            let slot = phv.get(self.slot_field) as usize;
-            phv.set(
-                self.slot_field,
-                (slot - self.ranges[s as usize].start) as u64,
-            );
-        }
-        if phvs.len() < self.parallel_min {
-            // Sequential fallback: original order, strict first-fault,
-            // no bucketing and no workers.
-            let mut total = 0u64;
-            for (phv, &s) in phvs.iter_mut().zip(&self.shard_of) {
-                match self.shards[s as usize].run(phv) {
-                    Ok(t) => total += u64::from(t),
-                    Err(e) => {
-                        self.check_shard_fault(&e);
-                        return Err(e);
-                    }
-                }
-            }
-            return Ok(total);
-        }
-
-        // Gather per-shard buckets (moves, preserving per-shard order).
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        for (phv, &s) in phvs.iter_mut().zip(&self.shard_of) {
-            self.buckets[s as usize].push(std::mem::take(phv));
-        }
-
-        // Tagged with the shard index so faults can be mapped back to
-        // buffer positions.
-        let mut results: Vec<(usize, BucketResult)> = Vec::with_capacity(self.shards.len());
-
-        if self.effective_parallelism() <= 1 {
-            // One hardware thread: run every bucket inline, in shard
-            // order. Still bucketed — each bucket goes through the batch
-            // engine, so SoA execution applies per shard.
-            for (s, (shard, bucket)) in self
-                .shards
-                .iter_mut()
-                .zip(self.buckets.iter_mut())
-                .enumerate()
-            {
-                if !bucket.is_empty() {
-                    results.push((s, run_bucket(shard, bucket)));
-                }
-            }
-        } else {
-            // Dispatch buckets 1.. to the persistent pool; run bucket 0
-            // inline while the workers chew. Both sides derive their
-            // access from raw base pointers so no Rust reference into
-            // `shards`/`buckets` is live during the window.
-            if self.pool.is_none() {
-                self.pool = Some(WorkerPool::spawn(self.shards.len() - 1));
-            }
-            let pool = self.pool.as_ref().expect("just spawned");
-            let shards_ptr = self.shards.as_mut_ptr();
-            let buckets_ptr = self.buckets.as_mut_ptr();
-            let mut dispatched = 0usize;
-            for s in 1..self.shards.len() {
-                // SAFETY: `s` is in bounds; the bucket reference is
-                // transient (dropped before the worker touches the job).
-                let bucket = unsafe { &mut *buckets_ptr.add(s) };
-                if bucket.is_empty() {
-                    continue;
-                }
-                let job = ShardJob {
-                    shard_idx: s,
-                    // SAFETY: in-bounds; each shard index is dispatched
-                    // at most once, so jobs never alias.
-                    shard: unsafe { shards_ptr.add(s) },
-                    bucket: bucket.as_mut_ptr(),
-                    len: bucket.len(),
-                };
-                pool.job_tx[s - 1].send(job).expect("pool worker alive");
-                dispatched += 1;
-            }
-            // SAFETY: shard/bucket 0 are never dispatched to a worker.
-            let inline = {
-                let shard0 = unsafe { &mut *shards_ptr };
-                let bucket0 = unsafe { &mut *buckets_ptr };
-                (!bucket0.is_empty())
-                    .then(|| catch_unwind(AssertUnwindSafe(|| run_bucket(shard0, bucket0))))
-            };
-            // Drain every dispatched completion BEFORE propagating any
-            // inline panic: no job may outlive this call's borrow of the
-            // shards and buckets.
-            let mut worker_panicked = false;
-            for _ in 0..dispatched {
-                match pool.done_rx.recv().expect("pool worker alive") {
-                    Done::Finished(s, res) => results.push((s, res)),
-                    Done::Panicked => worker_panicked = true,
-                }
-            }
-            match inline {
-                Some(Ok(res)) => results.push((0, res)),
-                Some(Err(payload)) => {
-                    self.poisoned = true;
-                    resume_unwind(payload);
-                }
-                None => {}
-            }
-            if worker_panicked {
-                self.poisoned = true;
-                panic!("shard worker panicked");
-            }
-        }
-
-        // Scatter the packets back into their original positions.
-        self.cursors.iter_mut().for_each(|c| *c = 0);
-        for (phv, &s) in phvs.iter_mut().zip(&self.shard_of) {
-            let s = s as usize;
-            *phv = std::mem::take(&mut self.buckets[s][self.cursors[s]]);
+        self.cursors.fill(0);
+        for i in 0..n {
+            let s = self.shard_for_slot(pair(i).0)?;
+            self.shard_of.push(s as u32);
             self.cursors[s] += 1;
         }
-
-        // Deterministic error selection: the fault whose packet appeared
-        // earliest in the caller's buffer wins.
-        let mut total = 0u64;
-        let mut first_fault: Option<(usize, RuntimeError)> = None;
-        for (s, res) in results {
-            match res {
-                Ok(t) => total += t,
-                Err((j, e)) => {
-                    let orig = self
-                        .shard_of
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &sh)| sh as usize == s)
-                        .nth(j)
-                        .map(|(i, _)| i)
-                        .unwrap_or(usize::MAX);
-                    if first_fault.as_ref().is_none_or(|&(o, _)| orig < o) {
-                        first_fault = Some((orig, e));
-                    }
+        // Stable counting sort: each shard's packet indices in call order,
+        // shard after shard. Afterwards `cursors[s]` is where shard `s`'s
+        // packets end.
+        let mut end = 0;
+        for c in &mut self.cursors {
+            (end, *c) = (end + *c, end);
+        }
+        self.order.resize(n, 0);
+        for (i, &s) in self.shard_of.iter().enumerate() {
+            let c = &mut self.cursors[s as usize];
+            self.order[*c] = i;
+            *c += 1;
+        }
+        let base = collect.as_ref().map_or(0, |out| out.len());
+        if let Some(out) = collect.as_deref_mut() {
+            out.resize(base + n, 0);
+        }
+        let mut from = 0;
+        for s in 0..self.shards.len() {
+            let (packets, start) = (&self.order[from..self.cursors[s]], self.ranges[s].start);
+            from = self.cursors[s];
+            self.results.clear();
+            let rebased = |k: usize| {
+                let (slot, word) = pair(packets[k]);
+                (slot - start, word)
+            };
+            let sink = collect.is_some().then_some(&mut self.results);
+            let ran = self.shards[s].run_pairs(lanes, fields, op, packets.len(), rebased, sink);
+            if let Err(e) = ran {
+                self.check_shard_fault(&e);
+                if let Some(out) = collect {
+                    out.truncate(base);
+                }
+                return Err(e);
+            }
+            if let Some(out) = collect.as_deref_mut() {
+                for (&i, &r) in packets.iter().zip(&self.results) {
+                    out[base + i] = r;
                 }
             }
         }
-        match first_fault {
-            Some((_, e)) => {
-                self.check_shard_fault(&e);
-                Err(e)
-            }
-            None => Ok(total),
-        }
+        Ok(())
     }
 }
 
@@ -1065,7 +744,81 @@ mod tests {
                 single.register_state(),
                 "{shards} shards"
             );
-            assert!(!sharded.worker_pool_active(), "ranges never use the pool");
+        }
+    }
+
+    /// Scattered calls of `(op, slots)` over 600 slots: random slots with
+    /// duplicates (3000 packets, more than one 256-lane batch per shard on
+    /// 8 shards), every slot in descending order twice in a row, an empty
+    /// call, and READs in both shapes.
+    fn pair_calls() -> Vec<(u64, Vec<usize>)> {
+        let mut rng = SmallRng::seed_from_u64(0x9A1E);
+        let random = |n: usize, rng: &mut SmallRng| (0..n).map(|_| rng.gen_range(0..600)).collect();
+        let descending_twice = (0..1200).map(|k| 599 - k / 2).collect();
+        vec![
+            (OP_BUMP, random(3000, &mut rng)),
+            (OP_BUMP, descending_twice),
+            (OP_BUMP, Vec::new()),
+            (OP_READ, (0..600).rev().collect()),
+            (OP_BUMP, random(700, &mut rng)),
+            (OP_READ, random(2000, &mut rng)),
+        ]
+    }
+
+    #[test]
+    fn run_pairs_split_at_shards_match_one_engine_and_the_interpreter() {
+        let total = 600;
+        let (program, _, _) = counter_program(total);
+        let fields = counter_fields(&program);
+        let calls = pair_calls();
+        let word = |i: usize| (i % 13) as u64;
+
+        // The oracle: every packet as a PHV through the interpreter.
+        let mut interp = Switch::new(program.clone()).unwrap();
+        let mut want: Vec<Vec<u64>> = Vec::new();
+        for (op, slots) in &calls {
+            let mut out = Vec::new();
+            for (i, &slot) in slots.iter().enumerate() {
+                let mut p = interp.phv();
+                p.set(fields.op, *op);
+                p.set(fields.slot, slot as u64);
+                p.set(fields.value, word(i));
+                interp.run(&mut p).unwrap();
+                out.push(p.get(fields.result));
+            }
+            want.push(out);
+        }
+
+        let mut single = CompiledSwitch::compile(&program).unwrap();
+        let mut lanes = BatchLanes::default();
+        for ((op, slots), want) in calls.iter().zip(&want) {
+            let mut out = Vec::new();
+            let pair = |i: usize| (slots[i], word(i));
+            single
+                .run_pairs(&mut lanes, fields, *op, slots.len(), pair, Some(&mut out))
+                .unwrap();
+            assert_eq!(&out, want, "full-space engine");
+        }
+        assert_eq!(single.register_state(), interp.register_state());
+
+        for shards in [1usize, 2, 3, 8] {
+            let (mut sharded, _, _) = sharded_counter(total, shards);
+            let mut lanes = BatchLanes::default();
+            for (i, ((op, slots), want)) in calls.iter().zip(&want).enumerate() {
+                // Results are appended after what the sink already holds.
+                let mut out = vec![7];
+                let pair = |i: usize| (slots[i], word(i));
+                sharded
+                    .run_pairs(&mut lanes, fields, *op, slots.len(), pair, Some(&mut out))
+                    .unwrap();
+                assert_eq!(out[0], 7, "{shards} shards, call {i}");
+                assert_eq!(&out[1..], want, "{shards} shards, call {i}");
+            }
+            assert_eq!(
+                &sharded.merged_state(),
+                single.register_state(),
+                "{shards} shards"
+            );
         }
     }
 
@@ -1108,6 +861,10 @@ mod tests {
         let wraps = [(10, 5, None), (65_530, 10, None)];
         let res = single.run_ranges(&mut lanes, fields, OP_BUMP, wraps.into_iter(), None);
         assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
+        // So is a scattered slot past it.
+        let pairs = [(10, 1), (65_536, 1)];
+        let res = single.run_pairs(&mut lanes, fields, OP_BUMP, 2, |i| pairs[i], None);
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
         assert!((0..600).all(|s| single.register(RegArrayId(0), s) == 0));
     }
 
@@ -1118,29 +875,29 @@ mod tests {
         let mut single = CompiledSwitch::compile(&program).unwrap();
         let mut rng = SmallRng::seed_from_u64(7);
         let stream: Vec<usize> = (0..800).map(|_| rng.gen_range(0..total)).collect();
+        let fields = counter_fields(&program);
         for shards in [1usize, 2, 3, 8] {
             let (mut sharded, _, _) = sharded_counter(total, shards);
-            let mut phvs: Vec<Phv> = stream
-                .iter()
-                .map(|&s| {
-                    let mut p = single.phv();
-                    p.set(slot, s as u64);
-                    p
-                })
-                .collect();
-            let passes = sharded.run_batch(&mut phvs).unwrap();
-            assert_eq!(passes, stream.len() as u64, "{shards} shards");
+            let mut counts = Vec::new();
+            let pair = |i: usize| (stream[i], 0);
+            sharded
+                .run_pairs(
+                    &mut BatchLanes::default(),
+                    fields,
+                    OP_BUMP,
+                    stream.len(),
+                    pair,
+                    Some(&mut counts),
+                )
+                .unwrap();
+            assert_eq!(counts.len(), stream.len(), "{shards} shards");
             // Per-packet outputs match the scalar single-engine run.
             let mut fresh = CompiledSwitch::compile(&program).unwrap();
-            for (i, (&s, phv)) in stream.iter().zip(&phvs).enumerate() {
+            for (i, (&s, &got)) in stream.iter().zip(&counts).enumerate() {
                 let mut p = fresh.phv();
                 p.set(slot, s as u64);
                 fresh.run(&mut p).unwrap();
-                assert_eq!(
-                    phv.get(count),
-                    p.get(count),
-                    "{shards} shards, packet {i} (slot {s})"
-                );
+                assert_eq!(got, p.get(count), "{shards} shards, packet {i} (slot {s})");
             }
             // Global register state reassembles to the single engine's.
             if shards == 1 {
@@ -1184,23 +941,78 @@ mod tests {
     #[test]
     fn out_of_range_slots_error_before_anything_runs() {
         let (mut sw, slot, _) = sharded_counter(8, 2);
-        let mut phvs: Vec<Phv> = (0..4)
-            .map(|i| {
-                let mut p = sw.shard(0).phv();
-                p.set(slot, if i == 3 { 99 } else { i });
-                p
-            })
-            .collect();
-        assert!(matches!(
-            sw.run_batch(&mut phvs),
-            Err(RuntimeError::IndexOutOfRange { .. })
-        ));
+        let fields = counter_fields(&counter_program(8).0);
+        let mut lanes = BatchLanes::default();
+        let mut out = vec![5];
+        let pair = |i: usize| (if i == 3 { 99 } else { i }, 1);
+        let res = sw.run_pairs(&mut lanes, fields, OP_BUMP, 4, pair, Some(&mut out));
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
+        assert_eq!(out, [5], "nothing collected");
+        // The slot column must be the field the shards are routed by.
+        let wrong = SlotFields {
+            slot: fields.value,
+            ..fields
+        };
+        let res = sw.run_pairs(&mut lanes, wrong, OP_BUMP, 1, |_| (0, 1), None);
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
         for s in 0..8 {
             assert_eq!(sw.register(RegArrayId(0), s), 0, "nothing ran");
         }
         let mut bad = sw.shard(0).phv();
         bad.set(slot, 8);
         assert!(sw.run(&mut bad).is_err());
+    }
+
+    #[test]
+    fn a_fault_stops_at_its_shard_in_shard_order() {
+        // A counter indexed by `slot + value`: in-range slots pass the
+        // up-front check, and a large value then indexes past its shard's
+        // array in Phase C.
+        let program = |entries: usize| {
+            let (mut program, slot, count) = counter_program(entries);
+            let (op, value) = (program.layout.lookup("op"), program.layout.lookup("value"));
+            let at = program.layout.field("at", 16);
+            let bump = Action::nop("bump")
+                .prim(
+                    at,
+                    AluOp::Add,
+                    Operand::Field(slot),
+                    Operand::Field(value.unwrap()),
+                )
+                .call(StatefulCall {
+                    array: RegArrayId(0),
+                    index: Operand::Field(at),
+                    cond: SaluCond::MetaNonZero(op.unwrap()),
+                    on_true: SaluUpdate::Keep,
+                    on_false: SaluUpdate::AddSat(Operand::Const(1)),
+                    output: Some((count, SaluOutput::New)),
+                });
+            program.stages = vec![Stage::new().table(Table::always("count", bump))];
+            program
+        };
+        let ranges = partition_slots(9, 3);
+        let engines = ranges
+            .iter()
+            .map(|r| CompiledSwitch::compile(&program(r.len)).unwrap())
+            .collect();
+        let fields = counter_fields(&program(9));
+        let mut sw = ShardedSwitch::new(engines, ranges, fields.slot).unwrap();
+        // Shard 2, shard 0, shard 1 (faults), shard 0, shard 2.
+        let packets = [(7, 0), (1, 0), (4, 100), (2, 0), (8, 0)];
+        let mut out = vec![5];
+        let res = sw.run_pairs(
+            &mut BatchLanes::default(),
+            fields,
+            OP_BUMP,
+            packets.len(),
+            |i| packets[i],
+            Some(&mut out),
+        );
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
+        assert_eq!(out, [5], "nothing collected");
+        let counts: Vec<i64> = (0..9).map(|s| sw.register(RegArrayId(0), s)).collect();
+        // Shard 0 ran before the fault; shard 2 never ran.
+        assert_eq!(counts, [0, 1, 1, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -1237,87 +1049,46 @@ mod tests {
     }
 
     #[test]
-    fn tiny_batches_never_spawn_workers() {
-        // Regression: below `parallel_min` no pool must ever come up,
-        // whatever the claimed thread budget.
-        let (mut sw, slot, _) = sharded_counter(16, 4);
-        sw = sw.with_parallel_min(64).with_parallelism(8);
-        assert_eq!(sw.parallel_min(), 64);
-        for _ in 0..10 {
-            let mut phvs: Vec<Phv> = (0..63)
-                .map(|i| {
-                    let mut p = sw.shard(0).phv();
-                    p.set(slot, i % 16);
-                    p
-                })
-                .collect();
-            sw.run_batch(&mut phvs).unwrap();
-            assert!(!sw.worker_pool_active(), "tiny batch spawned workers");
-        }
-        // One batch at the threshold flips it on.
-        let mut phvs: Vec<Phv> = (0..64)
-            .map(|i| {
-                let mut p = sw.shard(0).phv();
-                p.set(slot, i % 16);
-                p
-            })
-            .collect();
-        sw.run_batch(&mut phvs).unwrap();
-        assert!(sw.worker_pool_active());
-        // A single-thread budget never spawns, at any batch size.
-        let (mut seq, slot, _) = sharded_counter(16, 4);
-        seq = seq.with_parallelism(1).with_parallel_min(1);
-        let mut phvs: Vec<Phv> = (0..500)
-            .map(|i| {
-                let mut p = seq.shard(0).phv();
-                p.set(slot, i % 16);
-                p
-            })
-            .collect();
-        seq.run_batch(&mut phvs).unwrap();
-        assert!(!seq.worker_pool_active());
-    }
-
-    #[test]
-    fn worker_pool_matches_single_engine_across_batches() {
-        // Force the pool on (the CI host may report one core) and check
-        // repeated batches through the same persistent workers stay
-        // bit-for-bit with a full-space engine; clones start poolless.
+    fn repeated_scattered_calls_match_a_single_engine_and_clones_diverge() {
+        // Repeated scattered calls on one sharded switch stay bit-for-bit
+        // with a full-space engine; a clone taken mid-stream owns its state,
+        // so the two diverge independently afterwards.
         let total = 29;
-        let (program, slot, count) = counter_program(total);
+        let (program, _, _) = counter_program(total);
+        let fields = counter_fields(&program);
         let mut single = CompiledSwitch::compile(&program).unwrap();
-        let (sw, _, _) = sharded_counter(total, 4);
-        let mut sw = sw.with_parallelism(4).with_parallel_min(8);
+        let (mut sw, _, _) = sharded_counter(total, 4);
+        let mut lanes = BatchLanes::default();
         let mut rng = SmallRng::seed_from_u64(99);
-        for batch in 0..6 {
-            let slots: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
-            let mut phvs: Vec<Phv> = slots
-                .iter()
-                .map(|&s| {
-                    let mut p = single.phv();
-                    p.set(slot, s as u64);
-                    p
-                })
-                .collect();
-            let passes = sw.run_batch(&mut phvs).unwrap();
-            assert_eq!(passes, 300, "batch {batch}");
-            for (&s, phv) in slots.iter().zip(&phvs) {
-                let mut p = single.phv();
-                p.set(slot, s as u64);
-                single.run(&mut p).unwrap();
-                assert_eq!(phv.get(count), p.get(count), "batch {batch} slot {s}");
+        let mut clone = None;
+        for call in 0..6 {
+            if call == 3 {
+                clone = Some((sw.clone(), single.clone()));
             }
+            let slots: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let pair = |i: usize| (slots[i], (i % 3) as u64);
+            sw.run_pairs(&mut lanes, fields, OP_BUMP, 300, pair, Some(&mut got))
+                .unwrap();
+            single
+                .run_pairs(&mut lanes, fields, OP_BUMP, 300, pair, Some(&mut want))
+                .unwrap();
+            assert_eq!(got, want, "call {call}");
         }
-        assert!(sw.worker_pool_active());
-        let clone = sw.clone();
-        assert!(!clone.worker_pool_active(), "clones must not share workers");
-        let merged = sw.merged_state();
-        for s in 0..total {
-            assert_eq!(
-                merged.get(RegArrayId(0), s),
-                single.register(RegArrayId(0), s)
-            );
-        }
+        assert_eq!(&sw.merged_state(), single.register_state());
+        // The clone saw calls 0..3 only; bumping it leaves the original be.
+        let (mut clone, mut clone_single) = clone.unwrap();
+        assert_ne!(clone.merged_state(), sw.merged_state());
+        let before = sw.merged_state();
+        let pair = |i: usize| (i % total, 5);
+        clone
+            .run_pairs(&mut lanes, fields, OP_BUMP, 100, pair, None)
+            .unwrap();
+        clone_single
+            .run_pairs(&mut lanes, fields, OP_BUMP, 100, pair, None)
+            .unwrap();
+        assert_eq!(&clone.merged_state(), clone_single.register_state());
+        assert_eq!(sw.merged_state(), before, "the clone shares no state");
     }
 
     #[test]
@@ -1349,58 +1120,5 @@ mod tests {
         assert!(ShardedSwitch::new(mixed, ranges.clone(), slot).is_err());
         // Valid.
         ShardedSwitch::new(engines, ranges, slot).unwrap();
-    }
-
-    /// Extract a panic payload's message for assertions.
-    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "<non-string panic payload>".into())
-    }
-
-    #[test]
-    fn worker_panic_poisons_the_switch_and_a_fresh_instance_recovers() {
-        let (sw, slot, _) = sharded_counter(8, 2);
-        let mut sw = sw.with_parallelism(2).with_parallel_min(1);
-        // A PHV built from a *foreign, smaller* layout: the slot field
-        // (id 0) exists, so routing and rebasing succeed, but the shard
-        // engine then indexes the missing `count` column and panics —
-        // inside a pool worker, because slot 6 belongs to shard 1 and
-        // only shard 0 runs inline.
-        let mut tiny = PhvLayout::new();
-        let tiny_slot = tiny.field("slot", 16);
-        assert_eq!(tiny_slot, slot);
-        let mut batch = vec![Phv::new(&tiny)];
-        batch[0].set(tiny_slot, 6);
-        let payload = catch_unwind(AssertUnwindSafe(|| {
-            let _ = sw.run_batch(&mut batch);
-        }))
-        .expect_err("worker panic must propagate to the caller");
-        assert!(
-            panic_message(payload).contains("shard worker panicked"),
-            "caller must learn the panic came from a shard worker"
-        );
-        // The worker died mid-batch: register state is suspect, so the
-        // instance is poisoned and every further use fails loudly with
-        // an actionable message instead of quietly aggregating on it.
-        assert!(sw.poisoned());
-        let mut probe = sw.shard(0).phv();
-        let payload = catch_unwind(AssertUnwindSafe(|| {
-            let _ = sw.run(&mut probe);
-        }))
-        .expect_err("poisoned switch must refuse to run");
-        let msg = panic_message(payload);
-        assert!(msg.contains("poisoned"), "got: {msg}");
-        assert!(msg.contains("fresh instance"), "got: {msg}");
-        // Recovery path: a rebuilt switch is healthy and aggregates.
-        let (fresh, fslot, fcount) = sharded_counter(8, 2);
-        let mut fresh = fresh.with_parallelism(2).with_parallel_min(1);
-        let mut phv = fresh.shard(0).phv();
-        phv.set(fslot, 6);
-        fresh.run(&mut phv).unwrap();
-        assert_eq!(phv.get(fcount), 1);
-        assert!(!fresh.poisoned());
     }
 }

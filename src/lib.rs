@@ -23,6 +23,8 @@
 //!
 //! See `README.md` for a tour and `examples/` for runnable entry points.
 
+#![forbid(unsafe_code)]
+
 pub use fpisa_agg as agg;
 pub use fpisa_core as core;
 pub use fpisa_hw as hw;
