@@ -99,7 +99,8 @@ pub trait Aggregator {
     ///
     /// A fold may be **deferred**: a backend may hold the words in a
     /// partly filled batch and run it with later calls' words (the FPISA
-    /// backend does, through [`fpisa_pipeline::FpisaPipeline::add_ranges`]).
+    /// backend does, through [`fpisa_pipeline::FpisaPipeline::add_ranges`],
+    /// and so does a one-shard [`crate::SwitchMlFixedPoint`]).
     /// Folds still apply in call order, and each takes effect no later
     /// than the backend's next `read_range` or `clear_range`, so every
     /// read-out is the one folding at once would give. A call that fails

@@ -18,7 +18,17 @@
 //! payload and read-out is a slot range, filled into the engine's lanes a
 //! column at a time by [`ShardedSwitch::run_ranges`] (split shard by
 //! shard on the calling thread when sharded) — no PHV is built per
-//! packet. Quantization clipping is accounted on the host
+//! packet.
+//!
+//! ADDs are **held** as FPISA's are: on a one-shard engine each
+//! `add_wire` / `add_wire_multi` call appends its words to an open batch
+//! ([`CompiledSwitch::hold_ranges`] on shard 0), which runs once it reaches
+//! [`fpisa_pisa::LANE_CHUNK`] lanes, and [`Aggregator::read_range`] and
+//! [`Aggregator::clear_range`] run whatever is still open before touching
+//! the registers — so a round's 64-word packets run as full batches and
+//! every read-out is the one folding at once would give. A sharded engine
+//! holds nothing and runs every call at once. Quantization clipping is
+//! accounted on the host
 //! ([`AggStats::clipped`]); register saturation is accounted via a
 //! control-plane mirror ([`fpisa_core::AddStats::overflows`]) while the
 //! aggregated values themselves always come from the switch registers.
@@ -67,7 +77,9 @@ pub struct SwitchMlFixedPoint {
     mirror: Vec<i64>,
     stats: AddStats,
     clipped: u64,
-    /// Reusable lane buffer of the range-shaped ADD and READ paths.
+    /// Lane buffer of the range-shaped ADD and READ paths. On a one-shard
+    /// engine its live lanes between calls are the open ADD batch; every
+    /// other call leaves it empty.
     lanes: BatchLanes,
 }
 
@@ -115,6 +127,7 @@ impl SwitchMlFixedPoint {
     /// state must be empty — shard on construction, before any packet.
     /// Results are bit-for-bit identical to the single-shard engine.
     pub fn with_shards(mut self, shards: usize, chunk: usize) -> Result<Self, AggError> {
+        self.run_held()?;
         if self.mirror.iter().any(|&m| m != 0) {
             return Err(AggError::BadSpec {
                 detail: "with_shards on a backend holding live state".into(),
@@ -177,6 +190,13 @@ impl SwitchMlFixedPoint {
             self.stats.record(fpisa_core::AddEvent::Exact);
         }
         self.mirror[slot] = exact.clamp(reg_min, reg_max);
+    }
+
+    /// Run the open ADD batch, if one is held, so the registers reflect
+    /// every ADD accepted so far. Only a one-shard engine holds ADDs; on any
+    /// other the lane buffer is empty and this runs nothing.
+    fn run_held(&mut self) -> Result<(), AggError> {
+        Ok(self.engine.shard_mut(0).run_held(&mut self.lanes)?)
     }
 }
 
@@ -323,10 +343,17 @@ impl Aggregator for SwitchMlFixedPoint {
         }
         // The chunks go to the engine as the ranges they are: the words
         // fill the value column directly (truncated to the field's 32
-        // bits), each shard taking the pieces it owns.
+        // bits), held in the open batch on one shard, or each shard taking
+        // the pieces it owns at once.
         let ranges = chunks.iter().map(|&(start, w)| (start, w.len(), Some(w)));
-        self.engine
-            .run_ranges(&mut self.lanes, self.fields, OP_ADD, ranges, None)?;
+        if self.engine.shard_count() == 1 {
+            self.engine
+                .shard_mut(0)
+                .hold_ranges(&mut self.lanes, self.fields, OP_ADD, ranges)?;
+        } else {
+            self.engine
+                .run_ranges(&mut self.lanes, self.fields, OP_ADD, ranges, None)?;
+        }
         // Control-plane accounting: did the saturating register sum lose
         // information? (Per-slot order matches the engine's exactly.)
         for &(start, words) in chunks {
@@ -339,6 +366,7 @@ impl Aggregator for SwitchMlFixedPoint {
 
     fn read_range(&mut self, start: usize, len: usize) -> Result<Vec<f64>, AggError> {
         self.check_range(start, len)?;
+        self.run_held()?;
         // READ packets ride the same range path as ingest, the result
         // column drained in packet order.
         let mut raw = Vec::with_capacity(len);
@@ -357,6 +385,7 @@ impl Aggregator for SwitchMlFixedPoint {
 
     fn clear_range(&mut self, start: usize, len: usize) -> Result<(), AggError> {
         self.check_range(start, len)?;
+        self.run_held()?;
         // Each shard fills the part of the global span it owns.
         self.engine.fill_registers(self.array, start, len, 0);
         self.mirror[start..start + len].fill(0);
@@ -374,6 +403,7 @@ impl Aggregator for SwitchMlFixedPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpisa_pisa::LANE_CHUNK;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     #[test]
@@ -435,24 +465,29 @@ mod tests {
 
     /// A packet's slots are consecutive, so the program's one stateful
     /// table serves every ADD and READ lane from a register window — here
-    /// through the backend's own range path: one chunk per call, several
-    /// chunks out of order in one `add_wire_multi` call (cut into a
-    /// 256-lane batch and a 32-lane one), on every shard of a sharded
-    /// backend, and alike on the other lane word (one unused 33-bit
-    /// field). A fill path that stops producing runs fails this, not a
-    /// benchmark.
+    /// through the backend's own range path: one chunk per call, and in one
+    /// `add_wire_multi` call 48-word chunks in descending slot order, one
+    /// more than a [`LANE_CHUNK`] batch holds (cut into a full batch that
+    /// runs in the call and a 16-lane one the next read runs first), on
+    /// every shard of a sharded backend, and alike on the other lane word
+    /// (one unused 33-bit field). A fill path that stops producing runs
+    /// fails this, not a benchmark.
     #[test]
     fn consecutive_slots_are_served_from_register_windows() {
-        let mut agg = SwitchMlFixedPoint::new(300, 0.5, 2).unwrap();
+        const N: usize = 48 * (LANE_CHUNK / 48 + 1);
+        let mut agg = SwitchMlFixedPoint::new(N, 0.5, 2).unwrap();
         let words: Vec<u64> = (0..64).map(|i| agg.encode(i as f64 - 20.0)).collect();
-        let multi = [96, 0, 240, 48, 192, 144].map(|start| (start, 48, Some(&words[..48])));
+        let multi: Vec<_> = (0..N / 48)
+            .rev()
+            .map(|k| (48 * k, 48, Some(&words[..48])))
+            .collect();
         // `(opcode, ranges)` per call, the ranges as the engine takes them.
         type Span<'a> = (usize, usize, Option<&'a [u64]>);
         let calls: [(u64, &[Span]); 4] = [
             (OP_ADD, &[(30, 64, Some(&words))]),
             (OP_READ, &[(30, 64, None)]),
             (OP_ADD, &multi),
-            (OP_READ, &[(0, 300, None)]),
+            (OP_READ, &[(0, N, None)]),
         ];
         let drive = |agg: &mut SwitchMlFixedPoint| -> Vec<Vec<f64>> {
             let mut reads = Vec::new();
@@ -469,11 +504,12 @@ mod tests {
         };
         let reads = drive(&mut agg);
         let own = agg.engine.shard(0).dispatch_counts().to_vec();
-        assert_eq!((own[0].lanes, own[0].windowed), (716, 716));
+        let lanes = (128 + 2 * N) as u64;
+        assert_eq!((own[0].lanes, own[0].windowed), (lanes, lanes));
 
         // Two shards on 48-slot boundaries: every chunk lands whole on one
         // shard, and each shard serves all its lanes from windows.
-        let mut sharded = SwitchMlFixedPoint::new(300, 0.5, 2)
+        let mut sharded = SwitchMlFixedPoint::new(N, 0.5, 2)
             .unwrap()
             .with_shards(2, 48)
             .unwrap();
@@ -483,7 +519,7 @@ mod tests {
             assert!(c.lanes > 0 && c.windowed == c.lanes, "shard {s}: {c:?}");
         }
 
-        let (mut program, fields, _) = build_program(300);
+        let (mut program, fields, _) = build_program(N);
         program.layout.field("lane_word_pad", 33);
         let mut wide = CompiledSwitch::compile(&program).unwrap();
         let mut lanes = BatchLanes::default();
@@ -502,6 +538,85 @@ mod tests {
             agg.engine.shard(0).register_state(),
             "the lane word changed the sums"
         );
+    }
+
+    /// ADDs held in the one-shard engine's open batch, checked against
+    /// host integer sums after every read: held `add_wire` calls of 1, 64
+    /// and `LANE_CHUNK + 1` words and `add_wire_multi` calls, a read and a
+    /// clear with ADDs to their own slots still open (each must run them
+    /// first), a clone taken with a batch open, and a call rejected for an
+    /// out-of-range chunk, which appends nothing. A two-shard backend, which
+    /// holds nothing, reads the same throughout.
+    #[test]
+    fn held_adds_match_host_sums_through_reads_clears_and_clones() {
+        const N: usize = LANE_CHUNK + 200;
+        let mut agg = SwitchMlFixedPoint::new(N, 1.0, 8).unwrap();
+        let mut sharded = agg.clone().with_shards(2, 64).unwrap();
+        let mut sums = vec![0i64; N];
+        let value = |k: usize| (k % 61) as i64 - 30;
+        let words = |agg: &mut SwitchMlFixedPoint, n: usize, salt: usize| -> Vec<u64> {
+            (0..n).map(|k| agg.encode(value(k + salt) as f64)).collect()
+        };
+        let add = |aggs: [&mut SwitchMlFixedPoint; 2], chunks: &[(usize, &[u64])]| {
+            for agg in aggs {
+                agg.add_wire_multi(chunks).unwrap();
+            }
+        };
+        let fold = |sums: &mut [i64], start: usize, w: &[u64]| {
+            for (s, &w) in sums[start..].iter_mut().zip(w) {
+                *s += i64::from(w as u32 as i32);
+            }
+        };
+        let host = |sums: &[i64]| -> Vec<f64> { sums.iter().map(|&s| s as f64).collect() };
+        for round in 0..3 {
+            let (one, short, long) = (
+                words(&mut agg, 1, round),
+                words(&mut agg, 64, round + 1),
+                words(&mut agg, LANE_CHUNK + 1, round + 2),
+            );
+            add([&mut agg, &mut sharded], &[(5, &short)]);
+            add([&mut agg, &mut sharded], &[(0, &one)]);
+            fold(&mut sums, 5, &short);
+            fold(&mut sums, 0, &one);
+            // The clear covers slots the open batch still holds ADDs for.
+            assert!(!agg.lanes.is_empty());
+            for a in [&mut agg, &mut sharded] {
+                a.clear_range(0, 40).unwrap();
+            }
+            sums[..40].fill(0);
+            add([&mut agg, &mut sharded], &[(100, &long)]);
+            add([&mut agg, &mut sharded], &[(3, &short), (N - 64, &short)]);
+            fold(&mut sums, 100, &long);
+            fold(&mut sums, 3, &short);
+            fold(&mut sums, N - 64, &short);
+            assert_eq!(agg.lanes.len(), 1 + 2 * 64, "round {round}");
+            let mut twin = agg.clone();
+            assert_eq!(twin.read_range(0, N).unwrap(), host(&sums), "clone");
+            assert_eq!(
+                agg.lanes.len(),
+                1 + 2 * 64,
+                "reading the clone ran the original's batch"
+            );
+            // A rejected call appends nothing to the open batch.
+            let bad = [(0, &short[..]), (N - 10, &short[..])];
+            assert!(agg.add_wire_multi(&bad).is_err());
+            assert_eq!(agg.lanes.len(), 1 + 2 * 64, "round {round}");
+            // Reads of slots the open batch holds ADDs for run them first.
+            for a in [&mut agg, &mut sharded] {
+                assert_eq!(a.read_range(0, 70).unwrap(), host(&sums[..70]));
+                assert!(a.lanes.is_empty());
+            }
+            add([&mut agg, &mut sharded], &[(N - 64, &short)]);
+            fold(&mut sums, N - 64, &short);
+            for a in [&mut agg, &mut sharded] {
+                a.clear_range(N - 30, 30).unwrap();
+            }
+            sums[N - 30..].fill(0);
+            for a in [&mut agg, &mut sharded] {
+                assert_eq!(a.read_range(0, N).unwrap(), host(&sums), "round {round}");
+            }
+        }
+        assert_eq!(agg.stats(), sharded.stats());
     }
 
     #[test]

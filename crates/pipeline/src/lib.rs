@@ -41,7 +41,10 @@
 //! takes effect no later than the next call that reads, clears or runs
 //! packets — every read-out, register value and error is the one running
 //! each call at once would give — and a call that fails validation returns
-//! before anything is appended.
+//! before anything is appended. The open batch is not a buffer of its own:
+//! it is the live part of the pipeline's one lane buffer, which every batch
+//! and range call of either compiled engine fills and leaves empty, so a
+//! pipeline never holds more than one `LANE_CHUNK` batch of lanes.
 //!
 //! ## Example
 //!
@@ -167,15 +170,15 @@ pub struct FpisaPipeline {
     /// PHV buffer reused by the interpreter's batch APIs, grown on first
     /// use.
     batch_buf: Vec<Phv>,
-    /// SoA column buffer reused by both compiled engines' batch and range
+    /// The one SoA column buffer of both compiled engines' batch and range
     /// APIs: packets are written straight into field columns — no
-    /// per-packet PHV construction, no transpose at the boundary.
-    lanes: BatchLanes,
-    /// The compiled engine's open ADD batch: packets
-    /// [`FpisaPipeline::add_ranges`] has accepted but not yet run
+    /// per-packet PHV construction, no transpose at the boundary. Between
+    /// calls its live lanes are the compiled engine's **open ADD batch**:
+    /// packets [`FpisaPipeline::add_ranges`] has accepted but not yet run
     /// ([`CompiledSwitch::hold_ranges`]). Every other entry that runs
-    /// packets or touches registers runs it first.
-    open: BatchLanes,
+    /// packets or touches registers runs it first, and every lane loop
+    /// leaves the buffer empty, so the open batch is all it ever holds.
+    lanes: BatchLanes,
     fields: Fields,
     arrays: Arrays,
     spec: PipelineSpec,
@@ -238,7 +241,6 @@ impl FpisaPipeline {
             scratch,
             batch_buf: Vec::new(),
             lanes: BatchLanes::default(),
-            open: BatchLanes::default(),
             fields,
             arrays,
             spec,
@@ -425,7 +427,7 @@ impl FpisaPipeline {
         let ranges = chunks.iter().map(|&(start, w)| (start, w.len(), Some(w)));
         let fields = self.slot_fields();
         match &mut self.engine {
-            Engine::Compiled(c) => c.hold_ranges(&mut self.open, fields, OP_ADD, ranges),
+            Engine::Compiled(c) => c.hold_ranges(&mut self.lanes, fields, OP_ADD, ranges),
             _ => self.run_ranges(OP_ADD, ranges, None),
         }
     }
@@ -615,7 +617,7 @@ impl FpisaPipeline {
     /// accepted so far. A no-op on the other engines, which hold nothing.
     fn run_open(&mut self) -> Result<(), RuntimeError> {
         match &mut self.engine {
-            Engine::Compiled(c) => c.run_held(&mut self.open),
+            Engine::Compiled(c) => c.run_held(&mut self.lanes),
             _ => Ok(()),
         }
     }
@@ -1120,6 +1122,38 @@ mod tests {
         let pipe = FpisaPipeline::from_spec(spec).unwrap();
         for r in &pipe.shard_ranges()[..pipe.shards() - 1] {
             assert_eq!(r.start % 16, 0, "boundary off alignment");
+        }
+    }
+
+    /// The memory side of one shared lane buffer: after a round shaped like
+    /// the repo benchmark's `allreduce_fp16_batch2` — one 8192-word
+    /// `add_ranges`, then `read_range(0, 4096)` — and after a scattered
+    /// batch as long, the pipeline's one buffer is empty and holds at most
+    /// one padded `LANE_CHUNK` batch, on one engine and on shards alike.
+    #[test]
+    fn one_lane_buffer_holds_at_most_one_batch() {
+        use fpisa_pisa::LANE_CHUNK;
+        let words: Vec<u64> = (0..8192u64).map(|k| 0x3C00 + k % 700).collect();
+        let chunks: Vec<(usize, &[u64])> = (words.chunks(64).enumerate())
+            .map(|(i, w)| ((64 * i) % 4096, w))
+            .collect();
+        let pairs: Vec<(usize, u64)> = (0..8192).map(|k| (k * 13 % 4096, words[k])).collect();
+        for shards in [1, 3] {
+            let spec = PipelineSpec::new(PipelineVariant::TofinoA)
+                .format(FpFormat::FP16)
+                .slots(4096)
+                .shards(shards);
+            let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
+            let batch = BatchLanes::new(&pipe.switch_program().layout, LANE_CHUNK);
+            pipe.add_ranges(&chunks).unwrap();
+            pipe.read_range(0, 4096).unwrap();
+            pipe.add_batch(&pairs).unwrap();
+            assert!(pipe.lanes.is_empty(), "{shards} shard(s)");
+            assert!(
+                pipe.lanes.capacity() <= batch.capacity(),
+                "{shards} shard(s): {} lanes for a {LANE_CHUNK}-lane batch",
+                pipe.lanes.capacity()
+            );
         }
     }
 

@@ -27,7 +27,7 @@
 
 use fpisa_core::{FpClass, FpFormat, FpisaAccumulator, ReadRounding, SwitchValue};
 use fpisa_pipeline::{ExecEngine, FpisaPipeline, PipelineSpec, PipelineVariant, OP_ADD, OP_READ};
-use fpisa_pisa::{BatchLanes, CompiledSwitch, RegArrayId};
+use fpisa_pisa::{BatchLanes, CompiledSwitch, RegArrayId, LANE_CHUNK};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 const SLOTS: usize = 8;
@@ -279,24 +279,26 @@ fn extended_full_matches_reference_bit_for_bit() {
 /// flattened pairs ≡ one `add_bits` per element, `read_range` ≡
 /// `read_batch` ≡ `read_bits`, `clear_range` ≡ one `clear_slot` per slot.
 /// The chunk list has empty chunks (first, mid-list, at the very end of the
-/// slot space), chunks that straddle the compiled engine's 256-lane batch
-/// boundary, and slots that are hit again by a later chunk.
+/// slot space), chunks that straddle the compiled engine's first and second
+/// [`LANE_CHUNK`] batch boundaries, and slots that are hit again by a later
+/// chunk.
 #[test]
 fn range_shaped_calls_equal_scattered_and_scalar_ones_on_every_cell() {
-    const N: usize = 600;
+    const C: usize = LANE_CHUNK;
+    const N: usize = 2 * C + 88;
     let mut rng = SmallRng::seed_from_u64(0xD1FF_0004);
-    // (start, words): lanes 0..64 | 64..214 | 214..314 (over 256) |
-    // 314..315 | 315..600 (over 512) | 600..700.
+    // (start, words): lanes 0..64 | 64..C-42 | C-42..C+58 (over C) |
+    // C+58..C+59 | C+59..2C+88 (over 2C) | 2C+88..2C+188.
     let shape: [(usize, usize); 9] = [
         (7, 0),
         (0, 64),
-        (300, 150),
-        (250, 100),
+        (C + 44, C - 106),
+        (C - 6, 100),
         (N, 0),
-        (599, 1),
-        (10, 285),
+        (N - 1, 1),
+        (10, C + 29),
         (3, 0),
-        (500, 100),
+        (N - 100, 100),
     ];
     for variant in PipelineVariant::all() {
         for (format, guard, rounding) in cells() {
@@ -358,8 +360,8 @@ fn range_shaped_calls_equal_scattered_and_scalar_ones_on_every_cell() {
                 assert_eq!(ranged.read_range(0, N).unwrap(), want_read, "{label}");
                 assert_eq!(ranged.read_batch(&all).unwrap(), want_read, "{label}");
                 assert_eq!(
-                    ranged.read_range(100, 300).unwrap(),
-                    want_read[100..400],
+                    ranged.read_range(100, C + 44).unwrap(),
+                    want_read[100..C + 144],
                     "{label}"
                 );
                 assert_eq!(ranged.read_range(N, 0).unwrap(), [0u64; 0], "{label}");
@@ -383,12 +385,12 @@ fn range_shaped_calls_equal_scattered_and_scalar_ones_on_every_cell() {
                 }
                 // Resets: a span against the per-slot loop, then all of it.
                 ranged.clear_range(250, 0).unwrap();
-                ranged.clear_range(190, 320).unwrap();
-                for s in 190..510 {
+                ranged.clear_range(190, N - 280).unwrap();
+                for s in 190..N - 90 {
                     scattered.clear_slot(s).unwrap();
                 }
                 for (s, &kept) in want_state.iter().enumerate() {
-                    let want = if (190..510).contains(&s) {
+                    let want = if (190..N - 90).contains(&s) {
                         (0, 0)
                     } else {
                         kept
@@ -474,7 +476,8 @@ fn directed_edge_streams_match_bit_for_bit() {
 
 /// The compiled engine's open ADD batch against the interpreter, which
 /// runs every call at once, bit for bit on every variant × format:
-/// `add_ranges` calls of 0, 1, 63, 64, 65, 255, 256, 257 and 600 words,
+/// `add_ranges` calls of 0, 1, 63, 64, 65, `LANE_CHUNK - 1`, `LANE_CHUNK`,
+/// `LANE_CHUNK + 1` and `2 * LANE_CHUNK + 88` words,
 /// each a chunk plus a second chunk over slots of the first (one open batch
 /// holds a slot twice), later calls landing on earlier calls' slots. Every
 /// third call is followed by one of the entries that run the open batch
@@ -482,8 +485,9 @@ fn directed_edge_streams_match_bit_for_bit() {
 /// a batch is open reads out the same as the original.
 #[test]
 fn open_batches_match_the_interpreter_across_every_entry() {
-    const N: usize = 700;
-    const SIZES: [usize; 9] = [0, 1, 63, 64, 65, 255, 256, 257, 600];
+    const C: usize = LANE_CHUNK;
+    const N: usize = 2 * C + 188;
+    const SIZES: [usize; 9] = [0, 1, 63, 64, 65, C - 1, C, C + 1, 2 * C + 88];
     let mut rng = SmallRng::seed_from_u64(0x0BE7_0033);
     for variant in PipelineVariant::all() {
         for format in [FpFormat::FP32, FpFormat::FP16, FpFormat::BF16] {
@@ -574,6 +578,92 @@ fn open_batches_match_the_interpreter_across_every_entry() {
             }
             let want = interp.read_range(0, N).unwrap();
             assert_eq!(comp.read_range(0, N).unwrap(), want, "{label}");
+        }
+    }
+}
+
+/// Every entry of the compiled pipeline shares one lane buffer, whose live
+/// lanes between calls are the open ADD batch: against the interpreter,
+/// bit for bit on every variant × format, held `add_ranges` of 1, 64 and
+/// `LANE_CHUNK + 1` words are interleaved with scattered `add_batch` and
+/// `read_batch`, `read_range` and `clear_range`. A scattered call right
+/// before a hold must leave no lanes behind for the hold to append to (they
+/// would run again), a clone taken with a batch open reads out the same,
+/// and a call rejected for an out-of-range chunk appends nothing to the
+/// open batch.
+#[test]
+fn one_lane_buffer_serves_every_entry_like_the_interpreter() {
+    const N: usize = LANE_CHUNK + 300;
+    let mut rng = SmallRng::seed_from_u64(0x0B0F_0035);
+    for variant in PipelineVariant::all() {
+        for format in [FpFormat::FP32, FpFormat::FP16, FpFormat::BF16] {
+            let spec = PipelineSpec::new(variant).format(format).slots(N);
+            let mut interp =
+                FpisaPipeline::from_spec(spec.engine(ExecEngine::Interpreted)).unwrap();
+            let mut comp = FpisaPipeline::from_spec(spec.engine(ExecEngine::Compiled)).unwrap();
+            let mut words = |len: usize| -> Vec<u64> {
+                (0..len).map(|_| random_bits(&mut rng, format)).collect()
+            };
+            let ran = |p: &FpisaPipeline| p.dispatch_counts()[0].lanes;
+            for round in 0..2 {
+                let label = format!("{variant:?}/{format:?} round {round}");
+                let (one, short, long) = (words(1), words(64), words(LANE_CHUNK + 1));
+                let pairs: Vec<(usize, u64)> = words(37)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, w)| ((i * 61) % N, w))
+                    .collect();
+                for pipe in [&mut interp, &mut comp] {
+                    pipe.add_ranges(&[(N - 1, &one)]).unwrap();
+                    pipe.add_ranges(&[(40 * round, &short)]).unwrap();
+                    pipe.add_batch(&pairs).unwrap();
+                    pipe.add_ranges(&[(N - LANE_CHUNK - 1, &long)]).unwrap();
+                    pipe.add_ranges(&[(7, &short), (N - 64, &short)]).unwrap();
+                }
+                // A clone of the open batch runs what the original would.
+                let mut twin = comp.clone();
+                let before = ran(&twin);
+                twin.register_state(0);
+                let held = ran(&twin) - before;
+                assert!(held > 0, "{label}: no batch was open");
+                let want = interp.read_range(0, N).unwrap();
+                assert_eq!(twin.read_range(0, N).unwrap(), want, "{label}: clone");
+                // A call with an out-of-range chunk appends nothing.
+                for pipe in [&mut interp, &mut comp] {
+                    let bad = [(0, &short[..]), (N - 10, &short[..])];
+                    assert!(pipe.add_ranges(&bad).is_err(), "{label}");
+                }
+                comp.register_state(0);
+                assert_eq!(ran(&comp), before + held, "{label}: the rejected call ran");
+                let slots: Vec<usize> = (0..50).map(|i| (i * 47) % N).collect();
+                for pipe in [&mut interp, &mut comp] {
+                    pipe.add_ranges(&[(3, &short)]).unwrap();
+                }
+                let want = interp.read_batch(&slots).unwrap();
+                assert_eq!(comp.read_batch(&slots).unwrap(), want, "{label}");
+                for pipe in [&mut interp, &mut comp] {
+                    pipe.add_ranges(&[(N - 100, &short)]).unwrap();
+                    pipe.add_batch(&pairs).unwrap();
+                    pipe.add_ranges(&[(20, &one)]).unwrap();
+                }
+                let want = interp.read_range(10, LANE_CHUNK).unwrap();
+                assert_eq!(comp.read_range(10, LANE_CHUNK).unwrap(), want, "{label}");
+                for pipe in [&mut interp, &mut comp] {
+                    pipe.add_ranges(&[(30, &short)]).unwrap();
+                    pipe.clear_range(50, 100).unwrap();
+                    pipe.add_ranges(&[(60, &one)]).unwrap();
+                }
+                for s in 0..N {
+                    let want = interp.register_state(s);
+                    assert_eq!(comp.register_state(s), want, "{label}: slot {s}");
+                }
+            }
+            let want = interp.read_range(0, N).unwrap();
+            assert_eq!(
+                comp.read_range(0, N).unwrap(),
+                want,
+                "{variant:?}/{format:?}"
+            );
         }
     }
 }

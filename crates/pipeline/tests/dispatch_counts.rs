@@ -10,7 +10,7 @@
 
 use fpisa_core::FpFormat;
 use fpisa_pipeline::{FpisaPipeline, PipelineSpec, PipelineVariant, OP_ADD, OP_READ};
-use fpisa_pisa::{BatchLanes, CompiledSwitch, DispatchCounts};
+use fpisa_pisa::{BatchLanes, CompiledSwitch, DispatchCounts, LANE_CHUNK};
 
 const LANES: usize = 64;
 
@@ -231,7 +231,8 @@ fn consecutive_slots_reach_the_stateful_tables_as_register_windows() {
 
 /// No FP16 Tofino batch walks. The two shift tables run a divergent batch
 /// as shift rows — one pass, no per-lane action — including the two
-/// batches that used to leave the fast arms: a 256-lane READ batch over
+/// batches that used to leave the fast arms: a full-width
+/// ([`LANE_CHUNK`]) READ batch over
 /// registers spread across many binades, whose renormalisation distances
 /// (`frac_shift`) and leading-one positions (`top`) take more than eight
 /// values each, and an ADD batch with zero inputs, which makes `skip` vary
@@ -240,7 +241,7 @@ fn consecutive_slots_reach_the_stateful_tables_as_register_windows() {
 /// sweep per leading-one position. Alike on both lane words.
 #[test]
 fn fp16_tofino_shift_tables_run_as_rows_and_no_batch_walks() {
-    const LANES: usize = 256;
+    const LANES: usize = LANE_CHUNK;
     let pipe = FpisaPipeline::from_spec(
         PipelineSpec::new(PipelineVariant::TofinoA)
             .format(FpFormat::FP16)
@@ -326,16 +327,18 @@ fn fp16_tofino_shift_tables_run_as_rows_and_no_batch_walks() {
 
 /// The compiled pipeline's open ADD batch, pinned by
 /// [`FpisaPipeline::dispatch_counts`]: `add_ranges` calls fill one batch
-/// across calls, a batch runs when it reaches 256 lanes or when something
-/// reads the registers, and the 64-word chunks a round's packets carry,
-/// arriving in ascending slot order, reach Phase C as one 256-lane window.
+/// across calls, a batch runs when it reaches [`LANE_CHUNK`] lanes or when
+/// something reads the registers, and the 64-word chunks a round's packets
+/// carry, arriving in ascending slot order, reach Phase C as one
+/// `LANE_CHUNK`-lane window.
 #[test]
 fn add_ranges_fill_one_open_batch_across_calls() {
+    const C: usize = LANE_CHUNK;
     let spec = PipelineSpec::new(PipelineVariant::TofinoA)
         .format(FpFormat::FP16)
-        .slots(512);
-    let words: Vec<u64> = (0..300)
-        .map(|k| FpFormat::FP16.encode(1.0 + k as f64 / 64.0))
+        .slots(2 * C);
+    let words: Vec<u64> = (0..C + 44)
+        .map(|k| FpFormat::FP16.encode(1.0 + (k % 300) as f64 / 64.0))
         .collect();
     let counts = |pipe: &FpisaPipeline| Counts {
         names: (pipe.switch_program().stages.iter())
@@ -352,13 +355,13 @@ fn add_ranges_fill_one_open_batch_across_calls() {
         [(e.lanes, e.windowed), (m.lanes, m.windowed)]
     };
 
-    // Three 64-word calls run nothing; the fourth fills the batch, which
-    // runs as one ADD resolution of 256 lanes (an ADD batch leaves the
-    // READ-only `find_top` at its gate), and the read then runs only its
-    // own 64-lane READ batch.
+    // `C / 64 - 1` 64-word calls run nothing; the next fills the batch,
+    // which runs as one ADD resolution of `C` lanes (an ADD batch leaves
+    // the READ-only `find_top` at its gate), and the read then runs only
+    // its own 64-lane READ batch.
     let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
     assert_eq!(counts(&pipe).counts.len(), 16);
-    for k in 0..4 {
+    for k in 0..C / 64 {
         assert!(
             pipe.dispatch_counts().iter().all(|c| c.lanes == 0),
             "a 64-word call ran its own batch"
@@ -369,20 +372,20 @@ fn add_ranges_fill_one_open_batch_across_calls() {
     pipe.read_range(0, 64).unwrap();
     let after = counts(&pipe);
     for (table, c) in after.names.iter().zip(&after.counts) {
-        assert_eq!((c.lanes, batches(c)), (256 + 64, 2), "{table}");
+        assert_eq!((c.lanes, batches(c)), ((C + 64) as u64, 2), "{table}");
     }
     assert_eq!(after.of("find_top").gate_decided, 1, "one ADD resolution");
     assert_eq!(
         stateful(&after),
-        [(256 + 64, 256 + 64); 2],
+        [((C + 64) as u64, (C + 64) as u64); 2],
         "one window each"
     );
 
-    // A 256-word call fills its batch and runs it: nothing stays open.
+    // A `C`-word call fills its batch and runs it: nothing stays open.
     let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
-    pipe.add_ranges(&[(0, &words[..256])]).unwrap();
+    pipe.add_ranges(&[(0, &words[..C])]).unwrap();
     let full = counts(&pipe);
-    assert_eq!(stateful(&full), [(256, 256); 2]);
+    assert_eq!(stateful(&full), [(C as u64, C as u64); 2]);
     pipe.register_state(0);
     assert_eq!(
         pipe.dispatch_counts(),
@@ -390,16 +393,19 @@ fn add_ranges_fill_one_open_batch_across_calls() {
         "a batch stayed open"
     );
 
-    // A 300-word call runs 256 lanes and holds 44; the next read runs
+    // A `C + 44`-word call runs `C` lanes and holds 44; the next read runs
     // those 44 first.
     let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
     pipe.add_ranges(&[(100, &words[..])]).unwrap();
     let ran = counts(&pipe);
-    assert_eq!(stateful(&ran), [(256, 256); 2]);
+    assert_eq!(stateful(&ran), [(C as u64, C as u64); 2]);
     assert_eq!(ran.of("find_top").gate_decided, 1);
     pipe.read_range(0, 8).unwrap();
     let after = counts(&pipe);
-    assert_eq!(stateful(&after), [(256 + 44 + 8, 256 + 44 + 8); 2]);
+    assert_eq!(
+        stateful(&after),
+        [((C + 44 + 8) as u64, (C + 44 + 8) as u64); 2]
+    );
     assert_eq!(after.of("find_top").gate_decided, 2, "the 44 ran as ADDs");
     for (table, c) in after.names.iter().zip(&after.counts) {
         assert_eq!(batches(c), 3, "{table}");
@@ -413,5 +419,44 @@ fn add_ranges_fill_one_open_batch_across_calls() {
         let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
         pipe.add_ranges(&[(0, &words[..64])]).unwrap();
         assert!(pipe.dispatch_counts().is_empty());
+    }
+}
+
+/// A round shaped like the repo benchmark's `allreduce_fp16_batch2` — two
+/// workers' 64-word chunks over `2 * LANE_CHUNK` slots in one `add_ranges`,
+/// then one `read_range` over every slot — runs as 4 ADD batches and 2 READ
+/// batches, each one register window per stateful table.
+#[test]
+fn a_two_worker_round_runs_as_four_add_and_two_read_batches() {
+    const SLOTS: usize = 2 * LANE_CHUNK;
+    let mut pipe = FpisaPipeline::from_spec(
+        PipelineSpec::new(PipelineVariant::TofinoA)
+            .format(FpFormat::FP16)
+            .slots(SLOTS),
+    )
+    .unwrap();
+    let words: Vec<u64> = (0..SLOTS)
+        .map(|k| FpFormat::FP16.encode(0.5 + (k % 97) as f64 / 32.0))
+        .collect();
+    let chunks: Vec<(usize, &[u64])> = (0..2)
+        .flat_map(|_| words.chunks(64).enumerate().map(|(i, w)| (64 * i, w)))
+        .collect();
+    pipe.add_ranges(&chunks).unwrap();
+    pipe.read_range(0, SLOTS).unwrap();
+    let names: Vec<String> = (pipe.switch_program().stages.iter())
+        .flat_map(|s| &s.tables)
+        .map(|t| t.name.clone())
+        .collect();
+    let c = Counts {
+        names,
+        counts: pipe.dispatch_counts().to_vec(),
+    };
+    let top = c.of("find_top");
+    // ADD batches stop at `find_top`'s gate; READ batches resolve there by
+    // the leading one.
+    assert_eq!((top.gate_decided, top.leading), (4, 2));
+    assert_eq!(top.lanes, 3 * SLOTS as u64);
+    for table in ["exponent", "mantissa"] {
+        assert_eq!(c.of(table).windowed, 3 * SLOTS as u64, "{table}");
     }
 }

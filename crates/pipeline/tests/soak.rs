@@ -2,7 +2,10 @@
 //! engine exists for. One million ADD packets stream through
 //! [`FpisaPipeline::add_batch`] into 256 slots, and the final register
 //! state and read-out of every slot is verified bit-for-bit against
-//! `fpisa_core::FpisaAccumulator` references fed the same stream.
+//! `fpisa_core::FpisaAccumulator` references fed the same stream. A third
+//! soak takes the path the aggregation workloads take: 64-word wire chunks
+//! through [`FpisaPipeline::add_ranges`], held in the open batch, with a
+//! [`FpisaPipeline::read_range`] read-out after every round.
 //!
 //! Ignored by default (it is a release-profile workload); run it with
 //!
@@ -10,7 +13,7 @@
 //! cargo test --release -p fpisa-pipeline --test soak -- --ignored
 //! ```
 
-use fpisa_core::FpisaAccumulator;
+use fpisa_core::{FpFormat, FpisaAccumulator};
 use fpisa_pipeline::{FpisaPipeline, PipelineSpec, PipelineVariant};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -123,4 +126,67 @@ fn million_packet_soak_soa_mixed_reads() {
 #[ignore = "1M-packet soak; run with --release -- --ignored"]
 fn million_packet_soak_extended_full() {
     soak(PipelineVariant::ExtendedFull, 0x50AC_0002);
+}
+
+/// The aggregation workloads' path at soak scale: FP16 on Tofino, rounds
+/// of 8 workers × 4096 slots sent as 64-word `add_ranges` chunks (the
+/// shape of one packet each), so ADDs are held across calls and run as
+/// full batches. After every round a `read_range` over all slots is checked
+/// against the references, then one 64-slot chunk is cleared for reuse, as
+/// an aggregation switch finishes a chunk's round.
+#[test]
+#[ignore = "1M-packet soak; run with --release -- --ignored"]
+fn million_packet_soak_wire_chunks_through_add_ranges() {
+    const SLOTS: usize = 4096;
+    const WORKERS: usize = 8;
+    const WIRE: usize = 64;
+    let spec = PipelineSpec::new(PipelineVariant::TofinoA)
+        .format(FpFormat::FP16)
+        .slots(SLOTS);
+    let mut pipe = FpisaPipeline::from_spec(spec).expect("spec must validate");
+    let cfg = pipe.core_config();
+    let mut refs: Vec<FpisaAccumulator> = (0..SLOTS).map(|_| FpisaAccumulator::new(cfg)).collect();
+
+    let mut rng = SmallRng::seed_from_u64(0x50AC_0004);
+    let mut sent = 0usize;
+    let mut round = 0usize;
+    let mut words = vec![0u64; WIRE];
+    while sent < PACKETS {
+        for _ in 0..WORKERS {
+            for start in (0..SLOTS).step_by(WIRE) {
+                for w in &mut words {
+                    let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                    let x = sign * 2f64.powi(rng.gen_range(-10..10)) * rng.gen_range(1.0..2.0);
+                    *w = FpFormat::FP16.encode(x);
+                }
+                pipe.add_ranges(&[(start, &words)])
+                    .expect("finite in-range packets");
+                for (r, &bits) in refs[start..].iter_mut().zip(&words) {
+                    r.add_bits_quiet(bits).expect("finite packets");
+                }
+                sent += WIRE;
+            }
+        }
+        let reads = pipe.read_range(0, SLOTS).expect("in-range reads");
+        for (slot, (&bits, r)) in reads.iter().zip(&refs).enumerate() {
+            assert_eq!(
+                bits,
+                r.read_bits(),
+                "read-out diverged in slot {slot} after round {round} ({sent} packets)"
+            );
+        }
+        let start = (round * 17 % (SLOTS / WIRE)) * WIRE;
+        pipe.clear_range(start, WIRE).expect("in-range clear");
+        for r in &mut refs[start..start + WIRE] {
+            *r = FpisaAccumulator::new(cfg);
+        }
+        round += 1;
+    }
+    for (slot, r) in refs.iter().enumerate() {
+        assert_eq!(
+            pipe.register_state(slot),
+            (r.exponent(), r.mantissa()),
+            "register state diverged in slot {slot} after {sent} packets"
+        );
+    }
 }

@@ -24,10 +24,14 @@ use crate::compile::CompiledSwitch;
 use crate::phv::{BatchLanes, FieldId, PhvLayout};
 use crate::switch::RuntimeError;
 
-/// Lanes per batch cut from ranges or from scattered pairs: each `u32`
-/// column of 256 lanes is 1 KiB, so a batch stays cache-resident while
-/// amortizing the per-table dispatch over many packets.
-pub const LANE_CHUNK: usize = 256;
+/// Lanes per batch cut from ranges or from scattered pairs. Every batch
+/// pays a fixed cost in each table it passes, whatever its width: on the
+/// FP16 Tofino program about 0.85 µs per ADD batch and 0.9 µs per READ
+/// batch (an 8-worker round of `run_lanes` on a 2-core Xeon VM), against
+/// roughly 16 and 18 ns per lane. 2048 lanes spread it over enough packets
+/// to be a few percent of the batch, while the program's 34 `u32` columns
+/// of 2048 lanes (≈ 272 KiB) still sit in a core's L2.
+pub const LANE_CHUNK: usize = 2048;
 
 /// The four PHV fields a range- or pair-shaped batch writes and reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +62,8 @@ impl CompiledSwitch {
     /// reach the stateful tables as the runs Phase C serves from register
     /// windows. `lanes` is the caller's reusable buffer; an empty one
     /// (`BatchLanes::default()`) is built over this engine's layout on
-    /// first use.
+    /// first use. Whatever it held is dropped, and it is left empty, on
+    /// success and on a fault alike.
     ///
     /// A range whose slots do not fit the slot field is rejected before any
     /// packet runs; slots past a register array fault in Phase C like any
@@ -118,7 +123,10 @@ impl CompiledSwitch {
     ///
     /// A batch is [`LANE_CHUNK`] lanes: the `op` column is written once per
     /// batch and each packet's slot and word with [`BatchLanes::set`].
-    /// `lanes` is the caller's reusable buffer, as for `run_ranges`.
+    /// `lanes` is the caller's reusable buffer, as for `run_ranges`. Each
+    /// batch is emptied once it has run, on success and on a fault alike,
+    /// so a later [`CompiledSwitch::hold_ranges`] into the same buffer
+    /// starts a fresh batch instead of running these packets again.
     ///
     /// A slot that does not fit the slot field is rejected before any
     /// packet runs; slots past a register array fault in Phase C like any
@@ -151,10 +159,12 @@ impl CompiledSwitch {
                 lanes.set(fields.slot, k, slot as u64);
                 lanes.set(fields.value, k, word);
             }
-            self.run_lanes(lanes)?;
-            if let Some(out) = collect.as_deref_mut() {
+            let ran = self.run_lanes(lanes);
+            if let (Ok(_), Some(out)) = (&ran, collect.as_deref_mut()) {
                 lanes.extend_from_column(fields.result, out);
             }
+            lanes.begin(0);
+            ran?;
         }
         Ok(())
     }
@@ -290,27 +300,29 @@ mod tests {
         }
     }
 
-    /// Calls of 0, 1, 63, 64, 65, 255, 256, 257 and 600 words with slots
-    /// hit again by later calls (one open batch holds a slot twice), READs
-    /// held between bumps, and the open batch run every fourth call: after
-    /// every call exactly the packets of the batches that filled have run,
-    /// each in order, and the rest is open.
+    /// Calls of 0, 1, 63, 64, 65, `LANE_CHUNK - 1`, `LANE_CHUNK`,
+    /// `LANE_CHUNK + 1` and `2 * LANE_CHUNK + 88` words with slots hit
+    /// again by later calls (one open batch holds a slot twice), READs held
+    /// between bumps, and the open batch run every fourth call: after every
+    /// call exactly the packets of the batches that filled have run, each
+    /// in order, and the rest is open.
     #[test]
     fn open_batch_fills_across_calls_like_the_interpreter() {
-        let (program, fields) = counter(700);
-        let words: Vec<u64> = (0..600u64).map(|i| i * 7 % 11).collect();
+        const LONG: usize = 2 * LANE_CHUNK + 88;
+        let (program, fields) = counter(LONG + 100);
+        let words: Vec<u64> = (0..LONG as u64).map(|i| i * 7 % 11).collect();
         let calls = [
             (OP_BUMP, 5, 0),
             (OP_BUMP, 10, 1),
             (OP_BUMP, 0, 63),
             (OP_READ, 3, 64),
             (OP_BUMP, 40, 65),
-            (OP_BUMP, 10, 255),
-            (OP_READ, 100, 256),
-            (OP_BUMP, 30, 257),
-            (OP_BUMP, 0, 600),
+            (OP_BUMP, 10, LANE_CHUNK - 1),
+            (OP_READ, 100, LANE_CHUNK),
+            (OP_BUMP, 30, LANE_CHUNK + 1),
+            (OP_BUMP, 0, LONG),
             (OP_BUMP, 62, 64),
-            (OP_BUMP, 600, 65),
+            (OP_BUMP, LONG, 65),
             (OP_BUMP, 1, 1),
         ];
         let mut interp = Switch::new(program.clone()).unwrap();
@@ -354,14 +366,16 @@ mod tests {
     /// past the slot field is rejected before anything is appended.
     #[test]
     fn open_batch_that_faults_is_emptied() {
-        let (program, fields) = counter(100);
-        let words: Vec<u64> = (0..300u64).map(|i| i % 5).collect();
+        // Entries of the counter: two full ranges leave 56 lanes of a batch.
+        const E: usize = LANE_CHUNK / 2 - 28;
+        let (program, fields) = counter(E);
+        let words: Vec<u64> = (0..E as u64).map(|i| i % 5).collect();
         let mut cs = CompiledSwitch::compile(&program).unwrap();
         let mut open = BatchLanes::default();
         let bump = |start: usize, len: usize| (start, len, Some(&words[..len]));
 
-        // In-range lanes, then lanes past the 100-entry array.
-        let held = [bump(0, 50), bump(90, 40)];
+        // In-range lanes, then lanes past the array's end.
+        let held = [bump(0, 50), bump(E - 10, 40)];
         cs.hold_ranges(&mut open, fields, OP_BUMP, held.into_iter())
             .unwrap();
         assert_eq!(open.len(), 90);
@@ -372,15 +386,17 @@ mod tests {
         );
         assert!(open.is_empty(), "run_held left the faulted batch open");
 
-        // 200 open, then 100 more: the batch of 256 reaches slots 100..116.
+        // `2 * E` open, then 100 more: the filled batch's last 56 lanes
+        // reach slots `E - 40..E + 16`, past the array from `E`.
         cs.hold_ranges(
             &mut open,
             fields,
             OP_BUMP,
-            [bump(0, 100), bump(0, 100)].into_iter(),
+            [bump(0, E), bump(0, E)].into_iter(),
         )
         .unwrap();
-        let res = cs.hold_ranges(&mut open, fields, OP_BUMP, [bump(60, 100)].into_iter());
+        assert_eq!(open.len(), LANE_CHUNK - 56);
+        let res = cs.hold_ranges(&mut open, fields, OP_BUMP, [bump(E - 40, 100)].into_iter());
         assert!(
             matches!(res, Err(RuntimeError::IndexOutOfRange { .. })),
             "{res:?}"
@@ -409,21 +425,77 @@ mod tests {
             &mut open,
             fields,
             OP_BUMP,
-            [bump(3, 97), bump(0, 100)].into_iter(),
+            [bump(3, E - 3), bump(0, E)].into_iter(),
         )
         .unwrap();
         cs.run_held(&mut open).unwrap();
         interpret(
             &mut interp,
             fields,
-            (0..97).map(|k| (OP_BUMP, 3 + k, words[k])),
+            (0..E - 3).map(|k| (OP_BUMP, 3 + k, words[k])),
         );
+        interpret(&mut interp, fields, (0..E).map(|k| (OP_BUMP, k, words[k])));
+        assert_eq!(cs.register_state(), interp.register_state());
+        assert!((0..E).any(|s| cs.register(RegArrayId(0), s) != 0));
+    }
+
+    /// Both lane loops leave the buffer empty, after a call that ran and
+    /// after one that faulted, so a hold into the same buffer starts a
+    /// fresh batch: a stale last batch of ADDs would run a second time.
+    #[test]
+    fn pair_and_range_loops_leave_the_buffer_empty() {
+        let (program, fields) = counter(100);
+        let mut interp = Switch::new(program.clone()).unwrap();
+        let mut cs = CompiledSwitch::compile(&program).unwrap();
+        let mut lanes = BatchLanes::default();
+        let n = LANE_CHUNK + 5;
+        let pair = |i: usize| (i * 7 % 100, (i % 3) as u64);
+        cs.run_pairs(&mut lanes, fields, OP_BUMP, n, pair, None)
+            .unwrap();
+        assert!(lanes.is_empty(), "run_pairs left its last batch live");
         interpret(
             &mut interp,
             fields,
-            (0..100).map(|k| (OP_BUMP, k, words[k])),
+            (0..n).map(|i| (OP_BUMP, pair(i).0, pair(i).1)),
         );
+        // Lane 3 of the last batch indexes past the array.
+        let past = |i: usize| {
+            if i == LANE_CHUNK + 3 {
+                (100, 1)
+            } else {
+                pair(i)
+            }
+        };
+        let res = cs.run_pairs(&mut lanes, fields, OP_BUMP, n, past, None);
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
+        assert!(lanes.is_empty(), "run_pairs left its faulted batch live");
+        interpret(
+            &mut interp,
+            fields,
+            (0..LANE_CHUNK + 3).map(|i| (OP_BUMP, pair(i).0, pair(i).1)),
+        );
+        let res = cs.run_ranges(
+            &mut lanes,
+            fields,
+            OP_BUMP,
+            [(90, 20, None)].into_iter(),
+            None,
+        );
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
+        assert!(lanes.is_empty(), "run_ranges left its faulted batch live");
+        interpret(&mut interp, fields, (90..100).map(|s| (OP_BUMP, s, 0)));
+        // A hold into the buffer runs its own packets and nothing else.
+        let words = [4u64; 30];
+        cs.hold_ranges(
+            &mut lanes,
+            fields,
+            OP_BUMP,
+            [(0, 30, Some(&words[..]))].into_iter(),
+        )
+        .unwrap();
+        assert_eq!(lanes.len(), 30);
+        cs.run_held(&mut lanes).unwrap();
+        interpret(&mut interp, fields, (0..30).map(|s| (OP_BUMP, s, 4)));
         assert_eq!(cs.register_state(), interp.register_state());
-        assert!((0..100).any(|s| cs.register(RegArrayId(0), s) != 0));
     }
 }

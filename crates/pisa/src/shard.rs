@@ -501,6 +501,7 @@ mod tests {
     use super::*;
     use crate::action::{Action, AluOp, Operand};
     use crate::phv::PhvLayout;
+    use crate::ranges::LANE_CHUNK;
     use crate::register::{RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, StatefulCall};
     use crate::stage::Stage;
     use crate::switch::{Switch, SwitchCaps, SwitchProgram};
@@ -672,14 +673,15 @@ mod tests {
     type Span<'a> = (usize, usize, Option<&'a [u64]>);
 
     /// Range-shaped calls of `(op, ranges)` over 600 slots: ranges across
-    /// every shard and across the 256-lane batches, ranges straddling
-    /// shard boundaries (200 and 400 on 3 shards, multiples of 75 on 8),
-    /// empty ones, out-of-order and overlapping lists, and a READ whose one
-    /// range spans every shard.
+    /// every shard, a call of whole-space ranges longer than a
+    /// [`LANE_CHUNK`] batch, ranges straddling shard boundaries (200 and
+    /// 400 on 3 shards, multiples of 75 on 8), empty ones, out-of-order and
+    /// overlapping lists, and a READ whose one range spans every shard.
     fn range_calls(words: &[u64]) -> Vec<(u64, Vec<Span<'_>>)> {
         let w = |start: usize, len: usize| (start, len, Some(&words[start..start + len]));
         vec![
             (OP_BUMP, vec![w(0, 600)]),
+            (OP_BUMP, vec![w(0, 600); LANE_CHUNK / 600 + 1]),
             (OP_BUMP, vec![w(190, 20), w(5, 0), w(399, 2), w(0, 300)]),
             (OP_BUMP, vec![(250, 300, None), (600, 0, None), w(70, 10)]),
             (OP_READ, vec![(0, 600, None)]),
@@ -748,15 +750,15 @@ mod tests {
     }
 
     /// Scattered calls of `(op, slots)` over 600 slots: random slots with
-    /// duplicates (3000 packets, more than one 256-lane batch per shard on
-    /// 8 shards), every slot in descending order twice in a row, an empty
-    /// call, and READs in both shapes.
+    /// duplicates (`9 * LANE_CHUNK` packets, more than one batch per shard
+    /// on 8 shards), every slot in descending order twice in a row, an
+    /// empty call, and READs in both shapes.
     fn pair_calls() -> Vec<(u64, Vec<usize>)> {
         let mut rng = SmallRng::seed_from_u64(0x9A1E);
         let random = |n: usize, rng: &mut SmallRng| (0..n).map(|_| rng.gen_range(0..600)).collect();
         let descending_twice = (0..1200).map(|k| 599 - k / 2).collect();
         vec![
-            (OP_BUMP, random(3000, &mut rng)),
+            (OP_BUMP, random(9 * LANE_CHUNK, &mut rng)),
             (OP_BUMP, descending_twice),
             (OP_BUMP, Vec::new()),
             (OP_READ, (0..600).rev().collect()),
@@ -772,6 +774,10 @@ mod tests {
         let fields = counter_fields(&program);
         let calls = pair_calls();
         let word = |i: usize| (i % 13) as u64;
+        for r in partition_slots(total, 8) {
+            let on_shard = calls[0].1.iter().filter(|&&s| r.contains(s)).count();
+            assert!(on_shard > LANE_CHUNK, "{r:?} fills no batch");
+        }
 
         // The oracle: every packet as a PHV through the interpreter.
         let mut interp = Switch::new(program.clone()).unwrap();
