@@ -100,7 +100,7 @@ pub trait Aggregator {
     /// A fold may be **deferred**: a backend may hold the words in a
     /// partly filled batch and run it with later calls' words (the FPISA
     /// backend does, through [`fpisa_pipeline::FpisaPipeline::add_ranges`],
-    /// and so does a one-shard [`crate::SwitchMlFixedPoint`]).
+    /// and so does [`crate::SwitchMlFixedPoint`]).
     /// Folds still apply in call order, and each takes effect no later
     /// than the backend's next `read_range` or `clear_range`, so every
     /// read-out is the one folding at once would give. A call that fails
@@ -108,8 +108,8 @@ pub trait Aggregator {
     fn add_wire(&mut self, start: usize, words: &[u64]) -> Result<(), AggError>;
 
     /// Switch side, many chunks at once: fold several `(start, words)`
-    /// payloads in one call. Backends with a sharded engine push the
-    /// whole set through one parallel batch here.
+    /// payloads in one call. The compiled backends fill one lane batch
+    /// from the whole set here.
     ///
     /// **Contract: all-or-nothing.** Implementations must validate every
     /// chunk — ranges and word validity — *before* folding anything, so

@@ -74,10 +74,9 @@ impl FpisaAggregator {
     /// [`FpisaAggregator::fp16_tofino`] partitioned into `shards` slot
     /// ranges, with shard boundaries aligned to `chunk` slots so every protocol
     /// chunk's slot range lands on exactly one shard (pass the job's
-    /// `elements_per_packet`). [`crate::Aggregator::add_wire_multi`] runs
-    /// each shard's chunks on that shard's engine, shard by shard on the
-    /// calling thread; results stay bit-for-bit identical to the
-    /// single-core engine.
+    /// `elements_per_packet`). The partition is a build-time plan with a
+    /// shard-safety proof per shard ([`PipelineSpec::shards`]); packets run
+    /// on the one full-space engine, so results are the unsharded ones.
     pub fn fp16_tofino_sharded(
         slots: usize,
         shards: usize,
@@ -198,9 +197,7 @@ impl Aggregator for FpisaAggregator {
             }
         }
         // One combined batch through the pipeline, the chunks handed over
-        // as the ranges they are: on a sharded spec each shard runs the
-        // chunks it owns (whole chunks land on one shard when the shard
-        // alignment matches the chunk size).
+        // as the ranges they are.
         self.pipe.add_ranges(chunks)?;
         match &mut self.shadow {
             Some(shadow) => {

@@ -385,19 +385,17 @@ impl<B: Aggregator> AggregationSwitch<B> {
         Ok(self.pool.commit(pkt))
     }
 
-    /// Ingest a whole batch of data packets at once — the parallel
+    /// Ingest a whole batch of data packets at once — the batched
     /// aggregation ingest path. Each packet is classified exactly as
     /// [`AggregationSwitch::ingest`] would in sequence (duplicates within
     /// the batch included), then every accepted payload is folded into
     /// the backend through **one**
-    /// [`Aggregator::add_wire_multi`] call — on a sharded backend, the
-    /// point where whole chunks fan out across cores in parallel.
+    /// [`Aggregator::add_wire_multi`] call.
     ///
     /// [`SlotPool`] bookkeeping is committed only after the backend
-    /// accepts the combined batch, and in the packets' original order —
-    /// so the fan-in state is correct regardless of the order in which
-    /// shards complete their slices, and a rejected batch consumes no
-    /// contributions (same contract as scalar ingest). Returns one
+    /// accepts the combined batch, and in the packets' original order, so
+    /// a rejected batch consumes no contributions (same contract as scalar
+    /// ingest). Returns one
     /// decision per packet, in order.
     pub fn ingest_batch(&mut self, pkts: &[AggPacket]) -> Result<Vec<IngestDecision>, AggError> {
         // Phase 1: classify against the pool state plus the contributions

@@ -16,19 +16,20 @@
 //! the same substrate the FPISA pipeline runs on, with none of its
 //! floating-point stages. Packets reach it the way FPISA's do: every
 //! payload and read-out is a slot range, filled into the engine's lanes a
-//! column at a time by [`ShardedSwitch::run_ranges`] (split shard by
-//! shard on the calling thread when sharded) — no PHV is built per
-//! packet.
+//! column at a time by [`CompiledSwitch::run_ranges`] — no PHV is built
+//! per packet. [`SwitchMlFixedPoint::with_shards`] partitions the slot
+//! space as FPISA's sharded specs do: a build-time [`ShardPlan`] whose
+//! every shard program analyzes clean and proves shard safety, while the
+//! packets run on the one full-space engine.
 //!
-//! ADDs are **held** as FPISA's are: on a one-shard engine each
-//! `add_wire` / `add_wire_multi` call appends its words to an open batch
-//! ([`CompiledSwitch::hold_ranges`] on shard 0), which runs once it reaches
+//! ADDs are **held** as FPISA's are: each `add_wire` / `add_wire_multi`
+//! call appends its words to an open batch
+//! ([`CompiledSwitch::hold_ranges`]), which runs once it reaches
 //! [`fpisa_pisa::LANE_CHUNK`] lanes, and [`Aggregator::read_range`] and
 //! [`Aggregator::clear_range`] run whatever is still open before touching
 //! the registers — so a round's 64-word packets run as full batches and
-//! every read-out is the one folding at once would give. A sharded engine
-//! holds nothing and runs every call at once. Quantization clipping is
-//! accounted on the host
+//! every read-out is the one folding at once would give, sharded or not.
+//! Quantization clipping is accounted on the host
 //! ([`AggStats::clipped`]); register saturation is accounted via a
 //! control-plane mirror ([`fpisa_core::AddStats::overflows`]) while the
 //! aggregated values themselves always come from the switch registers.
@@ -38,8 +39,8 @@ use fpisa_core::AddStats;
 use fpisa_pisa::{
     partition_slots_aligned, prove_shard_safety, verify_program, Action, BatchLanes,
     CompiledSwitch, KeyMatch, MatchKind, Operand, PhvLayout, RegArrayId, RegisterArraySpec,
-    SaluCond, SaluOutput, SaluUpdate, ShardedSwitch, SlotFields, Stage, StatefulCall, SwitchCaps,
-    SwitchProgram, Table,
+    SaluCond, SaluOutput, SaluUpdate, ShardPlan, ShardSafetyProof, SlotFields, SlotRange, Stage,
+    StatefulCall, SwitchCaps, SwitchProgram, Table,
 };
 
 /// Packet opcode: fold a quantized value into a slot.
@@ -57,13 +58,13 @@ fn qmax_for(workers: u32) -> i64 {
 }
 
 /// A switch-side fixed-point aggregation backend: host-scaled integers
-/// summed saturating in a plain PISA register array — run behind a
-/// [`ShardedSwitch`] so the slot space can be partitioned exactly like
-/// the FPISA backend's (1 shard by default; see
+/// summed saturating in a plain PISA register array, its slot space
+/// partitioned exactly like the FPISA backend's (1 shard by default; see
 /// [`SwitchMlFixedPoint::with_shards`]).
 #[derive(Debug, Clone)]
 pub struct SwitchMlFixedPoint {
-    engine: ShardedSwitch,
+    engine: CompiledSwitch,
+    plan: ShardPlan,
     fields: SlotFields,
     array: RegArrayId,
     slots: usize,
@@ -77,9 +78,9 @@ pub struct SwitchMlFixedPoint {
     mirror: Vec<i64>,
     stats: AddStats,
     clipped: u64,
-    /// Lane buffer of the range-shaped ADD and READ paths. On a one-shard
-    /// engine its live lanes between calls are the open ADD batch; every
-    /// other call leaves it empty.
+    /// Lane buffer of the range-shaped ADD and READ paths. Its live lanes
+    /// between calls are the open ADD batch; every other call leaves it
+    /// empty.
     lanes: BatchLanes,
 }
 
@@ -104,10 +105,11 @@ impl SwitchMlFixedPoint {
                 detail: format!("slot count {slots} outside 1..=65536"),
             });
         }
-        let (engine, fields, array) = build_engine(slots, 1, 1)?;
+        let (engine, plan, fields, array) = build_engine(slots, 1, 1)?;
         let qmax = qmax_for(workers);
         Ok(SwitchMlFixedPoint {
             engine,
+            plan,
             fields,
             array,
             slots,
@@ -120,12 +122,12 @@ impl SwitchMlFixedPoint {
         })
     }
 
-    /// Re-partition the backend's slot space into `shards` slot-range
-    /// partitions, run one after another on the calling thread, with
-    /// shard boundaries aligned to `chunk` slots (pass the job's
-    /// `elements_per_packet` so whole chunks land on one shard). Register
-    /// state must be empty — shard on construction, before any packet.
-    /// Results are bit-for-bit identical to the single-shard engine.
+    /// Re-partition the backend's slot space into `shards` slot ranges,
+    /// with shard boundaries aligned to `chunk` slots (pass the job's
+    /// `elements_per_packet` so whole chunks land on one shard), each
+    /// shard's program analyzed and proved shard-safe. Register state must
+    /// be empty — shard on construction, before any packet. Packets still
+    /// run on one full-space engine, so results are the unsharded ones.
     pub fn with_shards(mut self, shards: usize, chunk: usize) -> Result<Self, AggError> {
         self.run_held()?;
         if self.mirror.iter().any(|&m| m != 0) {
@@ -138,13 +140,14 @@ impl SwitchMlFixedPoint {
                 detail: format!("shard count {shards} outside 1..={}", self.slots),
             });
         }
-        (self.engine, self.fields, self.array) = build_engine(self.slots, shards, chunk)?;
+        (self.engine, self.plan, self.fields, self.array) =
+            build_engine(self.slots, shards, chunk)?;
         Ok(self)
     }
 
     /// Number of shards the slot space is partitioned across.
     pub fn shards(&self) -> usize {
-        self.engine.shard_count()
+        self.plan.shard_count()
     }
 
     /// Size the scaling factor for a workload, SwitchML-style: the host
@@ -193,57 +196,53 @@ impl SwitchMlFixedPoint {
     }
 
     /// Run the open ADD batch, if one is held, so the registers reflect
-    /// every ADD accepted so far. Only a one-shard engine holds ADDs; on any
-    /// other the lane buffer is empty and this runs nothing.
+    /// every ADD accepted so far.
     fn run_held(&mut self) -> Result<(), AggError> {
-        Ok(self.engine.shard_mut(0).run_held(&mut self.lanes)?)
+        Ok(self.engine.run_held(&mut self.lanes)?)
     }
 }
 
-/// Build the (possibly sharded) execution engine: one compiled one-stage
-/// program per slot range, behind a [`ShardedSwitch`] routed on the
-/// `slot` field. `shards == 1` keeps the single-engine layout.
+/// Build the full-space engine and its [`ShardPlan`] over `shards` slot
+/// ranges routed on the `slot` field. Generated code is not exempt from
+/// the deny gate: the full-space program and every shard's program (the
+/// same program over the shard's slot count; with one shard they are one)
+/// must analyze error-free and prove shard safety. Only the full-space
+/// program is compiled.
 fn build_engine(
     slots: usize,
     shards: usize,
     chunk_align: usize,
-) -> Result<(ShardedSwitch, SlotFields, RegArrayId), AggError> {
+) -> Result<(CompiledSwitch, ShardPlan, SlotFields, RegArrayId), AggError> {
     let ranges = partition_slots_aligned(slots, shards, chunk_align);
-    let mut engines = Vec::with_capacity(ranges.len());
-    let mut proofs = Vec::with_capacity(ranges.len());
-    let mut ids = None;
-    for r in &ranges {
-        let (program, fields, array) = build_program(r.len);
-        // Generated code is not exempt from the deny gate: every shard
-        // program must analyze error-free before it compiles.
-        let report = verify_program(&program);
-        if !report.is_clean() {
-            let first = report.errors().next().expect("unclean report has an error");
-            return Err(AggError::BadSpec {
-                detail: format!("generated SwitchML program failed analysis: {first}"),
-            });
-        }
-        proofs.push(
-            prove_shard_safety(&program, fields.slot).map_err(|ds| AggError::BadSpec {
-                detail: format!(
-                    "generated SwitchML program failed the shard-safety proof: {}",
-                    ds.first().map(ToString::to_string).unwrap_or_default()
-                ),
-            })?,
-        );
-        engines.push(
-            CompiledSwitch::compile(&program).map_err(|e| AggError::BadSpec {
-                detail: format!("generated SwitchML program failed validation: {e}"),
-            })?,
-        );
-        // The layout is identical for every shard; keep one set of ids.
-        ids.get_or_insert((fields, array));
+    let (program, fields, array) = build_program(slots);
+    let mut proofs = vec![analyze(&program, fields)?];
+    if ranges.len() > 1 {
+        let shard = |r: &SlotRange| analyze(&build_program(r.len).0, fields);
+        proofs = ranges.iter().map(shard).collect::<Result<_, _>>()?;
     }
-    let (fields, array) = ids.expect("at least one shard");
-    let engine = ShardedSwitch::new(engines, ranges, fields.slot)
-        .and_then(|e| e.attach_safety_proofs(&proofs))
+    let plan = ShardPlan::new(slots, ranges, fields.slot)
+        .and_then(|plan| plan.prove(&proofs))
         .map_err(AggError::Switch)?;
-    Ok((engine, fields, array))
+    let engine = CompiledSwitch::compile(&program).map_err(|e| AggError::BadSpec {
+        detail: format!("generated SwitchML program failed validation: {e}"),
+    })?;
+    Ok((engine, plan, fields, array))
+}
+
+/// Analyze one generated program and prove it shard-safe on `fields.slot`.
+fn analyze(program: &SwitchProgram, fields: SlotFields) -> Result<ShardSafetyProof, AggError> {
+    let report = verify_program(program);
+    if let Some(first) = report.errors().next() {
+        return Err(AggError::BadSpec {
+            detail: format!("generated SwitchML program failed analysis: {first}"),
+        });
+    }
+    prove_shard_safety(program, fields.slot).map_err(|ds| AggError::BadSpec {
+        detail: format!(
+            "generated SwitchML program failed the shard-safety proof: {}",
+            ds.first().map(ToString::to_string).unwrap_or_default()
+        ),
+    })
 }
 
 /// The one-stage integer-sum program: exactly what SwitchML asks of a
@@ -343,17 +342,10 @@ impl Aggregator for SwitchMlFixedPoint {
         }
         // The chunks go to the engine as the ranges they are: the words
         // fill the value column directly (truncated to the field's 32
-        // bits), held in the open batch on one shard, or each shard taking
-        // the pieces it owns at once.
+        // bits), held in the open batch.
         let ranges = chunks.iter().map(|&(start, w)| (start, w.len(), Some(w)));
-        if self.engine.shard_count() == 1 {
-            self.engine
-                .shard_mut(0)
-                .hold_ranges(&mut self.lanes, self.fields, OP_ADD, ranges)?;
-        } else {
-            self.engine
-                .run_ranges(&mut self.lanes, self.fields, OP_ADD, ranges, None)?;
-        }
+        self.engine
+            .hold_ranges(&mut self.lanes, self.fields, OP_ADD, ranges)?;
         // Control-plane accounting: did the saturating register sum lose
         // information? (Per-slot order matches the engine's exactly.)
         for &(start, words) in chunks {
@@ -386,7 +378,6 @@ impl Aggregator for SwitchMlFixedPoint {
     fn clear_range(&mut self, start: usize, len: usize) -> Result<(), AggError> {
         self.check_range(start, len)?;
         self.run_held()?;
-        // Each shard fills the part of the global span it owns.
         self.engine.fill_registers(self.array, start, len, 0);
         self.mirror[start..start + len].fill(0);
         Ok(())
@@ -468,10 +459,10 @@ mod tests {
     /// through the backend's own range path: one chunk per call, and in one
     /// `add_wire_multi` call 48-word chunks in descending slot order, one
     /// more than a [`LANE_CHUNK`] batch holds (cut into a full batch that
-    /// runs in the call and a 16-lane one the next read runs first), on
-    /// every shard of a sharded backend, and alike on the other lane word
-    /// (one unused 33-bit field). A fill path that stops producing runs
-    /// fails this, not a benchmark.
+    /// runs in the call and a 16-lane one the next read runs first), the
+    /// same on a sharded backend, and alike on the other lane word (one
+    /// unused 33-bit field). A fill path that stops producing runs fails
+    /// this, not a benchmark.
     #[test]
     fn consecutive_slots_are_served_from_register_windows() {
         const N: usize = 48 * (LANE_CHUNK / 48 + 1);
@@ -503,21 +494,17 @@ mod tests {
             reads
         };
         let reads = drive(&mut agg);
-        let own = agg.engine.shard(0).dispatch_counts().to_vec();
+        let own = agg.engine.dispatch_counts().to_vec();
         let lanes = (128 + 2 * N) as u64;
         assert_eq!((own[0].lanes, own[0].windowed), (lanes, lanes));
 
-        // Two shards on 48-slot boundaries: every chunk lands whole on one
-        // shard, and each shard serves all its lanes from windows.
+        // Two shards on 48-slot boundaries run the same batches.
         let mut sharded = SwitchMlFixedPoint::new(N, 0.5, 2)
             .unwrap()
             .with_shards(2, 48)
             .unwrap();
         assert_eq!(drive(&mut sharded), reads);
-        for s in 0..2 {
-            let c = sharded.engine.shard(s).dispatch_counts()[0];
-            assert!(c.lanes > 0 && c.windowed == c.lanes, "shard {s}: {c:?}");
-        }
+        assert_eq!(sharded.engine.dispatch_counts(), own);
 
         let (mut program, fields, _) = build_program(N);
         program.layout.field("lane_word_pad", 33);
@@ -535,18 +522,18 @@ mod tests {
         );
         assert_eq!(
             wide.register_state(),
-            agg.engine.shard(0).register_state(),
+            agg.engine.register_state(),
             "the lane word changed the sums"
         );
     }
 
-    /// ADDs held in the one-shard engine's open batch, checked against
+    /// ADDs held in the engine's open batch, checked against
     /// host integer sums after every read: held `add_wire` calls of 1, 64
     /// and `LANE_CHUNK + 1` words and `add_wire_multi` calls, a read and a
     /// clear with ADDs to their own slots still open (each must run them
     /// first), a clone taken with a batch open, and a call rejected for an
-    /// out-of-range chunk, which appends nothing. A two-shard backend, which
-    /// holds nothing, reads the same throughout.
+    /// out-of-range chunk, which appends nothing. A two-shard backend holds
+    /// and reads the same throughout.
     #[test]
     fn held_adds_match_host_sums_through_reads_clears_and_clones() {
         const N: usize = LANE_CHUNK + 200;
@@ -589,7 +576,9 @@ mod tests {
             fold(&mut sums, 100, &long);
             fold(&mut sums, 3, &short);
             fold(&mut sums, N - 64, &short);
-            assert_eq!(agg.lanes.len(), 1 + 2 * 64, "round {round}");
+            for a in [&agg, &sharded] {
+                assert_eq!(a.lanes.len(), 1 + 2 * 64, "round {round}");
+            }
             let mut twin = agg.clone();
             assert_eq!(twin.read_range(0, N).unwrap(), host(&sums), "clone");
             assert_eq!(
@@ -706,7 +695,7 @@ mod tests {
             .unwrap()
             .with_shards(2, 1)
             .unwrap();
-        assert!(agg.engine.slot_safety_proven());
+        assert!(agg.plan.safety_proven());
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Sharded-aggregation differential suite: a multi-core backend must be
-//! **bit-for-bit** indistinguishable from the single-core engine, for any
-//! packet arrival order.
+//! Sharded-aggregation differential suite: a backend whose slot space is
+//! partitioned into shards must be **bit-for-bit** indistinguishable from
+//! the unpartitioned one, for any packet arrival order.
 //!
-//! The load-bearing invariant: routing by slot preserves the relative
-//! order of packets that share a slot, so whatever global shuffle the
-//! network applies, every slot sees the same addition sequence on 1 shard
-//! and on N — and FPISA addition, order-sensitive as it is, produces the
-//! same registers and the same read-outs. The shuffled stream is fed to
-//! both the scalar `ingest` path and the batched `ingest_batch` path,
-//! whose one `add_wire_multi` call hands every shard its pieces of an
-//! out-of-order, overlapping chunk list.
+//! The load-bearing invariant: a partition never reorders the packets
+//! that share a slot, so whatever global shuffle the network applies,
+//! every slot sees the same addition sequence on 1 shard and on N — and
+//! FPISA addition, order-sensitive as it is, produces the same registers
+//! and the same read-outs. The shuffled stream is fed to both the scalar
+//! `ingest` path and the batched `ingest_batch` path, whose one
+//! `add_wire_multi` call carries an out-of-order, overlapping chunk list
+//! across shard boundaries.
 
 use fpisa_agg::{
     AggPacket, AggregationSwitch, Aggregator, FpisaAggregator, JobSpec, SwitchMlFixedPoint,

@@ -387,8 +387,7 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
 
     /// One full-round all-reduce bench: packetize → ingest (scalar or
     /// batched) → read → finish. `batched` routes a whole round through
-    /// `ingest_batch`, whose one `add_wire_multi` call runs each of the
-    /// backend's shards over its own chunks.
+    /// `ingest_batch` and its one `add_wire_multi` call.
     fn bench_allreduce(
         results: &mut Vec<BenchResult>,
         name: &str,
@@ -472,8 +471,9 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
 
     // The shard-scaling curve: a 2048-element gradient (32 chunks of 64,
     // so 8 chunk-aligned shards stay distinct) through the batched ingest
-    // path on 1/2/4/8 slot-range shards. The 1-shard row is the
-    // single-engine baseline; the others price the shard split.
+    // path on 1/2/4/8 slot-range shards. Every row runs on one full-space
+    // engine, so the curve should be flat: a shard plan is a build-time
+    // partition, not a run-time split.
     let big = GradientWorkload {
         workers: 8,
         elements: 2048,
@@ -482,8 +482,6 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
     };
     let big_rounds = ((2.0 * scale) as u64).max(1);
     for shards in [1usize, 2, 4, 8] {
-        // `ingest_batch` hands the shards their chunks as slot ranges,
-        // which run shard by shard on the calling thread.
         let name = format!("agg/allreduce/fpisa_fp16_shards{shards}");
         let spec = PipelineSpec::new(PipelineVariant::TofinoA)
             .format(FpFormat::FP16)

@@ -43,8 +43,16 @@
 //! each call at once would give — and a call that fails validation returns
 //! before anything is appended. The open batch is not a buffer of its own:
 //! it is the live part of the pipeline's one lane buffer, which every batch
-//! and range call of either compiled engine fills and leaves empty, so a
+//! and range call of the compiled engine fills and leaves empty, so a
 //! pipeline never holds more than one `LANE_CHUNK` batch of lanes.
+//!
+//! [`PipelineSpec::shards`] partitions the slot space the way a Tofino
+//! splits register state across its pipes. That is a build-time
+//! [`fpisa_pisa::ShardPlan`]: the slot ranges, checked to cover the space
+//! exactly once, and a shard-safety proof of every shard's program
+//! ([`FpisaPipeline::shard_safety_proven`]). Packets of every slot still
+//! run on the one full-space engine, so a sharded spec computes, holds
+//! ADDs and faults exactly as an unsharded one does.
 //!
 //! ## Example
 //!
@@ -95,8 +103,8 @@ pub use spec::{format_name, ExecEngine, PipelineSpec, SpecError, MAX_SLOTS};
 use fpisa_core::{FpFormat, FpisaConfig};
 use fpisa_pisa::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, BatchLanes, CompiledSwitch,
-    DispatchCounts, Phv, ProgramError, ResourceReport, RuntimeError, ShardedSwitch, SlotFields,
-    SlotRange, Switch, SwitchProgram,
+    DispatchCounts, FieldId, Phv, ProgramError, ResourceReport, RuntimeError, ShardPlan,
+    SlotFields, SlotRange, Switch, SwitchProgram,
 };
 
 /// Packets per internal batch chunk of the interpreter: small enough that
@@ -128,6 +136,37 @@ fn verify_for_spec(spec: &PipelineSpec, program: &SwitchProgram) -> Result<(), S
     Ok(())
 }
 
+/// The spec's [`ShardPlan`]: its slot ranges, routed by `slot`. Under
+/// sharding each shard's program — the same spec restricted to its range's
+/// slot count — is built and analyzed as the spec's level asks, and the
+/// plan records the proof when every one proves shard safety
+/// ([`prove_shard_safety`]; built-in programs always do). Nothing runs
+/// those programs: the pipeline's one engine runs the full-space one.
+fn shard_plan(
+    spec: &PipelineSpec,
+    cfg: &FpisaConfig,
+    slot: FieldId,
+) -> Result<ShardPlan, SpecError> {
+    let ranges = spec.shard_ranges();
+    let mut proofs = Vec::with_capacity(ranges.len());
+    if ranges.len() > 1 {
+        for r in &ranges {
+            let shard_spec = spec.slots(r.len).shards(1);
+            let (shard_program, _, _) = program::build_for_spec(&shard_spec, cfg);
+            verify_for_spec(&shard_spec, &shard_program)?;
+            proofs.extend(prove_shard_safety(&shard_program, slot).ok());
+        }
+    }
+    let plan = ShardPlan::new(spec.slot_count(), ranges, slot)
+        .expect("a spec's shard ranges partition its slots");
+    if proofs.len() < plan.shard_count() {
+        return Ok(plan);
+    }
+    Ok(plan
+        .prove(&proofs)
+        .expect("proofs were produced for these exact shards"))
+}
+
 /// Which engine holds a pipeline's live register state and runs its
 /// packets.
 // One `Engine` exists per pipeline (never collections of them), so
@@ -139,11 +178,8 @@ enum Engine {
     /// The interpreting reference engine (state lives in the `switch`
     /// field of [`FpisaPipeline`]).
     Interpreted,
-    /// The single-core compiled fast path.
+    /// The compiled fast path.
     Compiled(CompiledSwitch),
-    /// The compiled fast path over slot-range partitions, run one after
-    /// another on the calling thread.
-    Sharded(ShardedSwitch),
 }
 
 /// A running FPISA pipeline: the Fig. 2 program instantiated on the switch
@@ -162,15 +198,18 @@ pub struct FpisaPipeline {
     /// spec selects [`ExecEngine::Interpreted`].
     switch: Switch,
     /// The engine holding the live register state: the interpreter
-    /// (`switch`), the single compiled engine, or the sharded one when
-    /// [`PipelineSpec::shards`] asks for one.
+    /// (`switch`) or the compiled engine, over the full slot space either
+    /// way.
     engine: Engine,
+    /// How [`PipelineSpec::shards`] partitions the slot space: one
+    /// full-space range unless the spec asks for more.
+    plan: ShardPlan,
     /// Scratch PHV reused by the scalar packet APIs.
     scratch: Phv,
     /// PHV buffer reused by the interpreter's batch APIs, grown on first
     /// use.
     batch_buf: Vec<Phv>,
-    /// The one SoA column buffer of both compiled engines' batch and range
+    /// The one SoA column buffer of the compiled engine's batch and range
     /// APIs: packets are written straight into field columns — no
     /// per-packet PHV construction, no transpose at the boundary. Between
     /// calls its live lanes are the compiled engine's **open ADD batch**:
@@ -194,43 +233,12 @@ impl FpisaPipeline {
         // directly without a second validation pass.
         let cfg = spec.core_config()?;
         let (program, fields, arrays) = program::build_for_spec(&spec, &cfg);
-        let ranges = spec.shard_ranges();
-        // Verify-on-compile: the analyzer sees every program that will
-        // actually execute — the full-space program here, each shard's
-        // restricted program below.
+        // Verify-on-compile: the analyzer sees the program that executes,
+        // and `shard_plan` each shard's restricted program.
         verify_for_spec(&spec, &program)?;
+        let plan = shard_plan(&spec, &cfg, fields.slot)?;
         let engine = match spec.execution_engine() {
             ExecEngine::Interpreted => Engine::Interpreted,
-            ExecEngine::Compiled if ranges.len() > 1 => {
-                // One compiled engine per shard, each built from the same
-                // spec restricted to its range's slot count — identical
-                // stages and tables, shard-local register arrays.
-                let mut proofs = Vec::with_capacity(ranges.len());
-                let engines = ranges
-                    .iter()
-                    .map(|r| {
-                        let shard_spec = spec.slots(r.len).shards(1);
-                        let (shard_program, _, _) = program::build_for_spec(&shard_spec, &cfg);
-                        verify_for_spec(&shard_spec, &shard_program)?;
-                        if let Ok(p) = prove_shard_safety(&shard_program, fields.slot) {
-                            proofs.push(p);
-                        }
-                        CompiledSwitch::compile(&shard_program).map_err(SpecError::Program)
-                    })
-                    .collect::<Result<Vec<_>, SpecError>>()?;
-                let mut sharded = ShardedSwitch::new(engines, ranges, fields.slot)
-                    .expect("shard geometry derives from one validated spec");
-                // Attach shard-safety proofs when every shard proved —
-                // upgrading the dispatcher's bounds pre-scan into a
-                // verified assumption. Built-in programs always prove;
-                // partial proof sets just leave the dynamic behavior.
-                if proofs.len() == sharded.shard_count() {
-                    sharded = sharded
-                        .attach_safety_proofs(&proofs)
-                        .expect("proofs were produced for these exact shards");
-                }
-                Engine::Sharded(sharded)
-            }
             ExecEngine::Compiled => Engine::Compiled(CompiledSwitch::compile(&program)?),
         };
         let switch = Switch::new(program)?;
@@ -238,6 +246,7 @@ impl FpisaPipeline {
         Ok(FpisaPipeline {
             switch,
             engine,
+            plan,
             scratch,
             batch_buf: Vec::new(),
             lanes: BatchLanes::default(),
@@ -275,21 +284,15 @@ impl FpisaPipeline {
     }
 
     /// Number of shards the slot space is partitioned across (1 when the
-    /// pipeline runs a single engine).
+    /// spec asks for no partition).
     pub fn shards(&self) -> usize {
-        match &self.engine {
-            Engine::Sharded(s) => s.shard_count(),
-            _ => 1,
-        }
+        self.plan.shard_count()
     }
 
-    /// The slot ranges the shards own — one full-space range on a
-    /// single-engine pipeline.
+    /// The slot ranges the shards own — one full-space range on an
+    /// unpartitioned pipeline.
     pub fn shard_ranges(&self) -> Vec<SlotRange> {
-        match &self.engine {
-            Engine::Sharded(s) => s.ranges().to_vec(),
-            _ => vec![SlotRange::new(0, self.slots())],
-        }
+        self.plan.ranges().to_vec()
     }
 
     /// The floating-point format on the wire.
@@ -326,12 +329,11 @@ impl FpisaPipeline {
         verify_program(self.switch.program())
     }
 
-    /// Whether the pipeline runs on the sharded engine with a
-    /// shard-safety proof attached to every shard (see
-    /// [`fpisa_pisa::prove_shard_safety`]); `false` for unsharded
-    /// engines.
+    /// Whether the slot space is partitioned and every shard's program
+    /// proved shard safety (see [`fpisa_pisa::prove_shard_safety`]);
+    /// `false` for an unpartitioned pipeline.
     pub fn shard_safety_proven(&self) -> bool {
-        matches!(&self.engine, Engine::Sharded(s) if s.slot_safety_proven())
+        self.plan.safety_proven()
     }
 
     /// The runtime error an out-of-range slot produces, mirroring the
@@ -378,7 +380,6 @@ impl FpisaPipeline {
         match &mut self.engine {
             Engine::Interpreted => self.switch.run(&mut self.scratch)?,
             Engine::Compiled(c) => c.run(&mut self.scratch)?,
-            Engine::Sharded(s) => s.run(&mut self.scratch)?,
         };
         Ok(())
     }
@@ -418,8 +419,8 @@ impl FpisaPipeline {
     /// the next call that reads, clears or runs packets
     /// ([`FpisaPipeline::register_state`] included),
     /// so nothing observable changes but the batch boundaries; a fault of
-    /// the open batch is returned by the call that runs it. The
-    /// interpreter and the sharded engine run every call at once.
+    /// the open batch is returned by the call that runs it, sharded spec or
+    /// not. The interpreter runs every call at once.
     pub fn add_ranges(&mut self, chunks: &[(usize, &[u64])]) -> Result<(), RuntimeError> {
         for &(start, words) in chunks {
             self.check_span(start, words.len())?;
@@ -428,7 +429,7 @@ impl FpisaPipeline {
         let fields = self.slot_fields();
         match &mut self.engine {
             Engine::Compiled(c) => c.hold_ranges(&mut self.lanes, fields, OP_ADD, ranges),
-            _ => self.run_ranges(OP_ADD, ranges, None),
+            Engine::Interpreted => self.run_ranges(OP_ADD, ranges, None),
         }
     }
 
@@ -482,7 +483,6 @@ impl FpisaPipeline {
         match &mut self.engine {
             Engine::Interpreted => self.switch.run(&mut self.scratch)?,
             Engine::Compiled(c) => c.run(&mut self.scratch)?,
-            Engine::Sharded(s) => s.run(&mut self.scratch)?,
         };
         Ok(self.scratch.get(self.fields.result))
     }
@@ -516,14 +516,12 @@ impl FpisaPipeline {
     /// packet `k` of a range carrying `words[k]` as its value (`None`:
     /// READ packets carry none). Ranges are already validated.
     ///
-    /// Both compiled engines fill lanes straight from the ranges:
+    /// The compiled engine fills lanes straight from the ranges:
     /// [`CompiledSwitch::run_ranges`] cuts
     /// [`LANE_CHUNK`](fpisa_pisa::LANE_CHUNK)-lane batches — the same
     /// batches [`FpisaPipeline::add_batch`] would cut from the flattened
-    /// packets — and [`ShardedSwitch::run_ranges`] runs each
-    /// shard's pieces that way on the calling thread. Only the interpreter,
-    /// the oracle, runs the same packets as PHVs through
-    /// [`FpisaPipeline::run_phvs`].
+    /// packets. Only the interpreter, the oracle, runs the same packets as
+    /// PHVs through [`FpisaPipeline::run_phvs`].
     fn run_ranges<'a>(
         &mut self,
         op: u64,
@@ -534,7 +532,6 @@ impl FpisaPipeline {
         let fields = self.slot_fields();
         match &mut self.engine {
             Engine::Compiled(c) => c.run_ranges(&mut self.lanes, fields, op, ranges, collect),
-            Engine::Sharded(s) => s.run_ranges(&mut self.lanes, fields, op, ranges, collect),
             Engine::Interpreted => {
                 let n = ranges.clone().map(|(_, len, _)| len).sum();
                 let mut packets = ranges.flat_map(|(start, len, words)| {
@@ -549,10 +546,9 @@ impl FpisaPipeline {
     /// The scattered batch loop: `n` `op` packets, packet `i` carrying the
     /// `(slot, word)` that `pair(i)` returns. Slots are already validated.
     ///
-    /// Both compiled engines fill lanes straight from the pairs —
-    /// [`CompiledSwitch::run_pairs`], and [`ShardedSwitch::run_pairs`]
-    /// shard by shard — the way [`FpisaPipeline::run_ranges`] dispatches
-    /// ranges; only the interpreter runs them as PHVs.
+    /// The compiled engine fills lanes straight from the pairs
+    /// ([`CompiledSwitch::run_pairs`]) the way [`FpisaPipeline::run_ranges`]
+    /// dispatches ranges; only the interpreter runs them as PHVs.
     fn run_pairs(
         &mut self,
         op: u64,
@@ -564,7 +560,6 @@ impl FpisaPipeline {
         let fields = self.slot_fields();
         match &mut self.engine {
             Engine::Compiled(c) => c.run_pairs(&mut self.lanes, fields, op, n, pair, collect),
-            Engine::Sharded(s) => s.run_pairs(&mut self.lanes, fields, op, n, pair, collect),
             Engine::Interpreted => self.run_phvs(op, n, pair, collect),
         }
     }
@@ -614,11 +609,11 @@ impl FpisaPipeline {
 
     /// Run the compiled engine's open ADD batch, if it holds packets
     /// ([`CompiledSwitch::run_held`]), so the registers reflect every ADD
-    /// accepted so far. A no-op on the other engines, which hold nothing.
+    /// accepted so far. A no-op on the interpreter, which holds nothing.
     fn run_open(&mut self) -> Result<(), RuntimeError> {
         match &mut self.engine {
             Engine::Compiled(c) => c.run_held(&mut self.lanes),
-            _ => Ok(()),
+            Engine::Interpreted => Ok(()),
         }
     }
 
@@ -667,10 +662,6 @@ impl FpisaPipeline {
                 c.set_register(self.arrays.exponent, slot, 0);
                 c.set_register(self.arrays.mantissa, slot, 0);
             }
-            Engine::Sharded(s) => {
-                s.set_register(self.arrays.exponent, slot, 0);
-                s.set_register(self.arrays.mantissa, slot, 0);
-            }
         }
         Ok(())
     }
@@ -686,7 +677,6 @@ impl FpisaPipeline {
             match &mut self.engine {
                 Engine::Interpreted => self.switch.fill_registers(array, start, len, 0),
                 Engine::Compiled(c) => c.fill_registers(array, start, len, 0),
-                Engine::Sharded(s) => s.fill_registers(array, start, len, 0),
             }
         }
         Ok(())
@@ -694,13 +684,13 @@ impl FpisaPipeline {
 
     /// The compiled engine's [`DispatchCounts`] per table, in execution
     /// order (see [`CompiledSwitch::dispatch_counts`]): which way each batch
-    /// it ran went. Empty on the interpreter and the sharded engine. The
-    /// open ADD batch is not run for this: its packets count once a later
-    /// call runs them.
+    /// it ran went, sharded spec or not. Empty on the interpreter. The open
+    /// ADD batch is not run for this: its packets count once a later call
+    /// runs them.
     pub fn dispatch_counts(&self) -> &[DispatchCounts] {
         match &self.engine {
             Engine::Compiled(c) => c.dispatch_counts(),
-            _ => &[],
+            Engine::Interpreted => &[],
         }
     }
 
@@ -724,10 +714,6 @@ impl FpisaPipeline {
             Engine::Compiled(c) => (
                 c.register(self.arrays.exponent, slot) as u32,
                 c.register(self.arrays.mantissa, slot),
-            ),
-            Engine::Sharded(s) => (
-                s.register(self.arrays.exponent, slot) as u32,
-                s.register(self.arrays.mantissa, slot),
             ),
         }
     }
@@ -1073,8 +1059,8 @@ mod tests {
             Err(RuntimeError::IndexOutOfRange { .. })
         ));
         assert_eq!(pipe.register_state(0), (0, 0), "nothing ran");
-        // Out-of-bounds clear_range errors (never truncates) on the
-        // sharded engine too, and clears nothing.
+        // Out-of-bounds clear_range errors (never truncates) on a sharded
+        // spec too, and clears nothing.
         pipe.add_f32(7, 1.0).unwrap();
         assert!(matches!(
             pipe.clear_range(6, 3),
@@ -1085,7 +1071,7 @@ mod tests {
             Err(RuntimeError::IndexOutOfRange { .. })
         ));
         assert_ne!(pipe.register_state(7), (0, 0), "in-range slot untouched");
-        // Shards must fit the slot space and need the compiled engine.
+        // Shards must fit the slot space.
         assert!(matches!(
             PipelineSpec::new(PipelineVariant::TofinoA)
                 .slots(4)
@@ -1103,14 +1089,9 @@ mod tests {
                 .validate(),
             Err(SpecError::ShardsOutOfRange { .. })
         ));
-        assert!(matches!(
-            PipelineSpec::new(PipelineVariant::TofinoA)
-                .slots(8)
-                .shards(2)
-                .engine(ExecEngine::Interpreted)
-                .validate(),
-            Err(SpecError::ShardedInterpreted)
-        ));
+        // A partition is a build-time fact: the interpreter carries one too.
+        let pipe = FpisaPipeline::from_spec(spec.engine(ExecEngine::Interpreted)).unwrap();
+        assert_eq!((pipe.shards(), pipe.shard_safety_proven()), (4, true));
     }
 
     #[test]

@@ -78,11 +78,6 @@ pub enum SpecError {
         /// The slot count being partitioned.
         slots: usize,
     },
-    /// Sharding requested on the interpreted engine — only the compiled
-    /// engine has a sharded execution path
-    /// ([`fpisa_pisa::ShardedSwitch`] owns [`fpisa_pisa::CompiledSwitch`]
-    /// shards).
-    ShardedInterpreted,
     /// The generated program failed switch validation (never produced by
     /// specs that pass [`PipelineSpec::validate`]; surfaced for
     /// completeness by [`crate::FpisaPipeline::from_spec`]).
@@ -127,13 +122,6 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::ShardsOutOfRange { shards, slots } => {
                 write!(f, "shard count {shards} outside 1..={slots} (slot count)")
-            }
-            SpecError::ShardedInterpreted => {
-                write!(
-                    f,
-                    "sharded execution requires the compiled engine; the interpreter has no \
-                     multi-core path"
-                )
             }
             SpecError::Program(e) => write!(f, "generated program failed validation: {e}"),
             SpecError::Analysis { errors, first } => write!(
@@ -250,11 +238,13 @@ impl PipelineSpec {
         self
     }
 
-    /// Builder: partition the slot space across `shards` compiled engines,
-    /// slot-range partitions run one after another on the calling thread
-    /// (1 — the default — keeps the single-engine path). Each shard owns a
-    /// contiguous slot range; results are bit-for-bit identical to the
-    /// single engine. Requires the compiled engine.
+    /// Builder: partition the slot space into `shards` contiguous slot
+    /// ranges, as a Tofino splits register state across its pipes (1, the
+    /// default, is no partition). The partition is a build-time
+    /// [`fpisa_pisa::ShardPlan`]: each shard's program is built, analyzed
+    /// and proved shard-safe, and every packet still runs on the one
+    /// full-space engine, so results are those of an unsharded spec. Any
+    /// engine may carry one.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -271,7 +261,7 @@ impl PipelineSpec {
 
     /// Builder: set the verify-on-compile level. The default,
     /// [`AnalysisLevel::Deny`], runs the static analyzer over every
-    /// generated program (each shard's program, under sharding) and
+    /// generated program (and each shard's program, under sharding) and
     /// fails [`crate::FpisaPipeline::from_spec`] with
     /// [`SpecError::Analysis`] on any error-severity finding.
     /// [`AnalysisLevel::Warn`] analyzes without failing;
@@ -321,7 +311,7 @@ impl PipelineSpec {
         self.engine
     }
 
-    /// The requested shard count (1 = single-engine execution).
+    /// The requested shard count (1 = no partition).
     pub fn shard_count(&self) -> usize {
         self.shards
     }
@@ -403,9 +393,6 @@ impl PipelineSpec {
                 shards: self.shards,
                 slots: self.slots,
             });
-        }
-        if self.shards > 1 && self.engine == ExecEngine::Interpreted {
-            return Err(SpecError::ShardedInterpreted);
         }
         Ok(())
     }

@@ -77,8 +77,8 @@ fn run_differential(variant: PipelineVariant, seed: u64) {
             .expect("spec must validate");
         let mut comp = FpisaPipeline::from_spec(spec.engine(ExecEngine::Compiled))
             .expect("spec must validate");
-        // The multi-core path: the same cell over 3 slot-range shards
-        // must stay bit-for-bit with the reference too.
+        // The same cell partitioned into 3 slot-range shards must stay
+        // bit-for-bit with the reference too.
         let mut sharded = FpisaPipeline::from_spec(spec.engine(ExecEngine::Compiled).shards(3))
             .expect("spec must validate");
         let cfg = interp.core_config();

@@ -9,7 +9,7 @@
 //! that stops producing runs fails here.
 
 use fpisa_core::FpFormat;
-use fpisa_pipeline::{FpisaPipeline, PipelineSpec, PipelineVariant, OP_ADD, OP_READ};
+use fpisa_pipeline::{ExecEngine, FpisaPipeline, PipelineSpec, PipelineVariant, OP_ADD, OP_READ};
 use fpisa_pisa::{BatchLanes, CompiledSwitch, DispatchCounts, LANE_CHUNK};
 
 const LANES: usize = 64;
@@ -411,15 +411,16 @@ fn add_ranges_fill_one_open_batch_across_calls() {
         assert_eq!(batches(c), 3, "{table}");
     }
 
-    // The other engines hold nothing, and count nothing here.
-    for spec in [
-        spec.shards(2),
-        spec.engine(fpisa_pipeline::ExecEngine::Interpreted),
-    ] {
-        let mut pipe = FpisaPipeline::from_spec(spec).unwrap();
-        pipe.add_ranges(&[(0, &words[..64])]).unwrap();
-        assert!(pipe.dispatch_counts().is_empty());
-    }
+    // A sharded spec holds and runs the same batches; the interpreter
+    // holds nothing and counts nothing.
+    let mut sharded = FpisaPipeline::from_spec(spec.shards(2)).unwrap();
+    sharded.add_ranges(&[(100, &words[..])]).unwrap();
+    assert_eq!(sharded.dispatch_counts(), &ran.counts[..], "ADDs");
+    sharded.read_range(0, 8).unwrap();
+    assert_eq!(sharded.dispatch_counts(), &after.counts[..], "read");
+    let mut pipe = FpisaPipeline::from_spec(spec.engine(ExecEngine::Interpreted)).unwrap();
+    pipe.add_ranges(&[(0, &words[..64])]).unwrap();
+    assert!(pipe.dispatch_counts().is_empty());
 }
 
 /// A round shaped like the repo benchmark's `allreduce_fp16_batch2` — two

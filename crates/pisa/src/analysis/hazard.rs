@@ -25,12 +25,12 @@
 //!   without the RSAW extension (`rsaw-unsupported`).
 //!
 //! [`prove_shard_safety`] is the partition-level companion: given the
-//! routing field a [`crate::shard::ShardedSwitch`] dispatches on, it
-//! proves that **no stateful index can leave the shard's slot space**
-//! provided the routing field itself is in range — which the sharded
-//! dispatcher guarantees by validating and rebasing every packet before
-//! any shard runs. A [`ShardSafetyProof`] is only constructible through
-//! that proof, so holding one *is* the evidence.
+//! routing field of a [`crate::shard::ShardPlan`], it proves that **no
+//! stateful index can leave the shard's slot space** provided the routing
+//! field itself is in range — a pipe that owns a slot range never touches
+//! another pipe's registers. A [`ShardSafetyProof`] is only constructible
+//! through that proof, so holding one *is* the evidence, and
+//! [`crate::shard::ShardPlan::prove`] records it at build time.
 
 use super::{Diagnostic, Loc, Severity};
 use crate::action::Operand;
@@ -157,8 +157,7 @@ pub(super) fn run(program: &SwitchProgram, diags: &mut Vec<Diagnostic>) {
 
 /// Evidence that every stateful index of one shard's program stays
 /// inside its slot space, **assuming the routing field is in range** —
-/// the assumption [`crate::shard::ShardedSwitch`] establishes by
-/// validating and rebasing every packet's slot before dispatch.
+/// the shard-local slot index a pipe owning that range would see.
 ///
 /// Only [`prove_shard_safety`] constructs one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,8 +181,8 @@ impl ShardSafetyProof {
 /// Prove shard-partition safety for one shard's program: under the
 /// assumption `phv[slot_field] < slot_space`, every stateful op's index
 /// is in its array's range, so the shard can never raise
-/// [`crate::switch::RuntimeError::IndexOutOfRange`] once the dispatcher
-/// has validated the routing field. Three index shapes are provable:
+/// [`crate::switch::RuntimeError::IndexOutOfRange`] on a packet whose
+/// routing field is in range. Three index shapes are provable:
 ///
 /// * the routing field itself, indexing an array spanning the full slot
 ///   space (the FPISA/SwitchML shape);

@@ -19,9 +19,9 @@
 //!   pass) and its gated RSAW extension, cross-stage array-binding
 //!   aliasing, and the **shard-partition safety proof**
 //!   ([`prove_shard_safety`]): evidence that every stateful slot index
-//!   stays inside the shard's slot range, which
-//!   [`crate::shard::ShardedSwitch`] consults to turn its dynamic bounds
-//!   pre-scan into a verified assumption.
+//!   stays inside the shard's slot range, which a
+//!   [`crate::shard::ShardPlan`] records when every shard's program
+//!   proves it.
 //! * **Value-range interval analysis** ([`range`]) — conservative
 //!   intervals over each action's op tape, seeded from field widths and
 //!   refined by table-entry match constraints: shift distances proven

@@ -20,9 +20,9 @@
 //!   a computed 32-bit field; [`super::AnalysisReport::bounds_proven`]
 //!   treats it as "not proven".
 //! * `index-unproven` (warning) — a stateful slot index whose interval
-//!   is not contained in `[0, entries)`. The sharded dispatcher's
-//!   routing assumption can discharge this where plain interval
-//!   reasoning cannot; see
+//!   is not contained in `[0, entries)`. A shard plan's routing
+//!   assumption can discharge this where plain interval reasoning
+//!   cannot; see
 //!   [`super::hazard::prove_shard_safety`].
 //! * `unmatchable-entry`, `empty-range`, `unmatchable-ternary`,
 //!   `bad-action-index` (errors) — installed entries that can never

@@ -2054,10 +2054,8 @@ impl CompiledSwitch {
         &self.state
     }
 
-    /// Replace the register state wholesale (e.g. installing one shard of
-    /// a [`RegisterState::split_ranges`] partition, or a state copied from
-    /// the interpreter). The shape must match the compiled program's
-    /// arrays.
+    /// Replace the register state wholesale (e.g. a state copied from the
+    /// interpreter). The shape must match the compiled program's arrays.
     pub fn set_register_state(&mut self, state: RegisterState) -> Result<(), RuntimeError> {
         if !self.state.same_shape(&state) {
             return Err(RuntimeError::IndexOutOfRange {

@@ -64,31 +64,25 @@
 //! register state, pass counts and errors must agree packet by packet) and
 //! by the FPISA pipeline's differential suite.
 //!
-//! ## Sharded execution
+//! ## Shard plans
 //!
-//! All switch state lives in a flat, slot-range-partitionable
-//! [`register::RegisterState`] shared by both engines
-//! (`split_ranges`/`merged`/`snapshot`). [`shard::ShardedSwitch`] builds
-//! on it: the slot space is split into contiguous ranges
-//! ([`shard::partition_slots`], optionally chunk-aligned), each owned by
-//! one compiled shard, packets are routed by a caller-supplied slot
-//! field and rebased to shard-local indices. The shards are slot-range
-//! partitions run one after another on the calling thread, like a Tofino's
-//! pipes each owning their own register state: range-shaped batches
-//! ([`shard::ShardedSwitch::run_ranges`]) are split at shard boundaries,
-//! scattered ones ([`shard::ShardedSwitch::run_pairs`]) are sorted by
-//! shard, and each shard's packets go through the same lane loops a
-//! single engine uses ([`compile::CompiledSwitch::run_ranges`],
-//! [`compile::CompiledSwitch::run_pairs`]). Both stay bit-for-bit
-//! identical to a single full-space engine, because routing preserves the
-//! per-slot packet order.
+//! All switch state lives in one flat [`register::RegisterState`] shared by
+//! both engines. Its slot space can be partitioned the way a Tofino splits
+//! register state across its pipes: [`shard::partition_slots`] (optionally
+//! chunk-aligned) cuts it into contiguous ranges, and a
+//! [`shard::ShardPlan`] records those ranges, the slot field a packet is
+//! routed by, and whether every shard's program proved shard safety. The
+//! plan is checked once, when it is built, and executes nothing: every
+//! packet runs on one full-space engine, which is what pipe-by-pipe
+//! execution would compute, since routing by slot keeps each slot's
+//! packets in order.
 //!
 //! ## Static analysis
 //!
 //! [`analysis`] layers a four-pass verifier on top of validation: PHV
 //! def-use dataflow, register-hazard checks plus a machine-checkable
 //! **shard-partition safety proof** ([`analysis::prove_shard_safety`],
-//! consumed by [`shard::ShardedSwitch::attach_safety_proofs`]),
+//! recorded by [`shard::ShardPlan::prove`]),
 //! value-range interval analysis over every action, and hardware
 //! capability lints against a loadable [`analysis::HwProfile`]. The
 //! one-call entry point is [`analysis::verify_program`];
@@ -119,11 +113,11 @@ pub use compile::{CompileError, CompiledSwitch, DispatchCounts, FusionStats, SOA
 pub use phv::{BatchLanes, FieldId, FieldSpec, Phv, PhvLayout};
 pub use ranges::{SlotFields, LANE_CHUNK};
 pub use register::{
-    check_partition, CmpOp, RegArrayId, RegisterArraySpec, RegisterSnapshot, RegisterState,
-    SaluCond, SaluOutput, SaluUpdate, SlotRange, StatefulCall,
+    check_partition, CmpOp, RegArrayId, RegisterArraySpec, RegisterState, SaluCond, SaluOutput,
+    SaluUpdate, SlotRange, StatefulCall,
 };
 pub use resources::{ResourceReport, StageResources};
-pub use shard::{partition_slots, partition_slots_aligned, ShardedSwitch};
+pub use shard::{partition_slots, partition_slots_aligned, ShardPlan};
 pub use stage::Stage;
 pub use switch::{
     PacketTrace, ProgramError, RuntimeError, Switch, SwitchCaps, SwitchProgram, TraceEntry,

@@ -3,12 +3,13 @@
 //! per packet — the shape every packet of an aggregation protocol has
 //! (consecutive elements in consecutive slots).
 //!
-//! [`CompiledSwitch::run_ranges`] is the one lane loop every compiled
-//! engine uses for them; [`crate::ShardedSwitch::run_ranges`] splits the
-//! ranges at shard boundaries and runs each shard's pieces through it.
-//! Scattered `(slot, word)` pairs take its twin,
-//! [`CompiledSwitch::run_pairs`], which [`crate::ShardedSwitch::run_pairs`]
-//! feeds shard by shard the same way.
+//! [`CompiledSwitch::run_ranges`] is the one lane loop for them, whether
+//! or not a [`crate::ShardPlan`] partitions the slot space: a plan is a
+//! build-time fact, and every slot's packets run on the one full-space
+//! engine. Scattered `(slot, word)` pairs take its twin,
+//! [`CompiledSwitch::run_pairs`]. Both have one fault contract: the
+//! batches before a faulting one stay applied and collected, and nothing
+//! of the faulting batch is collected.
 //!
 //! The same loop can also leave its last batch **open**
 //! ([`CompiledSwitch::hold_ranges`]): a call fills lanes from where the
@@ -67,9 +68,12 @@ impl CompiledSwitch {
     ///
     /// A range whose slots do not fit the slot field is rejected before any
     /// packet runs; slots past a register array fault in Phase C like any
-    /// packet's (see [`CompiledSwitch::run_lanes`] for what a fault leaves
-    /// applied). Panics if a range carries fewer than `len` words or a
-    /// field is not in this engine's layout.
+    /// packet's. On a fault the batches before the faulting one stay
+    /// applied and their results stay in `collect`; nothing of the
+    /// faulting batch is collected, and of its packets those before the
+    /// faulting one are applied (see [`CompiledSwitch::run_lanes`]). Panics
+    /// if a range carries fewer than `len` words or a field is not in this
+    /// engine's layout.
     pub fn run_ranges<'a>(
         &mut self,
         lanes: &mut BatchLanes,
@@ -130,8 +134,11 @@ impl CompiledSwitch {
     ///
     /// A slot that does not fit the slot field is rejected before any
     /// packet runs; slots past a register array fault in Phase C like any
-    /// packet's (see [`CompiledSwitch::run_lanes`] for what a fault leaves
-    /// applied). Panics if a field is not in this engine's layout.
+    /// packet's, with the fault contract of `run_ranges`: the batches
+    /// before the faulting one stay applied and collected, nothing of the
+    /// faulting batch is collected, and of its packets those before the
+    /// faulting one are applied (see [`CompiledSwitch::run_lanes`]). Panics
+    /// if a field is not in this engine's layout.
     pub fn run_pairs(
         &mut self,
         lanes: &mut BatchLanes,
@@ -285,19 +292,22 @@ mod tests {
         (program, fields)
     }
 
-    /// Run `(op, slot, value)` packets one at a time on the interpreter.
+    /// Run `(op, slot, value)` packets one at a time on the interpreter,
+    /// returning their results.
     fn interpret(
         sw: &mut Switch,
         fields: SlotFields,
         packets: impl Iterator<Item = (u64, usize, u64)>,
-    ) {
-        for (op, slot, value) in packets {
+    ) -> Vec<u64> {
+        let run = |(op, slot, value)| {
             let mut p = sw.phv();
             p.set(fields.op, op);
             p.set(fields.slot, slot as u64);
             p.set(fields.value, value);
             sw.run(&mut p).unwrap();
-        }
+            p.get(fields.result)
+        };
+        packets.map(run).collect()
     }
 
     /// Calls of 0, 1, 63, 64, 65, `LANE_CHUNK - 1`, `LANE_CHUNK`,
@@ -442,6 +452,10 @@ mod tests {
     /// Both lane loops leave the buffer empty, after a call that ran and
     /// after one that faulted, so a hold into the same buffer starts a
     /// fresh batch: a stale last batch of ADDs would run a second time.
+    /// When a later batch of a call faults, the batches before it stay
+    /// applied and collected, nothing of it is collected, and the registers
+    /// are the interpreter's up to the faulting packet. A slot past the
+    /// slot field runs nothing.
     #[test]
     fn pair_and_range_loops_leave_the_buffer_empty() {
         let (program, fields) = counter(100);
@@ -466,24 +480,34 @@ mod tests {
                 pair(i)
             }
         };
-        let res = cs.run_pairs(&mut lanes, fields, OP_BUMP, n, past, None);
+        let mut out = vec![7];
+        let res = cs.run_pairs(&mut lanes, fields, OP_BUMP, n, past, Some(&mut out));
         assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
         assert!(lanes.is_empty(), "run_pairs left its faulted batch live");
-        interpret(
-            &mut interp,
-            fields,
-            (0..LANE_CHUNK + 3).map(|i| (OP_BUMP, pair(i).0, pair(i).1)),
-        );
-        let res = cs.run_ranges(
-            &mut lanes,
-            fields,
-            OP_BUMP,
-            [(90, 20, None)].into_iter(),
-            None,
-        );
+        let bumps = (0..LANE_CHUNK + 3).map(|i| (OP_BUMP, pair(i).0, pair(i).1));
+        let want = interpret(&mut interp, fields, bumps);
+        assert_eq!((out[0], &out[1..]), (7, &want[..LANE_CHUNK]), "run_pairs");
+        assert_eq!(cs.register_state(), interp.register_state(), "run_pairs");
+        // Whole-space ranges filling the first batch, then one past the
+        // array, which faults in the second.
+        let whole = std::iter::repeat_n((0, 100, None), LANE_CHUNK / 100 + 1);
+        let ranges = whole.clone().chain([(90, 20, None)]);
+        let mut out = vec![7];
+        let res = cs.run_ranges(&mut lanes, fields, OP_BUMP, ranges, Some(&mut out));
         assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
         assert!(lanes.is_empty(), "run_ranges left its faulted batch live");
-        interpret(&mut interp, fields, (90..100).map(|s| (OP_BUMP, s, 0)));
+        let slots = whole.flat_map(|(s, len, _)| s..s + len).chain(90..100);
+        let want = interpret(&mut interp, fields, slots.map(|s| (OP_BUMP, s, 0)));
+        assert_eq!((out[0], &out[1..]), (7, &want[..LANE_CHUNK]), "run_ranges");
+        assert_eq!(cs.register_state(), interp.register_state(), "run_ranges");
+        // A slot past the 16-bit slot field is rejected before any packet
+        // runs, instead of wrapping to slot 0.
+        let wraps = [(10, 5, None), (65_530, 10, None)];
+        let res = cs.run_ranges(&mut lanes, fields, OP_BUMP, wraps.into_iter(), None);
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
+        let pairs = [(10, 1), (65_536, 1)];
+        let res = cs.run_pairs(&mut lanes, fields, OP_BUMP, 2, |i| pairs[i], None);
+        assert!(matches!(res, Err(RuntimeError::IndexOutOfRange { .. })));
         // A hold into the buffer runs its own packets and nothing else.
         let words = [4u64; 30];
         cs.hold_ranges(

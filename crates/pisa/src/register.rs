@@ -267,8 +267,8 @@ impl SlotRange {
 
 /// Check that `ranges` partitions `0..total` exactly once — contiguous,
 /// ascending, no gap, no overlap, nothing past the end. This is the
-/// invariant every sharded structure relies on: a slot belongs to exactly
-/// one shard.
+/// invariant a [`crate::ShardPlan`] is checked against: a slot belongs to
+/// exactly one shard.
 pub fn check_partition(total: usize, ranges: &[SlotRange]) -> Result<(), RuntimeError> {
     let mut next = 0usize;
     for (i, r) in ranges.iter().enumerate() {
@@ -323,43 +323,10 @@ pub(crate) struct ArrayMeta {
     pub(crate) name: String,
 }
 
-/// An immutable copy of a [`RegisterState`]'s values, for checkpointing.
-///
-/// Taken with [`RegisterState::snapshot`] and reinstalled with
-/// [`RegisterState::restore`]; restoring into a state of a different shape
-/// is an error, not silent corruption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegisterSnapshot {
-    values: Vec<i64>,
-}
-
-impl RegisterSnapshot {
-    /// Total entries captured (across all arrays).
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
 /// The flat register file of one switch: every register array's entries,
-/// back to back, behind one slot-range-partitionable type.
-///
-/// Both execution engines ([`crate::Switch`] and
+/// back to back. Both execution engines ([`crate::Switch`] and
 /// [`crate::CompiledSwitch`]) store their state in a `RegisterState`, so
-/// state can be moved between engines, snapshotted, and — the point —
-/// **partitioned by slot range** for multi-core execution:
-///
-/// * [`RegisterState::split_ranges`] carves the state into per-shard
-///   states (every array must span the same slot space, and the ranges
-///   must cover it exactly once — no gap, no overlap);
-/// * [`RegisterState::merged`] reassembles the full-space state from the
-///   shard states, the inverse of `split_ranges`;
-/// * [`RegisterState::snapshot`] / [`RegisterState::restore`] checkpoint
-///   the values without re-deriving the geometry.
+/// state can be compared and moved between them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegisterState {
     metas: Vec<ArrayMeta>,
@@ -404,17 +371,6 @@ impl RegisterState {
         self.values.len()
     }
 
-    /// The uniform per-array entry count — the **slot space** — if every
-    /// array has the same number of entries, else `None`. Slot-range
-    /// partitioning is only defined for states with a uniform slot space.
-    pub fn slot_space(&self) -> Option<usize> {
-        let first = self.metas.first()?.entries;
-        self.metas
-            .iter()
-            .all(|m| m.entries == first)
-            .then_some(first)
-    }
-
     /// Control-plane read of one entry (sign-extended at the array width).
     /// Panics on out-of-range indices, like indexing.
     pub fn get(&self, id: RegArrayId, index: usize) -> i64 {
@@ -457,127 +413,6 @@ impl RegisterState {
                 .iter()
                 .zip(&other.metas)
                 .all(|(a, b)| a.entries == b.entries && a.width == b.width)
-    }
-
-    /// Copy a snapshot of the current values.
-    pub fn snapshot(&self) -> RegisterSnapshot {
-        RegisterSnapshot {
-            values: self.values.clone(),
-        }
-    }
-
-    /// Reinstall a snapshot taken from a same-shaped state.
-    pub fn restore(&mut self, snapshot: &RegisterSnapshot) -> Result<(), RuntimeError> {
-        if snapshot.values.len() != self.values.len() {
-            return Err(range_error(format!(
-                "snapshot of {} entries cannot restore into a state of {}",
-                snapshot.values.len(),
-                self.values.len()
-            )));
-        }
-        self.values.copy_from_slice(&snapshot.values);
-        Ok(())
-    }
-
-    /// Carve this state into per-shard states along `ranges`, which must
-    /// partition the slot space exactly once (checked via
-    /// [`check_partition`]). Shard `i`'s state has every array restricted
-    /// to `ranges[i]`, with entries re-indexed from 0 — the shard-local
-    /// slot space.
-    pub fn split_ranges(&self, ranges: &[SlotRange]) -> Result<Vec<RegisterState>, RuntimeError> {
-        let slots = self.slot_space().ok_or_else(|| {
-            range_error(
-                "register state has no uniform slot space; arrays differ in entry count".into(),
-            )
-        })?;
-        check_partition(slots, ranges)?;
-        Ok(ranges
-            .iter()
-            .map(|r| {
-                let mut metas = Vec::with_capacity(self.metas.len());
-                let mut values = Vec::with_capacity(self.metas.len() * r.len);
-                let mut offset = 0usize;
-                for m in &self.metas {
-                    metas.push(ArrayMeta {
-                        offset,
-                        entries: r.len,
-                        ..m.clone()
-                    });
-                    offset += r.len;
-                    values.extend_from_slice(&self.values[m.offset + r.start..m.offset + r.end()]);
-                }
-                RegisterState { metas, values }
-            })
-            .collect())
-    }
-
-    /// Reassemble the full slot space from per-shard states — the inverse
-    /// of [`RegisterState::split_ranges`]. Shard `i` must hold
-    /// `ranges[i].len` entries per array, and the ranges must partition
-    /// the reassembled space exactly once.
-    pub fn merged(
-        shards: &[RegisterState],
-        ranges: &[SlotRange],
-    ) -> Result<RegisterState, RuntimeError> {
-        let first = shards
-            .first()
-            .ok_or_else(|| range_error("cannot merge zero shards into a register state".into()))?;
-        if shards.len() != ranges.len() {
-            return Err(range_error(format!(
-                "{} shard states but {} ranges",
-                shards.len(),
-                ranges.len()
-            )));
-        }
-        let total: usize = ranges.iter().map(|r| r.len).sum();
-        check_partition(total, ranges)?;
-        for (i, (s, r)) in shards.iter().zip(ranges).enumerate() {
-            if s.metas.len() != first.metas.len() {
-                return Err(range_error(format!(
-                    "shard {i} has {} arrays, shard 0 has {}",
-                    s.metas.len(),
-                    first.metas.len()
-                )));
-            }
-            if s.slot_space() != Some(r.len) {
-                return Err(range_error(format!(
-                    "shard {i} does not span its {}-slot range uniformly",
-                    r.len
-                )));
-            }
-            // Same-width check: merging a wider shard into narrower
-            // metadata would embed values past the declared saturation
-            // bounds — an error, not silent corruption.
-            if let Some(a) = s
-                .metas
-                .iter()
-                .zip(&first.metas)
-                .position(|(sm, fm)| sm.width != fm.width)
-            {
-                return Err(range_error(format!(
-                    "shard {i} array {a} is {} bits wide, shard 0's is {}",
-                    s.metas[a].width, first.metas[a].width
-                )));
-            }
-        }
-        let mut metas = Vec::with_capacity(first.metas.len());
-        let mut offset = 0usize;
-        for m in &first.metas {
-            metas.push(ArrayMeta {
-                offset,
-                entries: total,
-                ..m.clone()
-            });
-            offset += total;
-        }
-        let mut values = vec![0i64; metas.len() * total];
-        for (shard, r) in shards.iter().zip(ranges) {
-            for (a, m) in metas.iter().enumerate() {
-                let src = &shard.values[shard.metas[a].offset..shard.metas[a].offset + r.len];
-                values[m.offset + r.start..m.offset + r.end()].copy_from_slice(src);
-            }
-        }
-        Ok(RegisterState { metas, values })
     }
 
     /// Execute one stateful call against the state (the interpreter's

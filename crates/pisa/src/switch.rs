@@ -357,9 +357,8 @@ impl Switch {
         &self.state
     }
 
-    /// Replace the register state wholesale (e.g. restoring a snapshot
-    /// taken from the other engine). The shape must match the program's
-    /// arrays.
+    /// Replace the register state wholesale (e.g. a state copied from the
+    /// other engine). The shape must match the program's arrays.
     pub fn set_register_state(&mut self, state: RegisterState) -> Result<(), RuntimeError> {
         if !self.state.same_shape(&state) {
             return Err(RuntimeError::IndexOutOfRange {

@@ -1,14 +1,16 @@
 //! All-reduce through the **sharded** dataplane: a shard-count sweep of
 //! the FPISA FP16 aggregation backend, verified bit-for-bit against the
-//! single-core engine and timed per round.
+//! unsharded backend and timed per round.
 //!
-//! The slot space is partitioned into contiguous, chunk-aligned ranges —
-//! one `CompiledSwitch` per range — and each round's packets are ingested
-//! through `AggregationSwitch::ingest_batch`, whose one `add_wire_multi`
-//! call runs each shard over the chunks it owns, shard by shard on the
-//! calling thread (`ShardedSwitch::run_ranges`). Every row below is
-//! bit-identical to the 1-shard baseline; the timing shows what the split
-//! costs, not a parallel speed-up.
+//! The slot space is partitioned into contiguous, chunk-aligned ranges,
+//! as a Tofino splits register state across its pipes. The partition is a
+//! build-time `ShardPlan`: every shard's program is analyzed and proved
+//! shard-safe, and every packet runs on one full-space `CompiledSwitch`.
+//! Each round's packets are ingested through
+//! `AggregationSwitch::ingest_batch`, whose one `add_wire_multi` call
+//! fills that engine's lanes from the chunks. Every row below is
+//! bit-identical to the 1-shard baseline, and the timing should be flat
+//! across shard counts: a partition costs nothing at run time.
 //!
 //! ```sh
 //! cargo run --release --example sharded_allreduce
@@ -46,6 +48,7 @@ fn main() {
                 .expect("preset validates")
                 .with_shadow_stats(false);
         let ranges = backend.pipeline().shard_ranges();
+        let proven = backend.pipeline().shard_safety_proven();
         let mut sw = AggregationSwitch::new(spec, backend).expect("job fits backend");
         let words: Vec<Vec<u64>> = gradients
             .iter()
@@ -85,6 +88,7 @@ fn main() {
             format!("{shards}"),
             format!("{}", ranges.len()),
             format!("{slots_per_shard}"),
+            if proven { "yes" } else { "-" }.to_string(),
             format!("{:.2}", ns_per_round / 1e6),
             format!(
                 "{:.1}",
@@ -102,6 +106,7 @@ fn main() {
                 "Shards",
                 "Ranges",
                 "Slots/shard",
+                "Proven",
                 "ms/round",
                 "Melem/s",
                 "Speedup",
@@ -111,7 +116,7 @@ fn main() {
         )
     );
     println!(
-        "\n(Range ingest runs shard by shard on one thread: the sweep verifies \
-         correctness and prices the split, not scaling.)"
+        "\n(Every shard count runs on one full-space engine: the sweep verifies \
+         correctness and that the partition costs nothing, not scaling.)"
     );
 }
