@@ -27,7 +27,7 @@
 
 use fpisa_core::{FpClass, FpFormat, FpisaAccumulator, ReadRounding, SwitchValue};
 use fpisa_pipeline::{ExecEngine, FpisaPipeline, PipelineSpec, PipelineVariant, OP_ADD, OP_READ};
-use fpisa_pisa::{BatchLanes, CompiledSwitch, RegArrayId, LANE_CHUNK};
+use fpisa_pisa::{BatchLanes, CompiledSwitch, Phv, RegArrayId, Switch, LANE_CHUNK};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 const SLOTS: usize = 8;
@@ -257,6 +257,87 @@ fn replay_on_wide_lanes(pipe: &FpisaPipeline, stream: &[(usize, u64)]) -> Vec<((
             (state, lanes.get(fields.result, slot))
         })
         .collect()
+}
+
+/// A reused lane buffer on every cell: every column of a full batch first
+/// holds random non-zero values and runs, then ADD batches fill only the
+/// op, slot and value columns — slots lane by lane with gaps, words from a
+/// random lane on — and READ batches only op and slot, as the pipeline's
+/// own lane loops do. The compiled engine zeroes a column only where a
+/// table reads it, so every field of every lane (through `get`) and every
+/// register must still equal the interpreter's on fresh PHVs.
+#[test]
+fn reused_lanes_read_like_fresh_packets_on_every_cell() {
+    const N: usize = 200;
+    let mut rng = SmallRng::seed_from_u64(0xD1FF_0005);
+    let variants = [
+        PipelineVariant::TofinoA,
+        PipelineVariant::ExtendedA,
+        PipelineVariant::ExtendedFull,
+    ];
+    for variant in variants {
+        for (format, guard, rounding) in cells() {
+            let cell = format!("{variant:?}/{format:?}/g{guard}/{rounding:?}");
+            let spec = PipelineSpec::new(variant)
+                .format(format)
+                .guard_bits(guard)
+                .read_rounding(rounding)
+                .slots(SLOTS);
+            let pipe = FpisaPipeline::from_spec(spec).expect("spec must validate");
+            let (program, f) = (pipe.switch_program(), pipe.fields());
+            let mut lanes = BatchLanes::new(&program.layout, N);
+            lanes.begin(N);
+            for (id, spec) in program.layout.iter() {
+                let top = u64::MAX >> (64 - spec.bits);
+                let words: Vec<u64> = (0..N).map(|_| rng.gen_range(1..=top)).collect();
+                lanes.fill_slice(id, 0, &words);
+            }
+            let _ = CompiledSwitch::compile(program)
+                .unwrap()
+                .run_lanes(&mut lanes);
+            let mut sw = Switch::new(program.clone()).unwrap();
+            let mut cs = CompiledSwitch::compile(program).unwrap();
+            let batches = [(OP_ADD, N), (OP_ADD, 77), (OP_READ, SLOTS), (OP_ADD, 130)];
+            for (b, (op, n)) in batches.into_iter().chain([(OP_READ, SLOTS)]).enumerate() {
+                let mut want = vec![Phv::new(&program.layout); n];
+                lanes.begin(n);
+                lanes.fill(f.op, 0, op);
+                if op == OP_READ {
+                    lanes.fill_iota(f.slot, 0, n, 0);
+                } else {
+                    for (i, p) in want.iter_mut().enumerate() {
+                        if rng.gen_range(0u32..4) != 0 {
+                            let slot = rng.gen_range(0..SLOTS as u64);
+                            lanes.set(f.slot, i, slot);
+                            p.set(f.slot, slot);
+                        }
+                    }
+                    let from = rng.gen_range(0..n);
+                    let words: Vec<u64> =
+                        (from..n).map(|_| random_bits(&mut rng, format)).collect();
+                    lanes.fill_slice(f.value, from, &words);
+                    for (p, &w) in want[from..].iter_mut().zip(&words) {
+                        p.set(f.value, w);
+                    }
+                }
+                for (i, p) in want.iter_mut().enumerate() {
+                    p.set(f.op, op);
+                    if op == OP_READ {
+                        p.set(f.slot, i as u64);
+                    }
+                    sw.run(p).unwrap();
+                }
+                cs.run_lanes(&mut lanes).unwrap();
+                for (i, p) in want.iter().enumerate() {
+                    for (id, spec) in program.layout.iter() {
+                        let (got, want) = (lanes.get(id, i), p.get(id));
+                        assert_eq!(got, want, "{cell} batch {b}: lane {i} `{}`", spec.name);
+                    }
+                }
+                assert_eq!(cs.register_state(), sw.register_state(), "{cell} batch {b}");
+            }
+        }
+    }
 }
 
 #[test]

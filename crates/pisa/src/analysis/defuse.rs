@@ -78,7 +78,7 @@ fn update_fields(update: &SaluUpdate, out: &mut Vec<FieldId>) {
 
 /// Every PHV field an action reads, in execution order (primitive
 /// operands first, then stateful index/condition/update operands).
-fn action_reads(action: &Action) -> Vec<FieldId> {
+pub(crate) fn action_reads(action: &Action) -> Vec<FieldId> {
     let mut out = Vec::new();
     for p in &action.primitives {
         operand_field(&p.a, &mut out);
@@ -94,7 +94,7 @@ fn action_reads(action: &Action) -> Vec<FieldId> {
 }
 
 /// Every PHV field an action writes.
-fn action_writes(action: &Action) -> Vec<FieldId> {
+pub(crate) fn action_writes(action: &Action) -> Vec<FieldId> {
     let mut out: Vec<FieldId> = action.primitives.iter().map(|p| p.dst).collect();
     out.extend(
         action

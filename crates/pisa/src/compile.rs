@@ -132,6 +132,25 @@
 //! action. Everything else — and every scalar entry point — takes the
 //! per-packet path unchanged.
 //!
+//! **Entry points.** `run_batch_soa` transposes PHVs; `run_lanes` runs a
+//! caller-filled [`BatchLanes`]; `ranges`' loops fill `LANE_CHUNK`-lane
+//! batches a column at a time — `run_pairs` from `(slot, word)` pairs,
+//! `run_ranges` from slot ranges, and `hold_ranges` / `run_held` leaving
+//! the last batch *open* across calls, so a round's 64-word ADD packets run
+//! as 2048-lane batches in the one lane buffer a pipeline or backend keeps.
+//!
+//! **Zeroing on first use.** A fresh batch reads like fresh packets, yet
+//! no lane is cleared: a [`BatchLanes`] column's lanes past its mark stand
+//! for zeros (`phv`'s docs), and the engine zeroes a column up to the live
+//! lanes only before a table would read stale lanes there — its gate
+//! columns before the gate check, its other keys once no gate check
+//! decides the batch, the columns a uniform action reads (`action_reads`),
+//! and every column a masked, rows or walk arm touches, since those leave
+//! lanes as they were. A uniform action's other writes are only marked:
+//! its sweeps store every live lane, its SALU output every lane before a
+//! fault. Of the FP16 Tofino program's 34 columns, a 2048-lane
+//! `add_ranges` batch of normal values zeroes 4, a `read_range` batch 8.
+//!
 //! ## The lane word
 //!
 //! A batch's columns are stored, and its sweeps computed, in the layout's
@@ -179,46 +198,15 @@
 //! counts.
 
 use crate::action::{AluOp, Operand, Primitive};
-use crate::analysis::{AnalysisLevel, AnalysisReport};
-use crate::phv::{BatchLanes, ColumnsMut, FieldId, LaneWord, Phv, PhvLayout};
+use crate::analysis::defuse::{action_reads, action_writes};
+use crate::phv::{zero_below, BatchLanes, ColumnsMut, FieldId, LaneWord, Phv, PhvLayout};
 use crate::register::{
     ArrayMeta, CmpOp, RegArrayId, RegisterState, SaluCond, SaluOutput, SaluUpdate,
 };
-use crate::switch::{ProgramError, RuntimeError, Switch, SwitchProgram};
+use crate::switch::{ProgramError, RuntimeError, SwitchProgram};
 use crate::table::{KeyMatch, Table};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-
-/// What [`CompiledSwitch::compile_with`] can reject a program for:
-/// structural invalidity (the classic builder errors) or, under
-/// [`AnalysisLevel::Deny`], a static-analysis report carrying errors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompileError {
-    /// The program failed [`SwitchProgram::validate`].
-    Program(ProgramError),
-    /// The analyzer found error-severity diagnostics; the full report is
-    /// attached so every finding can be surfaced, not just the first.
-    Analysis(Box<AnalysisReport>),
-}
-
-impl std::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::Program(e) => write!(f, "invalid program: {e}"),
-            CompileError::Analysis(report) => {
-                write!(f, "static analysis rejected the program: {report}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
-
-impl From<ProgramError> for CompileError {
-    fn from(e: ProgramError) -> Self {
-        CompileError::Program(e)
-    }
-}
 
 /// Largest total key width (in bits) lowered to a dense direct-index
 /// array: 2^16 slots of 4 bytes = 256 KiB per table, at most.
@@ -428,11 +416,12 @@ struct CompiledTable {
     default_action: Option<u32>,
     /// The table's slice of the global action table.
     actions: (u32, u32),
-    /// The table's slice of [`CompiledSwitch::writes`]: every PHV field
-    /// one of its actions can write (primitive destinations and SALU
-    /// outputs) — the column facts a batch must forget once the table has
-    /// executed.
-    writes: (u32, u32),
+    /// The table's slice of [`CompiledSwitch::cols`]: `cols.0..cols.1` is
+    /// every PHV field one of its actions can write (primitive destinations
+    /// and SALU outputs) — the column facts a batch must forget once the
+    /// table has executed — and `cols.1..cols.2` every other field they
+    /// read: with the keys, the columns a divergent batch zeroes.
+    cols: (u32, u32, u32),
     /// Whether any action of the table makes a stateful call.
     has_stateful: bool,
     /// Set when the table lowers to [`ShiftRows`] (see the module docs).
@@ -469,14 +458,14 @@ enum Fact {
 }
 
 /// The live lanes of a batch's column buffer together with its facts.
-struct Cols<'a, W> {
+struct Cols<'a, 'f, W> {
     buf: &'a [W],
     cap: usize,
     n: usize,
-    facts: &'a mut [Fact],
+    facts: &'f mut [Fact],
 }
 
-impl<W: LaneWord> Cols<'_, W> {
+impl<W: LaneWord> Cols<'_, '_, W> {
     /// The fact for field `f`, established by one column sweep the first
     /// time a batch asks. The sweep tests a cache line of lanes at a time
     /// and stops at the first line holding a second value, so a
@@ -667,7 +656,8 @@ impl CompiledTable {
     /// [distinct actions](Self::distinct_actions).
     fn lookup_lanes<W: LaneWord>(
         &self,
-        buf: &[W],
+        buf: &mut [W],
+        marks: &mut [usize],
         cap: usize,
         n: usize,
         s: &mut LaneScratch,
@@ -689,15 +679,23 @@ impl CompiledTable {
             vary: rows_vary,
         } = s;
         let act_of = &mut act_of[..n];
-        let mut cols = Cols { buf, cap, n, facts };
+        // The gate columns are zeroed first, the other keys only once no
+        // gate check on a uniform column has decided the batch.
+        let gate_cols = self.gate.iter().map(|g| g.field as usize);
+        zero_below(buf, cap, marks, n, gate_cols);
+        let mut gate = Cols { buf, cap, n, facts };
         for g in self.gate.iter() {
-            if let Fact::Uniform(v) = cols.fact(g.field as usize) {
+            if let Fact::Uniform(v) = gate.fact(g.field as usize) {
                 if v & g.mask != g.val {
                     counts.gate_decided += 1;
                     return Ok(dflt);
                 }
             }
         }
+        let facts = gate.facts;
+        zero_below(buf, cap, marks, n, self.keys.iter().map(|k| k.field.into()));
+        let buf = &*buf;
+        let mut cols = Cols { buf, cap, n, facts };
         // Split the key tuple: uniform columns fold into one constant key
         // part (and seed the LUT's scratch row), varying ones are packed
         // per lane.
@@ -973,6 +971,10 @@ fn leading_one_top(pats: &[(u64, u64)]) -> Option<u64> {
 struct CompiledAction {
     prims: (u32, u32),
     stateful: (u32, u32),
+    /// Its slice of [`CompiledSwitch::cols`]: `cols.0..cols.1` the fields
+    /// it reads, `cols.1..cols.2` the primitive destinations it does not —
+    /// what a batch it runs uniformly zeroes, and only marks.
+    cols: (u32, u32, u32),
 }
 
 /// A pre-resolved operand: the PHV value offset plus the sign-extension
@@ -1798,11 +1800,12 @@ struct CompiledStateful {
 /// A running compiled switch: the lowered program plus register state.
 ///
 /// Compiled from a validated [`SwitchProgram`] by
-/// [`CompiledSwitch::compile`] (or [`Switch::compiled`], which also copies
-/// the interpreter's current register state). Executes packets bit-for-bit
-/// identically to [`Switch::run`], several times faster, with zero
-/// per-packet allocation; [`CompiledSwitch::run_batch`] amortizes the call
-/// overhead over a PHV buffer.
+/// [`CompiledSwitch::compile`] (an interpreter's register state moves over
+/// with [`CompiledSwitch::set_register_state`]). Executes packets
+/// bit-for-bit identically to [`Switch::run`](crate::Switch::run), several
+/// times faster, with zero per-packet allocation;
+/// [`CompiledSwitch::run_batch`] amortizes the call overhead over a PHV
+/// buffer.
 #[derive(Debug, Clone)]
 pub struct CompiledSwitch {
     layout: PhvLayout,
@@ -1827,9 +1830,9 @@ pub struct CompiledSwitch {
     soa_simple: bool,
     /// Op-tape statistics of the lowered program.
     fusion: FusionStats,
-    /// The PHV fields each table can write, flat like the op tapes
-    /// ([`CompiledTable::writes`] ranges into it).
-    writes: Box<[u16]>,
+    /// Column lists, flat like the op tapes: each table's
+    /// ([`CompiledTable::cols`]) and each action's ([`CompiledAction::cols`]).
+    cols: Box<[u16]>,
     /// Every PHV field any table can write: the columns a batch transposed
     /// in from PHVs has to transpose back out.
     written: Box<[usize]>,
@@ -1884,19 +1887,31 @@ impl CompiledSwitch {
         // once per pass).
         let mut soa_simple = program.recirc_field.is_none();
         let mut array_table: Vec<Option<usize>> = vec![None; program.arrays.len()];
-        let mut writes: Vec<u16> = Vec::new();
+        let (mut cols, mut written): (Vec<u16>, Vec<usize>) = (Vec::new(), Vec::new());
+        // Append the fields of `fs` not yet in `cols[from..]`.
+        let add = |cols: &mut Vec<u16>, from: usize, fs: Vec<FieldId>| {
+            for f in fs {
+                if !cols[from..].contains(&f.0) {
+                    cols.push(f.0);
+                }
+            }
+        };
         for stage in &program.stages {
             for table in &stage.tables {
                 let t_idx = tables.len();
                 let base = actions.len() as u32;
-                let w0 = writes.len();
+                let (w0, acts) = (cols.len(), &table.actions);
+                add(&mut cols, w0, acts.iter().flat_map(action_writes).collect());
+                let w1 = cols.len();
+                written.extend(cols[w0..].iter().map(|&f| usize::from(f)));
+                add(&mut cols, w0, acts.iter().flat_map(action_reads).collect());
+                let table_cols = (w0 as u32, w1 as u32, cols.len() as u32);
                 for action in &table.actions {
-                    let outputs = action.stateful.iter().filter_map(|c| c.output);
-                    for f in (action.primitives.iter().map(|p| p.dst)).chain(outputs.map(|o| o.0)) {
-                        if !writes[w0..].contains(&f.0) {
-                            writes.push(f.0);
-                        }
-                    }
+                    let c0 = cols.len();
+                    add(&mut cols, c0, action_reads(action));
+                    let c1 = cols.len();
+                    let dsts = action.primitives.iter().map(|p| p.dst);
+                    add(&mut cols, c0, dsts.collect());
                     let p0 = prims.len() as u32;
                     action_prims.clear();
                     action_prims.extend(
@@ -1935,11 +1950,12 @@ impl CompiledSwitch {
                     actions.push(CompiledAction {
                         prims: (p0, prims.len() as u32),
                         stateful: (s0, stateful.len() as u32),
+                        cols: (c0 as u32, c1 as u32, cols.len() as u32),
                     });
                 }
                 let mut ct = compile_table(table, base, &program.layout);
                 ct.actions = (base, actions.len() as u32);
-                ct.writes = (w0 as u32, writes.len() as u32);
+                ct.cols = table_cols;
                 ct.has_stateful = table.actions.iter().any(|a| !a.stateful.is_empty());
                 let table_actions = &actions[base as usize..];
                 ct.rows = build_rows(&ct, table_actions, &prims, fusion.lane_bits);
@@ -1951,7 +1967,6 @@ impl CompiledSwitch {
             fusion.narrow_ops = prims.iter().filter(|p| p.narrow).count();
             fusion.widened_ops = fusion.tape_ops - fusion.narrow_ops;
         }
-        let mut written: Vec<usize> = writes.iter().map(|&f| usize::from(f)).collect();
         written.sort_unstable();
         written.dedup();
         let state = RegisterState::new(&program.arrays);
@@ -1969,33 +1984,11 @@ impl CompiledSwitch {
             touched,
             soa_simple,
             fusion,
-            writes: writes.into_boxed_slice(),
+            cols: cols.into_boxed_slice(),
             written: written.into_boxed_slice(),
             lanes: BatchLanes::new(&program.layout, 1),
             scratch: LaneScratch::default(),
         })
-    }
-
-    /// Validate, statically analyze, and lower a program in one step —
-    /// the verify-on-compile entry point.
-    ///
-    /// [`AnalysisLevel::Off`] behaves exactly like
-    /// [`CompiledSwitch::compile`]; [`AnalysisLevel::Warn`] runs the
-    /// analyzer but only fails on [`ProgramError`]s; the default
-    /// [`AnalysisLevel::Deny`] additionally rejects any program whose
-    /// [`AnalysisReport`] carries errors, returning the full report so
-    /// callers can print every diagnostic, not just the first.
-    pub fn compile_with(
-        program: &SwitchProgram,
-        level: AnalysisLevel,
-    ) -> Result<Self, CompileError> {
-        if level != AnalysisLevel::Off {
-            let report = crate::analysis::verify_program(program);
-            if level == AnalysisLevel::Deny && !report.is_clean() {
-                return Err(CompileError::Analysis(Box::new(report)));
-            }
-        }
-        Self::compile(program).map_err(CompileError::Program)
     }
 
     /// Compile-time statistics for the lowered op tape.
@@ -2066,9 +2059,9 @@ impl CompiledSwitch {
         Ok(())
     }
 
-    /// Process one packet, exactly as [`Switch::run`] would — same table
-    /// order, same RAW enforcement, same recirculation semantics, same
-    /// errors — via the pre-resolved dispatch structures.
+    /// Process one packet, exactly as [`Switch::run`](crate::Switch::run)
+    /// would — same table order, same RAW enforcement, same recirculation
+    /// semantics, same errors — via the pre-resolved dispatch structures.
     pub fn run(&mut self, phv: &mut Phv) -> Result<u32, RuntimeError> {
         self.run_vals(phv.values_mut())
     }
@@ -2233,9 +2226,9 @@ impl CompiledSwitch {
     fn run_lanes_simple(&mut self, lanes: &mut BatchLanes) -> Result<u64, (usize, RuntimeError)> {
         // The batch's lane word picks the instantiation: one source, run
         // at `u32` for a 32-bit layout and at `u64` otherwise.
-        match lanes.parts_mut() {
-            (ColumnsMut::Narrow(buf), cap, n) => self.run_columns(buf, cap, n),
-            (ColumnsMut::Wide(buf), cap, n) => self.run_columns(buf, cap, n),
+        match lanes.columns_mut() {
+            (ColumnsMut::Narrow(buf), marks, cap, n) => self.run_columns(buf, marks, cap, n),
+            (ColumnsMut::Wide(buf), marks, cap, n) => self.run_columns(buf, marks, cap, n),
         }
     }
 
@@ -2246,6 +2239,7 @@ impl CompiledSwitch {
     fn run_columns<W: LaneWord>(
         &mut self,
         buf: &mut [W],
+        marks: &mut [usize],
         cap: usize,
         n: usize,
     ) -> Result<u64, (usize, RuntimeError)> {
@@ -2257,7 +2251,7 @@ impl CompiledSwitch {
             prims,
             stateful,
             state,
-            writes,
+            cols,
             counts,
             scratch,
             ..
@@ -2268,6 +2262,7 @@ impl CompiledSwitch {
         scratch.facts.clear();
         scratch.facts.resize(layout.len(), Fact::Unknown);
         let tape = |a: &CompiledAction| &prims[a.prims.0 as usize..a.prims.1 as usize];
+        let list = |(a, b): (u32, u32)| cols[a as usize..b as usize].iter().map(|&f| f.into());
         // soa_simple guarantees at most one stateful call per action.
         let call = |a: &CompiledAction| {
             let cs = stateful
@@ -2283,9 +2278,13 @@ impl CompiledSwitch {
             }
             count.lanes += limit as u64;
             // Phase A: resolve every live packet's action.
-            let resolved = t.lookup_lanes(buf, cap, limit, scratch, count);
+            let resolved = t.lookup_lanes(buf, marks, cap, limit, scratch, count);
             if matches!(resolved, Ok(MISS)) {
                 continue; // no live packet runs anything in this table
+            }
+            if resolved.is_err() {
+                // A divergent arm leaves lanes as it found them.
+                zero_below(buf, cap, marks, limit, list((t.cols.0, t.cols.2)));
             }
             let act_of = &scratch.act_of[..limit];
             // Phase C stops at the first out-of-range lane: `(lane, index)`.
@@ -2302,6 +2301,10 @@ impl CompiledSwitch {
                     // Phase C resolve its call once.
                     count.uniform += 1;
                     let action = &actions[a as usize];
+                    let (c0, c1, c2) = action.cols;
+                    // What it only writes, it writes in every live lane.
+                    zero_below(buf, cap, marks, limit, list((c0, c1)));
+                    list((c1, c2)).for_each(|f: usize| marks[f] = marks[f].max(limit));
                     for op in tape(action) {
                         op.sweep::<W, false>(buf, cap, limit, &[], MISS);
                     }
@@ -2309,6 +2312,10 @@ impl CompiledSwitch {
                         let batch = (&mut *buf, cap, limit);
                         stopped = salu_lanes(cs, meta, regs, batch, &mut count.windowed)
                             .map(|at| (at, meta));
+                        if let Some((f, ..)) = cs.output {
+                            let done = stopped.map_or(limit, |((lane, _), _)| lane);
+                            marks[f as usize] = marks[f as usize].max(done);
+                        }
                     }
                 }
                 Err(Divergent::Acts(seen)) => {
@@ -2363,8 +2370,8 @@ impl CompiledSwitch {
                 fault = Some((lane, oor_error(idx, meta)));
                 limit = lane;
             }
-            for &f in &writes[t.writes.0 as usize..t.writes.1 as usize] {
-                scratch.facts[f as usize] = Fact::Unknown;
+            for f in list((t.cols.0, t.cols.1)) {
+                scratch.facts[f] = Fact::Unknown;
             }
         }
         match fault {
@@ -2649,18 +2656,6 @@ fn oor_error(idx: usize, meta: &ArrayMeta) -> RuntimeError {
     }
 }
 
-impl Switch {
-    /// Lower this switch's program into a [`CompiledSwitch`], copying the
-    /// current register state, so execution can continue on the fast path
-    /// mid-stream.
-    pub fn compiled(&self) -> CompiledSwitch {
-        let mut c = CompiledSwitch::compile(self.program()).expect("program was validated");
-        c.set_register_state(self.register_state().clone())
-            .expect("same program, same state shape");
-        c
-    }
-}
-
 /// Pre-resolve one operand against the layout.
 fn lower_operand(op: Operand, layout: &PhvLayout) -> CompiledOperand {
     match op {
@@ -2875,7 +2870,7 @@ fn compile_table(table: &Table, action_base: u32, layout: &PhvLayout) -> Compile
         default_action,
         // Patched by `CompiledSwitch::compile`, which lowers the actions.
         actions: (action_base, action_base),
-        writes: (0, 0),
+        cols: (0, 0, 0),
         has_stateful: false,
         rows: None,
     }
@@ -2917,7 +2912,7 @@ mod tests {
     use crate::action::{Action, AluOp, Operand};
     use crate::register::{RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, StatefulCall};
     use crate::stage::Stage;
-    use crate::switch::SwitchCaps;
+    use crate::switch::{Switch, SwitchCaps};
     use crate::table::MatchKind;
 
     fn set_const(out: FieldId, v: i64) -> Action {
@@ -3237,11 +3232,12 @@ mod tests {
             }],
             recirc_field: None,
         };
-        let mut sw = Switch::new(program).unwrap();
+        let mut sw = Switch::new(program.clone()).unwrap();
         let mut phv = sw.phv();
         phv.set(x, 41);
         sw.run(&mut phv).unwrap();
-        let mut cs = sw.compiled();
+        let mut cs = CompiledSwitch::compile(&program).unwrap();
+        cs.set_register_state(sw.register_state().clone()).unwrap();
         assert_eq!(cs.register(RegArrayId(0), 0), 41);
         let mut phv = cs.phv();
         phv.set(x, 1);

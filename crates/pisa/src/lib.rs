@@ -85,10 +85,10 @@
 //! recorded by [`shard::ShardPlan::prove`]),
 //! value-range interval analysis over every action, and hardware
 //! capability lints against a loadable [`analysis::HwProfile`]. The
-//! one-call entry point is [`analysis::verify_program`];
-//! [`compile::CompiledSwitch::compile_with`] gates compilation on the
-//! result ([`analysis::AnalysisLevel`]). Every built-in FPISA pipeline
-//! cell and both aggregation backends analyze clean.
+//! one-call entry point is [`analysis::verify_program`], and
+//! [`analysis::AnalysisLevel`] is the knob `fpisa-pipeline`'s
+//! `PipelineSpec` gates a build on. Every built-in FPISA pipeline cell and
+//! both aggregation backends analyze clean.
 
 #![forbid(unsafe_code)]
 
@@ -109,7 +109,7 @@ pub use analysis::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, Analyzer, Diagnostic,
     HwProfile, Loc, ProgramIo, Severity, ShardSafetyProof,
 };
-pub use compile::{CompileError, CompiledSwitch, DispatchCounts, FusionStats, SOA_MIN};
+pub use compile::{CompiledSwitch, DispatchCounts, FusionStats, SOA_MIN};
 pub use phv::{BatchLanes, FieldId, FieldSpec, Phv, PhvLayout};
 pub use ranges::{SlotFields, LANE_CHUNK};
 pub use register::{

@@ -376,6 +376,26 @@ pub(crate) enum ColumnsMut<'a> {
     Wide(&'a mut [u64]),
 }
 
+/// Zero lanes `marks[f]..n` of each column `f` of `fields` that is defined
+/// only below lane `n`, and mark it defined through `n`: how a writer
+/// starting at lane `n` (or the compiled engine, before it reads lanes
+/// `..n`) makes the lanes past a column's mark read as the zeros they
+/// stand for. See [`BatchLanes`].
+pub(crate) fn zero_below<W: LaneWord>(
+    buf: &mut [W],
+    cap: usize,
+    marks: &mut [usize],
+    n: usize,
+    fields: impl IntoIterator<Item = usize>,
+) {
+    for f in fields {
+        if marks[f] < n {
+            buf[f * cap + marks[f]..f * cap + n].fill(W::ZERO);
+            marks[f] = n;
+        }
+    }
+}
+
 /// Run `$body` with `$c` bound to the [`Aligned`] buffer of either width.
 macro_rules! each_word {
     ($cols:expr, $c:ident => $body:expr) => {
@@ -398,6 +418,18 @@ macro_rules! each_word {
 /// or transposed from existing [`Phv`]s at the batch boundary (`load` /
 /// `store`).
 ///
+/// **A fresh lane is zero without being cleared.** Each column keeps a
+/// *mark*: the lanes below it hold defined values, the lanes from it up
+/// hold whatever an earlier batch left there and stand for zeros. `begin`
+/// resets every mark and `extend_to` moves none, so neither touches a
+/// lane; every reader (`get`, `extend_from_column`, `store`) reads a lane
+/// past its column's mark as 0, and every writer (`set`, `fill`,
+/// `fill_iota`, `fill_slice`) first zeroes the gap between the mark and
+/// the lanes it writes. Through these accessors a begun batch is
+/// indistinguishable from fresh [`Phv::new`] packets, yet a column the
+/// program never reads is never zeroed: the compiled engine zeroes a
+/// column only before it reads one (see `compile`'s module docs).
+///
 /// **The lane word is a property of the layout** (`PhvLayout::lane_bits`):
 /// when every field is at most 32 bits wide the columns are `u32` — 16
 /// lanes to a cache line, half the bytes to zero, fill and sweep — and
@@ -418,6 +450,9 @@ pub struct BatchLanes {
     cap: usize,
     /// Live packet count (`<= cap`).
     len: usize,
+    /// Per field: lanes `..marks[f]` of its column are defined, the rest
+    /// read as 0 (`marks[f] <= len`).
+    marks: Vec<usize>,
 }
 
 impl Default for BatchLanes {
@@ -429,6 +464,7 @@ impl Default for BatchLanes {
             masks: Vec::new(),
             cap: 0,
             len: 0,
+            marks: Vec::new(),
         }
     }
 }
@@ -455,6 +491,7 @@ impl BatchLanes {
             } else {
                 Columns::Wide(Aligned::default())
             },
+            marks: vec![0; masks.len()],
             masks,
             cap: 0,
             len: 0,
@@ -482,8 +519,8 @@ impl BatchLanes {
         }
     }
 
-    /// Replace the buffer with a zeroed one of at least `cap` lanes per
-    /// column, copying the live lanes over.
+    /// Replace the buffer with one of at least `cap` lanes per column,
+    /// copying the live lanes over (the marks stay as they are).
     fn alloc(&mut self, cap: usize) {
         fn grow<W: LaneWord>(
             c: &mut Aligned<W>,
@@ -516,29 +553,47 @@ impl BatchLanes {
         }
     }
 
-    /// Start a fresh batch of `len` zeroed packets (a cleared lane batch is
-    /// indistinguishable from `len` fresh [`Phv::new`] packets).
+    /// Start a fresh batch of `len` packets whose every field reads 0, as
+    /// `len` fresh [`Phv::new`] packets would: the column marks are reset,
+    /// no lane is cleared.
     pub fn begin(&mut self, len: usize) {
         self.len = 0;
+        self.marks.fill(0);
         self.extend_to(len);
     }
 
     /// Grow the batch to `len` packets: the packets already in it keep
-    /// every field, and only the new ones `self.len()..len` are zeroed — a
-    /// batch filled over several calls. Panics if `len` is below the live
-    /// count.
+    /// every field, and the new ones `self.len()..len` read 0 in every
+    /// field, since they lie past every column's mark — a batch filled over
+    /// several calls. Panics if `len` is below the live count.
     pub fn extend_to(&mut self, len: usize) {
         assert!(len >= self.len, "extending a batch cannot drop packets");
         self.ensure_cap(len);
-        let (cap, from) = (self.cap, self.len);
-        each_word!(&mut self.cols, c => {
-            if len > from {
-                for col in c.buf_mut().chunks_exact_mut(cap) {
-                    col[from..len].fill(0);
-                }
-            }
-        });
         self.len = len;
+    }
+
+    /// Zero the gap below lane `at` of field `f` (see [`zero_below`]) and
+    /// mark the column defined through lane `end`, ahead of a write of
+    /// lanes `at..end`. Writers fill a column in lane order, so the gap is
+    /// nearly always empty and its zeroing stays out of line. The mark is
+    /// stored as `end` under a branch rather than as a `max` of the mark
+    /// just loaded, so per-lane `set`s of one column do not chain their
+    /// stores through that load.
+    #[inline]
+    fn define(&mut self, f: usize, at: usize, end: usize) {
+        let mark = self.marks[f];
+        if mark < end {
+            if mark < at {
+                self.zero_gap(f, at);
+            }
+            self.marks[f] = end;
+        }
+    }
+
+    #[cold]
+    fn zero_gap(&mut self, f: usize, at: usize) {
+        let (cap, marks) = (self.cap, &mut self.marks[..]);
+        each_word!(&mut self.cols, c => zero_below(c.buf_mut(), cap, marks, at, [f]));
     }
 
     /// Transpose a batch of PHVs in (every field of every packet is
@@ -553,6 +608,7 @@ impl BatchLanes {
         self.len = 0; // every lane is overwritten: nothing to carry over
         self.ensure_cap(phvs.len());
         self.len = phvs.len();
+        self.marks.fill(self.len);
         let (cap, fields) = (self.cap, self.masks.len());
         each_word!(&mut self.cols, c => {
             let buf = c.buf_mut();
@@ -580,15 +636,21 @@ impl BatchLanes {
         upto: usize,
         fields: impl Iterator<Item = usize> + Clone,
     ) {
-        let cap = self.cap;
-        each_word!(&self.cols, c => {
-            let buf = c.buf();
-            for (i, p) in phvs[..upto].iter_mut().enumerate() {
-                for f in fields.clone() {
-                    p.values[f] = buf[f * cap + i].wide();
-                }
+        for (i, p) in phvs[..upto].iter_mut().enumerate() {
+            for f in fields.clone() {
+                p.values[f] = self.lane(f, i);
             }
-        });
+        }
+    }
+
+    /// Lane `i` of field `f`'s column, 0 past the column's mark.
+    #[inline]
+    fn lane(&self, f: usize, i: usize) -> u64 {
+        if i >= self.marks[f] {
+            return 0;
+        }
+        let at = f * self.cap + i;
+        each_word!(&self.cols, c => c.words[c.off + at].wide())
     }
 
     /// Live packet count.
@@ -613,8 +675,7 @@ impl BatchLanes {
     #[inline]
     pub fn get(&self, id: FieldId, i: usize) -> u64 {
         debug_assert!(i < self.len);
-        let at = id.0 as usize * self.cap + i;
-        each_word!(&self.cols, c => c.words[c.off + at].wide())
+        self.lane(id.0 as usize, i)
     }
 
     /// Write a field for packet `i`, truncating to its declared width.
@@ -622,20 +683,28 @@ impl BatchLanes {
     pub fn set(&mut self, id: FieldId, i: usize, value: u64) {
         debug_assert!(i < self.len);
         let f = id.0 as usize;
+        self.define(f, i, i + 1);
         let at = f * self.cap + i;
         let v = value & self.masks[f];
         each_word!(&mut self.cols, c => c.words[c.off + at] = LaneWord::narrow(v));
     }
 
-    /// The column writer behind [`BatchLanes::fill`], [`BatchLanes::fill_iota`]
-    /// and [`BatchLanes::fill_slice`]: lanes `at..at + values.len()` of one
-    /// field in a single pass, each value truncated to the declared width
-    /// like [`BatchLanes::set`]. Panics if the lanes are not all live.
+    /// The column writer behind [`BatchLanes::fill`], [`BatchLanes::fill_iota`],
+    /// [`BatchLanes::fill_slice`] and `run_pairs`' scattered columns: lanes
+    /// `at..at + values.len()` of one field in a single pass, each value
+    /// truncated to the declared width like [`BatchLanes::set`]. Panics if
+    /// the lanes are not all live.
     #[inline]
-    fn write_column(&mut self, id: FieldId, at: usize, values: impl ExactSizeIterator<Item = u64>) {
+    pub(crate) fn write_column(
+        &mut self,
+        id: FieldId,
+        at: usize,
+        values: impl ExactSizeIterator<Item = u64>,
+    ) {
         let f = id.0 as usize;
         let (mask, end) = (self.masks[f], at + values.len());
         assert!(end <= self.len, "column write past the live lanes");
+        self.define(f, at, end);
         let base = f * self.cap;
         each_word!(&mut self.cols, c => {
             for (lane, v) in c.buf_mut()[base + at..base + end].iter_mut().zip(values) {
@@ -668,44 +737,44 @@ impl BatchLanes {
     /// `out` — a result column drained in one pass instead of one
     /// [`BatchLanes::get`] per packet.
     pub fn extend_from_column(&self, id: FieldId, out: &mut Vec<u64>) {
-        let base = id.0 as usize * self.cap;
+        let f = id.0 as usize;
+        let (base, defined) = (f * self.cap, self.marks[f]);
         each_word!(&self.cols, c => {
-            out.extend(c.buf()[base..base + self.len].iter().map(|w| w.wide()));
+            out.extend(c.buf()[base..base + defined].iter().map(|w| w.wide()));
         });
+        out.resize(out.len() + self.len - defined, 0);
     }
 
     /// Copy packet `i` into a flat value row (compiled-engine fallback).
     #[inline]
     pub(crate) fn read_row(&self, i: usize, row: &mut [u64]) {
-        let cap = self.cap;
-        each_word!(&self.cols, c => {
-            for (f, v) in row.iter_mut().enumerate() {
-                *v = c.buf()[f * cap + i].wide();
-            }
-        });
+        for (f, v) in row.iter_mut().enumerate() {
+            *v = self.lane(f, i);
+        }
     }
 
     /// Copy a flat value row back into packet `i`.
     #[inline]
     pub(crate) fn write_row(&mut self, i: usize, row: &[u64]) {
-        let cap = self.cap;
-        each_word!(&mut self.cols, c => {
-            for (f, &v) in row.iter().enumerate() {
-                c.buf_mut()[f * cap + i] = LaneWord::narrow(v);
-            }
-        });
+        for (f, &v) in row.iter().enumerate() {
+            self.define(f, i, i + 1);
+            let at = f * self.cap + i;
+            each_word!(&mut self.cols, c => c.words[c.off + at] = LaneWord::narrow(v));
+        }
     }
 
-    /// The raw column buffer at its lane word, its stride and the live
-    /// lane count, for the compiled engine's batch execution (which
-    /// pre-resolves every field offset and mask).
+    /// The raw column buffer at its lane word, the column marks, the
+    /// stride and the live lane count, for the compiled engine's batch
+    /// execution (which pre-resolves every field offset and mask, and
+    /// zeroes a column past its mark with [`zero_below`] before reading
+    /// it).
     #[inline]
-    pub(crate) fn parts_mut(&mut self) -> (ColumnsMut<'_>, usize, usize) {
+    pub(crate) fn columns_mut(&mut self) -> (ColumnsMut<'_>, &mut [usize], usize, usize) {
         let cols = match &mut self.cols {
             Columns::Narrow(c) => ColumnsMut::Narrow(c.buf_mut()),
             Columns::Wide(c) => ColumnsMut::Wide(c.buf_mut()),
         };
-        (cols, self.cap, self.len)
+        (cols, &mut self.marks, self.cap, self.len)
     }
 }
 
@@ -943,6 +1012,80 @@ mod tests {
         }
     }
 
+    /// Every reader of `lanes`' first `n` packets against `want(field,
+    /// lane)`: `get`, `extend_from_column`, `store` and `read_row`.
+    fn assert_reads(
+        lanes: &BatchLanes,
+        l: &PhvLayout,
+        n: usize,
+        want: impl Fn(FieldId, usize) -> u64,
+    ) {
+        let mut phvs = vec![Phv::new(l); n];
+        lanes.store(&mut phvs, n);
+        let mut row = vec![99; l.len()];
+        for (f, _) in l.iter() {
+            let want: Vec<u64> = (0..n).map(|i| want(f, i)).collect();
+            let mut col = vec![];
+            lanes.extend_from_column(f, &mut col);
+            assert_eq!(col, want, "{f:?}: extend_from_column");
+            for i in 0..n {
+                assert_eq!(lanes.get(f, i), want[i], "{f:?} lane {i}: get");
+                assert_eq!(phvs[i].get(f), want[i], "{f:?} lane {i}: store");
+                lanes.read_row(i, &mut row);
+                assert_eq!(row[f.0 as usize], want[i], "{f:?} lane {i}: read_row");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_past_a_column_mark_read_zero_on_both_lane_words() {
+        let mut l = PhvLayout::new();
+        let a = l.field("a", 8);
+        let b = l.field("b", 32);
+        let c = l.field("c", 16);
+        for lane_bits in [32, 64] {
+            let mut lanes = BatchLanes::with_lane_bits(&l, 32, lane_bits);
+            // A batch that leaves every lane of every column non-zero.
+            lanes.begin(32);
+            for f in [a, b, c] {
+                lanes.fill(f, 0, u64::MAX);
+            }
+            // A fresh batch over the stale lanes: `set` and `fill_slice`
+            // start past their columns' marks, `c` is never written.
+            lanes.begin(20);
+            lanes.set(a, 5, 7);
+            lanes.fill_slice(b, 10, &[1, 2, 3]);
+            let want = |f: FieldId, i: usize| match (f.0, i) {
+                (0, 5) => 7,
+                (1, 10..13) => i as u64 - 9,
+                _ => 0,
+            };
+            assert_reads(&lanes, &l, 20, want);
+            assert_reads(&lanes.clone(), &l, 20, want);
+            // Growth copies the live lanes, stale ones included, and keeps
+            // the marks: the stale lanes and the new ones still read 0.
+            lanes.extend_to(300);
+            assert!(lanes.capacity() >= 300);
+            assert_reads(&lanes, &l, 300, want);
+            // A write past the mark after growth zeroes the copied gap.
+            lanes.set(a, 250, 9);
+            lanes.fill_slice(c, 19, &[4]);
+            let want = |f: FieldId, i: usize| match (f.0, i) {
+                (0, 250) => 9,
+                (2, 19) => 4,
+                _ => want(f, i),
+            };
+            assert_reads(&lanes, &l, 300, want);
+            assert_reads(&lanes.clone(), &l, 300, want);
+            let (_, marks, _, len) = lanes.columns_mut();
+            assert_eq!(
+                (marks.to_vec(), len),
+                (vec![251, 13, 20], 300),
+                "{lane_bits}-bit lanes"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "past the live lanes")]
     fn a_column_write_past_the_live_lanes_panics() {
@@ -956,7 +1099,7 @@ mod tests {
 
     /// The address and element size of a batch's column buffer.
     fn base_and_word(lanes: &mut BatchLanes) -> (usize, usize) {
-        match lanes.parts_mut().0 {
+        match lanes.columns_mut().0 {
             ColumnsMut::Narrow(buf) => (buf.as_ptr() as usize, 4),
             ColumnsMut::Wide(buf) => (buf.as_ptr() as usize, 8),
         }
@@ -1023,7 +1166,7 @@ mod tests {
             }
             // The same invariant through the raw strided view the
             // compiled engine uses.
-            let (ColumnsMut::Wide(buf), cap, len) = lanes.parts_mut() else {
+            let (ColumnsMut::Wide(buf), _, cap, len) = lanes.columns_mut() else {
                 panic!("64-bit fields must take `u64` columns");
             };
             assert_eq!(len, n);

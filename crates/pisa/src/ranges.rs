@@ -26,12 +26,14 @@ use crate::phv::{BatchLanes, FieldId, PhvLayout};
 use crate::switch::RuntimeError;
 
 /// Lanes per batch cut from ranges or from scattered pairs. Every batch
-/// pays a fixed cost in each table it passes, whatever its width: on the
-/// FP16 Tofino program about 0.85 µs per ADD batch and 0.9 µs per READ
-/// batch (an 8-worker round of `run_lanes` on a 2-core Xeon VM), against
-/// roughly 16 and 18 ns per lane. 2048 lanes spread it over enough packets
-/// to be a few percent of the batch, while the program's 34 `u32` columns
-/// of 2048 lanes (≈ 272 KiB) still sit in a core's L2.
+/// pays a fixed cost in each table it passes, whatever its width, on top
+/// of a cost per lane. The repo benchmark's ledger (`--trace 1`) records
+/// both for the FP16 Tofino program: the cost per lane is
+/// `pisa.run_lanes_add8k_ns_per_lane` (4096-lane ADD batches), and the
+/// fixed cost is 64 times its gap to `pisa.run_lanes_add64_ns_per_lane`
+/// (64-lane ones). 2048 lanes spread the fixed cost over enough packets to
+/// be a few percent of the batch, while the program's 34 `u32` columns of
+/// 2048 lanes (≈ 272 KiB) still sit in a core's L2.
 pub const LANE_CHUNK: usize = 2048;
 
 /// The four PHV fields a range- or pair-shaped batch writes and reads.
@@ -126,7 +128,8 @@ impl CompiledSwitch {
     /// appended to it in packet order.
     ///
     /// A batch is [`LANE_CHUNK`] lanes: the `op` column is written once per
-    /// batch and each packet's slot and word with [`BatchLanes::set`].
+    /// batch, and the slot and word columns a column at a time, each in one
+    /// pass over the batch's pairs.
     /// `lanes` is the caller's reusable buffer, as for `run_ranges`. Each
     /// batch is emptied once it has run, on success and on a fault alike,
     /// so a later [`CompiledSwitch::hold_ranges`] into the same buffer
@@ -161,11 +164,9 @@ impl CompiledSwitch {
             let len = LANE_CHUNK.min(n - from);
             lanes.begin(len);
             lanes.fill(fields.op, 0, op);
-            for k in 0..len {
-                let (slot, word) = pair(from + k);
-                lanes.set(fields.slot, k, slot as u64);
-                lanes.set(fields.value, k, word);
-            }
+            let packets = from..from + len;
+            lanes.write_column(fields.slot, 0, packets.clone().map(|i| pair(i).0 as u64));
+            lanes.write_column(fields.value, 0, packets.map(|i| pair(i).1));
             let ran = self.run_lanes(lanes);
             if let (Ok(_), Some(out)) = (&ran, collect.as_deref_mut()) {
                 lanes.extend_from_column(fields.result, out);

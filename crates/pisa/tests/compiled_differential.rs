@@ -6,9 +6,9 @@
 //! faults (RAW violations, out-of-range indices, recirculation limits).
 
 use fpisa_pisa::{
-    Action, AluOp, CmpOp, CompiledSwitch, DispatchCounts, FieldId, KeyMatch, MatchKind, Operand,
-    Phv, PhvLayout, RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, Stage,
-    StatefulCall, Switch, SwitchCaps, SwitchProgram, Table,
+    Action, AluOp, BatchLanes, CmpOp, CompiledSwitch, DispatchCounts, FieldId, KeyMatch, MatchKind,
+    Operand, Phv, PhvLayout, RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate,
+    Stage, StatefulCall, Switch, SwitchCaps, SwitchProgram, Table,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -580,6 +580,129 @@ fn soa_uniform_column_batches_match_interpreter() {
         windowed > 100,
         "only {windowed} lanes ran in a register window"
     );
+}
+
+/// Write one batch's input columns into `lanes` the way callers do — a
+/// field at a time, through a randomly chosen column writer (`fill`,
+/// `fill_iota`, `fill_slice` in two pieces, or `set` lane by lane), each
+/// of which may leave a gap of lanes it does not write. Each field is an
+/// input with probability 1/2; the rest are left as `begin` left them.
+/// Returns the PHVs the same packets are as fresh [`Phv::new`] packets.
+fn fill_inputs(program: &SwitchProgram, lanes: &mut BatchLanes, rng: &mut SmallRng) -> Vec<Phv> {
+    let n = lanes.len();
+    let mut phvs = vec![Phv::new(&program.layout); n];
+    for (id, spec) in program.layout.iter() {
+        if rng.gen::<bool>() {
+            continue;
+        }
+        let max = field_max(spec.bits);
+        let mut col = vec![None; n];
+        let at = rng.gen_range(0..=n);
+        match rng.gen_range(0u32..4) {
+            0 => {
+                let v = rng.gen_range(0..=max);
+                lanes.fill(id, at, v);
+                col[at..].fill(Some(v));
+            }
+            1 => {
+                let (len, first) = (rng.gen_range(0..=n - at), rng.gen::<u64>());
+                lanes.fill_iota(id, at, len, first);
+                for (k, c) in col[at..at + len].iter_mut().enumerate() {
+                    *c = Some(first.wrapping_add(k as u64));
+                }
+            }
+            2 => {
+                let (mid, to) = (rng.gen_range(at..=n), rng.gen_range(at..=n));
+                for piece in [at..mid.min(to), mid.max(to)..n] {
+                    let words: Vec<u64> = piece.clone().map(|_| rng.gen::<u64>()).collect();
+                    lanes.fill_slice(id, piece.start, &words);
+                    for (c, &w) in col[piece].iter_mut().zip(&words) {
+                        *c = Some(w);
+                    }
+                }
+            }
+            _ => {
+                for (i, c) in col.iter_mut().enumerate() {
+                    if rng.gen::<bool>() {
+                        let v = rng.gen::<u64>();
+                        lanes.set(id, i, v);
+                        *c = Some(v);
+                    }
+                }
+            }
+        }
+        for (p, c) in phvs.iter_mut().zip(col) {
+            p.set(id, c.unwrap_or(0));
+        }
+    }
+    phvs
+}
+
+/// A reused batch buffer holds what its last batch left: every column of
+/// a full batch is first set to random non-zero values and run, then fresh
+/// batches fill only some input columns (through every column writer,
+/// with gaps) and run through `run_lanes` — on SoA-eligible programs the
+/// table-major engine, whose columns are zeroed only where a table reads
+/// them, and otherwise the per-lane fallback. Every field of every lane,
+/// read back through `get`, and every register must equal the
+/// interpreter's on fresh PHVs; a faulting batch must fault alike and
+/// agree on every lane up to the faulting one.
+#[test]
+fn reused_lanes_read_like_fresh_packets_on_random_programs() {
+    const DIRTY: usize = 100;
+    let (mut soa, mut faults) = (0usize, 0usize);
+    for seed in 0..160u64 {
+        let (program, mut rng) = random_program(0x57A1_0000 + seed);
+        if program.validate().is_err() {
+            continue;
+        }
+        let mut lanes = BatchLanes::new(&program.layout, DIRTY);
+        lanes.begin(DIRTY);
+        for (id, spec) in program.layout.iter() {
+            let max = field_max(spec.bits);
+            let words: Vec<u64> = (0..DIRTY).map(|_| rng.gen_range(1..=max)).collect();
+            lanes.fill_slice(id, 0, &words);
+        }
+        let mut dirty = CompiledSwitch::compile(&program).unwrap();
+        let _ = dirty.run_lanes(&mut lanes);
+        let mut sw = Switch::new(program.clone()).unwrap();
+        let mut cs = CompiledSwitch::compile(&program).unwrap();
+        soa += usize::from(cs.soa_eligible());
+        for (b, n) in [
+            rng.gen_range(1..=DIRTY),
+            DIRTY,
+            rng.gen_range(1..=DIRTY),
+            130,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let label = format!("seed {seed} batch {b} ({n} lanes)");
+            lanes.begin(n);
+            let mut want = fill_inputs(&program, &mut lanes, &mut rng);
+            let fault = want.iter_mut().enumerate().find_map(|(i, p)| {
+                let ran = sw.run(p);
+                ran.err().map(|e| (i, e))
+            });
+            let got = cs.run_lanes(&mut lanes);
+            let upto = fault.as_ref().map_or(n, |(i, _)| i + 1);
+            for (i, p) in want[..upto].iter().enumerate() {
+                for (id, spec) in program.layout.iter() {
+                    let (g, w) = (lanes.get(id, i), p.get(id));
+                    assert_eq!(g, w, "{label}: lane {i} `{}`", spec.name);
+                }
+            }
+            if let Some((_, e)) = fault {
+                assert_eq!(got, Err(e), "{label}");
+                faults += 1;
+                break; // later lanes may have run the tables before the fault
+            }
+            assert_eq!(got.map(drop), Ok(()), "{label}");
+            assert_eq!(cs.register_state(), sw.register_state(), "{label}");
+        }
+    }
+    assert!(soa > 40, "only {soa} SoA-eligible programs");
+    assert!(faults > 0, "no faulting batch");
 }
 
 /// Order-sensitive accumulator for the adversarial duplicate-slot tests:
