@@ -31,7 +31,9 @@
 //! every read-out is the one folding at once would give, sharded or not.
 //! Quantization clipping is accounted on the host
 //! ([`AggStats::clipped`]); register saturation is accounted via a
-//! control-plane mirror ([`fpisa_core::AddStats::overflows`]) while the
+//! control-plane mirror of the saturated int32 registers, folded one
+//! `(start, words)` range at a time in a branch-free pass at the
+//! register's own width ([`fpisa_core::AddStats::overflows`]), while the
 //! aggregated values themselves always come from the switch registers.
 
 use crate::backend::{AggError, AggStats, Aggregator};
@@ -73,9 +75,10 @@ pub struct SwitchMlFixedPoint {
     /// Host-side quantization clamp (± this), sized so a full fan-in of
     /// maximal contributions cannot overflow the accumulator register.
     qmax: i64,
-    /// Control-plane mirror of the exact (unsaturated) integer sums, used
-    /// only to attribute register-overflow events.
-    mirror: Vec<i64>,
+    /// Control-plane mirror of the saturated int32 register values, used
+    /// only to attribute register-overflow events (`read_range` checks it
+    /// against the switch in debug builds).
+    mirror: Vec<i32>,
     stats: AddStats,
     clipped: u64,
     /// Lane buffer of the range-shaped ADD and READ paths. Its live lanes
@@ -179,27 +182,37 @@ impl SwitchMlFixedPoint {
         self.qmax
     }
 
-    /// Host-side mirror accounting for one folded word (the switch did
-    /// the real sum; this only attributes saturation events).
-    fn account(&mut self, slot: usize, w: u64) {
-        let (reg_min, reg_max) = (-(1i64 << (VALUE_BITS - 1)), (1i64 << (VALUE_BITS - 1)) - 1);
-        let q = ((w as i64) << (64 - VALUE_BITS)) >> (64 - VALUE_BITS);
-        let exact = self.mirror[slot].saturating_add(q);
-        if q == 0 {
-            self.stats.record(fpisa_core::AddEvent::Zero);
-        } else if !(reg_min..=reg_max).contains(&exact) {
-            self.stats.record(fpisa_core::AddEvent::Overflowed);
-        } else {
-            self.stats.record(fpisa_core::AddEvent::Exact);
-        }
-        self.mirror[slot] = exact.clamp(reg_min, reg_max);
-    }
-
     /// Run the open ADD batch, if one is held, so the registers reflect
     /// every ADD accepted so far.
     fn run_held(&mut self) -> Result<(), AggError> {
         Ok(self.engine.run_held(&mut self.lanes)?)
     }
+}
+
+/// Fold one range of ADD words into its slots' `mirror` entries, as the
+/// switch's saturating `AddSat` does, and count the range's events in
+/// `stats`: a zero word is a zero, a word whose sum saturates is an
+/// overflow, any other is exact. One branch-free pass at the register's
+/// width; the counters are `u32` because a range spans at most 2^16 slots.
+fn account(mirror: &mut [i32], words: &[u64], stats: &mut AddStats) {
+    let (mut zeros, mut overflows) = (0u32, 0u32);
+    for (m, &w) in mirror.iter_mut().zip(words) {
+        // The value field keeps the word's low 32 bits.
+        let q = w as u32 as i32;
+        let sum = m.wrapping_add(q);
+        // Only same-signed operands overflow, and then the sum's sign flips.
+        let overflowed = ((*m ^ sum) & (q ^ sum)) < 0;
+        // `i32::MAX` for a non-negative `q`, `i32::MIN` for a negative one.
+        let saturated = (q >> 31) ^ i32::MAX;
+        *m = if overflowed { saturated } else { sum };
+        zeros += u32::from(q == 0);
+        overflows += u32::from(overflowed);
+    }
+    let (n, zeros, overflows) = (words.len() as u64, u64::from(zeros), u64::from(overflows));
+    stats.additions += n;
+    stats.zeros += zeros;
+    stats.overflows += overflows;
+    stats.exact += n - zeros - overflows;
 }
 
 /// Build the full-space engine and its [`ShardPlan`] over `shards` slot
@@ -349,9 +362,11 @@ impl Aggregator for SwitchMlFixedPoint {
         // Control-plane accounting: did the saturating register sum lose
         // information? (Per-slot order matches the engine's exactly.)
         for &(start, words) in chunks {
-            for (i, &w) in words.iter().enumerate() {
-                self.account(start + i, w);
-            }
+            account(
+                &mut self.mirror[start..start + words.len()],
+                words,
+                &mut self.stats,
+            );
         }
         Ok(())
     }
@@ -369,7 +384,7 @@ impl Aggregator for SwitchMlFixedPoint {
         let out = raw.into_iter().zip(mirror).map(|(raw, &m)| {
             // Sign-extend the register value from its width.
             let q = ((raw as i64) << (64 - VALUE_BITS)) >> (64 - VALUE_BITS);
-            debug_assert_eq!(q, m, "switch and mirror diverged");
+            debug_assert_eq!(q, i64::from(m), "switch and mirror diverged");
             q as f64 * self.scale
         });
         Ok(out.collect())
@@ -649,6 +664,145 @@ mod tests {
                 expected,
                 "trial {trial}: workers {workers}, scale {scale}"
             );
+        }
+    }
+
+    /// The per-word accounting the range pass replaced, kept as its
+    /// definition: each word's exact `i64` sum is classified, then clamped
+    /// to the register.
+    #[derive(Clone)]
+    struct Oracle {
+        mirror: Vec<i64>,
+        stats: AddStats,
+        /// Whether a sum has saturated at `i32::MAX` / `i32::MIN`.
+        saturated: [bool; 2],
+    }
+
+    impl Oracle {
+        fn account(&mut self, slot: usize, w: u64) {
+            let (reg_min, reg_max) = (i64::from(i32::MIN), i64::from(i32::MAX));
+            let q = ((w as i64) << (64 - VALUE_BITS)) >> (64 - VALUE_BITS);
+            let exact = self.mirror[slot].saturating_add(q);
+            if q == 0 {
+                self.stats.record(fpisa_core::AddEvent::Zero);
+            } else if !(reg_min..=reg_max).contains(&exact) {
+                self.stats.record(fpisa_core::AddEvent::Overflowed);
+                self.saturated[usize::from(exact < 0)] = true;
+            } else {
+                self.stats.record(fpisa_core::AddEvent::Exact);
+            }
+            self.mirror[slot] = exact.clamp(reg_min, reg_max);
+        }
+
+        fn add(&mut self, chunks: &[(usize, &[u64])]) {
+            for &(start, words) in chunks {
+                for (i, &w) in words.iter().enumerate() {
+                    self.account(start + i, w);
+                }
+            }
+        }
+
+        fn sums(&self, start: usize, len: usize) -> Vec<f64> {
+            self.mirror[start..start + len]
+                .iter()
+                .map(|&m| m as f64)
+                .collect()
+        }
+    }
+
+    /// The range pass against the per-word [`Oracle`] on seeded traffic:
+    /// `add_wire` and multi-chunk `add_wire_multi` calls (chunks may
+    /// overlap) of words that are 0, ±`qmax`, raw `i32::MIN` / `i32::MAX`,
+    /// random, or carry garbage in bits 32–63, biased by turns toward one
+    /// sign until sums saturate both ways, with `clear_range` and
+    /// `read_range` calls between them and a `clone()` that runs on as a
+    /// second stream. After every call the stats equal the oracle's and
+    /// a clone reads the oracle's saturating sums (reading a clone leaves
+    /// the original's open batch open).
+    #[test]
+    fn range_accounting_matches_the_per_word_definition() {
+        const N: usize = 150;
+        let mut rng = SmallRng::seed_from_u64(0xACC0);
+        for workers in [1u32, 3, 8] {
+            let agg = SwitchMlFixedPoint::new(N, 1.0, workers).unwrap();
+            let qmax = agg.qmax();
+            let oracle = Oracle {
+                mirror: vec![0; N],
+                stats: AddStats::default(),
+                saturated: [false; 2],
+            };
+            let mut streams = vec![(agg.clone(), oracle.clone()), (agg, oracle)];
+            let word = |rng: &mut SmallRng, sign: i64| -> u64 {
+                let q = match rng.gen_range(0..10) {
+                    0 => 0,
+                    1..=3 => sign * qmax,
+                    4 => -sign * qmax,
+                    5 => i64::from(if sign > 0 { i32::MAX } else { i32::MIN }),
+                    6 => i64::from(rng.gen::<u32>() as i32),
+                    7 => sign * i64::from(rng.gen_range(0..=qmax as i32)),
+                    _ => rng.gen_range(-1000i32..1000).into(),
+                };
+                let garbage = if rng.gen_bool(0.3) {
+                    rng.gen::<u64>() << 32
+                } else {
+                    0
+                };
+                (q as u64 & 0xFFFF_FFFF) | garbage
+            };
+            for step in 0..600 {
+                let sign = if step / 60 % 2 == 0 { 1 } else { -1 };
+                let s = rng.gen_range(0..2);
+                let (agg, oracle) = &mut streams[s];
+                let start = rng.gen_range(0..N);
+                let len = rng.gen_range(0..=(N - start).min(70));
+                match rng.gen_range(0..20) {
+                    0..=8 => {
+                        let words: Vec<u64> = (0..len).map(|_| word(&mut rng, sign)).collect();
+                        agg.add_wire(start, &words).unwrap();
+                        oracle.add(&[(start, &words)]);
+                    }
+                    9..=13 => {
+                        let owned: Vec<(usize, Vec<u64>)> = (0..rng.gen_range(1..5))
+                            .map(|_| {
+                                let start = rng.gen_range(0..N);
+                                let len = rng.gen_range(0..=(N - start).min(40));
+                                (start, (0..len).map(|_| word(&mut rng, sign)).collect())
+                            })
+                            .collect();
+                        let chunks: Vec<(usize, &[u64])> =
+                            owned.iter().map(|(s, w)| (*s, &w[..])).collect();
+                        agg.add_wire_multi(&chunks).unwrap();
+                        oracle.add(&chunks);
+                    }
+                    14 | 15 => {
+                        agg.clear_range(start, len).unwrap();
+                        oracle.mirror[start..start + len].fill(0);
+                    }
+                    16..=18 => {
+                        assert_eq!(
+                            agg.read_range(start, len).unwrap(),
+                            oracle.sums(start, len),
+                            "workers {workers}, step {step}: read_range"
+                        );
+                    }
+                    _ => streams[1 - s] = streams[s].clone(),
+                }
+                let (agg, oracle) = &streams[s];
+                assert_eq!(
+                    agg.stats().add,
+                    oracle.stats,
+                    "workers {workers}, step {step}: stats"
+                );
+                assert_eq!(
+                    agg.clone().read_range(0, N).unwrap(),
+                    oracle.sums(0, N),
+                    "workers {workers}, step {step}: sums"
+                );
+            }
+            for (_, oracle) in &streams {
+                assert_eq!(oracle.saturated, [true; 2], "workers {workers}");
+                assert!(oracle.stats.zeros > 0 && oracle.stats.exact > 0);
+            }
         }
     }
 

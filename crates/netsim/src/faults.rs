@@ -7,6 +7,7 @@
 //! duplicate, corrupt bit and reorder delay — replays exactly from
 //! `(seed, FaultPlan)`.
 
+use crate::runner::SimError;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 
@@ -28,11 +29,19 @@ pub struct LinkFaults {
     pub reorder_max_ns: u64,
 }
 
-fn check_prob(name: &str, p: f64) {
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "FaultPlan: {name} probability {p} outside [0, 1]"
-    );
+impl LinkFaults {
+    /// The first probability outside `[0, 1]` (NaN included), by field
+    /// name.
+    fn bad_probability(&self) -> Option<(&'static str, f64)> {
+        [
+            ("drop", self.drop),
+            ("duplicate", self.duplicate),
+            ("corrupt", self.corrupt),
+            ("reorder", self.reorder),
+        ]
+        .into_iter()
+        .find(|(_, p)| !(0.0..=1.0).contains(p))
+    }
 }
 
 /// A scheduled worker failure.
@@ -90,25 +99,21 @@ impl FaultPlan {
     }
 
     pub fn drop(mut self, p: f64) -> Self {
-        check_prob("drop", p);
         self.default_faults.drop = p;
         self
     }
 
     pub fn duplicate(mut self, p: f64) -> Self {
-        check_prob("duplicate", p);
         self.default_faults.duplicate = p;
         self
     }
 
     pub fn corrupt(mut self, p: f64) -> Self {
-        check_prob("corrupt", p);
         self.default_faults.corrupt = p;
         self
     }
 
     pub fn reorder(mut self, p: f64, max_extra_ns: u64) -> Self {
-        check_prob("reorder", p);
         self.default_faults.reorder = p;
         self.default_faults.reorder_max_ns = max_extra_ns;
         self
@@ -116,10 +121,6 @@ impl FaultPlan {
 
     /// Replace the fault profile of one worker's link (both directions).
     pub fn link_override(mut self, worker: u32, faults: LinkFaults) -> Self {
-        check_prob("drop", faults.drop);
-        check_prob("duplicate", faults.duplicate);
-        check_prob("corrupt", faults.corrupt);
-        check_prob("reorder", faults.reorder);
         self.overrides.insert(worker, faults);
         self
     }
@@ -138,6 +139,26 @@ impl FaultPlan {
             restart_after_ns,
         });
         self
+    }
+
+    /// Refuse a plan whose default or per-worker link profile has a
+    /// probability outside `[0, 1]` (NaN included), naming the link and
+    /// field. The builders store what they are given; [`Simulator::new`]
+    /// calls this before building anything.
+    ///
+    /// [`Simulator::new`]: crate::Simulator::new
+    pub fn validate(&self) -> Result<(), SimError> {
+        let links = std::iter::once((None, &self.default_faults))
+            .chain(self.overrides.iter().map(|(&w, f)| (Some(w), f)));
+        for (worker, faults) in links {
+            if let Some((field, p)) = faults.bad_probability() {
+                let link = worker.map_or("default link".into(), |w| format!("worker {w}'s link"));
+                return Err(SimError::BadConfig(format!(
+                    "FaultPlan: {link} {field} probability {p} outside [0, 1]"
+                )));
+            }
+        }
+        Ok(())
     }
 
     pub fn seed(&self) -> u64 {
@@ -285,8 +306,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside [0, 1]")]
     fn out_of_range_probability_is_rejected() {
-        let _ = FaultPlan::new(0).drop(1.5);
+        use crate::{run_allreduce, SimConfig};
+        use fpisa_agg::{JobSpec, SwitchMlFixedPoint};
+        let bad = [
+            (
+                FaultPlan::new(0).drop(1.5),
+                "default link drop probability 1.5",
+            ),
+            (
+                FaultPlan::new(0).reorder(f64::NAN, 10),
+                "default link reorder probability NaN",
+            ),
+            (
+                FaultPlan::new(0).link_override(
+                    3,
+                    LinkFaults {
+                        corrupt: -0.25,
+                        ..LinkFaults::default()
+                    },
+                ),
+                "worker 3's link corrupt probability -0.25",
+            ),
+        ];
+        let spec = JobSpec {
+            job: 1,
+            workers: 2,
+            elements: 4,
+            elements_per_packet: 4,
+        };
+        let gradients = vec![vec![vec![1.0; 4]; 2]];
+        let detail = |e: Option<SimError>| match e {
+            Some(SimError::BadConfig(detail)) => detail,
+            other => panic!("expected BadConfig, got {other:?}"),
+        };
+        for (plan, field) in bad {
+            let want = format!("FaultPlan: {field} outside [0, 1]");
+            assert_eq!(detail(plan.validate().err()), want);
+            let backend = SwitchMlFixedPoint::new(4, 1.0, 2).unwrap();
+            let got = run_allreduce(spec, backend, &gradients, plan, SimConfig::default());
+            assert_eq!(detail(got.err()), want);
+        }
+        assert!(FaultPlan::new(0).drop(1.0).corrupt(0.0).validate().is_ok());
     }
 }

@@ -122,6 +122,7 @@ impl<B: Aggregator> Simulator<B> {
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
         spec.validate()?;
+        plan.validate()?;
         if gradients.is_empty() {
             return Err(SimError::BadConfig("no rounds to simulate".into()));
         }

@@ -120,6 +120,7 @@ pub use resources::{ResourceReport, StageResources};
 pub use shard::{partition_slots, partition_slots_aligned, ShardPlan};
 pub use stage::Stage;
 pub use switch::{
-    PacketTrace, ProgramError, RuntimeError, Switch, SwitchCaps, SwitchProgram, TraceEntry,
+    PacketTrace, ProgramError, RuntimeError, Switch, SwitchCaps, SwitchProgram, TableFault,
+    TraceEntry,
 };
 pub use table::{KeyMatch, MatchKind, Table, TableEntry};

@@ -20,6 +20,7 @@
 use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::register::{RegArrayId, RegisterArraySpec, RegisterState};
 use crate::stage::Stage;
+use crate::table::Table;
 use serde::{Deserialize, Serialize};
 
 /// The hardware capability profile a program is validated against.
@@ -148,6 +149,43 @@ pub enum ProgramError {
         /// Action name.
         action: String,
     },
+    /// A table's entries or default do not fit its own keys and actions.
+    MalformedTable {
+        /// Table name.
+        table: String,
+        /// What does not fit.
+        fault: TableFault,
+    },
+}
+
+/// What [`ProgramError::MalformedTable`] found in a table.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TableFault {
+    /// An entry selects an action index past the table's actions.
+    EntryAction {
+        /// Entry index.
+        entry: usize,
+        /// The action index it selects.
+        action: usize,
+        /// Actions the table has.
+        actions: usize,
+    },
+    /// The default action index is past the table's actions.
+    DefaultAction {
+        /// The default action index.
+        action: usize,
+        /// Actions the table has.
+        actions: usize,
+    },
+    /// An entry's pattern count differs from the table's key count.
+    KeyArity {
+        /// Entry index.
+        entry: usize,
+        /// Patterns the entry has.
+        patterns: usize,
+        /// Keys the table declares.
+        keys: usize,
+    },
 }
 
 impl std::fmt::Display for ProgramError {
@@ -191,6 +229,28 @@ impl std::fmt::Display for ProgramError {
             ProgramError::DoubleAccess { array, action } => {
                 write!(f, "action `{action}` accesses array `{array}` twice")
             }
+            ProgramError::MalformedTable { table, fault } => match fault {
+                TableFault::EntryAction {
+                    entry,
+                    action,
+                    actions,
+                } => write!(
+                    f,
+                    "table `{table}` entry {entry} selects action {action} of {actions}"
+                ),
+                TableFault::DefaultAction { action, actions } => write!(
+                    f,
+                    "table `{table}` default action {action} is past its {actions} actions"
+                ),
+                TableFault::KeyArity {
+                    entry,
+                    patterns,
+                    keys,
+                } => write!(
+                    f,
+                    "table `{table}` entry {entry} has {patterns} patterns for {keys} keys"
+                ),
+            },
         }
     }
 }
@@ -219,6 +279,12 @@ impl SwitchProgram {
             }
             let mut arrays_in_stage: Vec<RegArrayId> = Vec::new();
             for table in &stage.tables {
+                if let Some(fault) = table_fault(table) {
+                    return Err(ProgramError::MalformedTable {
+                        table: table.name.clone(),
+                        fault,
+                    });
+                }
                 for action in &table.actions {
                     let mut touched: Vec<RegArrayId> = Vec::new();
                     for p in &action.primitives {
@@ -265,6 +331,33 @@ impl SwitchProgram {
             }
         }
         Ok(())
+    }
+}
+
+/// The first way `table`'s entries or default fail to fit its own keys
+/// and actions, if any.
+fn table_fault(table: &Table) -> Option<TableFault> {
+    let actions = table.actions.len();
+    let keys = table.keys.len();
+    for (entry, e) in table.entries.iter().enumerate() {
+        if e.key.len() != keys {
+            return Some(TableFault::KeyArity {
+                entry,
+                patterns: e.key.len(),
+                keys,
+            });
+        }
+        if e.action >= actions {
+            return Some(TableFault::EntryAction {
+                entry,
+                action: e.action,
+                actions,
+            });
+        }
+    }
+    match table.default_action {
+        Some(action) if action >= actions => Some(TableFault::DefaultAction { action, actions }),
+        _ => None,
     }
 }
 
@@ -525,6 +618,67 @@ mod tests {
             recirc_field: None,
         };
         (program, port, count, mark)
+    }
+
+    /// The counter program with its threshold behind a table `gate` keyed
+    /// on `port`: one action, one entry, no default.
+    fn gated_program() -> SwitchProgram {
+        let (mut program, port, _count, _mark) = counter_program(SwitchCaps::tofino());
+        let mark = program.stages[1].tables[0].actions.remove(0);
+        let gate = Table::keyed("gate", vec![(port, MatchKind::Exact)], vec![mark], None).entry(
+            vec![KeyMatch::Exact(7)],
+            0,
+            0,
+        );
+        program.stages[1].tables[0] = gate;
+        assert!(Switch::new(program.clone()).is_ok());
+        program
+    }
+
+    /// Both engines refuse `program` with the same error: `gate`'s `fault`.
+    fn assert_gate_refused(program: SwitchProgram, fault: TableFault) {
+        let compiled = crate::compile::CompiledSwitch::compile(&program).unwrap_err();
+        let interpreted = Switch::new(program).unwrap_err();
+        assert_eq!(compiled, interpreted);
+        let table = "gate".into();
+        assert_eq!(interpreted, ProgramError::MalformedTable { table, fault });
+    }
+
+    #[test]
+    fn validation_rejects_an_entry_action_past_the_table() {
+        let mut program = gated_program();
+        program.stages[1].tables[0].entries[0].action = 1;
+        let fault = TableFault::EntryAction {
+            entry: 0,
+            action: 1,
+            actions: 1,
+        };
+        assert_gate_refused(program, fault);
+    }
+
+    #[test]
+    fn validation_rejects_a_default_action_past_the_table() {
+        let mut program = gated_program();
+        program.stages[1].tables[0].default_action = Some(1);
+        let fault = TableFault::DefaultAction {
+            action: 1,
+            actions: 1,
+        };
+        assert_gate_refused(program, fault);
+    }
+
+    #[test]
+    fn validation_rejects_an_entry_whose_patterns_miscount_the_keys() {
+        for patterns in [0, 2] {
+            let mut program = gated_program();
+            program.stages[1].tables[0].entries[0].key = vec![KeyMatch::Any; patterns];
+            let fault = TableFault::KeyArity {
+                entry: 0,
+                patterns,
+                keys: 1,
+            };
+            assert_gate_refused(program, fault);
+        }
     }
 
     #[test]
